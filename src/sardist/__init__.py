@@ -10,29 +10,29 @@ baseline for comparison.
 
 __version__ = "0.1.0"
 
-from .errors import (BoundsError, FormatError, NumericError, SardistError,
-                     ShapeError, StorageError, ValidationError)
+from .errors import (FormatError, NumericError, SardistError, ShapeError,
+                     StorageError, ValidationError)
 from .raster import (BinaryDelineation, DistributionEstimate, DisturbanceMap,
                      RasterStack, read_stack, write_stack)
 from .synth import SynthConfig, generate_scene, generate_training_corpus
-from .preprocess import PreprocessConfig, clip_unit, despeckle_stack, logit
+from .preprocess import PreprocessConfig, clip_unit, despeckle_stack, logit, to_logit
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import TrainConfig, gradient_check, nll_loss, train
-from .inference import SweepConfig, estimate_from_stack, sweep_estimate
+from .inference import SweepConfig, forecast, sweep_estimate
 from .disturbance import log_ratio_map, mahalanobis_map, threshold_map
-from .evaluation import build_labeled_set, pr_curve
+from .evaluation import build_labeled_set, pr_curve, two_image_scores
 
 __all__ = [
     "__version__",
-    "SardistError", "ValidationError", "ShapeError", "BoundsError",
+    "SardistError", "ValidationError", "ShapeError",
     "FormatError", "NumericError", "StorageError",
     "RasterStack", "DistributionEstimate", "DisturbanceMap",
     "BinaryDelineation", "read_stack", "write_stack",
     "SynthConfig", "generate_scene", "generate_training_corpus",
-    "PreprocessConfig", "clip_unit", "despeckle_stack", "logit",
+    "PreprocessConfig", "clip_unit", "despeckle_stack", "logit", "to_logit",
     "Model", "ModelConfig", "load_checkpoint", "save_checkpoint",
     "TrainConfig", "train", "nll_loss", "gradient_check",
-    "SweepConfig", "sweep_estimate", "estimate_from_stack",
+    "SweepConfig", "sweep_estimate", "forecast",
     "mahalanobis_map", "log_ratio_map", "threshold_map",
-    "build_labeled_set", "pr_curve",
+    "build_labeled_set", "pr_curve", "two_image_scores",
 ]

@@ -5,6 +5,10 @@ ablate, selftest. Every run writes exactly one JSON manifest alongside its
 outputs recording the resolved configuration, inputs, outputs, seed, tool
 version and wall-clock duration.
 
+The CLI only resolves flags, reads inputs and writes outputs; forecasting
+(`inference.forecast`) and two-image scoring (`evaluation.two_image_scores`)
+live in the library.
+
 Flag precedence: explicit flags > --config JSON file > built-in defaults.
 Thread count resolves as --threads > SARDIST_THREADS > 1; one thread is the
 bitwise reference path.
@@ -20,24 +24,53 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
-
-import numpy as np
+from dataclasses import replace
 
 from . import __version__
 from .errors import ValidationError
-from .evaluation import (LabeledScores, build_labeled_set, default_tau_grid,
-                         emit_report, f1_vs_threshold, pr_curve)
+from .evaluation import default_tau_grid, emit_report, f1_vs_threshold, pr_curve, \
+    two_image_scores
 from .disturbance import log_ratio_map, mahalanobis_map, threshold_map
-from .inference import SweepConfig, estimate_from_stack, sweep_estimate
+from .inference import SweepConfig, forecast
 from .model import Model, ModelConfig, load_checkpoint, preset_input_patch, \
     preset_model_size, save_checkpoint
-from .preprocess import PreprocessConfig, clip_unit, despeckle_stack, logit
+from .preprocess import PreprocessConfig, despeckle_stack, to_logit
 from .raster import (read_estimate, read_mask, read_metric_map, read_stack,
                      write_delineation, write_estimate, write_mask,
                      write_metric_map, write_stack)
-from .synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus
+from .synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus, \
+    read_corpus_manifest, splitmix64
 from .training import TrainConfig, train
+
+# (flag, config field, type): the parser declares each flag from these tables
+# and _config resolves it into the field
+SYNTH_FLAGS = (
+    ("height", "height", int), ("width", "width", int), ("steps", "num_steps", int),
+    ("classes", "num_classes", int), ("looks", "looks", float),
+    ("seasonal-amplitude-db", "seasonal_amplitude_db", float),
+    ("seasonal-period", "seasonal_period", float),
+    ("delta-db", "disturbance_delta_db", float),
+    ("fraction", "disturbance_fraction", float),
+)
+PREPROCESS_FLAGS = (
+    ("tv-weight", "tv_weight_db", float), ("tv-iterations", "tv_iterations", int),
+    ("tv-step", "tv_step", float),
+)
+MODEL_FLAGS = (
+    ("input-size", "input_size", int), ("patch-size", "patch_size", int),
+    ("d-model", "d_model", int), ("heads", "num_heads", int), ("layers", "num_layers", int),
+    ("ff", "ff_dim", int), ("head-hidden", "head_hidden", int), ("dropout", "dropout", float),
+    ("max-t", "max_t", int), ("sigma-floor", "sigma_floor", float),
+)
+TRAIN_FLAGS = (
+    ("batch-size", "batch_size", int), ("epochs", "epochs", int), ("lr", "lr_initial", float),
+    ("lr-after-decay", "lr_after_decay", float), ("decay-epoch", "decay_epoch", int),
+    ("t-min", "t_min", int), ("t-max", "t_max", int),
+    ("steps-per-epoch", "steps_per_epoch", int),
+)
+SWEEP_FLAGS = (
+    ("stride", "stride", int), ("batch-size", "batch_size", int), ("threads", "threads", int),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,13 +93,16 @@ def main(argv: list[str] | None = None) -> int:
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config_file(args) -> dict:
-    if getattr(args, "config", None) is None:
+def _load_config_file(path: str | None) -> dict:
+    if path is None:
         return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ValidationError(f"{args.config}: config file must hold a JSON object")
+        raise ValidationError(f"{path}: config file must hold a JSON object")
     return data
 
 
@@ -75,10 +111,12 @@ class _Resolver:
 
     def __init__(self, args):
         self.args = args
-        self.file = _load_config_file(args)
+        self.path = getattr(args, "config", None)
+        self.file = _load_config_file(self.path)
         self.resolved: dict = {}
 
-    def get(self, name: str, default):
+    def get(self, name: str, default, kind=None):
+        """The resolved value, converted by `kind` unless it is None."""
         flag = getattr(self.args, name.replace("-", "_"), None)
         if flag is not None:
             value = flag
@@ -87,13 +125,32 @@ class _Resolver:
         else:
             value = default
         self.resolved[name] = value
-        return value
+        if kind is None or value is None:
+            return value
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            # flags are parsed by type and defaults are typed: the file is at fault
+            raise ValidationError(f"{self.path}: {name} must be {kind.__name__}, "
+                                  f"got {value!r}") from None
 
 
-def _threads(resolver: _Resolver) -> int:
+def _config(r: _Resolver, base, table, **fixed):
+    """`base` with every flag of `table` resolved into its field."""
+    values = {field: r.get(flag, getattr(base, field), kind) for flag, field, kind in table}
+    return replace(base, **values, **fixed)
+
+
+def _env_threads() -> int:
     env = os.environ.get("SARDIST_THREADS")
-    fallback = int(env) if env else 1
-    return int(resolver.get("threads", fallback))
+    try:
+        return int(env) if env else 1
+    except ValueError:
+        raise ValidationError(f"SARDIST_THREADS must be an integer, got {env!r}") from None
+
+
+def _sweep_config(r: _Resolver) -> SweepConfig:
+    return _config(r, SweepConfig(threads=_env_threads()), SWEEP_FLAGS)
 
 
 def _write_manifest(target: str, subcommand: str, resolver: _Resolver,
@@ -119,72 +176,6 @@ def _write_manifest(target: str, subcommand: str, resolver: _Resolver,
         fh.write("\n")
 
 
-def _synth_config(r: _Resolver) -> SynthConfig:
-    base = SynthConfig()
-    gamma0 = r.get("class-gamma0", base.class_gamma0)
-    if isinstance(gamma0, str):
-        gamma0 = json.loads(gamma0)
-    if gamma0 is not None:
-        gamma0 = tuple(tuple(float(v) for v in entry) for entry in gamma0)
-    return SynthConfig(
-        height=int(r.get("height", base.height)),
-        width=int(r.get("width", base.width)),
-        num_steps=int(r.get("steps", base.num_steps)),
-        num_classes=int(r.get("classes", base.num_classes)),
-        looks=float(r.get("looks", base.looks)),
-        seasonal_amplitude_db=float(r.get("seasonal-amplitude-db", base.seasonal_amplitude_db)),
-        seasonal_period=float(r.get("seasonal-period", base.seasonal_period)),
-        disturbance_delta_db=float(r.get("delta-db", base.disturbance_delta_db)),
-        disturbance_fraction=float(r.get("fraction", base.disturbance_fraction)),
-        class_gamma0=gamma0,
-    )
-
-
-def _preprocess_config(r: _Resolver) -> PreprocessConfig:
-    base = PreprocessConfig()
-    return PreprocessConfig(
-        clip_epsilon=float(r.get("clip-epsilon", base.clip_epsilon)),
-        tv_weight_db=float(r.get("tv-weight", base.tv_weight_db)),
-        tv_iterations=int(r.get("tv-iterations", base.tv_iterations)),
-        tv_step=float(r.get("tv-step", base.tv_step)),
-    )
-
-
-def _model_config(r: _Resolver) -> ModelConfig:
-    kind = str(r.get("model", "transformer"))
-    base = ModelConfig.gru_default() if kind == "gru" else ModelConfig.transformer_default()
-    head_hidden = r.get("head-hidden", base.head_hidden)
-    return ModelConfig(
-        kind=kind,
-        input_size=int(r.get("input-size", base.input_size)),
-        patch_size=int(r.get("patch-size", base.patch_size)),
-        d_model=int(r.get("d-model", base.d_model)),
-        num_heads=int(r.get("heads", base.num_heads)),
-        num_layers=int(r.get("layers", base.num_layers)),
-        ff_dim=int(r.get("ff", base.ff_dim)),
-        head_hidden=None if head_hidden is None else int(head_hidden),
-        dropout=float(r.get("dropout", base.dropout)),
-        max_t=int(r.get("max-t", base.max_t)),
-        sigma_floor=float(r.get("sigma-floor", base.sigma_floor)),
-    )
-
-
-def _train_config(r: _Resolver, seed: int) -> TrainConfig:
-    base = TrainConfig()
-    steps = r.get("steps-per-epoch", base.steps_per_epoch)
-    return TrainConfig(
-        batch_size=int(r.get("batch-size", base.batch_size)),
-        epochs=int(r.get("epochs", base.epochs)),
-        lr_initial=float(r.get("lr", base.lr_initial)),
-        lr_after_decay=float(r.get("lr-after-decay", base.lr_after_decay)),
-        decay_epoch=int(r.get("decay-epoch", base.decay_epoch)),
-        t_min=int(r.get("t-min", base.t_min)),
-        t_max=int(r.get("t-max", base.t_max)),
-        seed=seed,
-        steps_per_epoch=None if steps is None else int(steps),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -192,11 +183,20 @@ def _train_config(r: _Resolver, seed: int) -> TrainConfig:
 def _cmd_synth(args) -> int:
     t0 = time.time()
     r = _Resolver(args)
-    cfg = _synth_config(r)
-    seed = int(r.get("seed", 0))
+    gamma0 = r.get("class-gamma0", None)
+    try:
+        if isinstance(gamma0, str):
+            gamma0 = json.loads(gamma0)
+        if gamma0 is not None:
+            gamma0 = tuple(tuple(float(v) for v in entry) for entry in gamma0)
+    except (TypeError, ValueError):
+        raise ValidationError(f"class-gamma0 must be a JSON list of (vv, vh) pairs, "
+                              f"got {gamma0!r}") from None
+    cfg = _config(r, SynthConfig(), SYNTH_FLAGS, class_gamma0=gamma0)
+    seed = r.get("seed", 0, int)
     kind = r.get("kind", "scene")
     if kind == "corpus":
-        count = int(r.get("count", 64))
+        count = r.get("count", 64, int)
         out_dir = r.get("out-dir", None)
         if out_dir is None:
             raise ValidationError("synth corpus needs --out-dir")
@@ -221,7 +221,7 @@ def _cmd_synth(args) -> int:
 def _cmd_despeckle(args) -> int:
     t0 = time.time()
     r = _Resolver(args)
-    cfg = _preprocess_config(r)
+    cfg = _config(r, PreprocessConfig(), PREPROCESS_FLAGS)
     allow_raw = bool(r.get("allow-raw", False))
     manifest_in = r.get("manifest", None)
     if manifest_in is not None:
@@ -229,8 +229,7 @@ def _cmd_despeckle(args) -> int:
         if out_dir is None:
             raise ValidationError("despeckle --manifest needs --out-dir")
         os.makedirs(out_dir, exist_ok=True)
-        with open(manifest_in, "r", encoding="utf-8") as fh:
-            corpus = json.load(fh)
+        corpus = read_corpus_manifest(manifest_in)
         base = os.path.dirname(manifest_in)
         outputs = []
         for entry in corpus["entries"]:
@@ -263,11 +262,12 @@ def _cmd_train(args) -> int:
     out_dir = r.get("out", None)
     if corpus_path is None or out_dir is None:
         raise ValidationError("train needs --corpus and --out")
-    seed = int(r.get("seed", 0))
-    model_cfg = _model_config(r)
-    train_cfg = _train_config(r, seed)
-    sequences = load_corpus(corpus_path)
-    frames = logit(clip_unit(sequences, 1e-4)).astype(np.float32)
+    seed = r.get("seed", 0, int)
+    kind = r.get("model", "transformer", str)
+    base = ModelConfig.gru_default() if kind == "gru" else ModelConfig.transformer_default()
+    model_cfg = _config(r, base, MODEL_FLAGS, kind=kind)
+    train_cfg = _config(r, TrainConfig(), TRAIN_FLAGS, seed=seed)
+    frames = to_logit(load_corpus(corpus_path))
     model = Model(model_cfg, seed=seed)
     result = train(model, train_cfg, frames)
     save_checkpoint(result.model, out_dir)
@@ -297,18 +297,13 @@ def _cmd_estimate(args) -> int:
     out_sigma = r.get("out-sigma", None)
     if None in (ckpt, inp, out_mu, out_sigma):
         raise ValidationError("estimate needs --checkpoint, --input, --out-mu, --out-sigma")
-    sweep = SweepConfig(
-        stride=int(r.get("stride", 4)),
-        batch_size=int(r.get("batch-size", 64)),
-        threads=_threads(r),
-    )
-    drop_last = int(r.get("drop-last", 0))
+    sweep = _sweep_config(r)
+    drop_last = r.get("drop-last", 0, int)
     stack = read_stack(inp, allow_raw=bool(r.get("allow-raw", False)))
     frames = stack.values if drop_last == 0 else stack.values[:-drop_last]
     if frames.shape[0] < 2:
         raise ValidationError(f"only {frames.shape[0]} frames left after --drop-last")
-    model = load_checkpoint(ckpt)
-    est = sweep_estimate(model, logit(clip_unit(frames, 1e-4)), sweep)
+    est = forecast(load_checkpoint(ckpt), frames, sweep)
     write_estimate(est, out_mu, out_sigma)
     _write_manifest(out_mu, "estimate", r, [ckpt, inp], [out_mu, out_sigma], None, t0)
     print(f"estimated {inp} -> {out_mu}, {out_sigma}")
@@ -326,7 +321,7 @@ def _cmd_metric(args) -> int:
     if stack_path is None or out is None:
         raise ValidationError("metric needs --stack and --out")
     stack = read_stack(stack_path, allow_raw=bool(r.get("allow-raw", False)))
-    frame = int(r.get("frame", -1))
+    frame = r.get("frame", -1, int)
     count = stack.num_steps
     frame = frame if frame >= 0 else count + frame
     if not 0 <= frame < count:
@@ -337,11 +332,10 @@ def _cmd_metric(args) -> int:
         if mu_path is None or sigma_path is None:
             raise ValidationError("metric --kind mahalanobis needs --mu and --sigma")
         est = read_estimate(mu_path, sigma_path)
-        post = logit(clip_unit(stack.values[frame], 1e-4))
-        dmap = mahalanobis_map(est, post)
+        dmap = mahalanobis_map(est, to_logit(stack.values[frame]))
         inputs = [stack_path, mu_path, sigma_path]
     else:
-        baseline = int(r.get("baseline-frames", frame))
+        baseline = r.get("baseline-frames", frame, int)
         if baseline < 2:
             raise ValidationError(f"log ratio needs >= 2 baseline frames, got {baseline}")
         if baseline > count:
@@ -359,48 +353,16 @@ def _cmd_delineate(args) -> int:
     r = _Resolver(args)
     metric_path = r.get("metric", None)
     out = r.get("out", None)
-    tau = r.get("tau", None)
+    tau = r.get("tau", None, float)
     if metric_path is None or out is None or tau is None:
         raise ValidationError("delineate needs --metric, --tau and --out")
     dmap = read_metric_map(metric_path)
-    delineation = threshold_map(dmap, float(tau))
+    delineation = threshold_map(dmap, tau)
     write_delineation(delineation, out)
     _write_manifest(out, "delineate", r, [metric_path], [out], None, t0)
     frac = float(delineation.mask.mean())
     print(f"delineated {out}: {delineation.mask.sum()} pixels ({frac:.2%}) above {tau}")
     return 0
-
-
-def _evaluate_stack(stack_values: np.ndarray, truth: np.ndarray, method: str,
-                    checkpoint: str | None, sweep: SweepConfig,
-                    max_points: int) -> tuple:
-    """Two-image protocol on (S,C,H,W) values; returns (curve, f1 rows, set)."""
-    count = stack_values.shape[0]
-    if count < 4:
-        raise ValidationError(f"evaluation needs >= 4 frames, got {count}")
-    baseline = stack_values[:count - 2]
-    heldout_pre = stack_values[count - 2]
-    post = stack_values[count - 1]
-    if method in ("transformer", "gru"):
-        if checkpoint is None:
-            raise ValidationError(f"method {method} needs --checkpoint")
-        model = load_checkpoint(checkpoint)
-        if model.cfg.kind != method:
-            raise ValidationError(
-                f"checkpoint holds a {model.cfg.kind}, but method is {method}"
-            )
-        est = sweep_estimate(model, logit(clip_unit(baseline, 1e-4)), sweep)
-        pre_map = mahalanobis_map(est, logit(clip_unit(heldout_pre, 1e-4)))
-        post_map = mahalanobis_map(est, logit(clip_unit(post, 1e-4)))
-    elif method == "logratio":
-        pre_map = log_ratio_map(baseline, heldout_pre)
-        post_map = log_ratio_map(baseline, post)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
-    labeled = build_labeled_set(pre_map, post_map, truth)
-    curve = pr_curve(labeled, max_points=max_points)
-    f1_rows = f1_vs_threshold(labeled, default_tau_grid(labeled))
-    return curve, f1_rows, labeled
 
 
 def _cmd_eval(args) -> int:
@@ -412,18 +374,24 @@ def _cmd_eval(args) -> int:
     method = r.get("method", "transformer")
     if None in (stack_path, truth_path, out_dir):
         raise ValidationError("eval needs --stack, --truth and --out-dir")
-    sweep = SweepConfig(
-        stride=int(r.get("stride", 4)),
-        batch_size=int(r.get("batch-size", 64)),
-        threads=_threads(r),
-    )
-    max_points = int(r.get("max-points", 512))
+    sweep = _sweep_config(r)
+    max_points = r.get("max-points", 512, int)
     stack = read_stack(stack_path, allow_raw=bool(r.get("allow-raw", False)))
     truth = read_mask(truth_path)
-    curve, f1_rows, _ = _evaluate_stack(
-        stack.values, truth, method, r.get("checkpoint", None), sweep, max_points)
+    checkpoint = r.get("checkpoint", None)
+    model = None
+    if method in ("transformer", "gru"):
+        if checkpoint is None:
+            raise ValidationError(f"method {method} needs --checkpoint")
+        model = load_checkpoint(checkpoint)
+        if model.cfg.kind != method:
+            raise ValidationError(f"checkpoint holds a {model.cfg.kind}, but method is {method}")
+    elif method != "logratio":
+        raise ValidationError(f"unknown method {method!r}")
+    labeled = two_image_scores(stack.values, truth, model, sweep)
+    curve = pr_curve(labeled, max_points=max_points)
     os.makedirs(out_dir, exist_ok=True)
-    summary = emit_report(out_dir, curve, f1_rows)
+    summary = emit_report(out_dir, curve, f1_vs_threshold(labeled, default_tau_grid(labeled)))
     outputs = [os.path.join(out_dir, name) for name in
                ("pr_curve.csv", "f1_vs_tau.csv", "pr_curve.svg", "f1_vs_tau.svg",
                 "summary.json")]
@@ -441,12 +409,12 @@ def _cmd_ablate(args) -> int:
     if out_dir is None:
         raise ValidationError("ablate needs --out-dir")
     grid = r.get("grid", "all")
-    seed = int(r.get("seed", 0))
-    corpus_size = int(r.get("corpus-size", 64))
-    epochs = int(r.get("epochs", 2))
-    scene_size = int(r.get("scene-size", 64))
-    batch_size = int(r.get("batch-size", 32))
-    threads = _threads(r)
+    seed = r.get("seed", 0, int)
+    corpus_size = r.get("corpus-size", 64, int)
+    epochs = r.get("epochs", 2, int)
+    scene_size = r.get("scene-size", 64, int)
+    batch_size = r.get("batch-size", 32, int)
+    threads = r.get("threads", _env_threads(), int)
     grids = ("input-patch", "model-size", "learning-rate")
     chosen = grids if grid == "all" else (grid,)
     for g in chosen:
@@ -495,31 +463,17 @@ def _run_ablate_case(grid, label, model_cfg, lr, seed, corpus_size, epochs,
                             seasonal_amplitude_db=2.0)
     corpus_manifest = generate_training_corpus(
         synth_cfg, corpus_size, seed, os.path.join(case_dir, "corpus"))
-    sequences = load_corpus(corpus_manifest)
-    frames = logit(clip_unit(sequences, 1e-4)).astype(np.float32)
-    tc = TrainConfig(batch_size=batch_size, epochs=epochs, seed=seed,
-                     lr_initial=lr if lr is not None else 1e-3,
-                     lr_after_decay=(lr if lr is not None else 1e-3) / 10.0,
-                     decay_epoch=max(1, epochs))
-    model = Model(model_cfg, seed=seed)
-    result = train(model, tc, frames)
+    frames = to_logit(load_corpus(corpus_manifest))
+    lr = lr if lr is not None else 1e-3
+    tc = TrainConfig(batch_size=batch_size, epochs=epochs, seed=seed, lr_initial=lr,
+                     lr_after_decay=lr / 10.0, decay_epoch=max(1, epochs))
+    result = train(Model(model_cfg, seed=seed), tc, frames)
     scene_cfg = replace(synth_cfg, height=max(scene_size, model_cfg.input_size),
                         width=max(scene_size, model_cfg.input_size))
-    stack, truth = generate_scene(scene_cfg, splitmix64_scene(seed))
+    stack, truth = generate_scene(scene_cfg, splitmix64(seed, 0xAB1A7E))
     sweep = SweepConfig(stride=model_cfg.patch_size, batch_size=64, threads=threads)
-    baseline = stack.values[:stack.num_steps - 2]
-    est = sweep_estimate(result.model, logit(clip_unit(baseline, 1e-4)), sweep)
-    pre_map = mahalanobis_map(est, logit(clip_unit(stack.values[-2], 1e-4)))
-    post_map = mahalanobis_map(est, logit(clip_unit(stack.values[-1], 1e-4)))
-    labeled = build_labeled_set(pre_map, post_map, truth)
-    curve = pr_curve(labeled)
+    curve = pr_curve(two_image_scores(stack.values, truth, result.model, sweep))
     return (grid, label, result.model.parameter_count(), curve.auc, curve.best_f1)
-
-
-def splitmix64_scene(seed: int) -> int:
-    from .synth import splitmix64
-
-    return splitmix64(seed, 0xAB1A7E)
 
 
 def _cmd_selftest(args) -> int:
@@ -532,9 +486,22 @@ def _cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp) -> None:
+def _add(sp, *names: str, kind=None) -> None:
+    for name in names:
+        sp.add_argument(f"--{name}", type=kind)
+
+
+def _add_table(sp, table) -> None:
+    for flag, _, kind in table:
+        _add(sp, flag, kind=kind)
+
+
+def _subparser(sub, name: str, func, help_text: str):
+    sp = sub.add_parser(name, help=help_text)
     sp.add_argument("--config", help="JSON file with flag defaults")
     sp.add_argument("--seed", type=int)
+    sp.set_defaults(func=func)
+    return sp
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -547,120 +514,52 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
 
-    sp = sub.add_parser("synth", help="generate synthetic scenes or training corpora")
-    _add_common(sp)
+    sp = _subparser(sub, "synth", _cmd_synth, "generate synthetic scenes or training corpora")
     sp.add_argument("--kind", choices=("scene", "corpus"))
-    sp.add_argument("--out")
-    sp.add_argument("--mask")
-    sp.add_argument("--out-dir")
-    sp.add_argument("--count", type=int)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--classes", type=int)
-    sp.add_argument("--looks", type=float)
-    sp.add_argument("--seasonal-amplitude-db", type=float)
-    sp.add_argument("--seasonal-period", type=float)
-    sp.add_argument("--delta-db", type=float)
-    sp.add_argument("--fraction", type=float)
+    _add(sp, "out", "mask", "out-dir")
+    _add(sp, "count", kind=int)
+    _add_table(sp, SYNTH_FLAGS)
     sp.add_argument("--class-gamma0",
                     help="JSON list of per-class (vv, vh) mean backscatter")
-    sp.set_defaults(func=_cmd_synth)
 
-    sp = sub.add_parser("despeckle", help="TV-despeckle a stack or a whole corpus")
-    _add_common(sp)
-    sp.add_argument("--input")
-    sp.add_argument("--out")
-    sp.add_argument("--manifest")
-    sp.add_argument("--out-dir")
-    sp.add_argument("--clip-epsilon", type=float)
-    sp.add_argument("--tv-weight", type=float)
-    sp.add_argument("--tv-iterations", type=int)
-    sp.add_argument("--tv-step", type=float)
+    sp = _subparser(sub, "despeckle", _cmd_despeckle, "TV-despeckle a stack or a whole corpus")
+    _add(sp, "input", "out", "manifest", "out-dir")
+    _add_table(sp, PREPROCESS_FLAGS)
     sp.add_argument("--allow-raw", action="store_const", const=True)
-    sp.set_defaults(func=_cmd_despeckle)
 
-    sp = sub.add_parser("train", help="train a forecasting model on a corpus")
-    _add_common(sp)
-    sp.add_argument("--corpus")
-    sp.add_argument("--out")
+    sp = _subparser(sub, "train", _cmd_train, "train a forecasting model on a corpus")
+    _add(sp, "corpus", "out")
     sp.add_argument("--model", choices=("transformer", "gru"))
-    sp.add_argument("--input-size", type=int)
-    sp.add_argument("--patch-size", type=int)
-    sp.add_argument("--d-model", type=int)
-    sp.add_argument("--heads", type=int)
-    sp.add_argument("--layers", type=int)
-    sp.add_argument("--ff", type=int)
-    sp.add_argument("--head-hidden", type=int)
-    sp.add_argument("--dropout", type=float)
-    sp.add_argument("--max-t", type=int)
-    sp.add_argument("--sigma-floor", type=float)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--lr-after-decay", type=float)
-    sp.add_argument("--decay-epoch", type=int)
-    sp.add_argument("--t-min", type=int)
-    sp.add_argument("--t-max", type=int)
-    sp.add_argument("--steps-per-epoch", type=int)
-    sp.set_defaults(func=_cmd_train)
+    _add_table(sp, MODEL_FLAGS)
+    _add_table(sp, TRAIN_FLAGS)
 
-    sp = sub.add_parser("estimate", help="sliding-window forecast of a scene")
-    _add_common(sp)
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--input")
-    sp.add_argument("--out-mu")
-    sp.add_argument("--out-sigma")
-    sp.add_argument("--stride", type=int)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--drop-last", type=int)
+    sp = _subparser(sub, "estimate", _cmd_estimate, "sliding-window forecast of a scene")
+    _add(sp, "checkpoint", "input", "out-mu", "out-sigma")
+    _add_table(sp, SWEEP_FLAGS)
+    _add(sp, "drop-last", kind=int)
     sp.add_argument("--allow-raw", action="store_const", const=True)
-    sp.set_defaults(func=_cmd_estimate)
 
-    sp = sub.add_parser("metric", help="compute a disturbance metric map")
-    _add_common(sp)
+    sp = _subparser(sub, "metric", _cmd_metric, "compute a disturbance metric map")
     sp.add_argument("--kind", choices=("mahalanobis", "logratio"))
-    sp.add_argument("--stack")
-    sp.add_argument("--frame", type=int)
-    sp.add_argument("--baseline-frames", type=int)
-    sp.add_argument("--mu")
-    sp.add_argument("--sigma")
-    sp.add_argument("--out")
+    _add(sp, "stack", "mu", "sigma", "out")
+    _add(sp, "frame", "baseline-frames", kind=int)
     sp.add_argument("--allow-raw", action="store_const", const=True)
-    sp.set_defaults(func=_cmd_metric)
 
-    sp = sub.add_parser("delineate", help="threshold a metric map to a binary mask")
-    _add_common(sp)
-    sp.add_argument("--metric")
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_delineate)
+    sp = _subparser(sub, "delineate", _cmd_delineate, "threshold a metric map to a binary mask")
+    _add(sp, "metric", "out")
+    _add(sp, "tau", kind=float)
 
-    sp = sub.add_parser("eval", help="two-image evaluation against a truth mask")
-    _add_common(sp)
-    sp.add_argument("--stack")
-    sp.add_argument("--truth")
+    sp = _subparser(sub, "eval", _cmd_eval, "two-image evaluation against a truth mask")
+    _add(sp, "stack", "truth", "checkpoint", "out-dir")
     sp.add_argument("--method", choices=("transformer", "gru", "logratio"))
-    sp.add_argument("--checkpoint")
-    sp.add_argument("--out-dir")
-    sp.add_argument("--stride", type=int)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--max-points", type=int)
+    _add_table(sp, SWEEP_FLAGS)
+    _add(sp, "max-points", kind=int)
     sp.add_argument("--allow-raw", action="store_const", const=True)
-    sp.set_defaults(func=_cmd_eval)
 
-    sp = sub.add_parser("ablate", help="run preset ablation grids at desk scale")
-    _add_common(sp)
+    sp = _subparser(sub, "ablate", _cmd_ablate, "run preset ablation grids at desk scale")
     sp.add_argument("--grid", choices=("input-patch", "model-size", "learning-rate", "all"))
-    sp.add_argument("--out-dir")
-    sp.add_argument("--corpus-size", type=int)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--scene-size", type=int)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--threads", type=int)
-    sp.set_defaults(func=_cmd_ablate)
+    _add(sp, "out-dir")
+    _add(sp, "corpus-size", "epochs", "scene-size", "batch-size", "threads", kind=int)
 
     sp = sub.add_parser("selftest", help="run the built-in invariant checks")
     sp.set_defaults(func=_cmd_selftest)

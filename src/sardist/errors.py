@@ -18,10 +18,6 @@ class ShapeError(ValidationError):
     """Array shape does not match the expected layout."""
 
 
-class BoundsError(ValidationError):
-    """Requested window or index falls outside the valid extent."""
-
-
 class FormatError(ValidationError):
     """A container file is malformed (bad magic, header, or payload size)."""
 

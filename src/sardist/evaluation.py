@@ -24,7 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .disturbance import log_ratio_map, mahalanobis_map
 from .errors import ShapeError, ValidationError
+from .inference import SweepConfig, forecast
+from .model import Model
+from .preprocess import to_logit
 from .raster import DisturbanceMap
 
 _FMT = "{:.10g}"
@@ -70,6 +74,26 @@ def build_labeled_set(pre_map: DisturbanceMap, post_map: DisturbanceMap,
     scores = np.concatenate([pre_map.values.ravel(), post_map.values.ravel()])
     labels = np.concatenate([np.zeros(truth.size, dtype=bool), truth.ravel()])
     return LabeledScores(scores.astype(np.float64), labels)
+
+
+def two_image_scores(values: np.ndarray, truth: np.ndarray, model: Model | None = None,
+                     sweep: SweepConfig | None = None) -> LabeledScores:
+    """Score the held-out pre frame and the post frame of a (S, C, H, W) stack.
+
+    Frames [:-2] are the baseline, frame -2 the held-out pre-event frame and
+    frame -1 the post-event frame. With a model both are scored against its
+    forecast from the baseline, without one by the log ratio against it.
+    """
+    if values.shape[0] < 4:
+        raise ValidationError(f"evaluation needs >= 4 frames, got {values.shape[0]}")
+    baseline, pre, post = values[:-2], values[-2], values[-1]
+    if model is None:
+        pre_map, post_map = log_ratio_map(baseline, pre), log_ratio_map(baseline, post)
+    else:
+        est = forecast(model, baseline, sweep)
+        pre_map = mahalanobis_map(est, to_logit(pre))
+        post_map = mahalanobis_map(est, to_logit(post))
+    return build_labeled_set(pre_map, post_map, truth)
 
 
 @dataclass

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Model
-from .preprocess import clip_unit, logit
-from .raster import DistributionEstimate, RasterStack
+from .preprocess import to_logit
+from .raster import DistributionEstimate
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,7 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray,
     return DistributionEstimate(mu, sigma)
 
 
-def coverage_counts(height: int, width: int, window: int, stride: int) -> np.ndarray:
-    """How many sweep windows cover each pixel (diagnostic / test helper)."""
-    count = np.zeros((height, width), dtype=np.int64)
-    for r in window_positions(height, window, stride):
-        for ch in window_positions(width, window, stride):
-            count[r:r + window, ch:ch + window] += 1
-    return count
-
-
-def estimate_from_stack(model: Model, stack: RasterStack, cfg: SweepConfig | None = None,
-                        clip_eps: float = 1e-4) -> DistributionEstimate:
-    """Clip + logit-transform a backscatter stack, then sweep-estimate."""
-    frames = logit(clip_unit(stack.values, clip_eps))
-    return sweep_estimate(model, frames, cfg)
+def forecast(model: Model, values: np.ndarray,
+             sweep: SweepConfig | None = None) -> DistributionEstimate:
+    """Forecast the frame after a (T, C, H, W) backscatter stack in (0, 1)."""
+    return sweep_estimate(model, to_logit(values), sweep)

@@ -27,16 +27,17 @@ from .errors import ValidationError
 from .raster import RasterStack
 
 
+#: clip margin of every (0, 1) -> logit or dB transform in the package
+CLIP_EPS = 1e-4
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
-    clip_epsilon: float = 1e-4
     tv_weight_db: float = 1.5
     tv_iterations: int = 50
     tv_step: float = 0.25
 
     def validate(self) -> None:
-        if not 0 < self.clip_epsilon < 0.5:
-            raise ValidationError(f"clip epsilon must be in (0, 0.5), got {self.clip_epsilon}")
         if self.tv_weight_db < 0:
             raise ValidationError(f"tv weight must be >= 0, got {self.tv_weight_db}")
         if self.tv_iterations < 1:
@@ -45,7 +46,7 @@ class PreprocessConfig:
             raise ValidationError(f"tv step must be in (0, 0.25], got {self.tv_step}")
 
 
-def clip_unit(x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
+def clip_unit(x: np.ndarray, eps: float = CLIP_EPS) -> np.ndarray:
     """Clip into [eps, 1-eps] so logit and log10 stay finite."""
     if not 0 < eps < 0.5:
         raise ValidationError(f"clip epsilon must be in (0, 0.5), got {eps}")
@@ -58,6 +59,11 @@ def logit(x: np.ndarray) -> np.ndarray:
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise ValidationError("logit input must lie strictly inside (0,1); clip first")
     return np.log(x) - np.log1p(-x)
+
+
+def to_logit(values: np.ndarray) -> np.ndarray:
+    """Backscatter in (0, 1) to the model's logit space, clipped by CLIP_EPS."""
+    return logit(clip_unit(values))
 
 
 def inverse_logit(y: np.ndarray) -> np.ndarray:
@@ -147,11 +153,11 @@ def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None) ->
     """Despeckle (..., H, W) backscatter intensities in (0,1)."""
     cfg = cfg or PreprocessConfig()
     cfg.validate()
-    v = clip_unit(np.asarray(values, dtype=np.float64), cfg.clip_epsilon)
+    v = clip_unit(np.asarray(values, dtype=np.float64))
     db = 10.0 * np.log10(v)
     smooth = tv_denoise(db, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step)
     back = 10.0 ** (smooth / 10.0)
-    return clip_unit(back, cfg.clip_epsilon).astype(np.float32)
+    return clip_unit(back).astype(np.float32)
 
 
 def despeckle_stack(stack: RasterStack, cfg: PreprocessConfig | None = None) -> RasterStack:

@@ -16,11 +16,11 @@ sorted keys and no whitespace so identical content yields identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, FormatError, ShapeError, ValidationError
+from .errors import FormatError, ShapeError, ValidationError
 
 MAGIC = b"RTS0"
 DTYPE_TAG = "f32le"
@@ -345,14 +345,3 @@ def read_estimate(mu_path: str, sigma_path: str) -> DistributionEstimate:
         )
     return DistributionEstimate(mu[0], sigma[0], tuple(mu_hdr["pol_names"]))
 
-
-def slice_window(stack: RasterStack, row: int, col: int, size: int) -> np.ndarray:
-    """Return the (T, C, size, size) window at (row, col); raises on overflow."""
-    t, c, h, w = stack.values.shape
-    if size < 1:
-        raise ValidationError(f"window size must be >= 1, got {size}")
-    if row < 0 or col < 0 or row + size > h or col + size > w:
-        raise BoundsError(
-            f"window [{row}:{row + size}, {col}:{col + size}] outside {h}x{w} extent"
-        )
-    return stack.values[:, :, row:row + size, col:col + size]

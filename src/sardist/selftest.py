@@ -22,11 +22,17 @@ from .synth import SynthConfig, generate_scene
 from .training import Adam, nll_loss
 
 
+def _require(ok, condition: str) -> None:
+    # an explicit raise, unlike a bare assert, still checks under python -O
+    if not ok:
+        raise RuntimeError(f"expected {condition}")
+
+
 def _check_logit_roundtrip() -> None:
     rng = np.random.default_rng(7)
     x = rng.uniform(1e-4, 1 - 1e-4, size=4096)
     back = inverse_logit(logit(x))
-    assert np.max(np.abs(back - x)) < 1e-6
+    _require(np.max(np.abs(back - x)) < 1e-6, "roundtrip error < 1e-6")
 
 
 def _check_nll_unit() -> None:
@@ -34,7 +40,7 @@ def _check_nll_unit() -> None:
     sigma = Tensor(np.ones((8, 8)), requires_grad=True)
     loss = nll_loss(mu, sigma, np.zeros((8, 8)))
     expect = 0.5 * math.log(2.0 * math.pi)
-    assert abs(float(loss.data) - expect) < 1e-9
+    _require(abs(float(loss.data) - expect) < 1e-9, "nll = log(2 pi) / 2")
 
 
 def _check_adam_first_step() -> None:
@@ -44,14 +50,14 @@ def _check_adam_first_step() -> None:
     opt.step(1e-3)
     g = np.array([1.0, -1.0, 0.5, -2.0, 3.0])
     expect = -1e-3 * g / (np.abs(g) + 1e-8)
-    assert np.max(np.abs(w.data - expect)) < 1e-12
+    _require(np.max(np.abs(w.data - expect)) < 1e-12, "first step = -lr * sign(g)")
 
 
 def _check_lower_median() -> None:
     vals = np.array([5.0, 1.0, 4.0, 2.0])
-    assert lower_median(vals) == 2.0
+    _require(lower_median(vals) == 2.0, "lower median of [5, 1, 4, 2] = 2")
     vals = np.array([3.0, 1.0, 2.0])
-    assert lower_median(vals) == 2.0
+    _require(lower_median(vals) == 2.0, "median of [3, 1, 2] = 2")
 
 
 def _check_metric_shapes() -> None:
@@ -62,31 +68,31 @@ def _check_metric_shapes() -> None:
                                sigma=sigma.astype(np.float32))
     post = rng.normal(size=(2, 8, 8)).astype(np.float32)
     dmap = mahalanobis_map(est, post)
-    assert dmap.values.shape == (8, 8)
-    assert dmap.units == "standard_deviations"
+    _require(dmap.values.shape == (8, 8), "mahalanobis map shape (8, 8)")
+    _require(dmap.units == "standard_deviations", "mahalanobis units standard_deviations")
     pre = rng.uniform(0.01, 0.9, size=(4, 2, 8, 8)).astype(np.float32)
     lmap = log_ratio_map(pre, pre[0])
-    assert lmap.values.shape == (8, 8)
-    assert lmap.units == "decibels"
+    _require(lmap.values.shape == (8, 8), "log ratio map shape (8, 8)")
+    _require(lmap.units == "decibels", "log ratio units decibels")
 
 
 def _check_window_positions() -> None:
-    assert window_positions(64, 16, 16) == [0, 16, 32, 48]
-    assert window_positions(20, 16, 4) == [0, 4]
-    assert window_positions(16, 16, 4) == [0]
+    _require(window_positions(64, 16, 16) == [0, 16, 32, 48], "disjoint tiling")
+    _require(window_positions(20, 16, 4) == [0, 4], "last window clamped")
+    _require(window_positions(16, 16, 4) == [0], "one window")
 
 
 def _check_tv_constant() -> None:
     u = np.full((16, 16), 3.7)
     out = tv_denoise(u, weight=1.5, iterations=20, step=0.25)
-    assert np.max(np.abs(out - u)) < 1e-12
+    _require(np.max(np.abs(out - u)) < 1e-12, "constant unchanged")
 
 
 def _check_tv_descends() -> None:
     rng = np.random.default_rng(11)
     f = rng.normal(size=(16, 16))
     out = tv_denoise(f, weight=1.5, iterations=30, step=0.25)
-    assert tv_objective(out, f, 1.5) <= tv_objective(f, f, 1.5)
+    _require(tv_objective(out, f, 1.5) <= tv_objective(f, f, 1.5), "objective does not rise")
 
 
 def _check_forward_shapes() -> None:
@@ -94,8 +100,8 @@ def _check_forward_shapes() -> None:
     model = Model(cfg, seed=0)
     x = np.random.default_rng(5).normal(size=(2, 3, 2, 16, 16)).astype(np.float32)
     mu, sigma = model.forward(x, train=False)
-    assert mu.data.shape == (2, 2, 16, 16)
-    assert np.all(sigma.data >= cfg.sigma_floor)
+    _require(mu.data.shape == (2, 2, 16, 16), "mu shape (2, 2, 16, 16)")
+    _require(np.all(sigma.data >= cfg.sigma_floor), "sigma >= floor")
 
 
 def _check_sweep_constant_stub() -> None:
@@ -111,23 +117,23 @@ def _check_sweep_constant_stub() -> None:
 
     frames = np.zeros((3, 2, 64, 64), dtype=np.float32)
     est = sweep_estimate(_Stub(), frames, SweepConfig(stride=4))
-    assert np.all(est.mu == 1.0) and np.all(est.sigma == 1.0)
+    _require(np.all(est.mu == 1.0) and np.all(est.sigma == 1.0), "mu = sigma = 1 everywhere")
 
 
 def _check_pr_hand_case() -> None:
     ls = LabeledScores(scores=np.array([0.9, 0.8, 0.7, 0.6]),
                        labels=np.array([True, False, True, False]))
     curve = pr_curve(ls)
-    assert abs(curve.best_f1 - 0.8) < 1e-12
-    assert abs(curve.auc - 19.0 / 24.0) < 1e-12
+    _require(abs(curve.best_f1 - 0.8) < 1e-12, "best F1 0.8")
+    _require(abs(curve.auc - 19.0 / 24.0) < 1e-12, "PR-AUC 19/24")
 
 
 def _check_scene_determinism() -> None:
     cfg = SynthConfig()
     a, mask_a = generate_scene(cfg, 42)
     b, mask_b = generate_scene(cfg, 42)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(mask_a, mask_b)
+    _require(np.array_equal(a.values, b.values), "identical values")
+    _require(np.array_equal(mask_a, mask_b), "identical masks")
 
 
 CHECKS = (

@@ -22,10 +22,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .raster import RasterStack, write_stack
-
-CLIP_EPS = 1e-4
+from .errors import FormatError, ValidationError
+from .preprocess import CLIP_EPS
+from .raster import RasterStack, read_stack, write_stack
 
 _MASK64 = (1 << 64) - 1
 
@@ -236,13 +235,30 @@ def generate_training_corpus(cfg: SynthConfig, count: int, master_seed: int | No
     return manifest_path
 
 
+def read_corpus_manifest(manifest_path: str) -> dict:
+    """Parse a corpus.json; FormatError unless it lists entries with a path each."""
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"{manifest_path}: corpus manifest is not JSON: {exc}") from None
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("path"), str) for e in entries):
+        raise FormatError(f"{manifest_path}: corpus manifest needs a list of "
+                          f"entries, each with a path")
+    for entry in entries:
+        # entry paths are joined to input and output directories alike
+        if os.path.isabs(entry["path"]) or os.pardir in entry["path"].split(os.sep):
+            raise FormatError(f"{manifest_path}: entry path {entry['path']!r} "
+                              f"leaves the corpus directory")
+    return manifest
+
+
 def load_corpus(manifest_path: str) -> np.ndarray:
     """Load every corpus sequence into one (N, T, C, H, W) float32 array."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_corpus_manifest(manifest_path)
     base = os.path.dirname(manifest_path)
-    from .raster import read_stack
-
     stacks = [read_stack(os.path.join(base, e["path"])) for e in manifest["entries"]]
     if not stacks:
         raise ValidationError(f"{manifest_path}: empty corpus")

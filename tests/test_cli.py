@@ -71,9 +71,28 @@ class TestPlumbing:
         assert info.value.code == 0
         assert capsys.readouterr().out.strip()
 
-    def test_validation_failure_exits_1(self, tmp_path):
+    def test_validation_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # synth scene without --out/--mask
         assert run("synth", "--kind", "scene", "--seed", "1") == 1
+        # malformed config JSON, a non-numeric config value, a bad thread
+        # variable: one error line naming the file, key or variable
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text('{"stride": 4,')
+        bad_value = tmp_path / "value.json"
+        bad_value.write_text('{"stride": "abc"}')
+        # each is caught before any input file is opened
+        estimate = ["estimate", "--checkpoint", str(tmp_path / "ckpt"),
+                    "--input", str(tmp_path / "s.rts"), "--out-mu", str(tmp_path / "mu.rts"),
+                    "--out-sigma", str(tmp_path / "sigma.rts")]
+        capsys.readouterr()
+        for config, named in ((bad_json, "bad.json"), (bad_value, "stride")):
+            assert run(*estimate, "--config", str(config)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err and err.count("\n") == 1
+        monkeypatch.setenv("SARDIST_THREADS", "abc")
+        assert run(*estimate) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SARDIST_THREADS") and err.count("\n") == 1
 
     def test_missing_input_exits_2(self, tmp_path):
         out = str(tmp_path / "o.rts")
@@ -153,6 +172,8 @@ class TestSynthCommand:
                    "--out", out, "--mask", str(tmp_path / "m.rts")) == 0
         stack = read_stack(out)
         assert stack.values.shape == (4, 2, 16, 16)
+        assert run("synth", "--kind", "scene", "--class-gamma0", "[[0.3, 0.05],",
+                   "--out", out, "--mask", str(tmp_path / "m.rts")) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +193,16 @@ class TestProcessingCommands:
             assert fh_a.read() == fh_b.read()
         den = read_stack(a)
         assert den.values.shape == (4, 2, 16, 16)
+
+    @pytest.mark.parametrize("text", ['{"master_seed": 1}',
+                                      '{"entries": [{"path": "../seq.rts"}]}'])
+    def test_despeckle_malformed_manifest_exits_1(self, tmp_path, capsys, text):
+        manifest = tmp_path / "corpus.json"
+        manifest.write_text(text)
+        assert run("despeckle", "--manifest", str(manifest),
+                   "--out-dir", str(tmp_path / "den")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "corpus.json" in err
 
     def test_logratio_of_median_frame_is_zero(self, tmp_path):
         # post frame equal to the per-pixel lower median of the baseline
@@ -316,6 +347,24 @@ class TestModelCommands:
                    "--out", scene, "--mask", mask) == 0
         assert run("eval", "--method", "transformer", "--stack", scene,
                    "--truth", mask, "--out-dir", str(tmp_path / "r")) == 1
+
+
+class TestAblateCommand:
+    def test_toy_grid_is_finite_and_deterministic(self, tmp_path):
+        summaries = []
+        for name in ("a", "b"):
+            out_dir = tmp_path / name
+            assert run("ablate", "--grid", "learning-rate", "--corpus-size", "2",
+                       "--epochs", "1", "--scene-size", "16", "--batch-size", "2",
+                       "--out-dir", str(out_dir)) == 0
+            summaries.append((out_dir / "ablation_summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+        header, *rows = summaries[0].decode().splitlines()
+        assert header == "grid,preset,parameters,pr_auc,best_f1"
+        assert len(rows) == 3
+        for row in rows:
+            assert row.startswith("learning-rate,lr")
+            assert np.isfinite(float(row.split(",")[3]))
 
 
 # ---------------------------------------------------------------------------

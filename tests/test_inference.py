@@ -9,16 +9,9 @@ from hypothesis import strategies as st
 
 from sardist.autodiff import Tensor
 from sardist.errors import ValidationError
-from sardist.inference import (
-    SweepConfig,
-    coverage_counts,
-    estimate_from_stack,
-    sweep_estimate,
-    window_positions,
-)
+from sardist.inference import SweepConfig, forecast, sweep_estimate, window_positions
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import clip_unit, logit
-from sardist.raster import RasterStack
 
 
 class ConstantStub:
@@ -85,6 +78,15 @@ class TestWindowPositions:
             covered[p:p + window] = True
         assert covered.all()
         assert all(b - a <= stride for a, b in zip(positions, positions[1:]))
+
+
+def coverage_counts(height: int, width: int, window: int, stride: int) -> np.ndarray:
+    """How many sweep windows cover each pixel."""
+    count = np.zeros((height, width), dtype=np.int64)
+    for r in window_positions(height, window, stride):
+        for ch in window_positions(width, window, stride):
+            count[r:r + window, ch:ch + window] += 1
+    return count
 
 
 class TestCoverageCounts:
@@ -252,12 +254,13 @@ class TestSweepValidation:
 
 
 class TestEstimateFromStack:
+    """forecast(): clip + logit of the frame stack, then the sweep."""
+
     def test_matches_manual_preprocext_chain(self):
         rng = np.random.default_rng(6)
         values = rng.uniform(0.05, 0.6, size=(5, 2, 8, 8)).astype(np.float32)
-        stack = RasterStack(values, [f"2024-01-{d:02d}" for d in range(1, 6)])
         model = tiny_model(seed=6)
-        via_stack = estimate_from_stack(model, stack, SweepConfig(stride=2))
+        via_stack = forecast(model, values, SweepConfig(stride=2))
         direct = sweep_estimate(model, logit(clip_unit(values, 1e-4)),
                                 SweepConfig(stride=2))
         np.testing.assert_array_equal(via_stack.mu, direct.mu)

@@ -11,12 +11,11 @@ import struct
 import numpy as np
 import pytest
 
-from sardist.errors import (BoundsError, FormatError, ShapeError,
-                            ValidationError)
+from sardist.errors import FormatError, ShapeError, ValidationError
 from sardist.raster import (BinaryDelineation, DistributionEstimate,
                             DisturbanceMap, RasterStack, read_array,
                             read_delineation, read_mask, read_metric_map,
-                            read_stack, slice_window, write_delineation,
+                            read_stack, write_delineation,
                             write_mask, write_metric_map, write_stack)
 
 
@@ -246,30 +245,3 @@ class TestTypedWrappers:
         with pytest.raises(ShapeError):
             DistributionEstimate(mu, sigma[:1])
 
-
-class TestSliceWindow:
-    def test_whole_extent_slice(self):
-        stack = _stack(h=16, w=16)
-        window = slice_window(stack, 0, 0, 16)
-        assert np.array_equal(window, stack.values)
-
-    def test_overflow_rejected(self):
-        stack = _stack(h=16, w=16)
-        with pytest.raises(BoundsError):
-            slice_window(stack, 8, 8, 16)
-        with pytest.raises(BoundsError):
-            slice_window(stack, -1, 0, 8)
-
-    def test_values_match_offset_indices(self):
-        stack = _stack(h=20, w=24, seed=3)
-        window = slice_window(stack, 3, 5, 7)
-        for i in range(7):
-            for j in range(7):
-                assert np.array_equal(window[:, :, i, j],
-                                      stack.values[:, :, 3 + i, 5 + j])
-
-    def test_source_unmodified(self):
-        stack = _stack()
-        before = stack.values.copy()
-        _ = slice_window(stack, 2, 2, 8)
-        assert np.array_equal(stack.values, before)

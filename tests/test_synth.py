@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from sardist.errors import ValidationError
+from sardist.errors import FormatError, ValidationError
 from sardist.raster import read_stack
 from sardist.synth import (SynthConfig, generate_nominal_sequence,
                            generate_scene, generate_training_corpus,
@@ -299,6 +299,15 @@ class TestCorpus:
         corpus = load_corpus(manifest_path)
         assert corpus.shape == (5, 11, 2, 16, 16)
         assert corpus.dtype == np.float32
+
+    @pytest.mark.parametrize("text", ['{"master_seed": 1}', '{"entries": [{"seed": 3}]}',
+                                      '[]', '{"entries": ',
+                                      '{"entries": [{"path": "../seq.rts"}]}'])
+    def test_malformed_manifest_is_format_error(self, tmp_path, text):
+        manifest_path = tmp_path / "corpus.json"
+        manifest_path.write_text(text)
+        with pytest.raises(FormatError, match="corpus.json"):
+            load_corpus(str(manifest_path))
 
     def test_zero_count_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
