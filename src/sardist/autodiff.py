@@ -10,11 +10,37 @@ backward pass never differentiates through a max or a sqrt separately).
 Dtype discipline: results follow the operand dtype; python scalars do not
 promote float32 graphs to float64, so the same graph runs in float32 for
 training and float64 for finite-difference checks.
+
+Inference mode: inside `no_grad()` every new tensor is a constant (no
+parents, no backward closure, `requires_grad=False`), so a forward pass
+keeps no intermediate arrays alive. The mode is per thread: a worker that
+enters it never switches gradients off for another thread.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Build no graph in the calling thread until the block exits."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 class Tensor:
@@ -26,9 +52,14 @@ class Tensor:
                  parents: tuple = (), backward=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward = backward
+        if _grad_mode.enabled:
+            self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+            self._parents = parents
+            self._backward = backward
+        else:
+            self.requires_grad = False
+            self._parents = ()
+            self._backward = None
 
     # -- graph execution ----------------------------------------------------
 

@@ -8,7 +8,8 @@ means over all covering windows.
 Determinism: windows are enumerated row-major and accumulated in that fixed
 order, so the result is independent of batch size and of how many worker
 threads computed the forward passes (threads only parallelize the pure
-forward computations; accumulation stays serial and ordered).
+forward computations; accumulation stays serial and ordered). The forward
+passes run under `no_grad`, so no backward graph is built or kept.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import no_grad
 from .errors import ValidationError
 from .model import Model
 from .preprocess import to_logit
@@ -71,7 +73,8 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray,
 
     def run_batch(batch: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         x = np.stack([frames_logit[:, :, r:r + size, ch:ch + size] for r, ch in batch])
-        mu, sigma = model.forward(x, train=False)
+        with no_grad():   # per thread, so it is entered inside each worker
+            mu, sigma = model.forward(x, train=False)
         return mu.data, sigma.data
 
     if cfg.threads == 1:

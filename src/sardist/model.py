@@ -12,6 +12,15 @@ attention -> residual, LN -> ReLU feed-forward -> residual, dropout on each
 sublayer output). The token at each spatial position's latest time step
 feeds two independent 2-layer heads that predict that patch's mu and sigma.
 
+Layout: after the embedding, tokens are rows of one (B*T*Np, D) matrix, so
+each encoder linear layer is a single 2-D GEMM and each layer norm runs over
+the same rows; only the two attention products see (B, heads, N, dk). Only
+the latest frame's Np tokens reach the heads, so the last block takes keys
+and values from every token but computes queries, attention output, the
+feed-forward and the final norm for those Np tokens alone, as per-window
+(B, Np, D) products. The maths is that of the full block; the bits move at
+float32 rounding level.
+
 gru: frames are flattened to C*S^2 vectors and run through a stacked GRU
 (first layer consumes the flattened frame directly; hidden size d_model);
 the final hidden state feeds the same kind of two-headed readout for the
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -247,40 +256,57 @@ class Model:
         cfg, p = self.cfg, self.params
         b, t = x.shape[0], x.shape[1]
         npf, d = cfg.patches_per_frame, cfg.d_model
-        heads, dk = cfg.num_heads, cfg.d_model // cfg.num_heads
 
         tokens = patch_split(x, cfg.patch_size)           # (B, T, Np, patch_dim)
         h = Tensor(tokens) @ p["embed.w"] + p["embed.b"]  # (B, T, Np, D)
         h = h + p["pos_spatial"].reshape(1, 1, npf, d)
         h = h + p["pos_temporal"][:t].reshape(1, t, 1, d)
-        h = h.reshape(b, t * npf, d)
+        h = h.reshape(b * t * npf, d)                     # one row per token
 
-        scale = 1.0 / np.sqrt(dk)
         for i in range(cfg.num_layers):
-            pre = layer_norm(h, p[f"enc{i}.ln1.g"], p[f"enc{i}.ln1.b"])
-            q = (pre @ p[f"enc{i}.attn.wq.w"] + p[f"enc{i}.attn.wq.b"])
-            k = (pre @ p[f"enc{i}.attn.wk.w"] + p[f"enc{i}.attn.wk.b"])
-            v = (pre @ p[f"enc{i}.attn.wv.w"] + p[f"enc{i}.attn.wv.b"])
-            n = t * npf
-            q = q.reshape(b, n, heads, dk).transpose((0, 2, 1, 3))
-            k = k.reshape(b, n, heads, dk).transpose((0, 2, 1, 3))
-            v = v.reshape(b, n, heads, dk).transpose((0, 2, 1, 3))
-            att = ((q @ k.transpose((0, 1, 3, 2))) * scale).softmax()
-            ctx = (att @ v).transpose((0, 2, 1, 3)).reshape(b, n, d)
-            ctx = ctx @ p[f"enc{i}.attn.wo.w"] + p[f"enc{i}.attn.wo.b"]
-            h = h + dropout(ctx, cfg.dropout, rng, train)
-
-            pre = layer_norm(h, p[f"enc{i}.ln2.g"], p[f"enc{i}.ln2.b"])
-            ff = (pre @ p[f"enc{i}.ff1.w"] + p[f"enc{i}.ff1.b"]).relu()
-            ff = ff @ p[f"enc{i}.ff2.w"] + p[f"enc{i}.ff2.b"]
-            h = h + dropout(ff, cfg.dropout, rng, train)
-
-        h = layer_norm(h, p["final_ln.g"], p["final_ln.b"])
-        latest = h.reshape(b, t, npf, d)[:, t - 1]        # (B, Np, D)
+            h = self._encoder_block(h, i, b, t, train, rng,
+                                    latest_only=i == cfg.num_layers - 1)
+        latest = layer_norm(h, p["final_ln.g"], p["final_ln.b"])  # (B, Np, D)
 
         mu_p = self._head(latest, "mu_head")              # (B, Np, patch_dim)
         sig_p = self._head(latest, "sigma_head").softplus() + cfg.sigma_floor
         return self._merge_patches(mu_p), self._merge_patches(sig_p)
+
+    def _encoder_block(self, h, i, b, t, train, rng, latest_only):
+        """One pre-norm block over token rows h (B*T*Np, D).
+
+        Keys and values come from every token. With `latest_only`, queries
+        and everything after them are computed for the latest frame's tokens
+        alone, as (B, Np, D): those per-window products keep a window's
+        result independent of how many windows share the batch.
+        """
+        cfg, p = self.cfg, self.params
+        npf, d = cfg.patches_per_frame, cfg.d_model
+        heads, dk = cfg.num_heads, cfg.d_model // cfg.num_heads
+        n = t * npf
+
+        def linear(z, name):
+            return z @ p[f"enc{i}.{name}.w"] + p[f"enc{i}.{name}.b"]
+
+        def split_heads(z, rows):                         # -> (B, heads, rows, dk)
+            return z.reshape(b, rows, heads, dk).transpose((0, 2, 1, 3))
+
+        pre = layer_norm(h, p[f"enc{i}.ln1.g"], p[f"enc{i}.ln1.b"])
+        k = split_heads(linear(pre, "attn.wk"), n)
+        v = split_heads(linear(pre, "attn.wv"), n)
+        rows = n
+        if latest_only:
+            h = h.reshape(b, t, npf, d)[:, t - 1]
+            pre = pre.reshape(b, t, npf, d)[:, t - 1]
+            rows = npf
+        q = split_heads(linear(pre, "attn.wq"), rows)
+        att = ((q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dk))).softmax()
+        ctx = (att @ v).transpose((0, 2, 1, 3)).reshape(h.shape)
+        h = h + dropout(linear(ctx, "attn.wo"), cfg.dropout, rng, train)
+
+        pre = layer_norm(h, p[f"enc{i}.ln2.g"], p[f"enc{i}.ln2.b"])
+        ff = linear(linear(pre, "ff1").relu(), "ff2")
+        return h + dropout(ff, cfg.dropout, rng, train)
 
     def _merge_patches(self, patches: Tensor) -> Tensor:
         cfg = self.cfg
@@ -354,9 +380,17 @@ def load_checkpoint(directory: str) -> Model:
             blob = fh.read()
     except json.JSONDecodeError as exc:
         raise FormatError(f"{directory}: unreadable checkpoint metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{directory}: model.json is not an object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"{directory}: unsupported checkpoint version {meta.get('version')}")
-    cfg = ModelConfig(**meta["config"])
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise FormatError(f"{directory}: model.json config is missing or not an object")
+    unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise FormatError(f"{directory}: unknown model config key {unknown[0]!r}")
+    cfg = ModelConfig(**config)
     model = Model(cfg, seed=0)
     expected = set(model.params)
     provided = {entry["name"] for entry in index}

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .disturbance import lower_median, mahalanobis_map, log_ratio_map
 from .evaluation import LabeledScores, pr_curve
 from .inference import SweepConfig, sweep_estimate, window_positions
@@ -104,6 +104,21 @@ def _check_forward_shapes() -> None:
     _require(np.all(sigma.data >= cfg.sigma_floor), "sigma >= floor")
 
 
+def _check_no_grad_forward() -> None:
+    cfg = ModelConfig(d_model=32, num_heads=2, num_layers=2, ff_dim=48)
+    model = Model(cfg, seed=0)
+    x = np.random.default_rng(6).normal(size=(2, 3, 2, 16, 16)).astype(np.float32)
+    mu, sigma = model.forward(x, train=False)
+    with no_grad():
+        mu_ng, sigma_ng = model.forward(x, train=False)
+    _require(np.array_equal(mu.data, mu_ng.data) and np.array_equal(sigma.data, sigma_ng.data),
+             "grad-free forward equal to graph forward bitwise")
+    _require(not mu_ng.requires_grad and not sigma_ng.requires_grad,
+             "grad-free outputs outside the graph")
+    _require((model.params["embed.w"] * 2.0).requires_grad,
+             "gradient tracking back on after no_grad")
+
+
 def _check_sweep_constant_stub() -> None:
     class _Stub:
         class cfg:
@@ -146,6 +161,7 @@ CHECKS = (
     ("tv fixes constants", _check_tv_constant),
     ("tv objective descends", _check_tv_descends),
     ("model forward shapes, sigma floor", _check_forward_shapes),
+    ("grad-free forward equals graph forward", _check_no_grad_forward),
     ("constant-stub sweep is exact", _check_sweep_constant_stub),
     ("pr curve hand case", _check_pr_hand_case),
     ("scene generation deterministic", _check_scene_determinism),

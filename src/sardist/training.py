@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .errors import ValidationError
 from .model import Model
 from .synth import splitmix64
@@ -228,8 +228,9 @@ def gradient_check(model: Model, x: np.ndarray, target: np.ndarray,
     target = np.asarray(target, dtype=np.float64)
 
     def loss_value() -> float:
-        mu, sigma = m64.forward(x, train=False)
-        return float(nll_loss(mu, sigma, target).data)
+        with no_grad():
+            mu, sigma = m64.forward(x, train=False)
+            return float(nll_loss(mu, sigma, target).data)
 
     m64.zero_grads()
     mu, sigma = m64.forward(x, train=False)

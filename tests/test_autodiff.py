@@ -5,10 +5,16 @@ float64, where truncation error is ~h^2 and h=1e-5 leaves ~9 digits of
 agreement on these O(1) functions.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from sardist.autodiff import Tensor, dropout, layer_norm, _unbroadcast
+from sardist.autodiff import Tensor, dropout, layer_norm, no_grad, _unbroadcast
+from sardist.inference import SweepConfig, sweep_estimate
+from sardist.model import Model, ModelConfig
+from sardist.training import nll_loss
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -292,6 +298,87 @@ class TestGraphMechanics:
         (x * 2.0).sum().backward()
         (x * 3.0).sum().backward()
         assert np.allclose(x.grad, [5.0])
+
+
+def tracks_grad() -> bool:
+    """Whether an op on a trainable tensor records a graph in this thread."""
+    return (Tensor(rand(3), requires_grad=True) * 2.0).requires_grad
+
+
+class TestNoGrad:
+    def small_model(self):
+        cfg = ModelConfig(d_model=32, num_heads=2, num_layers=2, ff_dim=48, dropout=0.0)
+        return Model(cfg, seed=0)
+
+    def test_transformer_forward_bitwise_equal_and_detached(self):
+        model = self.small_model()
+        x = np.random.default_rng(5).normal(size=(2, 3, 2, 16, 16)).astype(np.float32)
+        mu, sigma = model.forward(x)
+        with no_grad():
+            mu_ng, sigma_ng = model.forward(x)
+        assert mu.requires_grad and sigma.requires_grad
+        assert np.array_equal(mu.data, mu_ng.data)
+        assert np.array_equal(sigma.data, sigma_ng.data)
+        for out in (mu_ng, sigma_ng):
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+
+    def test_flag_restored_after_exception(self):
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                assert not tracks_grad()
+                raise RuntimeError("inside no_grad")
+        assert tracks_grad()
+
+    def test_nested_exit_restores_outer_state(self):
+        with no_grad():
+            with no_grad():
+                pass
+            assert not tracks_grad()
+        assert tracks_grad()
+
+    def test_overlapping_threads_leave_main_thread_on(self):
+        # A enters, B enters, A leaves, B leaves: a process-wide flag that
+        # saves and restores its previous value would end up off
+        inside = threading.Barrier(3, timeout=10)
+        a_left = threading.Event()
+        seen = {}
+
+        def worker(name):
+            with no_grad():
+                seen[name] = tracks_grad()
+                inside.wait()
+                if name == "b":
+                    assert a_left.wait(timeout=10)
+            if name == "a":
+                a_left.set()
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in ("a", "b")]
+        for th in threads:
+            th.start()
+        inside.wait()
+        assert tracks_grad()
+        for th in threads:
+            th.join(timeout=10)
+            assert not th.is_alive()
+        assert seen == {"a": False, "b": False}
+        assert tracks_grad()
+
+    def test_threaded_sweep_leaves_training_gradients_on(self):
+        model = self.small_model()
+        frames = np.random.default_rng(1).normal(-2.0, 0.5, size=(4, 2, 24, 24))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sweep_estimate(model, frames.astype(np.float32),
+                           SweepConfig(stride=2, batch_size=3, threads=4))
+        finally:
+            sys.setswitchinterval(interval)
+        x = frames[None, :, :, :16, :16].astype(np.float32)
+        mu, sigma = model.forward(x[:, :-1])
+        nll_loss(mu, sigma, x[:, -1]).backward()
+        for name, p in model.params.items():
+            assert p.grad is not None, name
 
 
 class TestDtypeDiscipline:

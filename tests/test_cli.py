@@ -8,6 +8,7 @@ import pytest
 
 from sardist.cli import main
 from sardist.disturbance import lower_median
+from sardist.model import Model, ModelConfig, save_checkpoint
 from sardist.raster import (
     RasterStack,
     read_delineation,
@@ -93,6 +94,21 @@ class TestPlumbing:
         assert run(*estimate) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: SARDIST_THREADS") and err.count("\n") == 1
+        monkeypatch.delenv("SARDIST_THREADS")
+        # a checkpoint whose model.json config carries an unknown key
+        cfg = ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8)
+        save_checkpoint(Model(cfg, seed=0), str(tmp_path / "ckpt"))
+        meta_path = tmp_path / "ckpt" / "model.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"]["bogus"] = 1
+        meta_path.write_text(json.dumps(meta))
+        assert run("synth", "--kind", "scene", "--seed", "1", "--height", "16",
+                   "--width", "16", "--steps", "3", "--out", str(tmp_path / "s.rts"),
+                   "--mask", str(tmp_path / "m.rts")) == 0
+        capsys.readouterr()
+        assert run(*estimate) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bogus" in err and err.count("\n") == 1
 
     def test_missing_input_exits_2(self, tmp_path):
         out = str(tmp_path / "o.rts")

@@ -1,5 +1,6 @@
 """Tests for the sliding-window scene sweep."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,6 +195,21 @@ class TestSweepAveraging:
         threaded = sweep_estimate(model, frames, SweepConfig(stride=2, batch_size=4, threads=4))
         np.testing.assert_array_equal(single.mu, threaded.mu)
         np.testing.assert_array_equal(single.sigma, threaded.sigma)
+
+    def test_frozen_size_batch_and_thread_invariance_bitwise(self):
+        # the benchmark's model size: 36-row encoder GEMMs and 4-row last-block
+        # and head GEMMs per window, where BLAS kernel choice depends on shape
+        cfg = replace(ModelConfig.transformer_default(), ff_dim=512, num_layers=2)
+        model = Model(cfg, seed=1)
+        frames = np.random.default_rng(8).normal(-2.0, 0.5, size=(9, 2, 20, 20))
+        frames = frames.astype(np.float32)
+        base = sweep_estimate(model, frames, SweepConfig(stride=2, batch_size=1, threads=1))
+        for batch in (1, 4, 9):
+            for threads in (1, 2):
+                other = sweep_estimate(model, frames, SweepConfig(
+                    stride=2, batch_size=batch, threads=threads))
+                np.testing.assert_array_equal(base.mu, other.mu)
+                np.testing.assert_array_equal(base.sigma, other.sigma)
 
     def test_rerun_determinism(self):
         model = tiny_model(seed=4)

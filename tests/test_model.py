@@ -479,6 +479,29 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(str(tmp_path))
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta: meta["config"].update(bogus=1), "'bogus'"),
+        (lambda meta: meta.pop("config"), "config"),
+        (lambda meta: meta.update(config=[1, 2]), "config"),
+        (lambda meta: meta.update(config="transformer"), "config"),
+    ])
+    def test_bad_config_rejected(self, tmp_path, edit, named):
+        import json
+
+        save_checkpoint(Model(tiny_transformer_cfg(), seed=0), str(tmp_path))
+        meta_path = tmp_path / "model.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        edit(meta)
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(FormatError, match=named):
+            load_checkpoint(str(tmp_path))
+
+    def test_non_object_metadata_rejected(self, tmp_path):
+        save_checkpoint(Model(tiny_transformer_cfg(), seed=0), str(tmp_path))
+        (tmp_path / "model.json").write_text("[1]", encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_checkpoint(str(tmp_path))
+
     def test_corrupt_json_rejected(self, tmp_path):
         model = Model(tiny_transformer_cfg(), seed=0)
         save_checkpoint(model, str(tmp_path))

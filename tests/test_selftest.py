@@ -12,7 +12,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(sardist.__file__)))
 
 def test_all_checks_pass(capsys):
     assert run_selftest() == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "all 12 checks passed"
+    assert capsys.readouterr().out.splitlines()[-1] == "all 13 checks passed"
 
 
 def test_broken_check_fails_under_optimize():
@@ -27,4 +27,4 @@ def test_broken_check_fails_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL lower median tie-break" in proc.stdout
-    assert "1 of 12 checks failed" in proc.stdout
+    assert "1 of 13 checks failed" in proc.stdout
