@@ -26,8 +26,6 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from sardist.cli import main as cli  # noqa: E402
-
 CORPUS_SEED = 2024
 TRAIN_SEED = 0
 SCENE_SEED = 303
@@ -35,6 +33,8 @@ SEASONAL = ["--seasonal-amplitude-db", "1.5", "--seasonal-period", "24"]
 
 
 def step(label: str, argv: list) -> None:
+    from sardist.cli import main as cli
+
     t0 = time.time()
     code = cli(argv)
     if code != 0:
@@ -51,6 +51,12 @@ def main() -> int:
     parser.add_argument("--corpus-size", type=int, default=512)
     parser.add_argument("--epochs", type=int, default=5)
     args = parser.parse_args()
+    if args.threads > 1:
+        # one level of parallelism: N sweep workers with one BLAS thread each.
+        # OpenBLAS reads this once, when numpy is first imported (in step()).
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    print(f"threads: --threads {args.threads}, OPENBLAS_NUM_THREADS="
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, {os.cpu_count()} cores")
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)

@@ -35,9 +35,9 @@ from .inference import SweepConfig, forecast
 from .model import Model, ModelConfig, load_checkpoint, preset_input_patch, \
     preset_model_size, save_checkpoint
 from .preprocess import PreprocessConfig, despeckle_stack, to_logit
-from .raster import (read_estimate, read_mask, read_metric_map, read_stack,
-                     write_delineation, write_estimate, write_mask,
-                     write_metric_map, write_stack)
+from .raster import (read_estimate, read_json, read_mask, read_metric_map, read_stack,
+                     write_delineation, write_estimate, write_json, write_mask,
+                     write_metric_map, write_stack, write_text)
 from .synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus, \
     read_corpus_manifest, splitmix64
 from .training import TrainConfig, train
@@ -96,11 +96,7 @@ def main(argv: list[str] | None = None) -> int:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: config file is not valid JSON: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config file must hold a JSON object")
     return data
@@ -129,7 +125,7 @@ class _Resolver:
             return value
         try:
             return kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             # flags are parsed by type and defaults are typed: the file is at fault
             raise ValidationError(f"{self.path}: {name} must be {kind.__name__}, "
                                   f"got {value!r}") from None
@@ -171,9 +167,7 @@ def _write_manifest(target: str, subcommand: str, resolver: _Resolver,
         path = os.path.join(target, "run.manifest.json")
     else:
         path = target + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +231,7 @@ def _cmd_despeckle(args) -> int:
             out_path = os.path.join(out_dir, entry["path"])
             write_stack(despeckle_stack(stack, cfg), out_path)
             outputs.append(out_path)
-        out_manifest = os.path.join(out_dir, "corpus.json")
-        with open(out_manifest, "w", encoding="utf-8") as fh:
-            json.dump(corpus, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "corpus.json"), corpus)
         _write_manifest(out_dir, "despeckle", r, [manifest_in], outputs, None, t0)
         print(f"despeckled {len(outputs)} sequences into {out_dir}")
         return 0
@@ -272,8 +263,7 @@ def _cmd_train(args) -> int:
     result = train(model, train_cfg, frames)
     save_checkpoint(result.model, out_dir)
     loss_path = os.path.join(out_dir, "loss.csv")
-    with open(loss_path, "w", encoding="utf-8") as fh:
-        fh.write(result.loss_csv())
+    write_text(loss_path, result.loss_csv())
     _write_manifest(out_dir, "train", r, [corpus_path],
                     [out_dir, loss_path], seed, t0,
                     extra={"diverged": result.diverged,
@@ -431,10 +421,8 @@ def _cmd_ablate(args) -> int:
             rows.append(row)
             print(f"{g} {label}: params={row[2]} pr_auc={row[3]:.4f}")
     csv_path = os.path.join(out_dir, "ablation_summary.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("grid,preset,parameters,pr_auc,best_f1\n")
-        for g, label, params, auc, f1 in rows:
-            fh.write(f"{g},{label},{params},{auc:.6g},{f1:.6g}\n")
+    write_text(csv_path, "grid,preset,parameters,pr_auc,best_f1\n" + "".join(
+        f"{g},{label},{params},{auc:.6g},{f1:.6g}\n" for g, label, params, auc, f1 in rows))
     _write_manifest(out_dir, "ablate", r, [], [csv_path], seed, t0)
     print(f"wrote {csv_path}")
     return 0

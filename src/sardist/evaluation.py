@@ -29,7 +29,7 @@ from .errors import ShapeError, ValidationError
 from .inference import SweepConfig, forecast
 from .model import Model
 from .preprocess import to_logit
-from .raster import DisturbanceMap
+from .raster import DisturbanceMap, write_json, write_text
 
 _FMT = "{:.10g}"
 
@@ -333,19 +333,14 @@ def render_f1_svg(rows: list[tuple[float, float, float]], best_tau_norm: float,
 def emit_report(out_dir: str, curve: PRCurve,
                 f1_rows: list[tuple[float, float, float]]) -> dict:
     """Write pr_curve.csv, f1_vs_tau.csv, both SVGs, and summary.json."""
-    import json
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "pr_curve.csv"), "w", encoding="utf-8") as fh:
-        fh.write(pr_curve_csv(curve))
-    with open(os.path.join(out_dir, "f1_vs_tau.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f1_table_csv(f1_rows))
-    with open(os.path.join(out_dir, "pr_curve.svg"), "w", encoding="utf-8") as fh:
-        fh.write(render_pr_svg(curve))
-    with open(os.path.join(out_dir, "f1_vs_tau.svg"), "w", encoding="utf-8") as fh:
-        fh.write(render_f1_svg(
-            f1_rows, normalized_tau(curve.best_tau, curve.max_score), curve.best_f1))
+    write_text(os.path.join(out_dir, "pr_curve.csv"), pr_curve_csv(curve))
+    write_text(os.path.join(out_dir, "f1_vs_tau.csv"), f1_table_csv(f1_rows))
+    write_text(os.path.join(out_dir, "pr_curve.svg"), render_pr_svg(curve))
+    write_text(os.path.join(out_dir, "f1_vs_tau.svg"), render_f1_svg(
+        f1_rows, normalized_tau(curve.best_tau, curve.max_score), curve.best_f1))
     summary = {
         "pr_auc": curve.auc,
         "best_tau": curve.best_tau,
@@ -357,7 +352,5 @@ def emit_report(out_dir: str, curve: PRCurve,
         "num_negative": curve.num_negative,
         "skipped_thresholds": curve.skipped_thresholds,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

@@ -29,7 +29,6 @@ whole frame.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -37,8 +36,10 @@ import numpy as np
 
 from .autodiff import Tensor, dropout, layer_norm
 from .errors import FormatError, ShapeError, ValidationError
+from .raster import read_json, write_file, write_json
 
 KINDS = ("transformer", "gru")
+_FIELD_TYPES = {"str": str, "int": int, "int | None": (int, type(None)), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,10 @@ class ModelConfig:
         return self.channels * self.input_size ** 2
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         if self.kind not in KINDS:
             raise ValidationError(f"unknown model kind {self.kind!r}")
         for name in ("input_size", "channels", "d_model", "num_layers"):
@@ -351,68 +356,56 @@ class Model:
 CHECKPOINT_VERSION = 1
 
 
+def parameter_layout(model: Model) -> list[dict]:
+    """(name, shape, offset) of every parameter in name order: index.json's entries."""
+    layout, offset = [], 0
+    for name in sorted(model.params):
+        shape = model.params[name].data.shape
+        layout.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 4 * int(np.prod(shape))
+    return layout
+
+
 def save_checkpoint(model: Model, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    index = []
-    offset = 0
-    with open(os.path.join(directory, "weights.bin"), "wb") as fh:
-        for name in sorted(model.params):
-            data = np.ascontiguousarray(model.params[name].data, dtype="<f4")
-            fh.write(data.tobytes())
-            index.append({"name": name, "shape": list(data.shape), "offset": offset})
-            offset += data.nbytes
-    with open(os.path.join(directory, "index.json"), "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    meta = {"version": CHECKPOINT_VERSION, "config": asdict(model.cfg)}
-    with open(os.path.join(directory, "model.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    layout = parameter_layout(model)
+    # one bytes copy per parameter: passing the numpy buffers themselves measured
+    # about 8 MB more peak RSS on the map-scene benchmark (malloc heap reuse)
+    write_file(os.path.join(directory, "weights.bin"),
+               (np.ascontiguousarray(model.params[e["name"]].data, dtype="<f4").tobytes()
+                for e in layout))
+    write_json(os.path.join(directory, "index.json"), layout)
+    write_json(os.path.join(directory, "model.json"),
+               {"version": CHECKPOINT_VERSION, "config": asdict(model.cfg)})
 
 
 def load_checkpoint(directory: str) -> Model:
+    """Rebuild the model from model.json; index.json must equal its layout,
+    and weights.bin must hold exactly that many finite float32 values."""
+    meta = read_json(os.path.join(directory, "model.json"))
+    if not isinstance(meta, dict) or meta.get("version") != CHECKPOINT_VERSION:
+        raise FormatError(f"{directory}: model.json is not a version "
+                          f"{CHECKPOINT_VERSION} checkpoint object")
     try:
-        with open(os.path.join(directory, "model.json"), "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        with open(os.path.join(directory, "index.json"), "r", encoding="utf-8") as fh:
-            index = json.load(fh)
-        with open(os.path.join(directory, "weights.bin"), "rb") as fh:
-            blob = fh.read()
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{directory}: unreadable checkpoint metadata: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{directory}: model.json is not an object")
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise FormatError(f"{directory}: unsupported checkpoint version {meta.get('version')}")
-    config = meta.get("config")
-    if not isinstance(config, dict):
-        raise FormatError(f"{directory}: model.json config is missing or not an object")
-    unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise FormatError(f"{directory}: unknown model config key {unknown[0]!r}")
-    cfg = ModelConfig(**config)
-    model = Model(cfg, seed=0)
-    expected = set(model.params)
-    provided = {entry["name"] for entry in index}
-    if expected != provided:
-        missing = sorted(expected - provided)
-        surplus = sorted(provided - expected)
-        raise FormatError(
-            f"{directory}: parameter set mismatch (missing {missing}, surplus {surplus})"
-        )
-    for entry in index:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) * 4
-        start = int(entry["offset"])
-        if start + size > len(blob):
-            raise FormatError(f"{directory}: weights.bin too short for {entry['name']}")
-        arr = np.frombuffer(blob[start:start + size], dtype="<f4").reshape(shape)
-        if model.params[entry["name"]].data.shape != shape:
-            raise FormatError(
-                f"{directory}: {entry['name']} has shape {shape}, expected "
-                f"{model.params[entry['name']].data.shape}"
-            )
-        model.params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
+        model = Model(ModelConfig(**meta.get("config")), seed=0)
+    except (TypeError, ValidationError) as exc:  # not a mapping, an unknown key, a bad value
+        raise FormatError(f"{directory}: model.json config: {exc}") from None
+    layout = parameter_layout(model)
+    if read_json(os.path.join(directory, "index.json")) != layout:
+        raise FormatError(f"{directory}: index.json does not match the parameter "
+                          f"layout of the {model.cfg.kind} in model.json")
+    with open(os.path.join(directory, "weights.bin"), "rb") as fh:
+        blob = fh.read()
+    expected = sum(4 * int(np.prod(e["shape"])) for e in layout)
+    if len(blob) != expected:
+        raise FormatError(f"{directory}: weights.bin is {len(blob)} bytes, expected {expected}")
+    values = np.frombuffer(blob, dtype="<f4")
+    for entry in layout:
+        start, shape = entry["offset"] // 4, tuple(entry["shape"])
+        data = values[start:start + int(np.prod(shape))].reshape(shape).astype(np.float32)
+        if not np.all(np.isfinite(data)):
+            raise FormatError(f"{directory}: weights.bin holds non-finite {entry['name']}")
+        model.params[entry["name"]] = Tensor(data, requires_grad=True)
     return model
 
 

@@ -11,12 +11,18 @@ The JSON header always carries ``shape`` ([T, C, H, W]), ``dtype``
 ("f32le"), ``order`` ("TCHW"), ``timestamps`` and ``pol_names``; writers may
 add extra keys (metric maps add ``units``). Header bytes are produced with
 sorted keys and no whitespace so identical content yields identical files.
+
+Every artifact the package writes goes through `write_file`, which writes a
+temporary sibling and then replaces the target, so a failed write leaves the
+previous file as it was. JSON sidecars share `write_json` and `read_json`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -41,19 +47,22 @@ class RasterStack:
         inside (0, 1).
     timestamps: one ISO-8601 date string per frame, strictly increasing.
     pol_names: channel names, default ("VV", "VH").
+    unit_range=False skips only the (0, 1) check, for data not yet clipped.
     """
 
     values: np.ndarray
     timestamps: list[str]
     pol_names: tuple[str, str] = ("VV", "VH")
+    unit_range: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, unit_range: bool) -> None:
         self.values = np.asarray(self.values, dtype=np.float32)
         self.timestamps = list(self.timestamps)
         self.pol_names = tuple(self.pol_names)
-        self.validate()
+        self.validate(unit_range)
 
-    def validate(self) -> None:
+    def validate(self, unit_range: bool = True) -> None:
+        """Check every invariant; `unit_range=False` skips only the (0,1) check."""
         v = self.values
         if v.ndim != 4:
             raise ShapeError(f"stack must be 4-d (T,C,H,W), got shape {v.shape}")
@@ -73,29 +82,13 @@ class RasterStack:
                 raise ValidationError(f"timestamps not strictly increasing: {a!r} >= {b!r}")
         if len(self.pol_names) != 2:
             raise ValidationError(f"expected 2 pol names, got {self.pol_names!r}")
-        _check_unit_interval(v)
-
-    @classmethod
-    def raw(cls, values: np.ndarray, timestamps: list[str],
-            pol_names: tuple[str, str] = ("VV", "VH")) -> "RasterStack":
-        """Construct without the (0,1) range check (pre-clip data).
-
-        Structural invariants (4-d, T>=2, C=2, finite, timestamp count) still
-        hold; only the value-range check is skipped.
-        """
-        stack = cls.__new__(cls)
-        stack.values = np.asarray(values, dtype=np.float32)
-        stack.timestamps = list(timestamps)
-        stack.pol_names = tuple(pol_names)
-        if stack.values.ndim != 4 or stack.values.shape[0] < 2 or stack.values.shape[1] != 2:
-            raise ShapeError(f"not a (T>=2, C=2, H, W) stack: {stack.values.shape}")
-        if len(stack.timestamps) != stack.values.shape[0]:
-            raise ValidationError(
-                f"{len(stack.timestamps)} timestamps for {stack.values.shape[0]} frames"
-            )
-        if not np.all(np.isfinite(stack.values)):
+        if not np.all(np.isfinite(v)):
             raise ValidationError("values contain NaN or Inf")
-        return stack
+        if unit_range and (np.any(v <= 0.0) or np.any(v >= 1.0)):
+            lo, hi = float(v.min()), float(v.max())
+            raise ValidationError(
+                f"backscatter values must lie strictly inside (0,1); found range [{lo}, {hi}]"
+            )
 
     @property
     def num_steps(self) -> int:
@@ -171,36 +164,51 @@ class BinaryDelineation:
             raise ValidationError(f"threshold must be finite and > 0, got {self.threshold}")
 
 
-def _check_unit_interval(v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("values contain NaN or Inf")
-    if np.any(v <= 0.0) or np.any(v >= 1.0):
-        lo, hi = float(v.min()), float(v.max())
-        raise ValidationError(
-            f"backscatter values must lie strictly inside (0,1); found range [{lo}, {hi}]"
-        )
+# ---------------------------------------------------------------------------
+# whole-file writes and JSON sidecars
+# ---------------------------------------------------------------------------
+
+def write_file(path: str, chunks) -> None:
+    """Write byte chunks (bytes or contiguous arrays) to `path`, atomically.
+
+    The chunks go one by one into a temporary sibling, which then replaces
+    `path`; if anything fails, the sibling is removed and `path` is left as
+    it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_text(path: str, text: str) -> None:
+    write_file(path, [text.encode("utf-8")])
+
+
+def write_json(path: str, obj) -> None:
+    """The one sidecar format: 2-space indent, sorted keys, trailing newline."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path: str):
+    """Parse a UTF-8 JSON file; FormatError naming `path` if it does not decode."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise FormatError(f"{path}: not valid UTF-8 JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # low-level container I/O (any float payload; shape [T, C, H, W])
 # ---------------------------------------------------------------------------
-
-def encode_header(shape: tuple[int, ...], timestamps: list[str],
-                  pol_names: tuple[str, ...], extra: dict | None = None) -> bytes:
-    header = {
-        "shape": [int(s) for s in shape],
-        "dtype": DTYPE_TAG,
-        "order": ORDER_TAG,
-        "timestamps": list(timestamps),
-        "pol_names": list(pol_names),
-    }
-    if extra:
-        for k, v in extra.items():
-            if k in header:
-                raise ValidationError(f"extra header key {k!r} collides with a required key")
-            header[k] = v
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
 
 def write_array(path: str, values: np.ndarray, timestamps: list[str],
                 pol_names: tuple[str, ...] = ("VV", "VH"),
@@ -209,12 +217,20 @@ def write_array(path: str, values: np.ndarray, timestamps: list[str],
     values = np.asarray(values, dtype=np.float32)
     if values.ndim != 4:
         raise ShapeError(f"container payload must be 4-d, got {values.shape}")
-    header = encode_header(values.shape, timestamps, pol_names, extra)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(len(header)).tobytes())
-        fh.write(header)
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+    header = {
+        "shape": [int(s) for s in values.shape],
+        "dtype": DTYPE_TAG,
+        "order": ORDER_TAG,
+        "timestamps": list(timestamps),
+        "pol_names": list(pol_names),
+    }
+    for k, v in (extra or {}).items():
+        if k in header:
+            raise ValidationError(f"extra header key {k!r} collides with a required key")
+        header[k] = v
+    header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    write_file(path, [MAGIC, np.uint32(len(header)).tobytes(), header,
+                      np.ascontiguousarray(values, dtype="<f4")])
 
 
 def read_array(path: str) -> tuple[np.ndarray, dict]:
@@ -232,6 +248,8 @@ def read_array(path: str) -> tuple[np.ndarray, dict]:
         header = json.loads(raw[8:8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
     for key in _REQUIRED_KEYS:
         if key not in header:
             raise FormatError(f"{path}: header missing key {key!r}")
@@ -239,9 +257,13 @@ def read_array(path: str) -> tuple[np.ndarray, dict]:
         raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
     if header["order"] != ORDER_TAG:
         raise FormatError(f"{path}: unsupported order {header['order']!r}")
-    shape = tuple(int(s) for s in header["shape"])
-    if len(shape) != 4 or any(s < 1 for s in shape):
-        raise FormatError(f"{path}: bad shape {shape}")
+    shape = header["shape"]
+    if not (isinstance(shape, list) and len(shape) == 4
+            and all(type(s) is int and s >= 1 for s in shape)):
+        raise FormatError(f"{path}: bad shape {shape!r}")
+    for key in ("timestamps", "pol_names"):
+        if not (isinstance(header[key], list) and all(isinstance(n, str) for n in header[key])):
+            raise FormatError(f"{path}: header {key!r} is not a list of strings")
     expected = int(np.prod(shape)) * 4
     payload = raw[8 + header_len:]
     if len(payload) != expected:
@@ -266,82 +288,83 @@ def write_stack(stack: RasterStack, path: str) -> None:
 
 
 def read_stack(path: str, allow_raw: bool = False) -> RasterStack:
-    """Read a backscatter stack.
+    """Read a backscatter stack and run every RasterStack check.
 
-    allow_raw skips the strict (0,1) range check (escape hatch for data that
-    has not been clipped yet); NaN/Inf are always rejected.
+    allow_raw skips only the strict (0,1) range check (escape hatch for data
+    that has not been clipped yet).
     """
     values, header = read_array(path)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{path}: values contain NaN or Inf")
-    if allow_raw:
-        return RasterStack.raw(values, list(header["timestamps"]), tuple(header["pol_names"]))
-    return RasterStack(values, list(header["timestamps"]), tuple(header["pol_names"]))
+    try:
+        return RasterStack(values, header["timestamps"], header["pol_names"],
+                           unit_range=not allow_raw)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _write_frame(path: str, frame: np.ndarray, timestamp: str,
+                 pol_names: tuple[str, ...], extra: dict | None = None) -> None:
+    """Write one (C, H, W) frame as a [1, C, H, W] container."""
+    write_array(path, frame[None], [timestamp], pol_names, extra)
+
+
+def _read_frame(path: str, what: str, key: str | None = None,
+                one_channel: bool = True, binary: bool = False) -> tuple[np.ndarray, dict]:
+    """(C, H, W) frame and header of a [1, C, H, W] container of kind `what`;
+    C must be 1 if `one_channel`, header `key` must exist, values must be 0/1 if `binary`."""
+    values, header = read_array(path)
+    if values.shape[0] != 1 or (one_channel and values.shape[1] != 1):
+        layout = "[1,1,H,W]" if one_channel else "[1,C,H,W]"
+        raise FormatError(f"{path}: {what} container must be {layout}, got {values.shape}")
+    if key is not None and key not in header:
+        raise FormatError(f"{path}: {what} header missing {key!r}")
+    if binary and not np.all((values == 0.0) | (values == 1.0)):
+        raise ValidationError(f"{path}: mask values must be exactly 0.0 or 1.0")
+    return values[0], header
 
 
 def write_mask(mask: np.ndarray, path: str, timestamp: str = "mask") -> None:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ShapeError(f"mask must be 2-d, got {mask.shape}")
-    values = mask.astype(np.float32).reshape(1, 1, *mask.shape)
-    write_array(path, values, [timestamp], ("mask",))
+    _write_frame(path, mask[None], timestamp, ("mask",))
 
 
 def read_mask(path: str) -> np.ndarray:
-    values, _ = read_array(path)
-    if values.shape[0] != 1 or values.shape[1] != 1:
-        raise FormatError(f"{path}: mask container must be [1,1,H,W], got {values.shape}")
-    if not np.all((values == 0.0) | (values == 1.0)):
-        raise ValidationError(f"{path}: mask values must be exactly 0.0 or 1.0")
-    return values[0, 0] > 0.5
+    frame, _ = _read_frame(path, "mask", binary=True)
+    return frame[0] > 0.5
 
 
 def write_metric_map(dmap: DisturbanceMap, path: str, timestamp: str = "metric") -> None:
-    values = dmap.values.reshape(1, 1, *dmap.values.shape)
-    write_array(path, values, [timestamp], ("metric",), extra={"units": dmap.units})
+    _write_frame(path, dmap.values[None], timestamp, ("metric",), {"units": dmap.units})
 
 
 def read_metric_map(path: str) -> DisturbanceMap:
-    values, header = read_array(path)
-    if values.shape[0] != 1 or values.shape[1] != 1:
-        raise FormatError(f"{path}: metric container must be [1,1,H,W], got {values.shape}")
-    if "units" not in header:
-        raise FormatError(f"{path}: metric map header missing 'units'")
-    return DisturbanceMap(values[0, 0], header["units"])
+    frame, header = _read_frame(path, "metric map", key="units")
+    return DisturbanceMap(frame[0], header["units"])
 
 
 def write_delineation(delineation: BinaryDelineation, path: str,
                       timestamp: str = "mask") -> None:
-    values = delineation.mask.astype(np.float32).reshape(1, 1, *delineation.mask.shape)
-    write_array(path, values, [timestamp], ("mask",),
-                extra={"threshold": float(delineation.threshold)})
+    _write_frame(path, delineation.mask[None], timestamp, ("mask",),
+                 {"threshold": float(delineation.threshold)})
 
 
 def read_delineation(path: str) -> BinaryDelineation:
-    values, header = read_array(path)
-    if values.shape[0] != 1 or values.shape[1] != 1:
-        raise FormatError(f"{path}: mask container must be [1,1,H,W], got {values.shape}")
-    if "threshold" not in header:
-        raise FormatError(f"{path}: delineation header missing 'threshold'")
-    if not np.all((values == 0.0) | (values == 1.0)):
-        raise ValidationError(f"{path}: mask values must be exactly 0.0 or 1.0")
-    return BinaryDelineation(values[0, 0] > 0.5, float(header["threshold"]))
+    frame, header = _read_frame(path, "delineation", key="threshold", binary=True)
+    return BinaryDelineation(frame[0] > 0.5, float(header["threshold"]))
 
 
 def write_estimate(est: DistributionEstimate, mu_path: str, sigma_path: str,
                    timestamp: str = "forecast") -> None:
-    write_array(mu_path, est.mu.reshape(1, *est.mu.shape), [timestamp],
-                est.pol_names, extra={"units": "logit"})
-    write_array(sigma_path, est.sigma.reshape(1, *est.sigma.shape), [timestamp],
-                est.pol_names, extra={"units": "logit"})
+    for path, frame in ((mu_path, est.mu), (sigma_path, est.sigma)):
+        _write_frame(path, frame, timestamp, est.pol_names, {"units": "logit"})
 
 
 def read_estimate(mu_path: str, sigma_path: str) -> DistributionEstimate:
-    mu, mu_hdr = read_array(mu_path)
-    sigma, _ = read_array(sigma_path)
-    if mu.shape != sigma.shape or mu.shape[0] != 1:
+    mu, mu_hdr = _read_frame(mu_path, "estimate", one_channel=False)
+    sigma, _ = _read_frame(sigma_path, "estimate", one_channel=False)
+    if mu.shape != sigma.shape:
         raise FormatError(
             f"estimate containers disagree: mu {mu.shape} vs sigma {sigma.shape}"
         )
-    return DistributionEstimate(mu[0], sigma[0], tuple(mu_hdr["pol_names"]))
-
+    return DistributionEstimate(mu, sigma, tuple(mu_hdr["pol_names"]))

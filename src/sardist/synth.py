@@ -16,7 +16,6 @@ seed, so corpus generation order (or parallelism) cannot change content.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .preprocess import CLIP_EPS
-from .raster import RasterStack, read_stack, write_stack
+from .raster import RasterStack, read_json, read_stack, write_json, write_stack
 
 _MASK64 = (1 << 64) - 1
 
@@ -229,19 +228,13 @@ def generate_training_corpus(cfg: SynthConfig, count: int, master_seed: int | No
         "entries": entries,
     }
     manifest_path = os.path.join(out_dir, "corpus.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
 def read_corpus_manifest(manifest_path: str) -> dict:
     """Parse a corpus.json; FormatError unless it lists entries with a path each."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:
-            raise FormatError(f"{manifest_path}: corpus manifest is not JSON: {exc}") from None
+    manifest = read_json(manifest_path)
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(
             isinstance(e, dict) and isinstance(e.get("path"), str) for e in entries):

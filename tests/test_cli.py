@@ -16,6 +16,7 @@ from sardist.raster import (
     read_mask,
     read_metric_map,
     read_stack,
+    write_array,
     write_stack,
 )
 
@@ -75,18 +76,21 @@ class TestPlumbing:
     def test_validation_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # synth scene without --out/--mask
         assert run("synth", "--kind", "scene", "--seed", "1") == 1
-        # malformed config JSON, a non-numeric config value, a bad thread
-        # variable: one error line naming the file, key or variable
+        # malformed config JSON, a non-numeric or infinite config value, a bad
+        # thread variable: one error line naming the file, key or variable
         bad_json = tmp_path / "bad.json"
         bad_json.write_text('{"stride": 4,')
         bad_value = tmp_path / "value.json"
         bad_value.write_text('{"stride": "abc"}')
+        bad_number = tmp_path / "number.json"
+        bad_number.write_text('{"stride": Infinity}')
         # each is caught before any input file is opened
         estimate = ["estimate", "--checkpoint", str(tmp_path / "ckpt"),
                     "--input", str(tmp_path / "s.rts"), "--out-mu", str(tmp_path / "mu.rts"),
                     "--out-sigma", str(tmp_path / "sigma.rts")]
         capsys.readouterr()
-        for config, named in ((bad_json, "bad.json"), (bad_value, "stride")):
+        for config, named in ((bad_json, "bad.json"), (bad_value, "stride"),
+                              (bad_number, "stride")):
             assert run(*estimate, "--config", str(config)) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err and err.count("\n") == 1
@@ -109,6 +113,24 @@ class TestPlumbing:
         assert run(*estimate) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bogus" in err and err.count("\n") == 1
+        # a model.json that is not UTF-8
+        meta_path.write_bytes(b'{"config": "\xff"}\n')
+        assert run(*estimate) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "model.json" in err and err.count("\n") == 1
+
+    def test_allow_raw_keeps_structural_checks(self, tmp_path, capsys):
+        # timestamps out of order: --allow-raw skips only the (0,1) range check
+        stack = str(tmp_path / "s.rts")
+        write_array(stack, np.full((3, 2, 4, 4), 0.25, np.float32),
+                    ["2024-03-01", "2024-01-01", "2024-01-01"])
+        capsys.readouterr()
+        for flags in ((), ("--allow-raw",)):
+            assert run("metric", "--kind", "logratio", "--stack", stack,
+                       "--out", str(tmp_path / "l.rts"), *flags) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "increasing" in err and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "l.rts")
 
     def test_missing_input_exits_2(self, tmp_path):
         out = str(tmp_path / "o.rts")

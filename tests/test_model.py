@@ -409,6 +409,13 @@ class TestCast:
         assert np.allclose(mu32.data, mu64.data, atol=1e-4)
 
 
+def _json_edit(change):
+    """A bytes -> bytes edit that rewrites a JSON document with `change`."""
+    import json
+
+    return lambda blob: json.dumps(change(json.loads(blob))).encode()
+
+
 class TestCheckpoints:
     def test_roundtrip_bitwise(self, tmp_path):
         model = Model(tiny_transformer_cfg(), seed=5)
@@ -494,6 +501,25 @@ class TestCheckpoints:
         edit(meta)
         meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(FormatError, match=named):
+            load_checkpoint(str(tmp_path))
+
+    @pytest.mark.parametrize("name, edit", [
+        ("model.json", _json_edit(lambda m: m | {"config": m["config"] | {"d_model": "abc"}})),
+        ("model.json", lambda blob: blob.replace(b'"transformer"', b'"transf\xffrmer"')),
+        ("index.json", _json_edit(lambda idx: [{"shape": idx[0]["shape"], "offset": 0}]
+                                  + idx[1:])),
+        ("index.json", _json_edit(lambda idx: {"entries": idx})),
+        ("index.json", _json_edit(lambda idx: idx[:-1] + [idx[-1] | {"offset": -4}])),
+        ("index.json", _json_edit(lambda idx: idx + idx[:1])),
+        ("weights.bin", lambda blob: blob + bytes(16)),
+        ("weights.bin", lambda blob: np.float32(np.nan).tobytes() + blob[4:]),
+    ], ids=["wrong-type", "non-utf8", "no-name", "object-index", "negative-offset",
+            "duplicate-entry", "trailing-bytes", "nan-weight"])
+    def test_malformed_checkpoint_rejected(self, tmp_path, name, edit):
+        save_checkpoint(Model(tiny_transformer_cfg(), seed=0), str(tmp_path))
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError, match=name):
             load_checkpoint(str(tmp_path))
 
     def test_non_object_metadata_rejected(self, tmp_path):

@@ -6,16 +6,18 @@ checked against the format rather than against each other.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from sardist.errors import FormatError, ShapeError, ValidationError
+from sardist.model import Model, ModelConfig, save_checkpoint
 from sardist.raster import (BinaryDelineation, DistributionEstimate,
                             DisturbanceMap, RasterStack, read_array,
                             read_delineation, read_mask, read_metric_map,
-                            read_stack, write_delineation,
+                            read_stack, write_delineation, write_file, write_json,
                             write_mask, write_metric_map, write_stack)
 
 
@@ -163,6 +165,20 @@ class TestStackRoundtrip:
             read_stack(str(path), allow_raw=True)
 
 
+    @pytest.mark.parametrize("timestamps, pol_names", [
+        (["2024-03-01", "2024-01-01", "2024-01-01"], ["VV", "VH"]),
+        (["2024-01-01", "2024-01-13", "2024-01-25"], ["VV", "VH", "HH"]),
+    ], ids=["unordered-timestamps", "three-pol-names"])
+    def test_allow_raw_skips_only_the_range_check(self, tmp_path, timestamps, pol_names):
+        values = np.full((3, 2, 4, 4), 0.25, dtype="<f4")
+        path = tmp_path / "bad.rts"
+        path.write_bytes(_hand_container(values.shape, timestamps, pol_names,
+                                         values.tobytes()))
+        for allow_raw in (False, True):
+            with pytest.raises(ValidationError, match="bad.rts"):
+                read_stack(str(path), allow_raw=allow_raw)
+
+
 class TestStackValidation:
     def test_single_frame_rejected(self):
         with pytest.raises(ValidationError):
@@ -245,3 +261,60 @@ class TestTypedWrappers:
         with pytest.raises(ShapeError):
             DistributionEstimate(mu, sigma[:1])
 
+
+def _tiny_model(seed):
+    return Model(ModelConfig(input_size=2, patch_size=1, d_model=4, num_heads=2,
+                             num_layers=1, ff_dim=4, max_t=3), seed=seed)
+
+
+def _snapshot(directory):
+    return {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+
+
+# (kind, files a successful write leaves, write of version `seed` into a directory)
+ARTIFACT_WRITES = [
+    ("stack", ["s.rts"], lambda d, seed: write_stack(_stack(seed=seed), str(d / "s.rts"))),
+    ("json", ["x.json"], lambda d, seed: write_json(str(d / "x.json"), {"seed": seed})),
+    ("checkpoint", ["index.json", "model.json", "weights.bin"],
+     lambda d, seed: save_checkpoint(_tiny_model(seed), str(d))),
+]
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind, names, write", ARTIFACT_WRITES,
+                             ids=[k for k, _, _ in ARTIFACT_WRITES])
+    def test_success_leaves_only_the_target(self, tmp_path, kind, names, write):
+        write(tmp_path, 0)
+        assert sorted(os.listdir(tmp_path)) == names
+
+    @pytest.mark.parametrize("kind, names, write", ARTIFACT_WRITES,
+                             ids=[k for k, _, _ in ARTIFACT_WRITES])
+    def test_failed_replace_keeps_previous_bytes(self, tmp_path, monkeypatch,
+                                                 kind, names, write):
+        write(tmp_path, 0)
+        before = _snapshot(tmp_path)
+
+        def failing_replace(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="simulated"):
+            write(tmp_path, 1)
+        assert _snapshot(tmp_path) == before
+
+    def test_failure_between_chunks_keeps_previous_bytes(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        write_file(str(path), [b"old"])
+
+        def chunks():
+            yield b"new"
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError):
+            write_file(str(path), chunks())
+        assert _snapshot(tmp_path) == {"blob.bin": b"old"}
+
+    def test_missing_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            write_file(str(tmp_path / "absent" / "x.bin"), [b"x"])
+        assert os.listdir(tmp_path) == []
