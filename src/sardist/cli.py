@@ -102,6 +102,11 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+#: flags that name a file or directory: a config file must give them as strings
+PATH_FLAGS = frozenset({"out", "out-dir", "input", "stack", "mu", "sigma", "metric", "truth",
+                        "checkpoint", "corpus", "manifest", "mask", "out-mu", "out-sigma"})
+
+
 class _Resolver:
     """flag > config file > default, with flag names in kebab-case."""
 
@@ -118,6 +123,9 @@ class _Resolver:
             value = flag
         elif name in self.file:
             value = self.file[name]
+            if name in PATH_FLAGS and not isinstance(value, str):
+                raise ValidationError(f"{self.path}: {name} must be a path string, "
+                                      f"got {value!r}")
         else:
             value = default
         self.resolved[name] = value

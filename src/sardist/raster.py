@@ -351,7 +351,10 @@ def write_delineation(delineation: BinaryDelineation, path: str,
 
 def read_delineation(path: str) -> BinaryDelineation:
     frame, header = _read_frame(path, "delineation", key="threshold", binary=True)
-    return BinaryDelineation(frame[0] > 0.5, float(header["threshold"]))
+    threshold = header["threshold"]
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise FormatError(f"{path}: delineation threshold must be a number, got {threshold!r}")
+    return BinaryDelineation(frame[0] > 0.5, float(threshold))
 
 
 def write_estimate(est: DistributionEstimate, mu_path: str, sigma_path: str,

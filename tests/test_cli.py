@@ -118,6 +118,20 @@ class TestPlumbing:
         assert run(*estimate) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "model.json" in err and err.count("\n") == 1
+        # a path flag whose config value is not a string, for a write and a read
+        out_int = tmp_path / "out.json"
+        out_int.write_text('{"out": 7}')
+        stack_int = tmp_path / "stack.json"
+        stack_int.write_text('{"stack": 5}')
+        metric = ["metric", "--kind", "logratio"]
+        for args, config, key in (
+                (["--stack", str(tmp_path / "s.rts")], out_int, "out"),
+                (["--out", str(tmp_path / "l.rts")], stack_int, "stack")):
+            assert run(*metric, *args, "--config", str(config)) == 1
+            err = capsys.readouterr().err
+            assert (err.startswith("error: ") and config.name in err and key in err
+                    and err.count("\n") == 1)
+        assert not os.path.exists(tmp_path / "l.rts")
 
     def test_allow_raw_keeps_structural_checks(self, tmp_path, capsys):
         # timestamps out of order: --allow-raw skips only the (0,1) range check

@@ -90,6 +90,96 @@ class TestLogit:
         assert abs(float(inverse_logit(logit(np.float64(x)))) - x) < 1e-9
 
 
+# ---------------------------------------------------------------------------
+# reference TV solver: one allocating solve per flip orientation, written as
+# plainly as the math; tv_denoise must match it byte for byte
+# ---------------------------------------------------------------------------
+
+def _grad(u):
+    # forward differences, zero at the trailing edge
+    gx = np.zeros_like(u)
+    gy = np.zeros_like(u)
+    gx[..., :, :-1] = u[..., :, 1:] - u[..., :, :-1]
+    gy[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
+    return gx, gy
+
+
+def _dual_div(px, py):
+    """Discrete divergence adjoint to the forward-difference gradient."""
+    div = np.zeros_like(px)
+    # x component: px[..., j] - px[..., j-1], with one-sided ends
+    div[..., :, 0] += px[..., :, 0]
+    if px.shape[-1] > 1:
+        div[..., :, 1:-1] += px[..., :, 1:-1] - px[..., :, :-2]
+        div[..., :, -1] += -px[..., :, -2]
+    # y component
+    div[..., 0, :] += py[..., 0, :]
+    if py.shape[-2] > 1:
+        div[..., 1:-1, :] += py[..., 1:-1, :] - py[..., :-2, :]
+        div[..., -1, :] += -py[..., -2, :]
+    return div
+
+
+def _objective(u, f, weight):
+    gx, gy = _grad(u)
+    return 0.5 * float(np.sum((u - f) ** 2)) + weight * float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
+
+
+def _tv_solve(f, weight, iterations, step):
+    """One dual-projection solve on (..., H, W); descent-safeguarded over the whole call."""
+    if weight == 0.0:
+        return f.copy()
+    px = np.zeros_like(f)
+    py = np.zeros_like(f)
+    for _ in range(iterations):
+        div_p = _dual_div(px, py)
+        gx, gy = _grad(div_p - f / weight)
+        px = (px + step * gx) / (1.0 + step * np.abs(gx))
+        py = (py + step * gy) / (1.0 + step * np.abs(gy))
+    u = f - weight * _dual_div(px, py)
+    if _objective(u, f, weight) <= _objective(f, f, weight):
+        return u
+    return f.copy()
+
+
+def reference_tv_denoise(f, weight, iterations=50, step=0.25):
+    f = np.asarray(f, dtype=np.float64)
+    a = _tv_solve(f, weight, iterations, step)
+    b = _tv_solve(f[..., :, ::-1], weight, iterations, step)[..., :, ::-1]
+    c = _tv_solve(f[..., ::-1, :], weight, iterations, step)[..., ::-1, :]
+    d = _tv_solve(f[..., ::-1, ::-1], weight, iterations, step)[..., ::-1, ::-1]
+    return 0.25 * ((a + b) + (c + d))
+
+
+class TestTvKernel:
+    # (3, 2, 64, 64) fills several cache-sized blocks, (11, 2, 16, 16) two
+    # blocks of unequal size, and (2, 50, 99) solves each block's four
+    # orientations as three slices plus one; 1xN, Nx1 and 1x1 make whole rows
+    # or columns edges
+    @pytest.mark.parametrize("shape", [(16, 16), (11, 2, 16, 16), (3, 2, 64, 64), (2, 50, 99),
+                                       (1, 9), (9, 1), (1, 1), (7, 5)])
+    @pytest.mark.parametrize("kwargs", [{}, {"iterations": 1}, {"iterations": 7, "step": 0.1}])
+    def test_bytes_equal_reference(self, shape, kwargs):
+        f = np.random.default_rng(sum(shape)).normal(-10.0, 3.0, size=shape)
+        out = tv_denoise(f, 1.5, **kwargs)
+        assert out.shape == f.shape
+        assert out.tobytes() == reference_tv_denoise(f, 1.5, **kwargs).tobytes()
+
+    def test_safeguard_decides_per_slice(self):
+        # finite input never trips the safeguard; a NaN makes its slice's
+        # objective NaN, and only that slice may come back undenoised
+        f = np.random.default_rng(6).normal(-10.0, 3.0, size=(2, 12, 12))
+        f[1, 3, 4] = np.nan
+        out = tv_denoise(f, weight=1.5)
+        assert out[0].tobytes() == tv_denoise(f[0], weight=1.5).tobytes()
+        assert not np.array_equal(out[0], f[0])
+        assert np.array_equal(out[1], f[1], equal_nan=True)
+
+    def test_empty_slices_rejected(self):
+        with pytest.raises(ValidationError):
+            tv_denoise(np.zeros((2, 0, 4)), weight=1.5)
+
+
 class TestTvDenoise:
     def test_constant_unchanged(self):
         u = np.full((16, 16), -12.5)
@@ -124,7 +214,7 @@ class TestTvDenoise:
         for i in range(3):
             for j in range(2):
                 single = tv_denoise(f[i, j], weight=1.0)
-                assert np.allclose(out[i, j], single, atol=1e-12)
+                assert np.array_equal(out[i, j], single)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)

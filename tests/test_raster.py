@@ -252,6 +252,16 @@ class TestTypedWrappers:
         assert np.array_equal(back.mask, mask)
         assert back.threshold == 3.0
 
+    @pytest.mark.parametrize("threshold", ["abc", [3.0], True])
+    def test_delineation_non_numeric_threshold_rejected(self, tmp_path, threshold):
+        values = np.zeros((1, 1, 4, 4), dtype="<f4")
+        blob = _hand_container((1, 1, 4, 4), ["mask"], ["mask"], values.tobytes(),
+                               {"threshold": threshold})
+        path = tmp_path / "del.rts"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="del.rts"):
+            read_delineation(str(path))
+
     def test_estimate_validation(self):
         mu = np.zeros((2, 4, 4), np.float32)
         sigma = np.ones((2, 4, 4), np.float32)
