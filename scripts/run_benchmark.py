@@ -19,7 +19,6 @@ separates the methods structurally rather than by seed luck.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -102,10 +101,10 @@ def main() -> int:
             argv += ["--checkpoint", ckpt]
         step(f"eval {method}", argv)
 
-    with open(os.path.join(out, "report_transformer", "summary.json")) as fh:
-        t_summary = json.load(fh)
-    with open(os.path.join(out, "report_logratio", "summary.json")) as fh:
-        l_summary = json.load(fh)
+    from sardist.raster import read_json, write_json
+
+    t_summary = read_json(os.path.join(out, "report_transformer", "summary.json"))
+    l_summary = read_json(os.path.join(out, "report_logratio", "summary.json"))
     t_auc, l_auc = t_summary["pr_auc"], l_summary["pr_auc"]
     comparison = {
         "transformer_pr_auc": t_auc,
@@ -115,9 +114,7 @@ def main() -> int:
         "logratio_best_f1": l_summary["best_f1"],
         "gate": "pr_auc >= 0.85 and transformer >= logratio",
     }
-    with open(os.path.join(out, "benchmark_summary.json"), "w") as fh:
-        json.dump(comparison, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "benchmark_summary.json"), comparison)
 
     print(f"\ntransformer pr_auc={t_auc:.5f} best_f1={t_summary['best_f1']:.4f}")
     print(f"log ratio   pr_auc={l_auc:.5f} best_f1={l_summary['best_f1']:.4f}")

@@ -118,7 +118,7 @@ class ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# patch layout helpers (pure numpy; the tensor-graph versions live in Model)
+# patch layout helper (pure numpy; the tensor-graph version lives in Model)
 # ---------------------------------------------------------------------------
 
 def patch_split(frames: np.ndarray, patch: int) -> np.ndarray:
@@ -130,18 +130,6 @@ def patch_split(frames: np.ndarray, patch: int) -> np.ndarray:
     x = frames.reshape(*lead, c, n, patch, n, patch)
     x = np.moveaxis(x, (-4, -2), (-5, -4))  # (..., n, n, c, patch, patch)
     return np.ascontiguousarray(x).reshape(*lead, n * n, c * patch * patch)
-
-
-def patch_merge(patches: np.ndarray, patch: int, size: int, channels: int = 2) -> np.ndarray:
-    """Inverse of patch_split: (..., Np, C*patch*patch) -> (..., C, S, S)."""
-    *lead, np_, pd = patches.shape
-    n = size // patch
-    if np_ != n * n or pd != channels * patch * patch:
-        raise ShapeError(f"patch array {patches.shape} does not tile a "
-                         f"{channels}x{size}x{size} frame with patch {patch}")
-    x = patches.reshape(*lead, n, n, channels, patch, patch)
-    x = np.moveaxis(x, (-5, -4), (-4, -2))  # (..., c, n, patch, n, patch)
-    return np.ascontiguousarray(x).reshape(*lead, channels, size, size)
 
 
 class Model:

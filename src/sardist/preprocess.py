@@ -9,22 +9,21 @@ The denoiser minimizes the anisotropic ROF objective
     0.5 * ||u - f||^2 + weight * sum(|du/dx| + |du/dy|)
 
 with a Chambolle-style projected dual iteration (fixed iteration count,
-fixed step). The anisotropic penalty is exactly invariant under axis flips,
-and the solver output is additionally symmetrized over the four axis-flip
-orientations, so despeckling commutes with horizontal/vertical mirroring by
-construction rather than approximately.
+fixed step). The solver is flip-equivariant: mirroring a slice mirrors its
+result byte for byte. A flip only negates forward differences, the
+projection divides by 1 + step*|g|, and IEEE rounding is symmetric in sign,
+so each iterate of the mirrored slice is the mirror of the original's.
+Averaging the four flip orientations would thus add four equal solves a and
+scale by a quarter, which returns a exactly (both scalings are powers of
+two) unless 4a overflows, i.e. |a| > 4.49e307, far outside the [-40, 0] dB
+that `clip_unit` allows; so each slice is solved once.
 
-Layout of the solve. `tv_denoise` views its input as S slices of H x W and
-takes them in blocks of k slices. Each block is copied once, in its four
-flip orientations, into one contiguous (4k, H, W) buffer, and the four
-orientations are solved together; the results are flipped back and combined
-as 0.25 * ((a + b) + (c + d)). A solve covers at most `_CHUNK_PX` pixels
-(at least one slice), so its working set of nine float64 buffers stays in a
-core's L2 cache: small slices share one solve, and a block of large slices
-is solved a few slices at a time. All buffers are allocated once per call
-and reused by every block and iteration; the iteration updates them in
-place, with f / weight computed once and the x and y duals held in one
-(2, n) array.
+Layout of the solve. `tv_denoise` solves runs of whole contiguous slices
+straight from the input into the output. A run covers at most `_CHUNK_PX`
+pixels (at least one slice), so its nine float64 buffers stay in a core's
+L2 cache. The scratch is allocated once per call and updated in place by
+every run and iteration, with f / weight computed once and the x and y
+duals held in one (2, n) array.
 
 Zero-edge invariant. The x dual is 0 on every slice's last column and the y
 dual on its last row, as are the forward differences there. The
@@ -35,10 +34,9 @@ an edge and is reset to 0, and a backward difference at a row or slice
 start subtracts the previous edge's 0. Slices never exchange values, so a
 slice's result does not depend on how the input was batched.
 
-Descent safeguard, per slice. After the iterations each (slice,
-orientation) compares its objective with that of its input and comes back
-unchanged if it did not drop (in practice only when it holds a NaN);
-convexity of the objective then guarantees the averaged output descends too.
+Descent safeguard, per slice. After the iterations each slice compares its
+objective with that of its input and comes back unchanged if it did not
+drop (in practice only when it holds a NaN).
 """
 
 from __future__ import annotations
@@ -193,39 +191,21 @@ def _tv_solve(f: np.ndarray, u: np.ndarray, weight: float, iterations: int, step
 
 def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,
                step: float = 0.25) -> np.ndarray:
-    """Flip-symmetrized anisotropic TV denoise of (..., H, W) slices."""
+    """Flip-equivariant anisotropic TV denoise of (..., H, W) slices."""
     f = np.asarray(f, dtype=np.float64)
     if f.ndim < 2:
         raise ValidationError(f"need at least 2 dims, got shape {f.shape}")
     height, width = f.shape[-2:]
     if height == 0 or width == 0:
         raise ValidationError(f"need non-empty slices, got shape {f.shape}")
-    slices = f.reshape(-1, height, width)
-    out = np.empty(slices.shape)
+    flat = np.ascontiguousarray(f).reshape(-1)
+    out = np.empty(flat.size)
     plane = height * width
-    per_solve = max(1, _CHUNK_PX // plane)
-    per_block = max(1, min(len(slices), per_solve // 4))
-    solve_px = min(per_solve, 4 * per_block) * plane
-    stacked_buf, solved_buf = np.empty(4 * per_block * plane), np.empty(4 * per_block * plane)
+    solve_px = min(flat.size, max(1, _CHUNK_PX // plane) * plane)
     work = np.empty(7 * solve_px + 2 * width)
-    for start in range(0, len(slices), per_block):
-        block = slices[start:start + per_block]
-        n = 4 * len(block) * plane
-        stacked = stacked_buf[:n].reshape(4, *block.shape)
-        stacked[0] = block
-        stacked[1] = block[..., :, ::-1]
-        stacked[2] = block[..., ::-1, :]
-        stacked[3] = block[..., ::-1, ::-1]
-        for lo in range(0, n, solve_px):
-            hi = min(n, lo + solve_px)
-            _tv_solve(stacked_buf[lo:hi], solved_buf[lo:hi], weight, iterations, step,
-                      width, plane, work)
-        solved = solved_buf[:n].reshape(stacked.shape)
-        a = solved[0]
-        b = solved[1][..., :, ::-1]
-        c = solved[2][..., ::-1, :]
-        d = solved[3][..., ::-1, ::-1]
-        out[start:start + len(block)] = 0.25 * ((a + b) + (c + d))
+    for lo in range(0, flat.size, solve_px):
+        run = slice(lo, lo + solve_px)
+        _tv_solve(flat[run], out[run], weight, iterations, step, width, plane, work)
     return out.reshape(f.shape)
 
 

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from sardist.errors import FormatError, ShapeError, ValidationError
-from sardist.model import (Model, ModelConfig, load_checkpoint, patch_merge,
-                           patch_split, preset_input_patch, preset_model_size,
-                           save_checkpoint)
+from sardist.model import (Model, ModelConfig, load_checkpoint, patch_split,
+                           preset_input_patch, preset_model_size, save_checkpoint)
 
 
 def expected_transformer_params(cfg: ModelConfig) -> int:
@@ -73,6 +72,19 @@ class TestParameterCounts:
         for size, patch, tokens_per_frame in ((16, 8, 4), (32, 8, 16), (32, 16, 4)):
             cfg = preset_input_patch(size, patch)
             assert cfg.patches_per_frame == tokens_per_frame
+
+
+def patch_merge(patches: np.ndarray, patch: int, size: int, channels: int = 2) -> np.ndarray:
+    """Inverse of patch_split, (..., Np, C*patch*patch) -> (..., C, S, S): the
+    round trip TestTokenLayout checks."""
+    *lead, np_, pd = patches.shape
+    n = size // patch
+    if np_ != n * n or pd != channels * patch * patch:
+        raise ShapeError(f"patch array {patches.shape} does not tile a "
+                         f"{channels}x{size}x{size} frame with patch {patch}")
+    x = patches.reshape(*lead, n, n, channels, patch, patch)
+    x = np.moveaxis(x, (-5, -4), (-4, -2))  # (..., c, n, patch, n, patch)
+    return np.ascontiguousarray(x).reshape(*lead, channels, size, size)
 
 
 class TestTokenLayout:
