@@ -7,9 +7,10 @@ Drives the full artifact chain with the frozen benchmark configuration:
     synth scene  -> despeckle -> estimate -> metric -> eval (both methods)
 
 and compares the forecast-based metric against the log-ratio baseline on the
-same scene. Everything is seeded; reruns reproduce the same artifacts. The
-script exits 0 iff the transformer reaches PR-AUC >= 0.85 and is at least as
-good as the log-ratio baseline.
+same scene; eval scores the estimate that the estimate step wrote, so the
+window sweep runs once. Everything is seeded; reruns reproduce the same
+artifacts. The script exits 0 iff the transformer reaches PR-AUC >= 0.85 and
+is at least as good as the log-ratio baseline.
 
 The scene carries a per-class seasonal cycle (1.5 dB, period 24 steps) longer
 than the 10-frame model window: a forecaster tracks the drift into the
@@ -93,13 +94,12 @@ def main() -> int:
     step("metric (log ratio, post frame)",
          ["metric", "--kind", "logratio", "--stack", scene_den, "--frame", "-1",
           "--baseline-frames", "9", "--out", os.path.join(out, "l_post.rts")])
-    for method in ("transformer", "logratio"):
+    for method, report in (("mahalanobis", "transformer"), ("logratio", "logratio")):
         argv = ["eval", "--method", method, "--stack", scene_den, "--truth", truth,
-                "--out-dir", os.path.join(out, f"report_{method}"),
-                "--stride", str(args.stride), "--threads", str(args.threads)]
-        if method == "transformer":
-            argv += ["--checkpoint", ckpt]
-        step(f"eval {method}", argv)
+                "--out-dir", os.path.join(out, f"report_{report}")]
+        if method == "mahalanobis":
+            argv += ["--mu", mu, "--sigma", sigma]
+        step(f"eval {report}", argv)
 
     from sardist.raster import read_json, write_json
 

@@ -7,14 +7,14 @@ version and wall-clock duration.
 
 The CLI only resolves flags, reads inputs and writes outputs; forecasting
 (`inference.forecast`) and two-image scoring (`evaluation.two_image_scores`)
-live in the library.
+live in the library. `eval` scores the estimate `estimate --drop-last 2` wrote.
 
 Flag precedence: explicit flags > --config JSON file > built-in defaults.
 Thread count resolves as --threads > SARDIST_THREADS > 1; one thread is the
 bitwise reference path.
 
-Exit codes: 0 success, 1 validation error (bad values, malformed files,
-diverged training), 2 I/O error.
+Exit codes: 0 success (stderr empty), 1 validation error (bad values,
+malformed files, diverged training), 2 I/O error; stderr then holds one line.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 from . import __version__
@@ -80,7 +81,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # stderr holds at most one error line, so outputs are checked for
+            # finiteness instead; unlike np.errstate, this reaches sweep workers
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -153,8 +158,12 @@ def _env_threads() -> int:
         raise ValidationError(f"SARDIST_THREADS must be an integer, got {env!r}") from None
 
 
-def _sweep_config(r: _Resolver) -> SweepConfig:
-    return _config(r, SweepConfig(threads=_env_threads()), SWEEP_FLAGS)
+def _estimate_flags(r: _Resolver, command: str):
+    """The estimate named by --mu/--sigma, and those two paths."""
+    paths = [r.get("mu", None), r.get("sigma", None)]
+    if None in paths:
+        raise ValidationError(f"{command} mahalanobis needs --mu and --sigma")
+    return read_estimate(*paths), paths
 
 
 def _write_manifest(target: str, subcommand: str, resolver: _Resolver,
@@ -168,13 +177,10 @@ def _write_manifest(target: str, subcommand: str, resolver: _Resolver,
         "outputs": outputs,
         "seed": seed,
         "duration_seconds": time.time() - t0,
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
-    if os.path.isdir(target):
-        path = os.path.join(target, "run.manifest.json")
-    else:
-        path = target + ".manifest.json"
+    path = (os.path.join(target, "run.manifest.json") if os.path.isdir(target)
+            else target + ".manifest.json")
     write_json(path, manifest)
 
 
@@ -278,7 +284,7 @@ def _cmd_train(args) -> int:
                            "completed_epochs": result.completed_epochs,
                            "parameters": result.model.parameter_count()})
     if result.diverged:
-        print(f"training diverged after epoch {result.completed_epochs}; "
+        print(f"error: training diverged after epoch {result.completed_epochs}; "
               f"checkpoint holds the last finished epoch", file=sys.stderr)
         return 1
     print(f"trained {model_cfg.kind} ({result.model.parameter_count()} params), "
@@ -295,14 +301,16 @@ def _cmd_estimate(args) -> int:
     out_sigma = r.get("out-sigma", None)
     if None in (ckpt, inp, out_mu, out_sigma):
         raise ValidationError("estimate needs --checkpoint, --input, --out-mu, --out-sigma")
-    sweep = _sweep_config(r)
+    sweep = _config(r, SweepConfig(threads=_env_threads()), SWEEP_FLAGS)
     drop_last = r.get("drop-last", 0, int)
     stack = read_stack(inp, allow_raw=bool(r.get("allow-raw", False)))
     frames = stack.values if drop_last == 0 else stack.values[:-drop_last]
     if frames.shape[0] < 2:
         raise ValidationError(f"only {frames.shape[0]} frames left after --drop-last")
     est = forecast(load_checkpoint(ckpt), frames, sweep)
-    write_estimate(est, out_mu, out_sigma)
+    # stamped with the last frame it saw, so eval can tell which frames it forecast
+    write_estimate(replace(est, timestamp=stack.timestamps[len(frames) - 1]),
+                   out_mu, out_sigma)
     _write_manifest(out_mu, "estimate", r, [ckpt, inp], [out_mu, out_sigma], None, t0)
     print(f"estimated {inp} -> {out_mu}, {out_sigma}")
     return 0
@@ -325,13 +333,9 @@ def _cmd_metric(args) -> int:
     if not 0 <= frame < count:
         raise ValidationError(f"frame {frame} outside stack of {count} frames")
     if kind == "mahalanobis":
-        mu_path = r.get("mu", None)
-        sigma_path = r.get("sigma", None)
-        if mu_path is None or sigma_path is None:
-            raise ValidationError("metric --kind mahalanobis needs --mu and --sigma")
-        est = read_estimate(mu_path, sigma_path)
+        est, est_paths = _estimate_flags(r, "metric --kind")
         dmap = mahalanobis_map(est, to_logit(stack.values[frame]))
-        inputs = [stack_path, mu_path, sigma_path]
+        inputs = [stack_path, *est_paths]
     else:
         baseline = r.get("baseline-frames", frame, int)
         if baseline < 2:
@@ -369,32 +373,31 @@ def _cmd_eval(args) -> int:
     stack_path = r.get("stack", None)
     truth_path = r.get("truth", None)
     out_dir = r.get("out-dir", None)
-    method = r.get("method", "transformer")
+    method = r.get("method", "mahalanobis")
     if None in (stack_path, truth_path, out_dir):
         raise ValidationError("eval needs --stack, --truth and --out-dir")
-    sweep = _sweep_config(r)
+    if method not in ("mahalanobis", "logratio"):
+        raise ValidationError(f"eval --method must be mahalanobis or logratio, got {method!r}")
     max_points = r.get("max-points", 512, int)
     stack = read_stack(stack_path, allow_raw=bool(r.get("allow-raw", False)))
     truth = read_mask(truth_path)
-    checkpoint = r.get("checkpoint", None)
-    model = None
-    if method in ("transformer", "gru"):
-        if checkpoint is None:
-            raise ValidationError(f"method {method} needs --checkpoint")
-        model = load_checkpoint(checkpoint)
-        if model.cfg.kind != method:
-            raise ValidationError(f"checkpoint holds a {model.cfg.kind}, but method is {method}")
-    elif method != "logratio":
-        raise ValidationError(f"unknown method {method!r}")
-    labeled = two_image_scores(stack.values, truth, model, sweep)
+    est, inputs = None, [stack_path, truth_path]
+    if method == "mahalanobis":
+        est, est_paths = _estimate_flags(r, "eval --method")
+        inputs += est_paths
+        if stack.num_steps < 4:
+            raise ValidationError(f"evaluation needs >= 4 frames, got {stack.num_steps}")
+        if est.timestamp != stack.timestamps[-3]:
+            raise ValidationError(f"{est_paths[0]}: estimate forecasts from frames up to "
+                                  f"{est.timestamp!r}, eval needs {stack.timestamps[-3]!r} "
+                                  f"(estimate --drop-last 2 of {stack_path})")
+    labeled = two_image_scores(stack.values, truth, est)
     curve = pr_curve(labeled, max_points=max_points)
-    os.makedirs(out_dir, exist_ok=True)
     summary = emit_report(out_dir, curve, f1_vs_threshold(labeled, default_tau_grid(labeled)))
     outputs = [os.path.join(out_dir, name) for name in
                ("pr_curve.csv", "f1_vs_tau.csv", "pr_curve.svg", "f1_vs_tau.svg",
                 "summary.json")]
-    _write_manifest(out_dir, "eval", r, [stack_path, truth_path], outputs, None, t0,
-                    extra={"method": method})
+    _write_manifest(out_dir, "eval", r, inputs, outputs, None, t0, extra={"method": method})
     print(f"{method}: pr_auc={summary['pr_auc']:.4f} best_f1={summary['best_f1']:.4f} "
           f"best_tau={summary['best_tau']:.4f}")
     return 0
@@ -414,10 +417,9 @@ def _cmd_ablate(args) -> int:
     batch_size = r.get("batch-size", 32, int)
     threads = r.get("threads", _env_threads(), int)
     grids = ("input-patch", "model-size", "learning-rate")
+    if grid not in (*grids, "all"):
+        raise ValidationError(f"unknown grid {grid!r}; choose from {grids} or all")
     chosen = grids if grid == "all" else (grid,)
-    for g in chosen:
-        if g not in grids:
-            raise ValidationError(f"unknown grid {g!r}; choose from {grids} or all")
 
     os.makedirs(out_dir, exist_ok=True)
     rows = []
@@ -453,7 +455,6 @@ def _ablate_presets(grid: str):
 def _run_ablate_case(grid, label, model_cfg, lr, seed, corpus_size, epochs,
                      scene_size, batch_size, threads, out_dir):
     case_dir = os.path.join(out_dir, f"{grid}_{label}")
-    os.makedirs(case_dir, exist_ok=True)
     synth_cfg = SynthConfig(height=max(model_cfg.input_size, 16),
                             width=max(model_cfg.input_size, 16),
                             seasonal_amplitude_db=2.0)
@@ -468,7 +469,8 @@ def _run_ablate_case(grid, label, model_cfg, lr, seed, corpus_size, epochs,
                         width=max(scene_size, model_cfg.input_size))
     stack, truth = generate_scene(scene_cfg, splitmix64(seed, 0xAB1A7E))
     sweep = SweepConfig(stride=model_cfg.patch_size, batch_size=64, threads=threads)
-    curve = pr_curve(two_image_scores(stack.values, truth, result.model, sweep))
+    est = forecast(result.model, stack.values[:-2], sweep)
+    curve = pr_curve(two_image_scores(stack.values, truth, est))
     return (grid, label, result.model.parameter_count(), curve.auc, curve.best_f1)
 
 
@@ -495,7 +497,6 @@ def _add_table(sp, table) -> None:
 def _subparser(sub, name: str, func, help_text: str):
     sp = sub.add_parser(name, help=help_text)
     sp.add_argument("--config", help="JSON file with flag defaults")
-    sp.add_argument("--seed", type=int)
     sp.set_defaults(func=func)
     return sp
 
@@ -513,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = _subparser(sub, "synth", _cmd_synth, "generate synthetic scenes or training corpora")
     sp.add_argument("--kind", choices=("scene", "corpus"))
     _add(sp, "out", "mask", "out-dir")
-    _add(sp, "count", kind=int)
+    _add(sp, "count", "seed", kind=int)
     _add_table(sp, SYNTH_FLAGS)
     sp.add_argument("--class-gamma0",
                     help="JSON list of per-class (vv, vh) mean backscatter")
@@ -525,6 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = _subparser(sub, "train", _cmd_train, "train a forecasting model on a corpus")
     _add(sp, "corpus", "out")
+    _add(sp, "seed", kind=int)
     sp.add_argument("--model", choices=("transformer", "gru"))
     _add_table(sp, MODEL_FLAGS)
     _add_table(sp, TRAIN_FLAGS)
@@ -546,16 +548,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add(sp, "tau", kind=float)
 
     sp = _subparser(sub, "eval", _cmd_eval, "two-image evaluation against a truth mask")
-    _add(sp, "stack", "truth", "checkpoint", "out-dir")
-    sp.add_argument("--method", choices=("transformer", "gru", "logratio"))
-    _add_table(sp, SWEEP_FLAGS)
+    _add(sp, "stack", "truth", "mu", "sigma", "out-dir")
+    sp.add_argument("--method", choices=("mahalanobis", "logratio"))
     _add(sp, "max-points", kind=int)
     sp.add_argument("--allow-raw", action="store_const", const=True)
 
     sp = _subparser(sub, "ablate", _cmd_ablate, "run preset ablation grids at desk scale")
     sp.add_argument("--grid", choices=("input-patch", "model-size", "learning-rate", "all"))
     _add(sp, "out-dir")
-    _add(sp, "corpus-size", "epochs", "scene-size", "batch-size", "threads", kind=int)
+    _add(sp, "corpus-size", "epochs", "scene-size", "batch-size", "threads", "seed", kind=int)
 
     sp = sub.add_parser("selftest", help="run the built-in invariant checks")
     sp.set_defaults(func=_cmd_selftest)

@@ -26,10 +26,8 @@ import numpy as np
 
 from .disturbance import log_ratio_map, mahalanobis_map
 from .errors import ShapeError, ValidationError
-from .inference import SweepConfig, forecast
-from .model import Model
 from .preprocess import to_logit
-from .raster import DisturbanceMap, write_json, write_text
+from .raster import DistributionEstimate, DisturbanceMap, write_json, write_text
 
 _FMT = "{:.10g}"
 
@@ -76,21 +74,21 @@ def build_labeled_set(pre_map: DisturbanceMap, post_map: DisturbanceMap,
     return LabeledScores(scores.astype(np.float64), labels)
 
 
-def two_image_scores(values: np.ndarray, truth: np.ndarray, model: Model | None = None,
-                     sweep: SweepConfig | None = None) -> LabeledScores:
+def two_image_scores(values: np.ndarray, truth: np.ndarray,
+                     est: DistributionEstimate | None = None) -> LabeledScores:
     """Score the held-out pre frame and the post frame of a (S, C, H, W) stack.
 
     Frames [:-2] are the baseline, frame -2 the held-out pre-event frame and
-    frame -1 the post-event frame. With a model both are scored against its
-    forecast from the baseline, without one by the log ratio against it.
+    frame -1 the post-event frame. With an estimate, the forecast from the
+    baseline, both are scored against it; without one, by the log ratio
+    against the baseline.
     """
     if values.shape[0] < 4:
         raise ValidationError(f"evaluation needs >= 4 frames, got {values.shape[0]}")
     baseline, pre, post = values[:-2], values[-2], values[-1]
-    if model is None:
+    if est is None:
         pre_map, post_map = log_ratio_map(baseline, pre), log_ratio_map(baseline, post)
     else:
-        est = forecast(model, baseline, sweep)
         pre_map = mahalanobis_map(est, to_logit(pre))
         post_map = mahalanobis_map(est, to_logit(post))
     return build_labeled_set(pre_map, post_map, truth)

@@ -108,12 +108,13 @@ class DistributionEstimate:
     """Per-pixel forecast of the next frame: mean and standard deviation.
 
     Both arrays have shape (C, H, W) and live in logit space. sigma is
-    strictly positive.
+    strictly positive. timestamp names the last frame the forecast saw.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
     pol_names: tuple[str, str] = ("VV", "VH")
+    timestamp: str = "forecast"
 
     def __post_init__(self) -> None:
         self.mu = np.asarray(self.mu, dtype=np.float32)
@@ -357,17 +358,16 @@ def read_delineation(path: str) -> BinaryDelineation:
     return BinaryDelineation(frame[0] > 0.5, float(threshold))
 
 
-def write_estimate(est: DistributionEstimate, mu_path: str, sigma_path: str,
-                   timestamp: str = "forecast") -> None:
+def write_estimate(est: DistributionEstimate, mu_path: str, sigma_path: str) -> None:
     for path, frame in ((mu_path, est.mu), (sigma_path, est.sigma)):
-        _write_frame(path, frame, timestamp, est.pol_names, {"units": "logit"})
+        _write_frame(path, frame, est.timestamp, est.pol_names, {"units": "logit"})
 
 
 def read_estimate(mu_path: str, sigma_path: str) -> DistributionEstimate:
     mu, mu_hdr = _read_frame(mu_path, "estimate", one_channel=False)
-    sigma, _ = _read_frame(sigma_path, "estimate", one_channel=False)
-    if mu.shape != sigma.shape:
-        raise FormatError(
-            f"estimate containers disagree: mu {mu.shape} vs sigma {sigma.shape}"
-        )
-    return DistributionEstimate(mu, sigma, tuple(mu_hdr["pol_names"]))
+    sigma, sigma_hdr = _read_frame(sigma_path, "estimate", one_channel=False)
+    (mu_time,), (sigma_time,) = mu_hdr["timestamps"], sigma_hdr["timestamps"]
+    if mu.shape != sigma.shape or mu_time != sigma_time:
+        raise FormatError(f"estimate containers disagree: mu {mu.shape} from {mu_time!r} "
+                          f"vs sigma {sigma.shape} from {sigma_time!r}")
+    return DistributionEstimate(mu, sigma, tuple(mu_hdr["pol_names"]), mu_time)

@@ -13,8 +13,8 @@ import numpy as np
 
 from sardist.autodiff import Tensor
 from sardist.disturbance import log_ratio_map, mahalanobis_map
-from sardist.evaluation import LabeledScores, build_labeled_set, pr_curve
-from sardist.inference import SweepConfig, sweep_estimate
+from sardist.evaluation import LabeledScores, pr_curve, two_image_scores
+from sardist.inference import SweepConfig, forecast, sweep_estimate
 from sardist.model import (
     Model,
     ModelConfig,
@@ -197,14 +197,11 @@ def test_criterion_07_end_to_end_benchmark(tmp_path):
                             seasonal_period=24, disturbance_fraction=0.05)
     stack, truth = generate_scene(scene_cfg, 303)
     sden = despeckle_values(stack.values.reshape(-1, 128, 128)).reshape(stack.values.shape)
-    slog = logit(clip_unit(sden, 1e-4))
-    baseline, heldout_pre, post = slog[:9], slog[9], slog[10]
 
-    est = sweep_estimate(model, baseline, SweepConfig(stride=2, batch_size=64))
-    transformer = pr_curve(build_labeled_set(
-        mahalanobis_map(est, heldout_pre), mahalanobis_map(est, post), truth))
-    logratio = pr_curve(build_labeled_set(
-        log_ratio_map(sden[:9], sden[9]), log_ratio_map(sden[:9], sden[10]), truth))
+    # the two-image protocol: forecast from frames [:-2], score frames -2 and -1
+    est = forecast(model, sden[:-2], SweepConfig(stride=2, batch_size=64))
+    transformer = pr_curve(two_image_scores(sden, truth, est))
+    logratio = pr_curve(two_image_scores(sden, truth))
 
     ok = (not result.diverged and transformer.auc >= 0.85
           and transformer.auc >= logratio.auc)
@@ -277,10 +274,9 @@ def test_criterion_09_determinism(tmp_path):
                          "--input", paths["scene.rts"], "--out-mu", paths["mu.rts"],
                          "--out-sigma", paths["sigma.rts"], "--stride", "4",
                          "--drop-last", "2", "--threads", "1"]) == 0
-        assert cli_main(["eval", "--method", "transformer", "--stack", paths["scene.rts"],
-                         "--truth", paths["mask.rts"], "--checkpoint", paths["ckpt"],
-                         "--out-dir", paths["report"], "--stride", "4",
-                         "--threads", "1"]) == 0
+        assert cli_main(["eval", "--method", "mahalanobis", "--stack", paths["scene.rts"],
+                         "--truth", paths["mask.rts"], "--mu", paths["mu.rts"],
+                         "--sigma", paths["sigma.rts"], "--out-dir", paths["report"]]) == 0
         tree = {}
         for dirpath, _, names in os.walk(root):
             for name in sorted(names):

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sardist
 from sardist.cli import main
 from sardist.disturbance import lower_median
 from sardist.model import Model, ModelConfig, save_checkpoint
@@ -368,37 +371,95 @@ class TestModelCommands:
         assert 0.0 <= summary["pr_auc"] <= 1.0
         assert 0.0 <= summary["best_f1"] <= 1.0
 
-    def test_eval_transformer(self, trained, tmp_path):
+    def _scene_and_estimate(self, trained, tmp_path, seed, drop_last=2, tag=""):
+        """A scene, its truth mask and the estimate of `estimate --drop-last`."""
         scene = str(tmp_path / "scene.rts")
         mask = str(tmp_path / "mask.rts")
-        assert run("synth", "--kind", "scene", "--seed", "44", "--height", "16",
-                   "--width", "16", "--steps", "6", "--fraction", "0.1",
-                   "--out", scene, "--mask", mask) == 0
+        if not os.path.exists(scene):
+            assert run("synth", "--kind", "scene", "--seed", str(seed), "--height", "16",
+                       "--width", "16", "--steps", "6", "--fraction", "0.1",
+                       "--out", scene, "--mask", mask) == 0
+        mu, sigma = str(tmp_path / f"mu{tag}.rts"), str(tmp_path / f"sigma{tag}.rts")
+        assert run("estimate", "--checkpoint", str(trained / "ckpt"), "--input", scene,
+                   "--out-mu", mu, "--out-sigma", sigma, "--stride", "8",
+                   "--drop-last", str(drop_last)) == 0
+        return scene, mask, mu, sigma
+
+    def test_eval_transformer(self, trained, tmp_path):
+        # eval scores the estimate that estimate --drop-last 2 wrote
+        scene, mask, mu, sigma = self._scene_and_estimate(trained, tmp_path, 44)
+        assert read_estimate(mu, sigma).timestamp == read_stack(scene).timestamps[-3]
         out_dir = str(tmp_path / "report")
-        assert run("eval", "--method", "transformer", "--stack", scene,
-                   "--truth", mask, "--checkpoint", str(trained / "ckpt"),
-                   "--out-dir", out_dir, "--stride", "8") == 0
+        assert run("eval", "--method", "mahalanobis", "--stack", scene, "--truth", mask,
+                   "--mu", mu, "--sigma", sigma, "--out-dir", out_dir) == 0
         summary = json.loads(open(os.path.join(out_dir, "summary.json")).read())
         assert 0.0 <= summary["pr_auc"] <= 1.0
+        manifest = json.loads(open(os.path.join(out_dir, "run.manifest.json")).read())
+        assert manifest["inputs"] == [scene, mask, mu, sigma]
 
-    def test_eval_method_checkpoint_mismatch(self, trained, tmp_path):
-        scene = str(tmp_path / "scene.rts")
-        mask = str(tmp_path / "mask.rts")
-        assert run("synth", "--kind", "scene", "--seed", "55", "--height", "16",
-                   "--width", "16", "--steps", "6", "--fraction", "0.1",
-                   "--out", scene, "--mask", mask) == 0
-        assert run("eval", "--method", "gru", "--stack", scene, "--truth", mask,
-                   "--checkpoint", str(trained / "ckpt"),
+    def test_eval_rejects_estimate_of_other_frames(self, trained, tmp_path, capsys):
+        # a --drop-last 1 estimate forecasts the post frame, not the held-out pair
+        scene, mask, mu, sigma = self._scene_and_estimate(trained, tmp_path, 55, drop_last=1)
+        capsys.readouterr()
+        assert run("eval", "--stack", scene, "--truth", mask, "--mu", mu, "--sigma", sigma,
                    "--out-dir", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mu.rts" in err and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "r")
 
-    def test_eval_missing_checkpoint_flag(self, tmp_path):
+    def test_eval_rejects_estimate_pair_from_two_runs(self, trained, tmp_path, capsys):
+        scene, mask, mu, _ = self._scene_and_estimate(trained, tmp_path, 56, tag="2")
+        _, _, _, sigma = self._scene_and_estimate(trained, tmp_path, 56, drop_last=1,
+                                                  tag="1")
+        capsys.readouterr()
+        assert run("eval", "--stack", scene, "--truth", mask, "--mu", mu, "--sigma", sigma,
+                   "--out-dir", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "disagree" in err and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_eval_missing_estimate_flag(self, tmp_path):
         scene = str(tmp_path / "scene.rts")
         mask = str(tmp_path / "mask.rts")
         assert run("synth", "--kind", "scene", "--seed", "66", "--height", "16",
                    "--width", "16", "--steps", "6", "--fraction", "0.1",
                    "--out", scene, "--mask", mask) == 0
-        assert run("eval", "--method", "transformer", "--stack", scene,
+        assert run("eval", "--method", "mahalanobis", "--stack", scene,
                    "--truth", mask, "--out-dir", str(tmp_path / "r")) == 1
+
+    @pytest.mark.parametrize("command", ["despeckle", "estimate", "metric", "delineate",
+                                         "eval"])
+    def test_seed_only_where_it_is_read(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(command, "--seed", "1")
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_weight_leaves_stderr_empty(self, tmp_path, threads):
+        # one huge but finite weight overflows inside layer norm; numpy's
+        # warning must not reach stderr, in the main thread or a sweep worker
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(Model(ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8),
+                              seed=0), str(ckpt))
+        weights = bytearray((ckpt / "weights.bin").read_bytes())
+        weights[3] ^= 0x40
+        (ckpt / "weights.bin").write_bytes(bytes(weights))
+        scene = str(tmp_path / "s.rts")
+        assert run("synth", "--kind", "scene", "--seed", "1", "--height", "16",
+                   "--width", "16", "--steps", "4", "--out", scene,
+                   "--mask", str(tmp_path / "m.rts")) == 0
+        mu, sigma = str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")
+        src = os.path.dirname(os.path.dirname(sardist.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("SARDIST_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sardist.cli", "estimate", "--checkpoint", str(ckpt),
+             "--input", scene, "--out-mu", mu, "--out-sigma", sigma, "--drop-last", "2",
+             "--threads", threads], env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        est = read_estimate(mu, sigma)
+        assert np.all(np.isfinite(est.mu)) and np.all(est.sigma > 0)
 
 
 class TestAblateCommand:

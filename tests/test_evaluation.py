@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sardist.disturbance import log_ratio_map
 from sardist.errors import ShapeError, ValidationError
 from sardist.evaluation import (
     LabeledScores,
@@ -21,8 +22,10 @@ from sardist.evaluation import (
     pr_curve_csv,
     render_f1_svg,
     render_pr_svg,
+    two_image_scores,
 )
-from sardist.raster import DisturbanceMap
+from sardist.preprocess import to_logit
+from sardist.raster import DistributionEstimate, DisturbanceMap
 
 
 def exhaustive_pr(scores, labels):
@@ -118,6 +121,39 @@ class TestLabeledScores:
         post = DisturbanceMap(np.ones((2, 2)), "decibels")
         with pytest.raises(ValidationError):
             build_labeled_set(pre, post, np.zeros((2, 2), dtype=bool))
+
+
+class TestTwoImageScores:
+    """Frames -2 and -1 scored against an estimate, or by the log ratio."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(8)
+        self.values = rng.uniform(0.05, 0.6, size=(5, 2, 3, 4)).astype(np.float32)
+        self.truth = rng.random((3, 4)) < 0.5
+        self.truth[0, 0] = True
+
+    def test_estimate_scores_the_held_out_pair(self):
+        # sigma 1 and mu equal to the pre frame's logits: the pre frame scores
+        # 0 and the post frame its largest logit deviation
+        pre, post = to_logit(self.values[-2]), to_logit(self.values[-1])
+        est = DistributionEstimate(pre, np.ones_like(pre))
+        ls = two_image_scores(self.values, self.truth, est)
+        np.testing.assert_array_equal(ls.scores[:12], 0.0)
+        expected = np.abs(post - est.mu).max(axis=0).astype(np.float32)
+        np.testing.assert_array_equal(ls.scores[12:], expected.ravel())
+        np.testing.assert_array_equal(ls.labels[12:], self.truth.ravel())
+
+    def test_without_estimate_uses_the_log_ratio(self):
+        ls = two_image_scores(self.values, self.truth)
+        baseline = self.values[:-2]
+        expected = build_labeled_set(log_ratio_map(baseline, self.values[-2]),
+                                     log_ratio_map(baseline, self.values[-1]), self.truth)
+        np.testing.assert_array_equal(ls.scores, expected.scores)
+        np.testing.assert_array_equal(ls.labels, expected.labels)
+
+    def test_needs_four_frames(self):
+        with pytest.raises(ValidationError, match="4 frames"):
+            two_image_scores(self.values[:3], self.truth)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from sardist.errors import FormatError, ShapeError, ValidationError
 from sardist.model import Model, ModelConfig, save_checkpoint
 from sardist.raster import (BinaryDelineation, DistributionEstimate,
                             DisturbanceMap, RasterStack, read_array,
-                            read_delineation, read_mask, read_metric_map,
-                            read_stack, write_delineation, write_file, write_json,
-                            write_mask, write_metric_map, write_stack)
+                            read_delineation, read_estimate, read_mask,
+                            read_metric_map, read_stack, write_delineation,
+                            write_estimate, write_file, write_json, write_mask,
+                            write_metric_map, write_stack)
 
 
 def _hand_container(shape, timestamps, pol_names, payload, extra=None):
@@ -270,6 +271,25 @@ class TestTypedWrappers:
             DistributionEstimate(mu, np.zeros_like(sigma))
         with pytest.raises(ShapeError):
             DistributionEstimate(mu, sigma[:1])
+
+    def test_estimate_roundtrip_keeps_timestamp(self, tmp_path):
+        est = DistributionEstimate(np.zeros((2, 4, 4)), np.ones((2, 4, 4)),
+                                   timestamp="2024-01-25")
+        mu, sigma = str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")
+        write_estimate(est, mu, sigma)
+        back = read_estimate(mu, sigma)
+        assert back.timestamp == "2024-01-25"
+        np.testing.assert_array_equal(back.mu, est.mu)
+        np.testing.assert_array_equal(back.sigma, est.sigma)
+
+    def test_estimate_pair_with_different_timestamps_rejected(self, tmp_path):
+        paths = [str(tmp_path / n) for n in ("mu_a", "sigma_a", "mu_b", "sigma_b")]
+        for (mu, sigma), timestamp in ((paths[:2], "2024-01-13"),
+                                       (paths[2:], "2024-01-25")):
+            write_estimate(DistributionEstimate(np.zeros((2, 4, 4)), np.ones((2, 4, 4)),
+                                                timestamp=timestamp), mu, sigma)
+        with pytest.raises(FormatError, match="2024-01-13"):
+            read_estimate(paths[0], paths[3])
 
 
 def _tiny_model(seed):
