@@ -9,12 +9,18 @@ The CLI only resolves flags, reads inputs and writes outputs; forecasting
 (`inference.forecast`) and two-image scoring (`evaluation.two_image_scores`)
 live in the library. `eval` scores the estimate `estimate --drop-last 2` wrote.
 
-Flag precedence: explicit flags > --config JSON file > built-in defaults.
+Each flag is declared once, in `COMMANDS` or a dataclass table, with its type.
+Flag precedence: explicit flags > --config JSON file > built-in defaults. A
+config value must have the flag's JSON type: an integer for int flags, a number
+for float flags, a string for paths and choices, true or false for switches and
+a list of (vv, vh) number pairs for --class-gamma0. A flag's text is read into
+that type, so both sources are checked by the same rule.
 Thread count resolves as --threads > SARDIST_THREADS > 1; one thread is the
 bitwise reference path.
 
 Exit codes: 0 success (stderr empty), 1 validation error (bad values,
 malformed files, diverged training), 2 I/O error; stderr then holds one line.
+An unknown flag is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -43,8 +49,18 @@ from .synth import SynthConfig, generate_scene, generate_training_corpus, load_c
     read_corpus_manifest, splitmix64
 from .training import TrainConfig, train
 
-# (flag, config field, type): the parser declares each flag from these tables
-# and _config resolves it into the field
+
+def _class_gamma0(value) -> tuple[tuple[float, ...], ...]:
+    """Per-class (vv, vh) mean backscatter from a JSON list of number pairs."""
+    if not isinstance(value, list):
+        raise ValueError(value)
+    return tuple(tuple(_convert(float, v) for v in entry) for entry in value)
+
+
+# A flag's type is int, float, str (every str flag names a file), bool (a switch),
+# a tuple of choices, or a converter of JSON values such as _class_gamma0.
+# (flag, config field, type): each table declares its flags and resolves them
+# into the fields of its dataclass, whose values are the defaults
 SYNTH_FLAGS = (
     ("height", "height", int), ("width", "width", int), ("steps", "num_steps", int),
     ("classes", "num_classes", int), ("looks", "looks", float),
@@ -52,6 +68,7 @@ SYNTH_FLAGS = (
     ("seasonal-period", "seasonal_period", float),
     ("delta-db", "disturbance_delta_db", float),
     ("fraction", "disturbance_fraction", float),
+    ("class-gamma0", "class_gamma0", _class_gamma0),
 )
 PREPROCESS_FLAGS = (
     ("tv-weight", "tv_weight_db", float), ("tv-iterations", "tv_iterations", int),
@@ -72,6 +89,11 @@ TRAIN_FLAGS = (
 SWEEP_FLAGS = (
     ("stride", "stride", int), ("batch-size", "batch_size", int), ("threads", "threads", int),
 )
+ABLATE_GRIDS = ("input-patch", "model-size", "learning-rate")
+
+#: what a value of each flag type must be, for error messages
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+             _class_gamma0: "a JSON list of (vv, vh) number pairs"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,12 +102,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
+    func, _, rows, tables = COMMANDS[args.command]
     try:
         with warnings.catch_warnings():
             # stderr holds at most one error line, so outputs are checked for
             # finiteness instead; unlike np.errstate, this reaches sweep workers
             warnings.simplefilter("ignore", RuntimeWarning)
-            return args.func(args)
+            return func(_Resolver(args, rows, tables))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -98,56 +121,86 @@ def main(argv: list[str] | None = None) -> int:
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: config file must hold a JSON object")
-    return data
+def _convert(kind, value, text: bool = False):
+    """`value` as a flag of type `kind`, from a config file or, if `text`, from argv.
+
+    Argv text is first read into the JSON value a config file would hold, then
+    both are checked alike; raises ValueError, TypeError or OverflowError."""
+    if isinstance(kind, tuple):
+        if not (isinstance(value, str) and value in kind):
+            raise ValueError(value)
+        return value
+    if kind not in (int, float, str, bool):
+        return kind(json.loads(value) if text else value)
+    if text and kind in (int, float):
+        value = kind(value)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:  # bool is not an int here
+        raise TypeError(value)
+    return value
 
 
-#: flags that name a file or directory: a config file must give them as strings
-PATH_FLAGS = frozenset({"out", "out-dir", "input", "stack", "mu", "sigma", "metric", "truth",
-                        "checkpoint", "corpus", "manifest", "mask", "out-mu", "out-sigma"})
+def _flag_types(rows, tables) -> dict:
+    """flag -> type for a command's own (flag, type, default) rows and its dataclass tables."""
+    return {**{flag: kind for flag, kind, _ in rows},
+            **{flag: kind for table in tables for flag, _, kind in table}}
 
 
 class _Resolver:
-    """flag > config file > default, with flag names in kebab-case."""
+    """flag > config file > default, with flag names in kebab-case.
 
-    def __init__(self, args):
-        self.args = args
-        self.path = getattr(args, "config", None)
-        self.file = _load_config_file(self.path)
+    Every value given, by flag or config file, is converted when the resolver is
+    built, so a malformed one fails before any file is read or written."""
+
+    def __init__(self, args, rows, tables):
+        self.t0 = time.time()
+        self.command = args.command
+        path = getattr(args, "config", None)
+        file = {} if path is None else read_json(path)
+        if not isinstance(file, dict):
+            raise ValidationError(f"{path}: config file must hold a JSON object")
+        self.defaults = {flag: default for flag, _, default in rows}
+        self.given: dict = {}
         self.resolved: dict = {}
+        for name, kind in _flag_types(rows, tables).items():
+            flag = getattr(args, name.replace("-", "_"))
+            if flag is not None:
+                value, source = flag, f"--{name}"
+            elif name in file:
+                value, source = file[name], f"{path}: {name}"
+            else:
+                continue
+            try:
+                self.given[name] = _convert(kind, value, text=flag is not None)
+            except (TypeError, ValueError, OverflowError):
+                expected = ("one of " + ", ".join(kind) if isinstance(kind, tuple)
+                            else _EXPECTED[kind])
+                raise ValidationError(f"{source} must be {expected}, got {value!r}") from None
 
-    def get(self, name: str, default, kind=None):
-        """The resolved value, converted by `kind` unless it is None."""
-        flag = getattr(self.args, name.replace("-", "_"), None)
-        if flag is not None:
-            value = flag
-        elif name in self.file:
-            value = self.file[name]
-            if name in PATH_FLAGS and not isinstance(value, str):
-                raise ValidationError(f"{self.path}: {name} must be a path string, "
-                                      f"got {value!r}")
-        else:
-            value = default
+    def get(self, name: str):
+        """The value of flag `name`; a callable default is called."""
+        default = self.defaults[name]
+        return self._take(name, default() if callable(default) else default)
+
+    def require(self, what: str, *names: str) -> list:
+        """The values of flags `names`, without which `what` cannot run."""
+        values = [self.get(name) for name in names]
+        if None in values:
+            flags = [f"--{name}" for name in names]
+            listed = ", ".join(flags[:-1]) + " and " if len(flags) > 1 else ""
+            raise ValidationError(f"{what} needs {listed}{flags[-1]}")
+        return values
+
+    def config(self, base, table, **fixed):
+        """`base` with every flag of `table` resolved into its field."""
+        return replace(base, **{field: self._take(flag, getattr(base, field))
+                                for flag, field, _ in table}, **fixed)
+
+    def _take(self, name: str, default):
+        value = self.given.get(name, default)
         self.resolved[name] = value
-        if kind is None or value is None:
-            return value
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            # flags are parsed by type and defaults are typed: the file is at fault
-            raise ValidationError(f"{self.path}: {name} must be {kind.__name__}, "
-                                  f"got {value!r}") from None
-
-
-def _config(r: _Resolver, base, table, **fixed):
-    """`base` with every flag of `table` resolved into its field."""
-    values = {field: r.get(flag, getattr(base, field), kind) for flag, field, kind in table}
-    return replace(base, **values, **fixed)
+        return value
 
 
 def _env_threads() -> int:
@@ -160,23 +213,20 @@ def _env_threads() -> int:
 
 def _estimate_flags(r: _Resolver, command: str):
     """The estimate named by --mu/--sigma, and those two paths."""
-    paths = [r.get("mu", None), r.get("sigma", None)]
-    if None in paths:
-        raise ValidationError(f"{command} mahalanobis needs --mu and --sigma")
+    paths = r.require(f"{command} mahalanobis", "mu", "sigma")
     return read_estimate(*paths), paths
 
 
-def _write_manifest(target: str, subcommand: str, resolver: _Resolver,
-                    inputs: list[str], outputs: list[str], seed: int | None,
-                    t0: float, extra: dict | None = None) -> None:
+def _write_manifest(r: _Resolver, target: str, inputs: list[str], outputs: list[str],
+                    seed: int | None = None, extra: dict | None = None) -> None:
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": r.command,
         "version": __version__,
-        "config": resolver.resolved,
+        "config": r.resolved,
         "inputs": inputs,
         "outputs": outputs,
         "seed": seed,
-        "duration_seconds": time.time() - t0,
+        "duration_seconds": time.time() - r.t0,
         **(extra or {}),
     }
     path = (os.path.join(target, "run.manifest.json") if os.path.isdir(target)
@@ -188,54 +238,31 @@ def _write_manifest(target: str, subcommand: str, resolver: _Resolver,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_synth(args) -> int:
-    t0 = time.time()
-    r = _Resolver(args)
-    gamma0 = r.get("class-gamma0", None)
-    try:
-        if isinstance(gamma0, str):
-            gamma0 = json.loads(gamma0)
-        if gamma0 is not None:
-            gamma0 = tuple(tuple(float(v) for v in entry) for entry in gamma0)
-    except (TypeError, ValueError):
-        raise ValidationError(f"class-gamma0 must be a JSON list of (vv, vh) pairs, "
-                              f"got {gamma0!r}") from None
-    cfg = _config(r, SynthConfig(), SYNTH_FLAGS, class_gamma0=gamma0)
-    seed = r.get("seed", 0, int)
-    kind = r.get("kind", "scene")
-    if kind == "corpus":
-        count = r.get("count", 64, int)
-        out_dir = r.get("out-dir", None)
-        if out_dir is None:
-            raise ValidationError("synth corpus needs --out-dir")
+def _cmd_synth(r: _Resolver) -> int:
+    cfg = r.config(SynthConfig(), SYNTH_FLAGS)
+    seed = r.get("seed")
+    if r.get("kind") == "corpus":
+        count = r.get("count")
+        out_dir, = r.require("synth corpus", "out-dir")
         manifest = generate_training_corpus(cfg, count, seed, out_dir)
-        _write_manifest(out_dir, "synth", r, [], [manifest], seed, t0)
+        _write_manifest(r, out_dir, [], [manifest], seed)
         print(f"wrote {count} sequences to {out_dir}")
         return 0
-    if kind != "scene":
-        raise ValidationError(f"synth kind must be scene or corpus, got {kind!r}")
-    out = r.get("out", None)
-    truth_out = r.get("mask", None)
-    if out is None or truth_out is None:
-        raise ValidationError("synth scene needs --out and --mask")
+    out, truth_out = r.require("synth scene", "out", "mask")
     stack, mask = generate_scene(cfg, seed)
     write_stack(stack, out)
     write_mask(mask, truth_out)
-    _write_manifest(out, "synth", r, [], [out, truth_out], seed, t0)
+    _write_manifest(r, out, [], [out, truth_out], seed)
     print(f"wrote scene {out} ({stack.num_steps} frames) and truth {truth_out}")
     return 0
 
 
-def _cmd_despeckle(args) -> int:
-    t0 = time.time()
-    r = _Resolver(args)
-    cfg = _config(r, PreprocessConfig(), PREPROCESS_FLAGS)
-    allow_raw = bool(r.get("allow-raw", False))
-    manifest_in = r.get("manifest", None)
+def _cmd_despeckle(r: _Resolver) -> int:
+    cfg = r.config(PreprocessConfig(), PREPROCESS_FLAGS)
+    allow_raw = r.get("allow-raw")
+    manifest_in = r.get("manifest")
     if manifest_in is not None:
-        out_dir = r.get("out-dir", None)
-        if out_dir is None:
-            raise ValidationError("despeckle --manifest needs --out-dir")
+        out_dir, = r.require("despeckle --manifest", "out-dir")
         os.makedirs(out_dir, exist_ok=True)
         corpus = read_corpus_manifest(manifest_in)
         base = os.path.dirname(manifest_in)
@@ -246,40 +273,31 @@ def _cmd_despeckle(args) -> int:
             write_stack(despeckle_stack(stack, cfg), out_path)
             outputs.append(out_path)
         write_json(os.path.join(out_dir, "corpus.json"), corpus)
-        _write_manifest(out_dir, "despeckle", r, [manifest_in], outputs, None, t0)
+        _write_manifest(r, out_dir, [manifest_in], outputs)
         print(f"despeckled {len(outputs)} sequences into {out_dir}")
         return 0
-    inp = r.get("input", None)
-    out = r.get("out", None)
-    if inp is None or out is None:
-        raise ValidationError("despeckle needs --input and --out (or --manifest/--out-dir)")
+    inp, out = r.require("despeckle without --manifest", "input", "out")
     stack = read_stack(inp, allow_raw=allow_raw)
     write_stack(despeckle_stack(stack, cfg), out)
-    _write_manifest(out, "despeckle", r, [inp], [out], None, t0)
+    _write_manifest(r, out, [inp], [out])
     print(f"despeckled {inp} -> {out}")
     return 0
 
 
-def _cmd_train(args) -> int:
-    t0 = time.time()
-    r = _Resolver(args)
-    corpus_path = r.get("corpus", None)
-    out_dir = r.get("out", None)
-    if corpus_path is None or out_dir is None:
-        raise ValidationError("train needs --corpus and --out")
-    seed = r.get("seed", 0, int)
-    kind = r.get("model", "transformer", str)
+def _cmd_train(r: _Resolver) -> int:
+    corpus_path, out_dir = r.require("train", "corpus", "out")
+    seed = r.get("seed")
+    kind = r.get("model")
     base = ModelConfig.gru_default() if kind == "gru" else ModelConfig.transformer_default()
-    model_cfg = _config(r, base, MODEL_FLAGS, kind=kind)
-    train_cfg = _config(r, TrainConfig(), TRAIN_FLAGS, seed=seed)
+    model_cfg = r.config(base, MODEL_FLAGS, kind=kind)
+    train_cfg = r.config(TrainConfig(), TRAIN_FLAGS, seed=seed)
     frames = to_logit(load_corpus(corpus_path))
     model = Model(model_cfg, seed=seed)
     result = train(model, train_cfg, frames)
     save_checkpoint(result.model, out_dir)
     loss_path = os.path.join(out_dir, "loss.csv")
     write_text(loss_path, result.loss_csv())
-    _write_manifest(out_dir, "train", r, [corpus_path],
-                    [out_dir, loss_path], seed, t0,
+    _write_manifest(r, out_dir, [corpus_path], [out_dir, loss_path], seed,
                     extra={"diverged": result.diverged,
                            "completed_epochs": result.completed_epochs,
                            "parameters": result.model.parameter_count()})
@@ -292,52 +310,43 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    t0 = time.time()
-    r = _Resolver(args)
-    ckpt = r.get("checkpoint", None)
-    inp = r.get("input", None)
-    out_mu = r.get("out-mu", None)
-    out_sigma = r.get("out-sigma", None)
-    if None in (ckpt, inp, out_mu, out_sigma):
-        raise ValidationError("estimate needs --checkpoint, --input, --out-mu, --out-sigma")
-    sweep = _config(r, SweepConfig(threads=_env_threads()), SWEEP_FLAGS)
-    drop_last = r.get("drop-last", 0, int)
-    stack = read_stack(inp, allow_raw=bool(r.get("allow-raw", False)))
+def _cmd_estimate(r: _Resolver) -> int:
+    ckpt, inp, out_mu, out_sigma = r.require("estimate", "checkpoint", "input", "out-mu",
+                                             "out-sigma")
+    sweep = r.config(SweepConfig(threads=_env_threads()), SWEEP_FLAGS)
+    drop_last = r.get("drop-last")
+    stack = read_stack(inp, allow_raw=r.get("allow-raw"))
     frames = stack.values if drop_last == 0 else stack.values[:-drop_last]
     if frames.shape[0] < 2:
         raise ValidationError(f"only {frames.shape[0]} frames left after --drop-last")
     est = forecast(load_checkpoint(ckpt), frames, sweep)
-    # stamped with the last frame it saw, so eval can tell which frames it forecast
+    # stamped with the last frame it saw, so metric and eval can tell which frames it forecast
     write_estimate(replace(est, timestamp=stack.timestamps[len(frames) - 1]),
                    out_mu, out_sigma)
-    _write_manifest(out_mu, "estimate", r, [ckpt, inp], [out_mu, out_sigma], None, t0)
+    _write_manifest(r, out_mu, [ckpt, inp], [out_mu, out_sigma])
     print(f"estimated {inp} -> {out_mu}, {out_sigma}")
     return 0
 
 
-def _cmd_metric(args) -> int:
-    t0 = time.time()
-    r = _Resolver(args)
-    kind = r.get("kind", None)
-    stack_path = r.get("stack", None)
-    out = r.get("out", None)
-    if kind not in ("mahalanobis", "logratio"):
-        raise ValidationError("metric --kind must be mahalanobis or logratio")
-    if stack_path is None or out is None:
-        raise ValidationError("metric needs --stack and --out")
-    stack = read_stack(stack_path, allow_raw=bool(r.get("allow-raw", False)))
-    frame = r.get("frame", -1, int)
+def _cmd_metric(r: _Resolver) -> int:
+    kind, stack_path, out = r.require("metric", "kind", "stack", "out")
+    stack = read_stack(stack_path, allow_raw=r.get("allow-raw"))
+    frame = r.get("frame")
     count = stack.num_steps
     frame = frame if frame >= 0 else count + frame
     if not 0 <= frame < count:
         raise ValidationError(f"frame {frame} outside stack of {count} frames")
     if kind == "mahalanobis":
         est, est_paths = _estimate_flags(r, "metric --kind")
+        if est.timestamp not in stack.timestamps[:frame]:
+            raise ValidationError(f"{est_paths[0]}: estimate forecasts from frames up to "
+                                  f"{est.timestamp!r}, not from frames before frame {frame} "
+                                  f"({stack.timestamps[frame]!r}) of {stack_path}")
         dmap = mahalanobis_map(est, to_logit(stack.values[frame]))
         inputs = [stack_path, *est_paths]
     else:
-        baseline = r.get("baseline-frames", frame, int)
+        baseline = r.get("baseline-frames")
+        baseline = frame if baseline is None else baseline
         if baseline < 2:
             raise ValidationError(f"log ratio needs >= 2 baseline frames, got {baseline}")
         if baseline > count:
@@ -345,41 +354,27 @@ def _cmd_metric(args) -> int:
         dmap = log_ratio_map(stack.values[:baseline], stack.values[frame])
         inputs = [stack_path]
     write_metric_map(dmap, out)
-    _write_manifest(out, "metric", r, inputs, [out], None, t0)
+    _write_manifest(r, out, inputs, [out])
     print(f"wrote {kind} map {out} (units {dmap.units})")
     return 0
 
 
-def _cmd_delineate(args) -> int:
-    t0 = time.time()
-    r = _Resolver(args)
-    metric_path = r.get("metric", None)
-    out = r.get("out", None)
-    tau = r.get("tau", None, float)
-    if metric_path is None or out is None or tau is None:
-        raise ValidationError("delineate needs --metric, --tau and --out")
+def _cmd_delineate(r: _Resolver) -> int:
+    metric_path, tau, out = r.require("delineate", "metric", "tau", "out")
     dmap = read_metric_map(metric_path)
     delineation = threshold_map(dmap, tau)
     write_delineation(delineation, out)
-    _write_manifest(out, "delineate", r, [metric_path], [out], None, t0)
+    _write_manifest(r, out, [metric_path], [out])
     frac = float(delineation.mask.mean())
     print(f"delineated {out}: {delineation.mask.sum()} pixels ({frac:.2%}) above {tau}")
     return 0
 
 
-def _cmd_eval(args) -> int:
-    t0 = time.time()
-    r = _Resolver(args)
-    stack_path = r.get("stack", None)
-    truth_path = r.get("truth", None)
-    out_dir = r.get("out-dir", None)
-    method = r.get("method", "mahalanobis")
-    if None in (stack_path, truth_path, out_dir):
-        raise ValidationError("eval needs --stack, --truth and --out-dir")
-    if method not in ("mahalanobis", "logratio"):
-        raise ValidationError(f"eval --method must be mahalanobis or logratio, got {method!r}")
-    max_points = r.get("max-points", 512, int)
-    stack = read_stack(stack_path, allow_raw=bool(r.get("allow-raw", False)))
+def _cmd_eval(r: _Resolver) -> int:
+    stack_path, truth_path, out_dir = r.require("eval", "stack", "truth", "out-dir")
+    method = r.get("method")
+    max_points = r.get("max-points")
+    stack = read_stack(stack_path, allow_raw=r.get("allow-raw"))
     truth = read_mask(truth_path)
     est, inputs = None, [stack_path, truth_path]
     if method == "mahalanobis":
@@ -397,43 +392,31 @@ def _cmd_eval(args) -> int:
     outputs = [os.path.join(out_dir, name) for name in
                ("pr_curve.csv", "f1_vs_tau.csv", "pr_curve.svg", "f1_vs_tau.svg",
                 "summary.json")]
-    _write_manifest(out_dir, "eval", r, inputs, outputs, None, t0, extra={"method": method})
+    _write_manifest(r, out_dir, inputs, outputs, extra={"method": method})
     print(f"{method}: pr_auc={summary['pr_auc']:.4f} best_f1={summary['best_f1']:.4f} "
           f"best_tau={summary['best_tau']:.4f}")
     return 0
 
 
-def _cmd_ablate(args) -> int:
-    t0 = time.time()
-    r = _Resolver(args)
-    out_dir = r.get("out-dir", None)
-    if out_dir is None:
-        raise ValidationError("ablate needs --out-dir")
-    grid = r.get("grid", "all")
-    seed = r.get("seed", 0, int)
-    corpus_size = r.get("corpus-size", 64, int)
-    epochs = r.get("epochs", 2, int)
-    scene_size = r.get("scene-size", 64, int)
-    batch_size = r.get("batch-size", 32, int)
-    threads = r.get("threads", _env_threads(), int)
-    grids = ("input-patch", "model-size", "learning-rate")
-    if grid not in (*grids, "all"):
-        raise ValidationError(f"unknown grid {grid!r}; choose from {grids} or all")
-    chosen = grids if grid == "all" else (grid,)
+def _cmd_ablate(r: _Resolver) -> int:
+    out_dir, = r.require("ablate", "out-dir")
+    grid = r.get("grid")
+    seed = r.get("seed")
+    sizes = [r.get(name) for name in ("corpus-size", "epochs", "scene-size", "batch-size",
+                                      "threads")]
+    chosen = ABLATE_GRIDS if grid == "all" else (grid,)
 
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for g in chosen:
         for label, model_cfg, lr in _ablate_presets(g):
-            row = _run_ablate_case(
-                g, label, model_cfg, lr, seed, corpus_size, epochs,
-                scene_size, batch_size, threads, out_dir)
+            row = _run_ablate_case(g, label, model_cfg, lr, seed, *sizes, out_dir)
             rows.append(row)
             print(f"{g} {label}: params={row[2]} pr_auc={row[3]:.4f}")
     csv_path = os.path.join(out_dir, "ablation_summary.csv")
     write_text(csv_path, "grid,preset,parameters,pr_auc,best_f1\n" + "".join(
         f"{g},{label},{params},{auc:.6g},{f1:.6g}\n" for g, label, params, auc, f1 in rows))
-    _write_manifest(out_dir, "ablate", r, [], [csv_path], seed, t0)
+    _write_manifest(r, out_dir, [], [csv_path], seed)
     print(f"wrote {csv_path}")
     return 0
 
@@ -474,7 +457,7 @@ def _run_ablate_case(grid, label, model_cfg, lr, seed, corpus_size, epochs,
     return (grid, label, result.model.parameter_count(), curve.auc, curve.best_f1)
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(r: _Resolver) -> int:
     from .selftest import run_selftest
 
     return run_selftest()
@@ -484,24 +467,43 @@ def _cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add(sp, *names: str, kind=None) -> None:
-    for name in names:
-        sp.add_argument(f"--{name}", type=kind)
+_ALLOW_RAW = ("allow-raw", bool, False)
+_ESTIMATE = (("mu", str, None), ("sigma", str, None))
 
-
-def _add_table(sp, table) -> None:
-    for flag, _, kind in table:
-        _add(sp, flag, kind=kind)
-
-
-def _subparser(sub, name: str, func, help_text: str):
-    sp = sub.add_parser(name, help=help_text)
-    sp.add_argument("--config", help="JSON file with flag defaults")
-    sp.set_defaults(func=func)
-    return sp
+#: subcommand -> (handler, help, own (flag, type, default) rows, dataclass tables)
+COMMANDS = {
+    "synth": (_cmd_synth, "generate synthetic scenes or training corpora", (
+        ("kind", ("scene", "corpus"), "scene"), ("out", str, None), ("mask", str, None),
+        ("out-dir", str, None), ("count", int, 64), ("seed", int, 0)), (SYNTH_FLAGS,)),
+    "despeckle": (_cmd_despeckle, "TV-despeckle a stack or a whole corpus", (
+        ("input", str, None), ("out", str, None), ("manifest", str, None),
+        ("out-dir", str, None), _ALLOW_RAW), (PREPROCESS_FLAGS,)),
+    "train": (_cmd_train, "train a forecasting model on a corpus", (
+        ("corpus", str, None), ("out", str, None), ("seed", int, 0),
+        ("model", ("transformer", "gru"), "transformer")), (MODEL_FLAGS, TRAIN_FLAGS)),
+    "estimate": (_cmd_estimate, "sliding-window forecast of a scene", (
+        ("checkpoint", str, None), ("input", str, None), ("out-mu", str, None),
+        ("out-sigma", str, None), ("drop-last", int, 0), _ALLOW_RAW), (SWEEP_FLAGS,)),
+    "metric": (_cmd_metric, "compute a disturbance metric map", (
+        ("kind", ("mahalanobis", "logratio"), None), ("stack", str, None), *_ESTIMATE,
+        ("out", str, None), ("frame", int, -1), ("baseline-frames", int, None),
+        _ALLOW_RAW), ()),
+    "delineate": (_cmd_delineate, "threshold a metric map to a binary mask", (
+        ("metric", str, None), ("out", str, None), ("tau", float, None)), ()),
+    "eval": (_cmd_eval, "two-image evaluation against a truth mask", (
+        ("stack", str, None), ("truth", str, None), *_ESTIMATE, ("out-dir", str, None),
+        ("method", ("mahalanobis", "logratio"), "mahalanobis"), ("max-points", int, 512),
+        _ALLOW_RAW), ()),
+    "ablate": (_cmd_ablate, "run preset ablation grids at desk scale", (
+        ("grid", (*ABLATE_GRIDS, "all"), "all"), ("out-dir", str, None),
+        ("corpus-size", int, 64), ("epochs", int, 2), ("scene-size", int, 64),
+        ("batch-size", int, 32), ("threads", int, _env_threads), ("seed", int, 0)), ()),
+    "selftest": (_cmd_selftest, "run the built-in invariant checks", (), ()),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Value flags reach the resolver as raw text, switches as True; unset is None."""
     parser = argparse.ArgumentParser(
         prog="sardist",
         description="Self-supervised disturbance mapping from dual-pol "
@@ -510,57 +512,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
-
-    sp = _subparser(sub, "synth", _cmd_synth, "generate synthetic scenes or training corpora")
-    sp.add_argument("--kind", choices=("scene", "corpus"))
-    _add(sp, "out", "mask", "out-dir")
-    _add(sp, "count", "seed", kind=int)
-    _add_table(sp, SYNTH_FLAGS)
-    sp.add_argument("--class-gamma0",
-                    help="JSON list of per-class (vv, vh) mean backscatter")
-
-    sp = _subparser(sub, "despeckle", _cmd_despeckle, "TV-despeckle a stack or a whole corpus")
-    _add(sp, "input", "out", "manifest", "out-dir")
-    _add_table(sp, PREPROCESS_FLAGS)
-    sp.add_argument("--allow-raw", action="store_const", const=True)
-
-    sp = _subparser(sub, "train", _cmd_train, "train a forecasting model on a corpus")
-    _add(sp, "corpus", "out")
-    _add(sp, "seed", kind=int)
-    sp.add_argument("--model", choices=("transformer", "gru"))
-    _add_table(sp, MODEL_FLAGS)
-    _add_table(sp, TRAIN_FLAGS)
-
-    sp = _subparser(sub, "estimate", _cmd_estimate, "sliding-window forecast of a scene")
-    _add(sp, "checkpoint", "input", "out-mu", "out-sigma")
-    _add_table(sp, SWEEP_FLAGS)
-    _add(sp, "drop-last", kind=int)
-    sp.add_argument("--allow-raw", action="store_const", const=True)
-
-    sp = _subparser(sub, "metric", _cmd_metric, "compute a disturbance metric map")
-    sp.add_argument("--kind", choices=("mahalanobis", "logratio"))
-    _add(sp, "stack", "mu", "sigma", "out")
-    _add(sp, "frame", "baseline-frames", kind=int)
-    sp.add_argument("--allow-raw", action="store_const", const=True)
-
-    sp = _subparser(sub, "delineate", _cmd_delineate, "threshold a metric map to a binary mask")
-    _add(sp, "metric", "out")
-    _add(sp, "tau", kind=float)
-
-    sp = _subparser(sub, "eval", _cmd_eval, "two-image evaluation against a truth mask")
-    _add(sp, "stack", "truth", "mu", "sigma", "out-dir")
-    sp.add_argument("--method", choices=("mahalanobis", "logratio"))
-    _add(sp, "max-points", kind=int)
-    sp.add_argument("--allow-raw", action="store_const", const=True)
-
-    sp = _subparser(sub, "ablate", _cmd_ablate, "run preset ablation grids at desk scale")
-    sp.add_argument("--grid", choices=("input-patch", "model-size", "learning-rate", "all"))
-    _add(sp, "out-dir")
-    _add(sp, "corpus-size", "epochs", "scene-size", "batch-size", "threads", "seed", kind=int)
-
-    sp = sub.add_parser("selftest", help="run the built-in invariant checks")
-    sp.set_defaults(func=_cmd_selftest)
-
+    for name, (_, help_text, rows, tables) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        flags = _flag_types(rows, tables)
+        if flags:
+            sp.add_argument("--config", help="JSON file with flag defaults")
+        for flag, kind in flags.items():
+            if kind is bool:
+                sp.add_argument(f"--{flag}", action="store_const", const=True)
+            else:
+                sp.add_argument(f"--{flag}", metavar="{%s}" % ",".join(kind)
+                                if isinstance(kind, tuple) else None)
     return parser
 
 

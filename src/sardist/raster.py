@@ -323,11 +323,11 @@ def _read_frame(path: str, what: str, key: str | None = None,
     return values[0], header
 
 
-def write_mask(mask: np.ndarray, path: str, timestamp: str = "mask") -> None:
+def write_mask(mask: np.ndarray, path: str) -> None:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ShapeError(f"mask must be 2-d, got {mask.shape}")
-    _write_frame(path, mask[None], timestamp, ("mask",))
+    _write_frame(path, mask[None], "mask", ("mask",))
 
 
 def read_mask(path: str) -> np.ndarray:
@@ -335,8 +335,8 @@ def read_mask(path: str) -> np.ndarray:
     return frame[0] > 0.5
 
 
-def write_metric_map(dmap: DisturbanceMap, path: str, timestamp: str = "metric") -> None:
-    _write_frame(path, dmap.values[None], timestamp, ("metric",), {"units": dmap.units})
+def write_metric_map(dmap: DisturbanceMap, path: str) -> None:
+    _write_frame(path, dmap.values[None], "metric", ("metric",), {"units": dmap.units})
 
 
 def read_metric_map(path: str) -> DisturbanceMap:
@@ -344,9 +344,8 @@ def read_metric_map(path: str) -> DisturbanceMap:
     return DisturbanceMap(frame[0], header["units"])
 
 
-def write_delineation(delineation: BinaryDelineation, path: str,
-                      timestamp: str = "mask") -> None:
-    _write_frame(path, delineation.mask[None], timestamp, ("mask",),
+def write_delineation(delineation: BinaryDelineation, path: str) -> None:
+    _write_frame(path, delineation.mask[None], "mask", ("mask",),
                  {"threshold": float(delineation.threshold)})
 
 

@@ -42,9 +42,6 @@ class TrainConfig:
     decay_epoch: int = 25
     t_min: int = 2
     t_max: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     steps_per_epoch: int | None = None  # None -> ceil(corpus / batch)
 
@@ -59,10 +56,6 @@ class TrainConfig:
             raise ValidationError("decay epoch must be >= 1")
         if not 2 <= self.t_min <= self.t_max:
             raise ValidationError(f"need 2 <= t_min <= t_max, got [{self.t_min}, {self.t_max}]")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValidationError("betas must lie in [0,1)")
-        if not self.adam_eps > 0:
-            raise ValidationError("adam eps must be > 0")
         if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
             raise ValidationError("steps per epoch must be >= 1")
 
@@ -167,7 +160,7 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray) -> TrainResult:
     steps_per_epoch = cfg.steps_per_epoch
     if steps_per_epoch is None:
         steps_per_epoch = max(1, -(-sequences.shape[0] // cfg.batch_size))
-    optimizer = Adam(model.params, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    optimizer = Adam(model.params)
     result = TrainResult(model=model)
     last_good = {k: p.data.copy() for k, p in model.params.items()}
     for epoch in range(1, cfg.epochs + 1):

@@ -188,6 +188,89 @@ class TestPlumbing:
         assert manifest["config"]["height"] == 16
 
 
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory):
+    """A 6-frame scene, an untrained checkpoint, its --drop-last 2 estimate and a
+    Mahalanobis map of the last frame."""
+    root = tmp_path_factory.mktemp("cli_scored")
+    save_checkpoint(Model(ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8),
+                          seed=0), str(root / "ckpt"))
+    for argv in (
+        ["synth", "--kind", "scene", "--seed", "1", "--height", "16", "--width", "16",
+         "--steps", "6", "--out", "{r}/s.rts", "--mask", "{r}/m.rts"],
+        ["estimate", "--checkpoint", "{r}/ckpt", "--input", "{r}/s.rts", "--drop-last", "2",
+         "--out-mu", "{r}/mu.rts", "--out-sigma", "{r}/sigma.rts"],
+        ["metric", "--kind", "mahalanobis", "--stack", "{r}/s.rts", "--mu", "{r}/mu.rts",
+         "--sigma", "{r}/sigma.rts", "--out", "{r}/d.rts"],
+    ):
+        assert run(*(a.format(r=root) for a in argv)) == 0
+    return root
+
+
+ESTIMATE = ["estimate", "--checkpoint", "{r}/ckpt", "--input", "{r}/s.rts",
+            "--out-mu", "{o}/mu.rts", "--out-sigma", "{o}/sigma.rts"]
+SCENE = ["synth", "--kind", "scene", "--height", "16", "--width", "16", "--steps", "4",
+         "--out", "{o}/s.rts", "--mask", "{o}/m.rts"]
+MAHALANOBIS = ["metric", "--kind", "mahalanobis", "--stack", "{r}/s.rts", "--mu", "{r}/mu.rts",
+               "--sigma", "{r}/sigma.rts", "--out", "{o}/d.rts"]
+DELINEATE = ["delineate", "--metric", "{r}/d.rts", "--out", "{o}/b.rts"]
+METRIC = ["metric", "--stack", "{r}/s.rts", "--out", "{o}/l.rts"]
+LOGRATIO = ["metric", "--kind", "logratio", "--stack", "{r}/s.rts"]
+# (source, flag type, argv, config file contents, flag or key the error names); a
+# command line cannot give a switch a value, and any argv word is a path string
+VALUE_CASES = [
+    ("argv", "int", ESTIMATE + ["--stride", "abc"], None, "--stride"),
+    ("config", "int", ESTIMATE, {"stride": 2.9}, "stride"),
+    ("config", "int", SCENE, {"seed": True}, "seed"),
+    ("config", "int", MAHALANOBIS, {"frame": 1.7}, "frame"),
+    ("argv", "float", DELINEATE + ["--tau", "abc"], None, "--tau"),
+    ("config", "float", DELINEATE, {"tau": "3"}, "tau"),
+    ("config", "switch", LOGRATIO + ["--out", "{o}/l.rts"], {"allow-raw": "no"}, "allow-raw"),
+    ("argv", "choice", METRIC + ["--kind", "median"], None, "--kind"),
+    ("config", "choice", METRIC, {"kind": "median"}, "kind"),
+    ("config", "path", LOGRATIO, {"out": 7}, "out"),
+]
+
+
+class TestFlagValues:
+    """Flags and config values are converted by one rule per flag type."""
+
+    @pytest.mark.parametrize("source, kind, argv, config, named", VALUE_CASES,
+                             ids=[f"{c[0]}-{c[1]}-{c[4].lstrip('-')}" for c in VALUE_CASES])
+    def test_malformed_value_is_one_error_line(self, scored, tmp_path, capsys, source, kind,
+                                               argv, config, named):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [a.format(r=scored, o=out) for a in argv]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{named} must be" in err and (config is None or "cfg.json: " in err), err
+        assert os.listdir(out) == []
+
+    def test_manifest_records_converted_values(self, scored, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"tau": 3, "allow-raw": False, "baseline-frames": 2}))
+        stack, out = str(scored / "s.rts"), str(tmp_path / "l.rts")
+        for switch, expected in (((), False), (("--allow-raw",), True)):
+            assert run("metric", "--kind", "logratio", "--stack", stack, "--frame", "-1",
+                       "--out", out, *switch, "--config", str(config)) == 0
+            recorded = json.loads((tmp_path / "l.rts.manifest.json").read_text())["config"]
+            assert recorded["allow-raw"] is expected
+            assert (recorded["frame"], recorded["baseline-frames"]) == (-1, 2)
+            assert (recorded["kind"], recorded["stack"], recorded["out"]) == \
+                ("logratio", stack, out)
+        # a float flag given as a JSON integer is recorded as the float it is used as
+        assert run("delineate", "--metric", str(scored / "d.rts"), "--out", out,
+                   "--config", str(config)) == 0
+        tau = json.loads((tmp_path / "l.rts.manifest.json").read_text())["config"]["tau"]
+        assert type(tau) is float and tau == 3.0
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -417,6 +500,19 @@ class TestModelCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "disagree" in err and err.count("\n") == 1
         assert not os.path.exists(tmp_path / "r")
+
+    def test_metric_scores_only_frames_after_the_forecast(self, scored, tmp_path, capsys):
+        # the --drop-last 2 estimate saw frames 0..3 of 6: it can score frames 4 and 5
+        argv = ["metric", "--kind", "mahalanobis", "--stack", str(scored / "s.rts"),
+                "--mu", str(scored / "mu.rts"), "--sigma", str(scored / "sigma.rts")]
+        for frame in ("0", "3", "-3"):
+            capsys.readouterr()
+            assert run(*argv, "--frame", frame, "--out", str(tmp_path / "d.rts")) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "mu.rts" in err and err.count("\n") == 1
+            assert not os.path.exists(tmp_path / "d.rts")
+        for frame in ("4", "-1"):
+            assert run(*argv, "--frame", frame, "--out", str(tmp_path / "d.rts")) == 0
 
     def test_eval_missing_estimate_flag(self, tmp_path):
         scene = str(tmp_path / "scene.rts")

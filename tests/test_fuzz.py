@@ -46,8 +46,7 @@ CASES = [
     ("ckpt/weights.bin", ESTIMATE),
     ("corpus/corpus.json", ["despeckle", "--manifest", "{r}/corpus/corpus.json",
                             "--out-dir", "{r}/den", "--tv-iterations", "2"]),
-    ("cfg.json", ["metric", "--kind", "logratio", "--config", "{r}/cfg.json",
-                  "--stack", "{r}/s.rts", "--out", "{r}/o.rts"]),
+    ("cfg.json", ["metric", "--config", "{r}/cfg.json", "--out", "{r}/o.rts"]),
 ]
 CASE_IDS = [f"{target}-eval" if argv is EVAL else target for target, argv in CASES]
 
@@ -72,8 +71,10 @@ def artifacts(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("fuzz"))
     save_checkpoint(Model(ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8),
                           seed=0), os.path.join(root, "ckpt"))
+    # one value of each flag type, so that mutations reach every converter
     with open(os.path.join(root, "cfg.json"), "w") as fh:
-        fh.write(json.dumps({"baseline-frames": 2, "frame": -1}) + "\n")
+        fh.write(json.dumps({"allow-raw": False, "baseline-frames": 2, "frame": -1,
+                             "kind": "logratio", "stack": os.path.join(root, "s.rts")}) + "\n")
     for argv in (
         ["synth", "--kind", "scene", "--seed", "1", "--height", "16", "--width", "16",
          "--steps", "4", "--out", "{r}/s.rts", "--mask", "{r}/m.rts"],

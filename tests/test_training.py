@@ -48,9 +48,6 @@ class TestTrainConfig:
         {"decay_epoch": 0},
         {"t_min": 1},
         {"t_min": 7, "t_max": 6},
-        {"beta1": 1.0},
-        {"beta2": -0.1},
-        {"adam_eps": 0.0},
         {"steps_per_epoch": 0},
     ])
     def test_rejects_bad_fields(self, kw):
