@@ -48,6 +48,9 @@ class TestTrainConfig:
         {"decay_epoch": 0},
         {"t_min": 1},
         {"t_min": 7, "t_max": 6},
+        {"t_max": 1},
+        {"lr_after_decay": 0.0},
+        {"decay_epoch": -1},
         {"steps_per_epoch": 0},
     ])
     def test_rejects_bad_fields(self, kw):
