@@ -164,16 +164,6 @@ class Tensor:
 
         return Tensor(out_data, parents=(self, o), backward=back)
 
-    def __pow__(self, exponent: float):
-        p = float(exponent)
-        out_data = self.data ** p
-
-        def back(g):
-            if self.requires_grad:
-                self.accumulate(g * p * self.data ** (p - 1.0))
-
-        return Tensor(out_data, parents=(self,), backward=back)
-
     def __matmul__(self, other):
         o = other if isinstance(other, Tensor) else Tensor(np.asarray(other))
         out_data = np.matmul(self.data, o.data)
@@ -196,15 +186,6 @@ class Tensor:
         def back(g):
             if self.requires_grad:
                 self.accumulate(g * (self.data > 0))
-
-        return Tensor(out_data, parents=(self,), backward=back)
-
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def back(g):
-            if self.requires_grad:
-                self.accumulate(g * out_data)
 
         return Tensor(out_data, parents=(self,), backward=back)
 

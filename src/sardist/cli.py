@@ -14,7 +14,8 @@ Flag precedence: explicit flags > --config JSON file > built-in defaults. A
 config value must have the flag's JSON type: an integer for int flags, a number
 for float flags, a string for paths and choices, true or false for switches and
 a list of (vv, vh) number pairs for --class-gamma0. A flag's text is read into
-that type, so both sources are checked by the same rule.
+that type, so both sources are checked by the same rule. A config key that
+is not a flag of any subcommand is a validation error.
 Thread count resolves as --threads > SARDIST_THREADS > 1; one thread is the
 bitwise reference path.
 
@@ -35,8 +36,8 @@ from dataclasses import replace
 
 from . import __version__
 from .errors import ValidationError
-from .evaluation import default_tau_grid, emit_report, f1_vs_threshold, pr_curve, \
-    two_image_scores
+from .evaluation import REPORT_FILES, default_tau_grid, emit_report, f1_vs_threshold, \
+    pr_curve, two_image_scores
 from .disturbance import log_ratio_map, mahalanobis_map, threshold_map
 from .inference import SweepConfig, forecast
 from .model import Model, ModelConfig, load_checkpoint, preset_input_patch, \
@@ -151,7 +152,8 @@ class _Resolver:
     """flag > config file > default, with flag names in kebab-case.
 
     Every value given, by flag or config file, is converted when the resolver is
-    built, so a malformed one fails before any file is read or written."""
+    built, so a malformed one fails before any file is read or written. A config
+    key that no subcommand declares is an error; one file may serve them all."""
 
     def __init__(self, args, rows, tables):
         self.t0 = time.time()
@@ -160,6 +162,11 @@ class _Resolver:
         file = {} if path is None else read_json(path)
         if not isinstance(file, dict):
             raise ValidationError(f"{path}: config file must hold a JSON object")
+        unknown = set(file) - {flag for _, _, own, dataclass_tables in COMMANDS.values()
+                               for flag in _flag_types(own, dataclass_tables)}
+        if unknown:
+            raise ValidationError(f"{path}: no subcommand has a flag named "
+                                  + ", ".join(map(repr, sorted(unknown))))
         self.defaults = {flag: default for flag, _, default in rows}
         self.given: dict = {}
         self.resolved: dict = {}
@@ -389,9 +396,7 @@ def _cmd_eval(r: _Resolver) -> int:
     labeled = two_image_scores(stack.values, truth, est)
     curve = pr_curve(labeled, max_points=max_points)
     summary = emit_report(out_dir, curve, f1_vs_threshold(labeled, default_tau_grid(labeled)))
-    outputs = [os.path.join(out_dir, name) for name in
-               ("pr_curve.csv", "f1_vs_tau.csv", "pr_curve.svg", "f1_vs_tau.svg",
-                "summary.json")]
+    outputs = [os.path.join(out_dir, name) for name in REPORT_FILES]
     _write_manifest(r, out_dir, inputs, outputs, extra={"method": method})
     print(f"{method}: pr_auc={summary['pr_auc']:.4f} best_f1={summary['best_f1']:.4f} "
           f"best_tau={summary['best_tau']:.4f}")

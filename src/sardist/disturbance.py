@@ -13,7 +13,7 @@ reference built from the pre-event frames:
     l_p = |log10(x_p) - log10(I0_p)|,   I0 = lower median over time
     l   = max over polarizations
 
-Log-ratio maps carry raw log10-ratio values and are tagged with "decibels"
+Log-ratio maps carry raw log10-ratio values and are tagged with "log10_ratio"
 units; multiply by 10 only when displaying as dB. Thresholding is strict
 (score > tau) for both metrics.
 """
@@ -72,7 +72,7 @@ def log_ratio_map(pre_frames: np.ndarray, post: np.ndarray) -> DisturbanceMap:
             raise ValidationError(f"{label} frames must be finite and > 0")
     reference = lower_median(pre_frames, axis=0)          # (C, H, W)
     ell = np.abs(np.log10(post) - np.log10(reference))
-    return DisturbanceMap(ell.max(axis=0), units="decibels")
+    return DisturbanceMap(ell.max(axis=0), units="log10_ratio")
 
 
 def threshold_map(dmap: DisturbanceMap, tau: float) -> BinaryDelineation:

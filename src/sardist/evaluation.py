@@ -4,14 +4,16 @@ Scoring set: the metric map of a held-out pre-event frame contributes
 all-negative pixels, the post-event metric map contributes pixels labeled by
 the truth mask; both are flattened row-major and concatenated pre-first.
 
-All thresholding is strict (predicted disturbed iff score > tau). The
-candidate thresholds of a PR curve are the unique scores (quantile-
-downsampled to at most `max_points` when there are more), always joined by
-the exact best-F1 threshold found by scanning *all* unique scores, plus one
-threshold below the minimum score so the all-positive operating point is
-present. Operating points with zero predicted positives have undefined
-precision: they are recorded separately and skipped from the curve, and
-their F1 is 0 by convention.
+All thresholding is strict (predicted disturbed iff score > tau). Every
+threshold metric reads one table of operating points from one sort of the
+scores: the candidate thresholds in decreasing order, each unique score and
+then a floor one below the minimum, with the predicted and true-positive
+counts at each. The best F1 is the first maximum over all of them, so ties go
+to the largest tau; an explicit tau reads the largest candidate at or below
+it. A PR curve keeps the unique scores (quantile-downsampled to at most
+`max_points`), the best-F1 candidate and the floor, less the first candidate:
+the maximum score predicts nothing, so its precision is undefined. It is the
+one skipped threshold, with F1 0 by convention.
 
 PR-AUC is the trapezoidal integral over (recall, precision) sorted by
 recall, with the left endpoint at recall=0 carrying the precision of the
@@ -20,6 +22,7 @@ highest defined threshold (no interpolation to (0,1)).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,10 @@ from .preprocess import to_logit
 from .raster import DistributionEstimate, DisturbanceMap, write_json, write_text
 
 _FMT = "{:.10g}"
+
+#: the files `emit_report` writes into its output directory, in writing order
+REPORT_FILES = ("pr_curve.csv", "f1_vs_tau.csv", "pr_curve.svg", "f1_vs_tau.svg",
+                "summary.json")
 
 
 @dataclass
@@ -104,97 +111,69 @@ class PRCurve:
     best_f1: float
     best_precision: float
     best_recall: float
-    #: thresholds whose operating point had zero predicted positives
+    #: thresholds with zero predicted positives: [max_score]
     skipped_thresholds: list[float] = field(default_factory=list)
     max_score: float = 0.0
     num_positive: int = 0
     num_negative: int = 0
 
 
-def _counts(ls: LabeledScores):
-    """Sorted-descending scores with cumulative true-positive counts."""
+def _operating_points(ls: LabeledScores):
+    """Candidate thresholds (unique scores, decreasing, then the floor) with
+    the predicted and true-positive counts at each."""
     order = np.argsort(-ls.scores, kind="stable")
     s = ls.scores[order]
     cum_tp = np.concatenate([[0], np.cumsum(ls.labels[order])])
-    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-    return s, cum_tp, starts
+    predicted = np.append(np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]])), s.size)
+    return np.append(s[predicted[:-1]], s[-1] - 1.0), predicted, cum_tp[predicted]
 
 
-def _f1(tp: int, predicted: int, positives: int) -> float:
-    denom = 2 * tp + (predicted - tp) + (positives - tp)
-    return (2.0 * tp / denom) if denom > 0 else 0.0
+def _f1(tp: np.ndarray, predicted: np.ndarray, positives: int) -> np.ndarray:
+    """2 TP / (2 TP + FP + FN), whose denominator is predicted + positives >= 1."""
+    return 2.0 * tp / (predicted + positives)
 
 
 def pr_curve(ls: LabeledScores, max_points: int | None = 512) -> PRCurve:
     if max_points is not None and max_points < 2:
         raise ValidationError(f"max_points must be >= 2, got {max_points}")
-    s, cum_tp, starts = _counts(ls)
-    n = ls.scores.size
+    tau, predicted, tp = _operating_points(ls)
     positives = int(ls.labels.sum())
-    unique_desc = s[starts]
-    k = unique_desc.size
-
-    # candidates as (tau, num_predicted); the floor threshold sits strictly
-    # below the minimum so the all-positive point is always present
-    floor_tau = float(unique_desc[-1]) - 1.0
-    all_b = np.concatenate([starts, [n]])
-    all_tau = np.concatenate([unique_desc, [floor_tau]])
-
-    # exact best-F1 over every candidate, tie-broken toward the largest tau
-    best_j = 0
-    best_f1 = -1.0
-    for j in range(all_b.size):
-        f1 = _f1(int(cum_tp[all_b[j]]), int(all_b[j]), positives)
-        if f1 > best_f1:
-            best_f1, best_j = f1, j
-
+    f1 = _f1(tp, predicted, positives)
+    best = int(np.argmax(f1))   # the first maximum: ties go to the largest tau
+    k = tau.size - 1            # unique scores; candidate k is the floor
     if max_points is None or k <= max_points:
-        selected = list(range(k))
+        selected = np.arange(k)
     else:
-        selected = sorted(set(np.round(np.linspace(0, k - 1, max_points)).astype(int)))
-    selected_set = set(selected)
-    if best_j < k:
-        selected_set.add(best_j)
-    selected = sorted(selected_set) + [k]   # floor candidate always last
-
-    points: list[tuple[float, float, float, float]] = []
-    skipped: list[float] = []
-    best_precision = best_recall = 0.0
-    for j in selected:
-        tau = float(all_tau[j])
-        b = int(all_b[j])
-        tp = int(cum_tp[b])
-        recall = tp / positives
-        f1 = _f1(tp, b, positives)
-        if b == 0:
-            skipped.append(tau)
-            continue
-        precision = tp / b
-        points.append((tau, precision, recall, f1))
-        if j == best_j:
-            best_precision, best_recall = precision, recall
-
-    auc = _pr_auc(points)
+        selected = np.round(np.linspace(0, k - 1, max_points)).astype(int)
+    # candidate 0 predicts nothing: its precision is undefined
+    selected = np.union1d(selected, [best, k])[1:]
+    precision = tp[selected] / predicted[selected]
+    recall = tp / positives
+    points = list(zip(tau[selected].tolist(), precision.tolist(),
+                      recall[selected].tolist(), f1[selected].tolist()))
     return PRCurve(
         points=points,
-        auc=auc,
-        best_tau=float(all_tau[best_j]),
-        best_f1=best_f1,
-        best_precision=best_precision,
-        best_recall=best_recall,
-        skipped_thresholds=skipped,
-        max_score=float(unique_desc[0]),
+        auc=_pr_auc(points),
+        best_tau=float(tau[best]),
+        best_f1=float(f1[best]),
+        best_precision=float(tp[best] / predicted[best]),
+        best_recall=float(recall[best]),
+        skipped_thresholds=[float(tau[0])],
+        max_score=float(tau[0]),
         num_positive=positives,
-        num_negative=n - positives,
+        num_negative=ls.scores.size - positives,
     )
+
+
+def _pr_path(points: list[tuple[float, float, float, float]]) -> list[tuple[float, float]]:
+    """(recall, precision) pairs, led by the recall=0 endpoint at the first precision."""
+    # points arrive in decreasing-tau order, i.e. nondecreasing recall
+    return [(0.0, points[0][1])] + [(r, p) for _, p, r, _ in points] if points else []
 
 
 def _pr_auc(points: list[tuple[float, float, float, float]]) -> float:
     """Trapezoid over recall with the recall=0 endpoint carried flat."""
-    if not points:
-        return 0.0
-    # points arrive in decreasing-tau order, i.e. nondecreasing recall
-    path = [(0.0, points[0][1])] + [(r, p) for _, p, r, _ in points]
+    path = _pr_path(points)
     auc = 0.0
     for (r0, p0), (r1, p1) in zip(path, path[1:]):
         auc += (r1 - r0) * 0.5 * (p0 + p1)
@@ -212,20 +191,13 @@ def f1_vs_threshold(ls: LabeledScores, taus) -> list[tuple[float, float, float]]
         raise ValidationError("need a non-empty 1-d threshold list")
     if not np.all(np.isfinite(taus)):
         raise ValidationError("thresholds contain non-finite values")
-    order = np.argsort(ls.scores, kind="stable")
-    s_asc = ls.scores[order]
-    cum_pos = np.concatenate([[0], np.cumsum(ls.labels[order])])
-    n = s_asc.size
-    positives = int(ls.labels.sum())
-    max_score = float(s_asc[-1])
-    rows = []
-    for tau in taus:
-        pos_idx = int(np.searchsorted(s_asc, tau, side="right"))
-        b = n - pos_idx
-        tp = positives - int(cum_pos[pos_idx])
-        rows.append((float(tau), normalized_tau(float(tau), max_score),
-                     _f1(tp, b, positives)))
-    return rows
+    tau, predicted, tp = _operating_points(ls)
+    # the largest candidate at or below each tau; below the floor, the floor
+    row = np.minimum(np.searchsorted(-tau, -taus), tau.size - 1)
+    f1 = _f1(tp[row], predicted[row], int(ls.labels.sum()))
+    max_score = float(tau[0])
+    normalized = taus / max_score if max_score > 0 else np.zeros_like(taus)
+    return list(zip(taus.tolist(), normalized.tolist(), f1.tolist()))
 
 
 def default_tau_grid(ls: LabeledScores, count: int = 256) -> np.ndarray:
@@ -307,9 +279,7 @@ def _star(cx: float, cy: float, radius: float = 7.0) -> str:
 
 
 def render_pr_svg(curve: PRCurve) -> str:
-    pts = [(0.0, curve.points[0][1])] if curve.points else []
-    pts += [(r, p) for _, p, r, _ in curve.points]
-    poly = " ".join(f"{_sx(r):.2f},{_sy(p):.2f}" for r, p in pts)
+    poly = " ".join(f"{_sx(r):.2f},{_sy(p):.2f}" for r, p in _pr_path(curve.points))
     body = [f'<polyline points="{poly}" fill="none" stroke="steelblue" stroke-width="2"/>']
     body.append(_star(_sx(curve.best_recall), _sy(curve.best_precision)))
     body.append(f'<text x="{_sx(0.02):.1f}" y="{_sy(0.04):.1f}" font-family="monospace" '
@@ -330,19 +300,12 @@ def render_f1_svg(rows: list[tuple[float, float, float]], best_tau_norm: float,
 
 def emit_report(out_dir: str, curve: PRCurve,
                 f1_rows: list[tuple[float, float, float]]) -> dict:
-    """Write pr_curve.csv, f1_vs_tau.csv, both SVGs, and summary.json."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    write_text(os.path.join(out_dir, "pr_curve.csv"), pr_curve_csv(curve))
-    write_text(os.path.join(out_dir, "f1_vs_tau.csv"), f1_table_csv(f1_rows))
-    write_text(os.path.join(out_dir, "pr_curve.svg"), render_pr_svg(curve))
-    write_text(os.path.join(out_dir, "f1_vs_tau.svg"), render_f1_svg(
-        f1_rows, normalized_tau(curve.best_tau, curve.max_score), curve.best_f1))
+    """Write the REPORT_FILES (both CSVs, both SVGs, summary.json) into `out_dir`."""
+    best_tau_normalized = normalized_tau(curve.best_tau, curve.max_score)
     summary = {
         "pr_auc": curve.auc,
         "best_tau": curve.best_tau,
-        "best_tau_normalized": normalized_tau(curve.best_tau, curve.max_score),
+        "best_tau_normalized": best_tau_normalized,
         "best_f1": curve.best_f1,
         "best_precision": curve.best_precision,
         "best_recall": curve.best_recall,
@@ -350,5 +313,10 @@ def emit_report(out_dir: str, curve: PRCurve,
         "num_negative": curve.num_negative,
         "skipped_thresholds": curve.skipped_thresholds,
     }
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    texts = (pr_curve_csv(curve), f1_table_csv(f1_rows), render_pr_svg(curve),
+             render_f1_svg(f1_rows, best_tau_normalized, curve.best_f1))
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in zip(REPORT_FILES[:-1], texts):
+        write_text(os.path.join(out_dir, name), text)
+    write_json(os.path.join(out_dir, REPORT_FILES[-1]), summary)
     return summary

@@ -73,7 +73,7 @@ def _check_metric_shapes() -> None:
     pre = rng.uniform(0.01, 0.9, size=(4, 2, 8, 8)).astype(np.float32)
     lmap = log_ratio_map(pre, pre[0])
     _require(lmap.values.shape == (8, 8), "log ratio map shape (8, 8)")
-    _require(lmap.units == "decibels", "log ratio units decibels")
+    _require(lmap.units == "log10_ratio", "log ratio units log10_ratio")
 
 
 def _check_window_positions() -> None:

@@ -252,6 +252,20 @@ class TestFlagValues:
         assert f"{named} must be" in err and (config is None or "cfg.json: " in err), err
         assert os.listdir(out) == []
 
+    def test_unknown_config_key_is_one_error_line(self, scored, tmp_path, capsys):
+        # a misspelt key must not be ignored: "fram" would leave --frame at -1
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"baseline-frame": 2, "fram": 0}))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run("metric", "--kind", "logratio", "--stack", str(scored / "s.rts"),
+                   "--out", str(out / "l.rts"), "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "typo.json: " in err and "'baseline-frame', 'fram'" in err, err
+        assert os.listdir(out) == []
+
     def test_manifest_records_converted_values(self, scored, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"tau": 3, "allow-raw": False, "baseline-frames": 2}))
@@ -355,7 +369,7 @@ class TestProcessingCommands:
         assert run("metric", "--kind", "logratio", "--stack", stack_path,
                    "--frame", "4", "--baseline-frames", "4", "--out", out) == 0
         dmap = read_metric_map(out)
-        assert dmap.units == "decibels"
+        assert dmap.units == "log10_ratio"
         np.testing.assert_array_equal(dmap.values, np.zeros((8, 8), np.float32))
 
     def test_metric_frame_out_of_range(self, tmp_path):

@@ -183,7 +183,7 @@ class TestLogRatioMap:
         post = np.full((2, 2, 2), 0.02)
         result = log_ratio_map(pre, post)
         np.testing.assert_allclose(result.values, np.ones((2, 2)), atol=1e-6)
-        assert result.units == "decibels"
+        assert result.units == "log10_ratio"
 
     def test_post_equal_to_reference_scores_zero(self):
         rng = np.random.default_rng(9)

@@ -60,8 +60,11 @@ def exhaustive_pr(scores, labels):
     return auc, best_f1, best_tau, points
 
 
-def random_set(rng, n, informative=True):
+def random_set(rng, n, informative=True, ties=False):
+    """Normal scores; with `ties`, rounded to integers so that most are tied."""
     scores = rng.normal(size=n)
+    if ties:
+        scores = np.round(2.0 * scores)
     if informative:
         labels = (scores + rng.normal(0, 1.2, size=n)) > 0.6
     else:
@@ -106,19 +109,19 @@ class TestLabeledScores:
 
     def test_mixed_units_rejected(self):
         pre = DisturbanceMap(np.ones((2, 2)), "standard_deviations")
-        post = DisturbanceMap(np.ones((2, 2)), "decibels")
+        post = DisturbanceMap(np.ones((2, 2)), "log10_ratio")
         with pytest.raises(ValidationError):
             build_labeled_set(pre, post, np.ones((2, 2), dtype=bool))
 
     def test_shape_mismatch_rejected(self):
-        pre = DisturbanceMap(np.ones((2, 2)), "decibels")
-        post = DisturbanceMap(np.ones((2, 3)), "decibels")
+        pre = DisturbanceMap(np.ones((2, 2)), "log10_ratio")
+        post = DisturbanceMap(np.ones((2, 3)), "log10_ratio")
         with pytest.raises(ShapeError):
             build_labeled_set(pre, post, np.ones((2, 3), dtype=bool))
 
     def test_empty_truth_rejected(self):
-        pre = DisturbanceMap(np.ones((2, 2)), "decibels")
-        post = DisturbanceMap(np.ones((2, 2)), "decibels")
+        pre = DisturbanceMap(np.ones((2, 2)), "log10_ratio")
+        post = DisturbanceMap(np.ones((2, 2)), "log10_ratio")
         with pytest.raises(ValidationError):
             build_labeled_set(pre, post, np.zeros((2, 2), dtype=bool))
 
@@ -180,8 +183,8 @@ class TestPRCurve:
 
     def test_matches_oracle_exactly_without_downsampling(self):
         rng = np.random.default_rng(0)
-        for trial in range(25):
-            ls = random_set(rng, int(rng.integers(5, 400)))
+        for trial in range(35):
+            ls = random_set(rng, int(rng.integers(5, 400)), ties=trial >= 25)
             curve = pr_curve(ls, max_points=None)
             oracle_auc, oracle_f1, oracle_tau, oracle_pts = exhaustive_pr(
                 ls.scores, ls.labels)
@@ -277,18 +280,23 @@ class TestPRCurve:
 class TestF1VsThreshold:
     def test_matches_direct_computation(self):
         rng = np.random.default_rng(5)
-        ls = random_set(rng, 300)
-        taus = np.linspace(-2.5, 2.5, 41)
-        rows = f1_vs_threshold(ls, taus)
-        positives = int(ls.labels.sum())
-        for (tau, tau_norm, f1), tau_in in zip(rows, taus):
-            predicted = ls.scores > tau_in
-            tp = int((predicted & ls.labels).sum())
-            denom = 2 * tp + int(predicted.sum()) - tp + positives - tp
-            expected = 2.0 * tp / denom if denom > 0 else 0.0
-            assert tau == tau_in
-            assert abs(f1 - expected) < 1e-12
-            assert tau_norm == normalized_tau(tau_in, float(ls.scores.max()))
+        # continuous scores on a grid; integer scores, heavily tied, at every
+        # score, between scores, and below the minimum by more than 1
+        continuous, tied = random_set(rng, 300), random_set(rng, 300, ties=True)
+        cases = [(continuous, np.linspace(-2.5, 2.5, 41)),
+                 (tied, np.concatenate([np.unique(tied.scores), np.arange(-9.5, 9.0),
+                                        [tied.scores.min() - 1.5, -100.0]]))]
+        for ls, taus in cases:
+            rows = f1_vs_threshold(ls, taus)
+            positives = int(ls.labels.sum())
+            for (tau, tau_norm, f1), tau_in in zip(rows, taus):
+                predicted = ls.scores > tau_in
+                tp = int((predicted & ls.labels).sum())
+                denom = 2 * tp + int(predicted.sum()) - tp + positives - tp
+                expected = 2.0 * tp / denom if denom > 0 else 0.0
+                assert tau == tau_in
+                assert abs(f1 - expected) < 1e-12
+                assert tau_norm == normalized_tau(tau_in, float(ls.scores.max()))
 
     def test_thresholds_outside_score_range(self):
         ls = LabeledScores([0.2, 0.8], [False, True])

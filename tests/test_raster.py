@@ -18,8 +18,8 @@ from sardist.raster import (BinaryDelineation, DistributionEstimate,
                             DisturbanceMap, RasterStack, read_array,
                             read_delineation, read_estimate, read_mask,
                             read_metric_map, read_stack, write_delineation,
-                            write_estimate, write_file, write_json, write_mask,
-                            write_metric_map, write_stack)
+                            write_array, write_estimate, write_file, write_json,
+                            write_mask, write_metric_map, write_stack)
 
 
 def _hand_container(shape, timestamps, pol_names, payload, extra=None):
@@ -230,6 +230,15 @@ class TestTypedWrappers:
         back = read_metric_map(str(path))
         assert back.units == "standard_deviations"
         assert np.array_equal(back.values, dmap.values)
+
+    def test_metric_map_legacy_decibels_tag_reads_as_log10_ratio(self, tmp_path):
+        # log-ratio maps were once tagged "decibels", though they hold log10 ratios
+        values = np.full((1, 1, 4, 4), 0.5, dtype=np.float32)
+        path = str(tmp_path / "legacy.rts")
+        write_array(path, values, ["metric"], ("metric",), extra={"units": "decibels"})
+        back = read_metric_map(path)
+        assert back.units == "log10_ratio"
+        assert np.array_equal(back.values, values[0, 0])
 
     def test_metric_map_missing_units_rejected(self, tmp_path):
         values = np.zeros((1, 1, 4, 4), dtype="<f4")
