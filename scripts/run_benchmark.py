@@ -51,12 +51,7 @@ def main() -> int:
     parser.add_argument("--corpus-size", type=int, default=512)
     parser.add_argument("--epochs", type=int, default=5)
     args = parser.parse_args()
-    if args.threads > 1:
-        # one level of parallelism: N sweep workers with one BLAS thread each.
-        # OpenBLAS reads this once, when numpy is first imported (in step()).
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    print(f"threads: --threads {args.threads}, OPENBLAS_NUM_THREADS="
-          f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, {os.cpu_count()} cores")
+    print(f"threads: --threads {args.threads}, {os.cpu_count()} cores")
 
     out = args.out_dir
     os.makedirs(out, exist_ok=True)

@@ -17,7 +17,7 @@ a list of (vv, vh) number pairs for --class-gamma0. A flag's text is read into
 that type, so both sources are checked by the same rule. A config key that
 is not a flag of any subcommand is a validation error.
 Thread count resolves as --threads > SARDIST_THREADS > 1; one thread is the
-bitwise reference path.
+bitwise reference path, and N > 1 sweep workers run BLAS single-threaded.
 
 Exit codes: 0 success (stderr empty), 1 validation error (bad values,
 malformed files, diverged training), 2 I/O error; stderr then holds one line.
@@ -322,6 +322,8 @@ def _cmd_estimate(r: _Resolver) -> int:
                                              "out-sigma")
     sweep = r.config(SweepConfig(threads=_env_threads()), SWEEP_FLAGS)
     drop_last = r.get("drop-last")
+    if drop_last < 0:
+        raise ValidationError(f"drop-last must be >= 0, got {drop_last}")
     stack = read_stack(inp, allow_raw=r.get("allow-raw"))
     frames = stack.values if drop_last == 0 else stack.values[:-drop_last]
     if frames.shape[0] < 2:
@@ -356,8 +358,9 @@ def _cmd_metric(r: _Resolver) -> int:
         baseline = frame if baseline is None else baseline
         if baseline < 2:
             raise ValidationError(f"log ratio needs >= 2 baseline frames, got {baseline}")
-        if baseline > count:
-            raise ValidationError(f"baseline {baseline} exceeds stack of {count} frames")
+        if baseline > frame:
+            # frames[:baseline] would hold the scored frame itself
+            raise ValidationError(f"baseline of {baseline} frames includes scored frame {frame}")
         dmap = log_ratio_map(stack.values[:baseline], stack.values[frame])
         inputs = [stack_path]
     write_metric_map(dmap, out)

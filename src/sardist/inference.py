@@ -10,11 +10,22 @@ order, so the result is independent of batch size and of how many worker
 threads computed the forward passes (threads only parallelize the pure
 forward computations; accumulation stays serial and ordered). The forward
 passes run under `no_grad`, so no backward graph is built or kept.
+
+Threads: with `threads > 1` the sweep caps numpy's OpenBLAS at one thread
+while its workers run, so N workers use N cores, then restores the previous
+count; overlapping sweeps share the cap until the last leaves. The cap is
+process-wide: meanwhile a GEMM on any other thread runs single-threaded too
+(sardist runs none). Another BLAS build is left alone. Bits do not change.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +50,47 @@ class SweepConfig:
             raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
+
+
+def _find_openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.restype = ctypes.c_int
+        return get, set_
+    return None
+
+
+_BLAS = _find_openblas()
+_blas_cap_lock = threading.Lock()
+_blas_cap = {"depth": 0, "saved": 1}
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread; the last overlapping caller restores it."""
+    if _BLAS is None:
+        yield
+        return
+    get, set_ = _BLAS
+    with _blas_cap_lock:
+        if _blas_cap["depth"] == 0:
+            _blas_cap["saved"] = get()
+            set_(1)
+        _blas_cap["depth"] += 1
+    try:
+        yield
+    finally:
+        with _blas_cap_lock:
+            _blas_cap["depth"] -= 1
+            if _blas_cap["depth"] == 0:
+                set_(_blas_cap["saved"])
 
 
 def window_positions(extent: int, window: int, stride: int) -> list[int]:
@@ -80,7 +132,7 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray,
     if cfg.threads == 1:
         results = [run_batch(b) for b in batches]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(run_batch, batches))
 
     mu_sum = np.zeros((c, height, width), dtype=np.float64)

@@ -528,6 +528,28 @@ class TestModelCommands:
         for frame in ("4", "-1"):
             assert run(*argv, "--frame", frame, "--out", str(tmp_path / "d.rts")) == 0
 
+    @pytest.mark.parametrize("baseline, code", [("3", 0), ("4", 1)])
+    def test_logratio_baseline_excludes_the_scored_frame(self, scored, tmp_path, capsys,
+                                                         baseline, code):
+        out = tmp_path / "l.rts"
+        capsys.readouterr()
+        assert run("metric", "--kind", "logratio", "--stack", str(scored / "s.rts"),
+                   "--frame", "3", "--baseline-frames", baseline, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: baseline of 4 frames includes scored frame 3\n", err
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("drop_last", ["-1", "-3"])
+    def test_negative_drop_last_is_one_error_line(self, scored, tmp_path, capsys, drop_last):
+        # [:-(-3)] would keep the first 3 frames and stamp the estimate with frame 2
+        capsys.readouterr()
+        assert run(*(a.format(r=scored, o=tmp_path) for a in ESTIMATE),
+                   "--drop-last", drop_last) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: drop-last must be >= 0, got {drop_last}\n", err
+        assert os.listdir(tmp_path) == []
+
     def test_eval_missing_estimate_flag(self, tmp_path):
         scene = str(tmp_path / "scene.rts")
         mask = str(tmp_path / "mask.rts")

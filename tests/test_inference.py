@@ -1,5 +1,6 @@
 """Tests for the sliding-window scene sweep."""
 
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sardist import inference
 from sardist.autodiff import Tensor
 from sardist.errors import ValidationError
 from sardist.inference import SweepConfig, forecast, sweep_estimate, window_positions
@@ -281,3 +283,89 @@ class TestEstimateFromStack:
                                 SweepConfig(stride=2))
         np.testing.assert_array_equal(via_stack.mu, direct.mu)
         np.testing.assert_array_equal(via_stack.sigma, direct.sigma)
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per sweep worker
+# ---------------------------------------------------------------------------
+
+class BlasProbe(ConstantStub):
+    """Stub whose forward records the OpenBLAS thread count, then runs `hook`."""
+
+    def __init__(self, get, hook=lambda: None):
+        super().__init__(size=16)
+        self.get, self.hook, self.seen = get, hook, []
+
+    def forward(self, x, train=False, rng=None):
+        self.seen.append(self.get())
+        self.hook()
+        return super().forward(x, train, rng)
+
+
+class TestBlasCap:
+    FRAMES = np.zeros((3, 2, 32, 32), dtype=np.float32)   # 4 windows at stride 16
+    THREADED = SweepConfig(stride=16, batch_size=1, threads=2)
+
+    @pytest.fixture
+    def get(self):
+        """The BLAS count getter, with the pool at 2 threads so a cap to 1 shows."""
+        if inference._BLAS is None:
+            pytest.skip("numpy's bundled OpenBLAS thread symbols not found; the cap is a no-op")
+        get, set_ = inference._BLAS
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_forwards_see_one_thread_only_when_threaded(self, get):
+        probe = BlasProbe(get)
+        sweep_estimate(probe, self.FRAMES, self.THREADED)
+        assert probe.seen == [1] * 4
+        probe.seen.clear()
+        sweep_estimate(probe, self.FRAMES, replace(self.THREADED, threads=1))
+        assert probe.seen == [2] * 4
+
+    def test_count_restored_after_sweep(self, get):
+        sweep_estimate(BlasProbe(get), self.FRAMES, self.THREADED)
+        assert get() == 2
+
+    def test_count_restored_after_sweep_raises(self, get):
+        def fail():
+            raise RuntimeError("forward failed")
+
+        with pytest.raises(RuntimeError, match="forward failed"):
+            sweep_estimate(BlasProbe(get, fail), self.FRAMES, self.THREADED)
+        assert get() == 2
+
+    def test_overlapping_sweeps_restore_only_when_the_last_leaves(self, get):
+        # A enters, B enters, A leaves, B leaves: a cap that saves and restores
+        # per sweep would lift while B runs, or leave the pool at 1 after B
+        a_in, b_in, release_b = threading.Event(), threading.Event(), threading.Event()
+        frame = self.FRAMES[:, :, :16, :16]   # one window, so one forward per sweep
+
+        def sweep(probe):
+            return threading.Thread(target=sweep_estimate, args=(probe, frame, self.THREADED))
+
+        probe_a = BlasProbe(get, lambda: (a_in.set(), b_in.wait(timeout=10)))
+        probe_b = BlasProbe(get, lambda: (b_in.set(), release_b.wait(timeout=10)))
+        a, b = sweep(probe_a), sweep(probe_b)
+        a.start()
+        assert a_in.wait(timeout=10)
+        b.start()
+        a.join(timeout=10)
+        assert not a.is_alive() and b_in.is_set()
+        assert get() == 1
+        release_b.set()
+        b.join(timeout=10)
+        assert not b.is_alive()
+        assert get() == 2
+        assert probe_a.seen == probe_b.seen == [1]
+
+    def test_sweep_without_blas_library_is_unchanged(self, monkeypatch):
+        model = tiny_model(seed=9)
+        frames = logit_frames(np.random.default_rng(9), h=12, w=12)
+        monkeypatch.setattr(inference, "_BLAS", None)
+        single = sweep_estimate(model, frames, SweepConfig(stride=2, batch_size=4))
+        threaded = sweep_estimate(model, frames, SweepConfig(stride=2, batch_size=4, threads=2))
+        np.testing.assert_array_equal(single.mu, threaded.mu)
+        np.testing.assert_array_equal(single.sigma, threaded.sigma)
