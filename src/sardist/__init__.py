@@ -17,7 +17,7 @@ from .raster import (BinaryDelineation, DistributionEstimate, DisturbanceMap,
 from .synth import SynthConfig, generate_scene, generate_training_corpus
 from .preprocess import PreprocessConfig, clip_unit, despeckle_stack, logit, to_logit
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
-from .training import TrainConfig, gradient_check, nll_loss, train
+from .training import TrainConfig, nll_loss, train
 from .inference import SweepConfig, forecast, sweep_estimate
 from .disturbance import log_ratio_map, mahalanobis_map, threshold_map
 from .evaluation import build_labeled_set, pr_curve, two_image_scores
@@ -31,7 +31,7 @@ __all__ = [
     "SynthConfig", "generate_scene", "generate_training_corpus",
     "PreprocessConfig", "clip_unit", "despeckle_stack", "logit", "to_logit",
     "Model", "ModelConfig", "load_checkpoint", "save_checkpoint",
-    "TrainConfig", "train", "nll_loss", "gradient_check",
+    "TrainConfig", "train", "nll_loss",
     "SweepConfig", "sweep_estimate", "forecast",
     "mahalanobis_map", "log_ratio_map", "threshold_map",
     "build_labeled_set", "pr_curve", "two_image_scores",

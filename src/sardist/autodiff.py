@@ -15,6 +15,19 @@ Inference mode: inside `no_grad()` every new tensor is a constant (no
 parents, no backward closure, `requires_grad=False`), so a forward pass
 keeps no intermediate arrays alive. The mode is per thread: a worker that
 enters it never switches gradients off for another thread.
+
+GEMMs: every matrix product, including the fused `linear` (bias added into
+the product's own output, one graph node), runs inside `Tensor.__matmul__`,
+so wrapping that one method sees all of them.
+
+In-place rule: under `no_grad`, `linear`, `layer_norm` and softmax allocate
+their result once and finish it in place. `add`, `scale`, `relu` and
+`softplus` allocate nothing when the caller hands an operand over with an
+`overwrite_*` flag: the result is written into that operand's array. Hand
+over only an array the forward itself just made (a GEMM or primitive
+result) that nothing reads afterwards; never a parameter, the caller's
+input or a value still in use. With gradients on the flags do nothing: each
+primitive builds the same node, on fresh arrays, as the operators do.
 """
 
 from __future__ import annotations
@@ -164,9 +177,14 @@ class Tensor:
 
         return Tensor(out_data, parents=(self, o), backward=back)
 
-    def __matmul__(self, other):
+    def __matmul__(self, other, bias=None):
+        """self @ other, plus `bias` (if given) added into the product's own array."""
         o = other if isinstance(other, Tensor) else Tensor(np.asarray(other))
         out_data = np.matmul(self.data, o.data)
+        parents = (self, o)
+        if bias is not None:
+            out_data += bias.data
+            parents = (self, o, bias)
 
         def back(g):
             if self.requires_grad:
@@ -175,19 +193,12 @@ class Tensor:
             if o.requires_grad:
                 gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
                 o.accumulate(_unbroadcast(gb, o.data.shape))
+            if bias is not None and bias.requires_grad:
+                bias.accumulate(_unbroadcast(g, bias.data.shape))
 
-        return Tensor(out_data, parents=(self, o), backward=back)
+        return Tensor(out_data, parents=parents, backward=back)
 
     # -- pointwise nonlinearities --------------------------------------------
-
-    def relu(self):
-        out_data = np.maximum(self.data, 0)
-
-        def back(g):
-            if self.requires_grad:
-                self.accumulate(g * (self.data > 0))
-
-        return Tensor(out_data, parents=(self,), backward=back)
 
     def log(self):
         out_data = np.log(self.data)
@@ -214,16 +225,6 @@ class Tensor:
         def back(g):
             if self.requires_grad:
                 self.accumulate(g * (1.0 - out_data * out_data))
-
-        return Tensor(out_data, parents=(self,), backward=back)
-
-    def softplus(self):
-        out_data = np.logaddexp(self._const(0), self.data)
-
-        def back(g):
-            if self.requires_grad:
-                sig = np.exp(-np.logaddexp(self._const(0), -self.data))
-                self.accumulate(g * sig)
 
         return Tensor(out_data, parents=(self,), backward=back)
 
@@ -293,10 +294,10 @@ class Tensor:
     # -- fused primitives ------------------------------------------------------
 
     def softmax(self):
-        """Softmax over the last axis (max-shifted, fused backward)."""
-        shifted = self.data - self.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=-1, keepdims=True)
+        """Softmax over the last axis (max-shifted, fused backward; one allocation)."""
+        out_data = self.data - self.data.max(axis=-1, keepdims=True)
+        np.exp(out_data, out=out_data)
+        out_data /= out_data.sum(axis=-1, keepdims=True)
 
         def back(g):
             if self.requires_grad:
@@ -306,13 +307,25 @@ class Tensor:
         return Tensor(out_data, parents=(self,), backward=back)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node; the GEMM and the bias add run in `Tensor.__matmul__`."""
+    return x.__matmul__(w, b)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis with affine parameters."""
+    """Layer normalization over the last axis with affine parameters.
+
+    Allocates x - mean and one squared scratch; under no_grad the normalised
+    rows are scaled and shifted in place, so the result is the first array.
+    """
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat *= inv
+    # backward reads xhat, so with a graph the affine step gets its own array
+    out_data = np.multiply(xhat, gamma.data, out=None if _grad_mode.enabled else xhat)
+    out_data += beta.data
 
     def back(g):
         if gamma.requires_grad:
@@ -328,6 +341,54 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             x.accumulate(inv * (w - m1 - xhat * m2))
 
     return Tensor(out_data, parents=(x, gamma, beta), backward=back)
+
+
+def _handed_over(x: Tensor, overwrite: bool) -> np.ndarray | None:
+    """The `out=` array for a result: x's own when handed over and no graph is built."""
+    return x.data if overwrite and not _grad_mode.enabled else None
+
+
+def add(x: Tensor, y, overwrite_x: bool = False, overwrite_y: bool = False) -> Tensor:
+    """x + y; under no_grad the sum may overwrite x (`overwrite_x`) or y (`overwrite_y`).
+
+    The overwritten operand must already have the result's shape.
+    """
+    out = _handed_over(x, overwrite_x)
+    if out is None and isinstance(y, Tensor):
+        out = _handed_over(y, overwrite_y)
+    if out is None:
+        return x + y
+    return Tensor(np.add(x.data, y.data if isinstance(y, Tensor) else x._const(y), out=out))
+
+
+def scale(x: Tensor, c: float, overwrite_x: bool = False) -> Tensor:
+    """x * c for a scalar c; under no_grad `overwrite_x` writes the product into x."""
+    out = _handed_over(x, overwrite_x)
+    if out is None:
+        return x * c
+    return Tensor(np.multiply(x.data, x._const(c), out=out))
+
+
+def relu(x: Tensor, overwrite_x: bool = False) -> Tensor:
+    """max(x, 0); under no_grad `overwrite_x` writes the result into x."""
+    out_data = np.maximum(x.data, 0, out=_handed_over(x, overwrite_x))
+
+    def back(g):
+        if x.requires_grad:
+            x.accumulate(g * (x.data > 0))
+
+    return Tensor(out_data, parents=(x,), backward=back)
+
+
+def softplus(x: Tensor, overwrite_x: bool = False) -> Tensor:
+    """log(1 + exp(x)); under no_grad `overwrite_x` writes the result into x."""
+    out_data = np.logaddexp(x._const(0), x.data, out=_handed_over(x, overwrite_x))
+
+    def back(g):
+        if x.requires_grad:
+            x.accumulate(g * np.exp(-np.logaddexp(x._const(0), -x.data)))
+
+    return Tensor(out_data, parents=(x,), backward=back)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,

@@ -104,6 +104,14 @@ def window_positions(extent: int, window: int, stride: int) -> list[int]:
     return positions
 
 
+def _coverage(extent: int, positions: list[int], window: int) -> np.ndarray:
+    """How many windows starting at `positions` cover each index of one axis."""
+    cover = np.zeros(extent, dtype=np.int64)
+    for p in positions:
+        cover[p:p + window] += 1
+    return cover
+
+
 def sweep_estimate(model: Model, frames_logit: np.ndarray,
                    cfg: SweepConfig | None = None) -> DistributionEstimate:
     """Forecast the next frame per pixel from a (T, C, H, W) logit stack."""
@@ -137,12 +145,12 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray,
 
     mu_sum = np.zeros((c, height, width), dtype=np.float64)
     sigma_sum = np.zeros((c, height, width), dtype=np.float64)
-    count = np.zeros((height, width), dtype=np.int64)
     for batch, (mu_b, sigma_b) in zip(batches, results):
         for i, (r, ch) in enumerate(batch):
             mu_sum[:, r:r + size, ch:ch + size] += mu_b[i]
             sigma_sum[:, r:r + size, ch:ch + size] += sigma_b[i]
-            count[r:r + size, ch:ch + size] += 1
+    # the windows are a product grid, so a pixel's cover is its row's times its column's
+    count = np.outer(_coverage(height, rows, size), _coverage(width, cols, size))
     mu = (mu_sum / count).astype(np.float32)
     sigma = (sigma_sum / count).astype(np.float32)
     return DistributionEstimate(mu, sigma)

@@ -25,6 +25,12 @@ gru: frames are flattened to C*S^2 vectors and run through a stacked GRU
 (first layer consumes the flattened frame directly; hidden size d_model);
 the final hidden state feeds the same kind of two-headed readout for the
 whole frame.
+
+One forward serves training and inference: `forward` builds the graph when
+gradients are on and, under `autodiff.no_grad`, the same code writes ReLU,
+the attention scale, the positional and residual adds and the sigma floor
+into arrays the forward itself just allocated (see `autodiff`'s in-place
+rule). Parameters and the caller's window are never written.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import Tensor, dropout, layer_norm
+from .autodiff import Tensor, add, dropout, layer_norm, linear, relu, scale, softplus
 from .errors import FormatError, ShapeError, ValidationError
 from .raster import read_json, write_file, write_json
 
@@ -206,17 +212,6 @@ class Model:
         for p in self.params.values():
             p.zero_grad()
 
-    def cast(self, dtype) -> "Model":
-        """Copy of this model with parameters cast to `dtype`."""
-        clone = Model.__new__(Model)
-        clone.cfg = self.cfg
-        clone.dtype = np.dtype(dtype)
-        clone.params = {
-            name: Tensor(p.data.astype(dtype), requires_grad=True)
-            for name, p in self.params.items()
-        }
-        return clone
-
     # -- forward --------------------------------------------------------------
 
     def forward(self, x: np.ndarray, train: bool = False,
@@ -240,20 +235,27 @@ class Model:
             return self._forward_transformer(x, train, rng)
         return self._forward_gru(x, train, rng)
 
-    def _head(self, h: Tensor, name: str) -> Tensor:
+    def _heads(self, h: Tensor) -> tuple[Tensor, Tensor]:
+        """The mu and sigma readouts of h; sigma is a softplus plus the floor."""
         p = self.params
-        z = (h @ p[f"{name}.l1.w"] + p[f"{name}.l1.b"]).relu()
-        return z @ p[f"{name}.l2.w"] + p[f"{name}.l2.b"]
+
+        def head(name):
+            z = relu(linear(h, p[f"{name}.l1.w"], p[f"{name}.l1.b"]), overwrite_x=True)
+            return linear(z, p[f"{name}.l2.w"], p[f"{name}.l2.b"])
+
+        mu = head("mu_head")
+        sigma = softplus(head("sigma_head"), overwrite_x=True)
+        return mu, add(sigma, self.cfg.sigma_floor, overwrite_x=True)
 
     def _forward_transformer(self, x, train, rng):
         cfg, p = self.cfg, self.params
         b, t = x.shape[0], x.shape[1]
         npf, d = cfg.patches_per_frame, cfg.d_model
 
-        tokens = patch_split(x, cfg.patch_size)           # (B, T, Np, patch_dim)
-        h = Tensor(tokens) @ p["embed.w"] + p["embed.b"]  # (B, T, Np, D)
-        h = h + p["pos_spatial"].reshape(1, 1, npf, d)
-        h = h + p["pos_temporal"][:t].reshape(1, t, 1, d)
+        tokens = patch_split(x, cfg.patch_size)           # (B, T, Np, patch_dim); may view x
+        h = linear(Tensor(tokens), p["embed.w"], p["embed.b"])  # (B, T, Np, D)
+        h = add(h, p["pos_spatial"].reshape(1, 1, npf, d), overwrite_x=True)
+        h = add(h, p["pos_temporal"][:t].reshape(1, t, 1, d), overwrite_x=True)
         h = h.reshape(b * t * npf, d)                     # one row per token
 
         for i in range(cfg.num_layers):
@@ -261,8 +263,7 @@ class Model:
                                     latest_only=i == cfg.num_layers - 1)
         latest = layer_norm(h, p["final_ln.g"], p["final_ln.b"])  # (B, Np, D)
 
-        mu_p = self._head(latest, "mu_head")              # (B, Np, patch_dim)
-        sig_p = self._head(latest, "sigma_head").softplus() + cfg.sigma_floor
+        mu_p, sig_p = self._heads(latest)                 # (B, Np, patch_dim) each
         return self._merge_patches(mu_p), self._merge_patches(sig_p)
 
     def _encoder_block(self, h, i, b, t, train, rng, latest_only):
@@ -278,28 +279,29 @@ class Model:
         heads, dk = cfg.num_heads, cfg.d_model // cfg.num_heads
         n = t * npf
 
-        def linear(z, name):
-            return z @ p[f"enc{i}.{name}.w"] + p[f"enc{i}.{name}.b"]
+        def dense(z, name):
+            return linear(z, p[f"enc{i}.{name}.w"], p[f"enc{i}.{name}.b"])
 
         def split_heads(z, rows):                         # -> (B, heads, rows, dk)
             return z.reshape(b, rows, heads, dk).transpose((0, 2, 1, 3))
 
         pre = layer_norm(h, p[f"enc{i}.ln1.g"], p[f"enc{i}.ln1.b"])
-        k = split_heads(linear(pre, "attn.wk"), n)
-        v = split_heads(linear(pre, "attn.wv"), n)
+        k = split_heads(dense(pre, "attn.wk"), n)
+        v = split_heads(dense(pre, "attn.wv"), n)
         rows = n
         if latest_only:
             h = h.reshape(b, t, npf, d)[:, t - 1]
             pre = pre.reshape(b, t, npf, d)[:, t - 1]
             rows = npf
-        q = split_heads(linear(pre, "attn.wq"), rows)
-        att = ((q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dk))).softmax()
-        ctx = (att @ v).transpose((0, 2, 1, 3)).reshape(h.shape)
-        h = h + dropout(linear(ctx, "attn.wo"), cfg.dropout, rng, train)
+        q = split_heads(dense(pre, "attn.wq"), rows)
+        scores = scale(q @ k.transpose((0, 1, 3, 2)), 1.0 / np.sqrt(dk), overwrite_x=True)
+        ctx = (scores.softmax() @ v).transpose((0, 2, 1, 3)).reshape(h.shape)
+        # each residual sum goes into the sublayer output: h was handed in, not made here
+        h = add(h, dropout(dense(ctx, "attn.wo"), cfg.dropout, rng, train), overwrite_y=True)
 
         pre = layer_norm(h, p[f"enc{i}.ln2.g"], p[f"enc{i}.ln2.b"])
-        ff = linear(linear(pre, "ff1").relu(), "ff2")
-        return h + dropout(ff, cfg.dropout, rng, train)
+        ff = dense(relu(dense(pre, "ff1"), overwrite_x=True), "ff2")
+        return add(h, dropout(ff, cfg.dropout, rng, train), overwrite_y=True)
 
     def _merge_patches(self, patches: Tensor) -> Tensor:
         cfg = self.cfg
@@ -319,8 +321,8 @@ class Model:
             inp = Tensor(np.ascontiguousarray(frames[:, step]))
             for layer in range(cfg.num_layers):
                 hprev = states[layer]
-                gi = inp @ p[f"gru{layer}.w_ih"] + p[f"gru{layer}.b_ih"]
-                gh = hprev @ p[f"gru{layer}.w_hh"] + p[f"gru{layer}.b_hh"]
+                gi = linear(inp, p[f"gru{layer}.w_ih"], p[f"gru{layer}.b_ih"])
+                gh = linear(hprev, p[f"gru{layer}.w_hh"], p[f"gru{layer}.b_hh"])
                 r = (gi[:, :hdim] + gh[:, :hdim]).sigmoid()
                 z = (gi[:, hdim:2 * hdim] + gh[:, hdim:2 * hdim]).sigmoid()
                 n = (gi[:, 2 * hdim:] + r * gh[:, 2 * hdim:]).tanh()
@@ -331,8 +333,7 @@ class Model:
                     out = dropout(hnew, cfg.dropout, rng, train)
                 inp = out
         final = states[-1]                                # (B, H)
-        mu = self._head(final, "mu_head")
-        sig = self._head(final, "sigma_head").softplus() + cfg.sigma_floor
+        mu, sig = self._heads(final)
         shape = (b, cfg.channels, cfg.input_size, cfg.input_size)
         return mu.reshape(shape), sig.reshape(shape)
 

@@ -24,7 +24,9 @@ from sardist.model import (
 from sardist.preprocess import clip_unit, despeckle_values, logit
 from sardist.raster import DistributionEstimate
 from sardist.synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus
-from sardist.training import TrainConfig, gradient_check, nll_loss, train
+from sardist.training import TrainConfig, nll_loss, train
+
+from gradcheck import gradient_check
 
 
 def _report(num: int, ok: bool, bound_s: float, elapsed: float, detail: str) -> None:

@@ -11,7 +11,8 @@ import threading
 import numpy as np
 import pytest
 
-from sardist.autodiff import Tensor, dropout, layer_norm, no_grad, _unbroadcast
+from sardist.autodiff import (Tensor, dropout, layer_norm, linear, no_grad, relu,
+                               softplus, _unbroadcast)
 from sardist.inference import SweepConfig, sweep_estimate
 from sardist.model import Model, ModelConfig
 from sardist.training import nll_loss
@@ -97,12 +98,29 @@ class TestArithmetic:
         assert out.shape == (2, 5, 3, 6)
         check_gradients(lambda x, y: square(x @ y).sum(), a, b, tol=1e-6)
 
+    def test_linear_is_one_node(self):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (rand(3, 4), rand(4, 5), rand(5)))
+        y = linear(x, w, b)
+        assert y._parents == (x, w, b)
+        np.testing.assert_array_equal(y.data, x.data @ w.data + b.data)
+
+    def test_linear_grads_2d(self):
+        check_gradients(lambda x, w, b: square(linear(x, w, b)).sum(),
+                        rand(3, 4), rand(4, 5, seed=1), rand(5, seed=2))
+
+    def test_linear_grads_batched_bias_summed_over_leading_axes(self):
+        x, w, b = rand(2, 3, 4, 5), rand(5, 6, seed=1), rand(6, seed=2)
+        check_gradients(lambda x, w, b: square(linear(x, w, b)).sum(), x, w, b, tol=1e-6)
+        tb = Tensor(b.copy(), requires_grad=True)
+        linear(Tensor(x), Tensor(w), tb).sum().backward()
+        np.testing.assert_array_equal(tb.grad, np.full(6, 2.0 * 3 * 4))
+
 
 class TestNonlinearities:
     def test_relu(self):
         x = np.array([-2.0, -0.5, 0.5, 2.0])
         t = Tensor(x, requires_grad=True)
-        y = t.relu()
+        y = relu(t)
         assert np.array_equal(y.data, [0.0, 0.0, 0.5, 2.0])
         y.sum().backward()
         assert np.array_equal(t.grad, [0.0, 0.0, 1.0, 1.0])
@@ -130,12 +148,12 @@ class TestNonlinearities:
 
     def test_softplus_value_and_grad(self):
         x = rand(6, seed=5)
-        out = Tensor(x).softplus().data
+        out = softplus(Tensor(x)).data
         assert np.allclose(out, np.log1p(np.exp(x)), atol=1e-12)
-        check_gradients(lambda t: t.softplus().sum(), x)
+        check_gradients(lambda t: softplus(t).sum(), x)
 
     def test_softplus_stable_on_tails(self):
-        out = Tensor(np.array([-800.0, 800.0])).softplus().data
+        out = softplus(Tensor(np.array([-800.0, 800.0]))).data
         assert out[0] == 0.0
         assert out[1] == 800.0
 
@@ -390,7 +408,7 @@ class TestDtypeDiscipline:
 
     def test_nonlinearities_keep_float32(self):
         x = Tensor(np.ones(3, dtype=np.float32))
-        for y in (x.sigmoid(), x.softplus(), x.relu(), x.tanh(), x.softmax()):
+        for y in (x.sigmoid(), softplus(x), relu(x), x.tanh(), x.softmax()):
             assert y.dtype == np.float32
 
     def test_layer_norm_keeps_float32(self):

@@ -179,6 +179,31 @@ class TestSweepAveraging:
         np.testing.assert_allclose(est.sigma, (sigma_sum / count).astype(np.float32),
                                    rtol=0, atol=1e-7)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_clamped_non_square_scene_matches_per_window_accumulation(self, threads):
+        # an 11x17 scene at window 4, stride 3: both axes end on a clamped
+        # window, so coverage counts vary along rows and columns separately
+        class Shifting(ConstantStub):
+            def forward(self, x, train=False, rng=None):
+                return Tensor(1.5 * x[:, -1]), Tensor(np.abs(x[:, 0]) + np.float32(0.1))
+
+        stub = Shifting(size=4)
+        frames = logit_frames(np.random.default_rng(6), t=3, h=11, w=17)
+        est = sweep_estimate(stub, frames, SweepConfig(stride=3, batch_size=5, threads=threads))
+
+        mu_sum = np.zeros((2, 11, 17), dtype=np.float64)
+        sigma_sum = np.zeros((2, 11, 17), dtype=np.float64)
+        count = np.zeros((11, 17), dtype=np.int64)
+        for r in window_positions(11, 4, 3):
+            for c in window_positions(17, 4, 3):
+                mu, sigma = stub.forward(frames[None, :, :, r:r + 4, c:c + 4])
+                mu_sum[:, r:r + 4, c:c + 4] += mu.data[0]
+                sigma_sum[:, r:r + 4, c:c + 4] += sigma.data[0]
+                count[r:r + 4, c:c + 4] += 1
+        assert window_positions(11, 4, 3)[-1] == 7 and window_positions(17, 4, 3)[-1] == 13
+        np.testing.assert_array_equal(est.mu, (mu_sum / count).astype(np.float32))
+        np.testing.assert_array_equal(est.sigma, (sigma_sum / count).astype(np.float32))
+
     def test_batch_size_invariance_bitwise(self):
         model = tiny_model(seed=2)
         rng = np.random.default_rng(2)

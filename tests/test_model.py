@@ -10,9 +10,12 @@ docstring (explicit patch loops, no shared tensor code).
 import numpy as np
 import pytest
 
+from sardist.autodiff import no_grad
 from sardist.errors import FormatError, ShapeError, ValidationError
 from sardist.model import (Model, ModelConfig, load_checkpoint, patch_split,
                            preset_input_patch, preset_model_size, save_checkpoint)
+
+from gradcheck import cast
 
 
 def expected_transformer_params(cfg: ModelConfig) -> int:
@@ -273,7 +276,7 @@ def mirror_gru(model: Model, x: np.ndarray):
 
 class TestForwardOracle:
     def test_transformer_matches_numpy_mirror(self):
-        model = Model(tiny_transformer_cfg(), seed=3).cast(np.float64)
+        model = cast(Model(tiny_transformer_cfg(), seed=3), np.float64)
         x = np.random.default_rng(0).normal(size=(3, 3, 2, 2, 2))
         mu, sigma = model.forward(x)
         mu_ref, sigma_ref = mirror_transformer(model, x)
@@ -281,7 +284,7 @@ class TestForwardOracle:
         assert np.max(np.abs(sigma.data - sigma_ref)) < 1e-10
 
     def test_gru_matches_numpy_mirror(self):
-        model = Model(tiny_gru_cfg(), seed=4).cast(np.float64)
+        model = cast(Model(tiny_gru_cfg(), seed=4), np.float64)
         x = np.random.default_rng(1).normal(size=(2, 5, 2, 4, 4))
         mu, sigma = model.forward(x)
         mu_ref, sigma_ref = mirror_gru(model, x)
@@ -315,6 +318,40 @@ class TestForwardBehavior:
             mu_i, sigma_i = model.forward(x[i:i + 1])
             assert np.array_equal(mu_all.data[i:i + 1], mu_i.data)
             assert np.array_equal(sigma_all.data[i:i + 1], sigma_i.data)
+
+    @staticmethod
+    def _assert_no_grad_forward_writes_nothing(model, x):
+        params = {name: p.data.tobytes() for name, p in model.params.items()}
+        window = x.tobytes()
+        with no_grad():
+            mu, sigma = model.forward(x)
+        assert x.tobytes() == window
+        for name, p in model.params.items():
+            assert p.data.tobytes() == params[name], name
+        graph_mu, graph_sigma = model.forward(x)
+        np.testing.assert_array_equal(mu.data, graph_mu.data)
+        np.testing.assert_array_equal(sigma.data, graph_sigma.data)
+
+    def test_no_grad_forward_leaves_params_and_window_frozen_size(self):
+        cfg = preset_model_size(512, 2)   # the benchmark model
+        x = np.random.default_rng(11).normal(size=(4, 9, 2, 16, 16)).astype(np.float32)
+        self._assert_no_grad_forward_writes_nothing(Model(cfg, seed=1), x)
+
+    def test_no_grad_forward_leaves_window_when_tokens_view_it(self):
+        # one patch per frame: the token matrix is the caller's window itself,
+        # and patch_dim == d_model, so a write into it would be shape-legal
+        cfg = ModelConfig(input_size=4, patch_size=4, d_model=32, num_heads=2,
+                          num_layers=2, ff_dim=16, max_t=4, dropout=0.0)
+        x = np.random.default_rng(12).normal(size=(3, 4, 2, 4, 4)).astype(np.float32)
+        assert np.shares_memory(patch_split(x, 4), x)
+        self._assert_no_grad_forward_writes_nothing(Model(cfg, seed=2), x)
+
+    def test_no_grad_forward_leaves_window_when_gru_frames_view_it(self):
+        cfg = tiny_gru_cfg()
+        x = np.random.default_rng(13).normal(size=(1, 5, 2, 4, 4)).astype(np.float32)
+        frames = x.reshape(1, 5, cfg.frame_dim)
+        assert np.shares_memory(np.ascontiguousarray(frames[:, 2]), x)
+        self._assert_no_grad_forward_writes_nothing(Model(cfg, seed=3), x)
 
     def test_gru_batch_invariant_to_float32_accuracy(self):
         # GEMM kernel selection depends on batch size, so only closeness
@@ -399,7 +436,7 @@ class TestDropoutMode:
 class TestCast:
     def test_cast_returns_independent_copy(self):
         model = Model(tiny_transformer_cfg(), seed=0)
-        double = model.cast(np.float64)
+        double = cast(model, np.float64)
         assert double is not model
         assert double.dtype == np.float64
         assert model.dtype == np.float32
@@ -408,7 +445,7 @@ class TestCast:
 
     def test_cast_preserves_values(self):
         model = Model(tiny_gru_cfg(), seed=2)
-        double = model.cast(np.float64)
+        double = cast(model, np.float64)
         for name, p in model.params.items():
             assert np.array_equal(p.data.astype(np.float64),
                                   double.params[name].data)
@@ -417,7 +454,7 @@ class TestCast:
         model = Model(tiny_transformer_cfg(), seed=0)
         x = np.random.default_rng(9).normal(size=(1, 3, 2, 2, 2)).astype(np.float32)
         mu32, _ = model.forward(x)
-        mu64, _ = model.cast(np.float64).forward(x)
+        mu64, _ = cast(model, np.float64).forward(x)
         assert np.allclose(mu32.data, mu64.data, atol=1e-4)
 
 
