@@ -39,7 +39,7 @@ from .errors import ValidationError
 from .evaluation import REPORT_FILES, default_tau_grid, emit_report, f1_vs_threshold, \
     pr_curve, two_image_scores
 from .disturbance import log_ratio_map, mahalanobis_map, threshold_map
-from .inference import SweepConfig, forecast
+from .inference import _FORWARD_WINDOWS, SweepConfig, forecast
 from .model import Model, ModelConfig, load_checkpoint, preset_input_patch, \
     preset_model_size, save_checkpoint
 from .preprocess import PreprocessConfig, despeckle_stack, to_logit
@@ -328,11 +328,13 @@ def _cmd_estimate(r: _Resolver) -> int:
     frames = stack.values if drop_last == 0 else stack.values[:-drop_last]
     if frames.shape[0] < 2:
         raise ValidationError(f"only {frames.shape[0]} frames left after --drop-last")
-    est = forecast(load_checkpoint(ckpt), frames, sweep)
+    stats = {}
+    est = forecast(load_checkpoint(ckpt), frames, sweep, stats)
     # stamped with the last frame it saw, so metric and eval can tell which frames it forecast
     write_estimate(replace(est, timestamp=stack.timestamps[len(frames) - 1]),
                    out_mu, out_sigma)
-    _write_manifest(r, out_mu, [ckpt, inp], [out_mu, out_sigma])
+    _write_manifest(r, out_mu, [ckpt, inp], [out_mu, out_sigma],
+                    extra={"sweep": stats})
     print(f"estimated {inp} -> {out_mu}, {out_sigma}")
     return 0
 
@@ -489,7 +491,8 @@ COMMANDS = {
     "train": (_cmd_train, "train a forecasting model on a corpus", (
         ("corpus", str, None), ("out", str, None), ("seed", int, 0),
         ("model", ("transformer", "gru"), "transformer")), (MODEL_FLAGS, TRAIN_FLAGS)),
-    "estimate": (_cmd_estimate, "sliding-window forecast of a scene", (
+    "estimate": (_cmd_estimate, "sliding-window forecast of a scene; --batch-size is the most "
+                 f"windows per forward pass, capped at {_FORWARD_WINDOWS}", (
         ("checkpoint", str, None), ("input", str, None), ("out-mu", str, None),
         ("out-sigma", str, None), ("drop-last", int, 0), _ALLOW_RAW), (SWEEP_FLAGS,)),
     "metric": (_cmd_metric, "compute a disturbance metric map", (
@@ -521,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
     for name, (_, help_text, rows, tables) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, description=help_text)
         flags = _flag_types(rows, tables)
         if flags:
             sp.add_argument("--config", help="JSON file with flag defaults")

@@ -11,6 +11,22 @@ threads computed the forward passes (threads only parallelize the pure
 forward computations; accumulation stays serial and ordered). The forward
 passes run under `no_grad`, so no backward graph is built or kept.
 
+Memory: the sweep holds the scene, its two float64 sums and a fixed amount
+per worker, whatever the window count. One forward covers at most
+`min(batch_size, _FORWARD_WINDOWS)` windows (a chunk), so its working set
+stays small; the forward is bitwise batch-invariant, so the chunk size
+changes no output bit. With `threads > 1` at most 2 x `threads` chunks are
+in flight: each finished chunk is added to the sums, in window order,
+before the next one is submitted. With one thread each chunk is added as
+soon as its forward returns.
+
+Allocator: the first sweep in a process pins glibc's mmap threshold at
+32 MiB and its trim threshold at 128 MiB (`_pin_malloc`), so freed forward
+buffers stay mapped for the next forward. Under glibc's dynamic thresholds
+they are trimmed and faulted back in, about 220K minor page faults per
+3,249-window sweep, as often as the order of earlier frees decides. The pin
+is process-wide and permanent; without glibc's `mallopt` it is skipped.
+
 Threads: with `threads > 1` the sweep caps numpy's OpenBLAS at one thread
 while its workers run, so N workers use N cores, then restores the previous
 count; overlapping sweeps share the cap until the last leaves. The cap is
@@ -21,9 +37,12 @@ process-wide: meanwhile a GEMM on any other thread runs single-threaded too
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
+import itertools
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,6 +54,14 @@ from .errors import ValidationError
 from .model import Model
 from .preprocess import to_logit
 from .raster import DistributionEstimate
+
+
+#: most windows one forward covers (a chunk): the benchmark model (ff 512,
+#: 2 layers, 9 frames) needs about 400 KiB of forward scratch per window. A
+#: 3,249-window sweep on 2 workers (2-core Xeon, pinned allocator) peaked at
+#: 61 MB RSS in 1.66-1.83 s at 16, 107 MB in 1.62-1.68 s at 64, and 53 MB in
+#: 2.15 s at 8
+_FORWARD_WINDOWS = 16
 
 
 @dataclass(frozen=True)
@@ -65,6 +92,26 @@ def _find_openblas():
         get.restype = ctypes.c_int
         return get, set_
     return None
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameter numbers
+
+
+@functools.cache   # once per process; racing first calls repeat the same setting
+def _pin_malloc() -> bool:
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 128 MiB.
+
+    The setting is process-wide and cannot be undone: it holds for every
+    allocation in the process from then on. Returns whether glibc's `mallopt`
+    accepted both values; False, having done nothing, where there is none.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 128 << 20) == 1)
 
 
 _BLAS = _find_openblas()
@@ -112,9 +159,12 @@ def _coverage(extent: int, positions: list[int], window: int) -> np.ndarray:
     return cover
 
 
-def sweep_estimate(model: Model, frames_logit: np.ndarray,
-                   cfg: SweepConfig | None = None) -> DistributionEstimate:
-    """Forecast the next frame per pixel from a (T, C, H, W) logit stack."""
+def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | None = None,
+                   stats: dict | None = None) -> DistributionEstimate:
+    """Forecast the next frame per pixel from a (T, C, H, W) logit stack.
+
+    `stats`, if given, receives the sweep's deterministic facts: `windows`,
+    `windows_per_forward`, `max_chunks_in_flight` and `mallopt_pinned`."""
     cfg = cfg or SweepConfig()
     cfg.validate()
     frames_logit = np.asarray(frames_logit, dtype=np.float32)
@@ -127,28 +177,46 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray,
         raise ValidationError(f"stride {cfg.stride} exceeds window {size}")
     rows = window_positions(height, size, cfg.stride)
     cols = window_positions(width, size, cfg.stride)
-    offsets = [(r, ch) for r in rows for ch in cols]   # fixed row-major order
+    windows = len(rows) * len(cols)
+    per_forward = min(cfg.batch_size, _FORWARD_WINDOWS, windows)
+    # fixed row-major order, cut into chunks as they are submitted, so no
+    # list grows with the window count
+    offsets = itertools.product(rows, cols)
+    chunks = iter(lambda: list(itertools.islice(offsets, per_forward)), [])
+    pinned = _pin_malloc()
 
-    batches = [offsets[i:i + cfg.batch_size] for i in range(0, len(offsets), cfg.batch_size)]
-
-    def run_batch(batch: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-        x = np.stack([frames_logit[:, :, r:r + size, ch:ch + size] for r, ch in batch])
+    def run_chunk(chunk: list[tuple[int, int]]):
+        x = np.stack([frames_logit[:, :, r:r + size, ch:ch + size] for r, ch in chunk])
         with no_grad():   # per thread, so it is entered inside each worker
             mu, sigma = model.forward(x, train=False)
-        return mu.data, sigma.data
-
-    if cfg.threads == 1:
-        results = [run_batch(b) for b in batches]
-    else:
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_batch, batches))
+        return chunk, mu.data, sigma.data
 
     mu_sum = np.zeros((c, height, width), dtype=np.float64)
     sigma_sum = np.zeros((c, height, width), dtype=np.float64)
-    for batch, (mu_b, sigma_b) in zip(batches, results):
-        for i, (r, ch) in enumerate(batch):
+
+    def accumulate(chunk, mu_b, sigma_b) -> None:
+        for i, (r, ch) in enumerate(chunk):
             mu_sum[:, r:r + size, ch:ch + size] += mu_b[i]
             sigma_sum[:, r:r + size, ch:ch + size] += sigma_b[i]
+
+    if cfg.threads == 1:
+        held = 1
+        for chunk in chunks:
+            accumulate(*run_chunk(chunk))
+    else:
+        limit, held = 2 * cfg.threads, 0
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            in_flight = deque()
+            for chunk in chunks:
+                if len(in_flight) == limit:
+                    accumulate(*in_flight.popleft().result())
+                in_flight.append(pool.submit(run_chunk, chunk))
+                held = max(held, len(in_flight))
+            while in_flight:
+                accumulate(*in_flight.popleft().result())
+    if stats is not None:
+        stats.update(windows=windows, windows_per_forward=per_forward,
+                     max_chunks_in_flight=held, mallopt_pinned=pinned)
     # the windows are a product grid, so a pixel's cover is its row's times its column's
     count = np.outer(_coverage(height, rows, size), _coverage(width, cols, size))
     mu = (mu_sum / count).astype(np.float32)
@@ -156,7 +224,7 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray,
     return DistributionEstimate(mu, sigma)
 
 
-def forecast(model: Model, values: np.ndarray,
-             sweep: SweepConfig | None = None) -> DistributionEstimate:
+def forecast(model: Model, values: np.ndarray, sweep: SweepConfig | None = None,
+             stats: dict | None = None) -> DistributionEstimate:
     """Forecast the frame after a (T, C, H, W) backscatter stack in (0, 1)."""
-    return sweep_estimate(model, to_logit(values), sweep)
+    return sweep_estimate(model, to_logit(values), sweep, stats)

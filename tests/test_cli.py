@@ -451,6 +451,11 @@ class TestModelCommands:
         for a, b in zip(single, multi):
             with open(a, "rb") as fh_a, open(b, "rb") as fh_b:
                 assert fh_a.read() == fh_b.read()
+        for mu in (single[0], multi[0]):   # one 16-px window covers the scene
+            sweep = json.loads(open(mu + ".manifest.json").read())["sweep"]
+            assert {k: v for k, v in sweep.items() if k != "mallopt_pinned"} == {
+                "windows": 1, "windows_per_forward": 1, "max_chunks_in_flight": 1}
+            assert isinstance(sweep["mallopt_pinned"], bool)
 
     def test_eval_logratio(self, tmp_path):
         scene = str(tmp_path / "scene.rts")

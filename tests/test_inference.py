@@ -1,7 +1,11 @@
 """Tests for the sliding-window scene sweep."""
 
 import threading
+import time
+import tracemalloc
+import weakref
 from dataclasses import replace
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,10 +29,12 @@ class ConstantStub:
         self.mu_value = mu_value
         self.sigma_value = sigma_value
         self.windows_seen = 0
+        self.forward_sizes = []
 
     def forward(self, x, train=False, rng=None):
         b, t, c, h, w = x.shape
         self.windows_seen += b
+        self.forward_sizes.append(b)
         mu = Tensor(np.full((b, c, h, w), self.mu_value, dtype=np.float32))
         sigma = Tensor(np.full((b, c, h, w), self.sigma_value, dtype=np.float32))
         return mu, sigma
@@ -237,6 +243,17 @@ class TestSweepAveraging:
                     stride=2, batch_size=batch, threads=threads))
                 np.testing.assert_array_equal(base.mu, other.mu)
                 np.testing.assert_array_equal(base.sigma, other.sigma)
+        # 25 windows: batch 64 runs capped forwards of 16 and a last one of 9
+        frames = np.random.default_rng(9).normal(-2.0, 0.5, size=(9, 2, 24, 24))
+        frames = frames.astype(np.float32)
+        base = sweep_estimate(model, frames, SweepConfig(stride=2, batch_size=1, threads=1))
+        for threads in (1, 2):
+            stats = {}
+            other = sweep_estimate(model, frames, SweepConfig(
+                stride=2, batch_size=64, threads=threads), stats)
+            assert (stats["windows"], stats["windows_per_forward"]) == (25, 16)
+            np.testing.assert_array_equal(base.mu, other.mu)
+            np.testing.assert_array_equal(base.sigma, other.sigma)
 
     def test_rerun_determinism(self):
         model = tiny_model(seed=4)
@@ -268,6 +285,87 @@ class TestSweepAveraging:
         coarse = sweep_estimate(model, frames[:9], SweepConfig(stride=4))
         in_sd_units = np.abs(coarse.mu - dense.mu) / dense.sigma
         assert float(np.percentile(in_sd_units, 95)) < 0.5
+
+
+# ---------------------------------------------------------------------------
+# bounded memory: windows per forward and chunks in flight
+# ---------------------------------------------------------------------------
+
+class TestSweepMemory:
+    def test_windows_per_forward_capped_at_sixteen(self):
+        frames = np.zeros((2, 2, 40, 40), dtype=np.float32)   # 100 windows at stride 4
+        for batch, expected in ((64, 16), (3, 3)):
+            stub = ConstantStub(size=4)
+            stats = {}
+            sweep_estimate(stub, frames, SweepConfig(stride=4, batch_size=batch), stats)
+            assert max(stub.forward_sizes) == expected and stub.windows_seen == 100
+            assert (stats["windows"], stats["windows_per_forward"]) == (100, expected)
+
+    def test_one_thread_holds_one_chunk(self):
+        # each forward's outputs must be gone before the next forward starts
+        class Holding(ConstantStub):
+            def __init__(self):
+                super().__init__(size=4)
+                self.outputs, self.most_alive = [], 0
+
+            def forward(self, x, train=False, rng=None):
+                alive = sum(ref() is not None for ref in self.outputs)
+                self.most_alive = max(self.most_alive, alive)
+                mu, sigma = super().forward(x)
+                self.outputs += [weakref.ref(mu.data), weakref.ref(sigma.data)]
+                return mu, sigma
+
+        stub = Holding()
+        stats = {}
+        sweep_estimate(stub, np.zeros((2, 2, 40, 40), dtype=np.float32),
+                       SweepConfig(stride=4, batch_size=1), stats)
+        assert len(stub.outputs) == 200
+        assert stub.most_alive == 0
+        assert stats["max_chunks_in_flight"] == 1
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threads_hold_at_most_two_chunks_each(self, threads):
+        # The first forward stalls, so its chunk cannot be accumulated: a
+        # bounded sweep starts at most 2 x threads forwards meanwhile, while an
+        # unbounded one lets the other workers run through every chunk.
+        class Stalling(ConstantStub):
+            def __init__(self):
+                super().__init__(size=4)
+                self.lock, self.started, self.started_during_stall = threading.Lock(), 0, None
+
+            def forward(self, x, train=False, rng=None):
+                with self.lock:
+                    self.started += 1
+                    first = self.started == 1
+                if first:
+                    time.sleep(0.3)
+                    with self.lock:
+                        self.started_during_stall = self.started
+                return super().forward(x)
+
+        stub = Stalling()
+        stats = {}
+        frames = np.zeros((2, 2, 40, 40), dtype=np.float32)   # 100 one-window chunks
+        est = sweep_estimate(stub, frames, SweepConfig(stride=4, batch_size=1, threads=threads),
+                             stats)
+        assert stub.started == 100 and np.all(est.mu == 1.0)
+        assert stub.started_during_stall <= 2 * threads
+        assert stats["max_chunks_in_flight"] == 2 * threads
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_bounded_by_scene_not_window_count(self, threads):
+        # 7,921 windows of 2 KiB of outputs each (16 MiB in all) over a scene
+        # of 144 KiB: the sweep may hold the scene, its sums and a few chunks
+        frames = np.zeros((2, 2, 96, 96), dtype=np.float32)
+        stub = ConstantStub(size=8)
+        tracemalloc.start()
+        try:
+            sweep_estimate(stub, frames, SweepConfig(stride=1, threads=threads))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stub.windows_seen == 89 * 89
+        assert peak < 8 * frames.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +492,49 @@ class TestBlasCap:
         threaded = sweep_estimate(model, frames, SweepConfig(stride=2, batch_size=4, threads=2))
         np.testing.assert_array_equal(single.mu, threaded.mu)
         np.testing.assert_array_equal(single.sigma, threaded.sigma)
+
+
+# ---------------------------------------------------------------------------
+# the allocator pin
+# ---------------------------------------------------------------------------
+
+class FakeLibc:
+    """`ctypes.CDLL` stand-in whose mallopt records its calls and accepts them."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, name):
+        assert name is None
+
+        def mallopt(param, value):   # a function, so argtypes and restype can be set
+            self.calls.append((param, value))
+            return 1
+
+        return SimpleNamespace(mallopt=mallopt)
+
+
+class TestMallocPin:
+    def test_sweep_without_mallopt_is_unchanged(self, monkeypatch):
+        model = tiny_model(seed=10)
+        frames = logit_frames(np.random.default_rng(10), h=12, w=12)
+        cfg = SweepConfig(stride=2, batch_size=4, threads=2)
+        before = sweep_estimate(model, frames, cfg)
+        monkeypatch.setattr(inference, "_pin_malloc", cache(inference._pin_malloc.__wrapped__))
+        monkeypatch.setattr(inference.ctypes, "CDLL", lambda name: SimpleNamespace())
+        stats = {}
+        after = sweep_estimate(model, frames, cfg, stats)
+        assert stats["mallopt_pinned"] is False
+        np.testing.assert_array_equal(before.mu, after.mu)
+        np.testing.assert_array_equal(before.sigma, after.sigma)
+
+    def test_pinned_once_per_process(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(inference, "_pin_malloc", cache(inference._pin_malloc.__wrapped__))
+        monkeypatch.setattr(inference.ctypes, "CDLL", libc)
+        frames = np.zeros((2, 2, 8, 8), dtype=np.float32)
+        for threads in (1, 2, 1):
+            stats = {}
+            sweep_estimate(ConstantStub(size=4), frames, SweepConfig(threads=threads), stats)
+            assert stats["mallopt_pinned"] is True
+        assert libc.calls == [(-3, 32 << 20), (-1, 128 << 20)]
