@@ -300,14 +300,16 @@ def _cmd_train(r: _Resolver) -> int:
     train_cfg = r.config(TrainConfig(), TRAIN_FLAGS, seed=seed)
     frames = to_logit(load_corpus(corpus_path))
     model = Model(model_cfg, seed=seed)
-    result = train(model, train_cfg, frames)
+    stats = {}
+    result = train(model, train_cfg, frames, stats)
     save_checkpoint(result.model, out_dir)
     loss_path = os.path.join(out_dir, "loss.csv")
     write_text(loss_path, result.loss_csv())
     _write_manifest(r, out_dir, [corpus_path], [out_dir, loss_path], seed,
                     extra={"diverged": result.diverged,
                            "completed_epochs": result.completed_epochs,
-                           "parameters": result.model.parameter_count()})
+                           "parameters": result.model.parameter_count(),
+                           "training": stats})
     if result.diverged:
         print(f"error: training diverged after epoch {result.completed_epochs}; "
               f"checkpoint holds the last finished epoch", file=sys.stderr)

@@ -20,31 +20,18 @@ in flight: each finished chunk is added to the sums, in window order,
 before the next one is submitted. With one thread each chunk is added as
 soon as its forward returns.
 
-Allocator: the first sweep in a process pins glibc's mmap threshold at
-32 MiB and its trim threshold at 128 MiB (`_pin_malloc`), so freed forward
-buffers stay mapped for the next forward. Under glibc's dynamic thresholds
-they are trimmed and faulted back in, about 220K minor page faults per
-3,249-window sweep, as often as the order of earlier frees decides. The pin
-is process-wide and permanent; without glibc's `mallopt` it is skipped.
-
-Threads: with `threads > 1` the sweep caps numpy's OpenBLAS at one thread
-while its workers run, so N workers use N cores, then restores the previous
-count; overlapping sweeps share the cap until the last leaves. The cap is
-process-wide: meanwhile a GEMM on any other thread runs single-threaded too
-(sardist runs none). Another BLAS build is left alone. Bits do not change.
+The first sweep in a process pins glibc's allocator (`native.pin_malloc`):
+unpinned, a 3,249-window sweep trims freed forward buffers and faults them
+back in about 220K times. With `threads > 1` the sweep caps OpenBLAS at one
+thread while its workers run (`native.one_blas_thread`), so N workers use N
+cores; meanwhile a GEMM on any other thread runs single-threaded too.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import itertools
-import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +39,7 @@ import numpy as np
 from .autodiff import no_grad
 from .errors import ValidationError
 from .model import Model
+from .native import one_blas_thread, pin_malloc
 from .preprocess import to_logit
 from .raster import DistributionEstimate
 
@@ -77,67 +65,6 @@ class SweepConfig:
             raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
-
-
-def _find_openblas():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")):
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = (lib.scipy_openblas_get_num_threads64_,
-                         lib.scipy_openblas_set_num_threads64_)
-        except (OSError, AttributeError):
-            continue
-        get.restype = ctypes.c_int
-        return get, set_
-    return None
-
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameter numbers
-
-
-@functools.cache   # once per process; racing first calls repeat the same setting
-def _pin_malloc() -> bool:
-    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 128 MiB.
-
-    The setting is process-wide and cannot be undone: it holds for every
-    allocation in the process from then on. Returns whether glibc's `mallopt`
-    accepted both values; False, having done nothing, where there is none.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
-            and mallopt(_M_TRIM_THRESHOLD, 128 << 20) == 1)
-
-
-_BLAS = _find_openblas()
-_blas_cap_lock = threading.Lock()
-_blas_cap = {"depth": 0, "saved": 1}
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS at one thread; the last overlapping caller restores it."""
-    if _BLAS is None:
-        yield
-        return
-    get, set_ = _BLAS
-    with _blas_cap_lock:
-        if _blas_cap["depth"] == 0:
-            _blas_cap["saved"] = get()
-            set_(1)
-        _blas_cap["depth"] += 1
-    try:
-        yield
-    finally:
-        with _blas_cap_lock:
-            _blas_cap["depth"] -= 1
-            if _blas_cap["depth"] == 0:
-                set_(_blas_cap["saved"])
 
 
 def window_positions(extent: int, window: int, stride: int) -> list[int]:
@@ -183,7 +110,7 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
     # list grows with the window count
     offsets = itertools.product(rows, cols)
     chunks = iter(lambda: list(itertools.islice(offsets, per_forward)), [])
-    pinned = _pin_malloc()
+    pinned = pin_malloc()
 
     def run_chunk(chunk: list[tuple[int, int]]):
         x = np.stack([frames_logit[:, :, r:r + size, ch:ch + size] for r, ch in chunk])
@@ -205,7 +132,7 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
             accumulate(*run_chunk(chunk))
     else:
         limit, held = 2 * cfg.threads, 0
-        with _one_blas_thread(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        with one_blas_thread(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             in_flight = deque()
             for chunk in chunks:
                 if len(in_flight) == limit:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sardist
+from sardist import native
 from sardist.cli import main
 from sardist.disturbance import lower_median
 from sardist.model import Model, ModelConfig, save_checkpoint
@@ -414,6 +415,11 @@ class TestModelCommands:
         manifest = json.loads((ckpt / "run.manifest.json").read_text())
         assert manifest["completed_epochs"] == 1
         assert manifest["diverged"] is False
+        facts = manifest["training"]
+        assert sorted(facts) == ["epoch_step_seconds", "malloc_pinned", "subnormals_flushed"]
+        assert isinstance(facts["malloc_pinned"], bool)
+        assert facts["subnormals_flushed"] is (native._FENV is not None)
+        assert len(facts["epoch_step_seconds"]) == 1 and facts["epoch_step_seconds"][0] > 0
 
     def test_estimate_and_mahalanobis_chain(self, trained, tmp_path):
         scene = str(tmp_path / "scene.rts")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sardist import inference
+from sardist import inference, native
 from sardist.autodiff import Tensor
 from sardist.errors import ValidationError
 from sardist.inference import SweepConfig, forecast, sweep_estimate, window_positions
@@ -432,9 +432,9 @@ class TestBlasCap:
     @pytest.fixture
     def get(self):
         """The BLAS count getter, with the pool at 2 threads so a cap to 1 shows."""
-        if inference._BLAS is None:
+        if native._BLAS is None:
             pytest.skip("numpy's bundled OpenBLAS thread symbols not found; the cap is a no-op")
-        get, set_ = inference._BLAS
+        get, set_ = native._BLAS
         before = get()
         set_(2)
         yield get
@@ -487,7 +487,7 @@ class TestBlasCap:
     def test_sweep_without_blas_library_is_unchanged(self, monkeypatch):
         model = tiny_model(seed=9)
         frames = logit_frames(np.random.default_rng(9), h=12, w=12)
-        monkeypatch.setattr(inference, "_BLAS", None)
+        monkeypatch.setattr(native, "_BLAS", None)
         single = sweep_estimate(model, frames, SweepConfig(stride=2, batch_size=4))
         threaded = sweep_estimate(model, frames, SweepConfig(stride=2, batch_size=4, threads=2))
         np.testing.assert_array_equal(single.mu, threaded.mu)
@@ -520,8 +520,8 @@ class TestMallocPin:
         frames = logit_frames(np.random.default_rng(10), h=12, w=12)
         cfg = SweepConfig(stride=2, batch_size=4, threads=2)
         before = sweep_estimate(model, frames, cfg)
-        monkeypatch.setattr(inference, "_pin_malloc", cache(inference._pin_malloc.__wrapped__))
-        monkeypatch.setattr(inference.ctypes, "CDLL", lambda name: SimpleNamespace())
+        monkeypatch.setattr(inference, "pin_malloc", cache(native.pin_malloc.__wrapped__))
+        monkeypatch.setattr(native.ctypes, "CDLL", lambda name: SimpleNamespace())
         stats = {}
         after = sweep_estimate(model, frames, cfg, stats)
         assert stats["mallopt_pinned"] is False
@@ -530,8 +530,8 @@ class TestMallocPin:
 
     def test_pinned_once_per_process(self, monkeypatch):
         libc = FakeLibc()
-        monkeypatch.setattr(inference, "_pin_malloc", cache(inference._pin_malloc.__wrapped__))
-        monkeypatch.setattr(inference.ctypes, "CDLL", libc)
+        monkeypatch.setattr(inference, "pin_malloc", cache(native.pin_malloc.__wrapped__))
+        monkeypatch.setattr(native.ctypes, "CDLL", libc)
         frames = np.zeros((2, 2, 8, 8), dtype=np.float32)
         for threads in (1, 2, 1):
             stats = {}

@@ -1,6 +1,9 @@
 """Tests for the training loop: objective, optimizer, batching, gradient checks."""
 
 import math
+import tracemalloc
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sardist import model as model_module
+from sardist import native, training
 from sardist.autodiff import Tensor
 from sardist.errors import ValidationError
 from sardist.model import Model, ModelConfig
@@ -251,6 +255,148 @@ class TestAdam:
         np.testing.assert_allclose(p.data, adam_mirror(w0, grads, 1e-3), rtol=1e-11)
 
 
+def allocating_adam(w0: np.ndarray, grads: list[np.ndarray], lr: float,
+                    b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
+    """The allocating update, op for op, in w0's dtype; returns the final (w, m, v)."""
+    w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return w, m, v
+
+
+def run_adam(w0: np.ndarray, grads: list[np.ndarray], lr: float) -> Adam:
+    p = Tensor(w0.copy(), requires_grad=True)
+    opt = Adam({"w": p})
+    for g in grads:
+        p.grad = g
+        opt.step(lr)
+    return opt
+
+
+def subnormals(a: np.ndarray) -> int:
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+def assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def zero_tail_grads(size: int = 64) -> list[np.ndarray]:
+    """One normal gradient, then 900 zeros: m decays below float32's normal range
+    from about step 810 and is still nonzero at step 901 (0.1 * 0.9**900 ~ 7e-43)."""
+    first = np.random.default_rng(20).normal(size=size).astype(np.float32)
+    return [first] + [np.zeros(size, np.float32)] * 900
+
+
+def subnormal_product() -> float:
+    """1e-20 * 1e-20 in float32: 1e-40 where subnormals survive, 0 where they flush."""
+    return float((np.full(4, 1e-20, np.float32) * np.float32(1e-20))[0])
+
+
+class TestAdamInPlace:
+    def test_fifty_steps_bitwise_equal_to_allocating_form(self):
+        rng = np.random.default_rng(21)
+        w0 = rng.normal(size=(37, 11)).astype(np.float32)
+        grads = [(rng.normal(size=w0.shape) * 10.0 ** rng.uniform(-3, 1)).astype(np.float32)
+                 for _ in range(50)]
+        opt = run_adam(w0, grads, 1e-3)
+        w, m, v = allocating_adam(w0, grads, 1e-3)
+        assert_bitwise(opt.params["w"].data, w)
+        assert_bitwise(opt.m["w"], m)
+        assert_bitwise(opt.v["w"], v)
+
+    def test_state_arrays_keep_their_identity(self):
+        p = Tensor(np.ones((4, 3), np.float32), requires_grad=True)
+        opt = Adam({"p": p})
+        held = (p.data, opt.m["p"], opt.v["p"])
+        for k in range(3):
+            p.grad = np.full((4, 3), k + 1.0, np.float32)
+            opt.step(1e-2)
+        assert all(a is b for a, b in zip((p.data, opt.m["p"], opt.v["p"]), held))
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        n = 1 << 20   # 4 MiB of float32
+        rng = np.random.default_rng(22)
+        p = Tensor(rng.normal(size=n).astype(np.float32), requires_grad=True)
+        p.grad = rng.normal(size=n).astype(np.float32)
+        opt = Adam({"p": p})
+        opt.step(1e-3)   # the first step may settle lazy state
+        tracemalloc.start()
+        try:
+            opt.step(1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_mixed_dtypes_match_mirror(self):
+        rng = np.random.default_rng(23)
+        w32 = rng.normal(size=(3, 4)).astype(np.float32)
+        w64 = rng.normal(size=(5,))
+        g32 = [rng.normal(size=w32.shape).astype(np.float32) for _ in range(7)]
+        g64 = [rng.normal(size=w64.shape) for _ in range(7)]
+        a = Tensor(w32.copy(), requires_grad=True)
+        b = Tensor(w64.copy(), requires_grad=True)
+        opt = Adam({"a": a, "b": b})
+        for ga, gb in zip(g32, g64):
+            a.grad, b.grad = ga, gb
+            opt.step(3e-4)
+        assert a.data.dtype == np.float32 and b.data.dtype == np.float64
+        np.testing.assert_allclose(a.data, adam_mirror(w32, g32, 3e-4), rtol=1e-6, atol=1e-7)
+        np.testing.assert_allclose(b.data, adam_mirror(w64, g64, 3e-4), rtol=1e-12)
+        assert_bitwise(a.data, allocating_adam(w32, g32, 3e-4)[0])
+        assert_bitwise(b.data, allocating_adam(w64, g64, 3e-4)[0])
+
+
+class TestAdamFlush:
+    @pytest.fixture
+    def fenv(self):
+        if native._FENV is None:
+            pytest.skip("no x86-64 libm fenv calls here; the flush scope is a no-op")
+
+    def test_zero_grad_tail_leaves_no_subnormal_and_same_weights(self, fenv):
+        w0 = np.random.default_rng(24).normal(size=64).astype(np.float32)
+        grads = zero_tail_grads()
+        w, m, _ = allocating_adam(w0, grads, 1e-3)
+        assert subnormals(m) == 64   # the allocating form keeps every m subnormal
+        opt = run_adam(w0, grads, 1e-3)
+        assert opt.subnormals_flushed
+        assert subnormals(opt.m["w"]) == 0
+        assert_bitwise(opt.params["w"].data, w)
+
+    def test_scope_flushes_and_restores(self, fenv):
+        assert subnormal_product() != 0.0
+        with native.flush_subnormals() as flushed:
+            assert flushed and subnormal_product() == 0.0
+        assert subnormal_product() != 0.0
+
+    def test_mxcsr_restored_after_a_step_and_a_raising_step(self, fenv):
+        p = Tensor(np.ones(8, np.float32), requires_grad=True)
+        p.grad = np.ones(8, np.float32)
+        opt = Adam({"p": p})
+        opt.step(1e-3)
+        assert subnormal_product() != 0.0
+        p.grad = np.ones(5, np.float32)   # wrong shape: the update raises mid-scope
+        with pytest.raises(ValueError):
+            opt.step(1e-3)
+        assert subnormal_product() != 0.0
+
+    def test_without_libm_step_is_bitwise_equal(self, monkeypatch):
+        monkeypatch.setattr(native, "_FENV", None)
+        w0 = np.random.default_rng(25).normal(size=64).astype(np.float32)
+        grads = zero_tail_grads()
+        opt = run_adam(w0, grads, 1e-3)
+        w, m, v = allocating_adam(w0, grads, 1e-3)
+        assert not opt.subnormals_flushed
+        assert_bitwise(opt.params["w"].data, w)
+        assert_bitwise(opt.m["w"], m)
+        assert_bitwise(opt.v["w"], v)
+
+
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------
@@ -392,6 +538,32 @@ class TestTrainLoop:
             train(Model(tiny_cfg(), seed=0), TrainConfig(),
                   np.zeros((4, 11, 2, 4)))
 
+    def test_stats_record_run_facts(self):
+        cfg = TrainConfig(batch_size=2, epochs=3, lr_initial=1e-3, lr_after_decay=1e-3,
+                          decay_epoch=3, steps_per_epoch=2, seed=3)
+        stats = {}
+        plain = train(Model(tiny_cfg(), seed=7), cfg, small_corpus())
+        res = train(Model(tiny_cfg(), seed=7), cfg, small_corpus(), stats)
+        assert sorted(stats) == ["epoch_step_seconds", "malloc_pinned", "subnormals_flushed"]
+        assert isinstance(stats["malloc_pinned"], bool)
+        assert stats["subnormals_flushed"] is (native._FENV is not None)
+        assert len(stats["epoch_step_seconds"]) == 3
+        assert all(s > 0 for s in stats["epoch_step_seconds"])
+        assert res.loss_csv() == plain.loss_csv()   # timings stay out of loss.csv
+
+    def test_without_glibc_allocator_calls_is_unchanged(self, monkeypatch):
+        cfg = TrainConfig(batch_size=2, epochs=2, lr_initial=1e-3, lr_after_decay=1e-3,
+                          decay_epoch=2, steps_per_epoch=2, seed=4)
+        before = train(Model(tiny_cfg(), seed=8), cfg, small_corpus())
+        monkeypatch.setattr(training, "pin_malloc", cache(native.pin_malloc.__wrapped__))
+        monkeypatch.setattr(native.ctypes, "CDLL", lambda name: SimpleNamespace())
+        stats = {}
+        after = train(Model(tiny_cfg(), seed=8), cfg, small_corpus(), stats)
+        assert stats["malloc_pinned"] is False
+        assert after.loss_rows == before.loss_rows
+        for name, p in after.model.params.items():
+            assert_bitwise(p.data, before.model.params[name].data)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_rolls_back_to_init(self):
         # an absurd learning rate blows up inside epoch 1; the model must come
@@ -400,8 +572,10 @@ class TestTrainLoop:
                           lr_after_decay=1e10, decay_epoch=2,
                           steps_per_epoch=4, seed=0)
         model = Model(tiny_cfg(), seed=0)
-        res = train(model, cfg, small_corpus(scale=4.0))
+        stats = {}
+        res = train(model, cfg, small_corpus(scale=4.0), stats)
         assert res.diverged
+        assert stats["epoch_step_seconds"] == []
         assert res.completed_epochs == 0
         assert res.loss_rows == []
         fresh = Model(tiny_cfg(), seed=0)
