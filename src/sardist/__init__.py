@@ -10,8 +10,8 @@ baseline for comparison.
 
 __version__ = "0.1.0"
 
-from .errors import (FormatError, NumericError, SardistError, ShapeError,
-                     StorageError, ValidationError)
+from .errors import (FormatError, ProvenanceError, SardistError, ShapeError,
+                     ValidationError)
 from .raster import (BinaryDelineation, DistributionEstimate, DisturbanceMap,
                      RasterStack, read_stack, write_stack)
 from .synth import SynthConfig, generate_scene, generate_training_corpus
@@ -19,13 +19,13 @@ from .preprocess import PreprocessConfig, clip_unit, despeckle_stack, logit, to_
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import TrainConfig, nll_loss, train
 from .inference import SweepConfig, forecast, sweep_estimate
-from .disturbance import log_ratio_map, mahalanobis_map, threshold_map
+from .disturbance import log_ratio_map, mahalanobis_map, score_frame, threshold_map
 from .evaluation import build_labeled_set, pr_curve, two_image_scores
 
 __all__ = [
     "__version__",
     "SardistError", "ValidationError", "ShapeError",
-    "FormatError", "NumericError", "StorageError",
+    "FormatError", "ProvenanceError",
     "RasterStack", "DistributionEstimate", "DisturbanceMap",
     "BinaryDelineation", "read_stack", "write_stack",
     "SynthConfig", "generate_scene", "generate_training_corpus",
@@ -33,6 +33,6 @@ __all__ = [
     "Model", "ModelConfig", "load_checkpoint", "save_checkpoint",
     "TrainConfig", "train", "nll_loss",
     "SweepConfig", "sweep_estimate", "forecast",
-    "mahalanobis_map", "log_ratio_map", "threshold_map",
+    "mahalanobis_map", "log_ratio_map", "score_frame", "threshold_map",
     "build_labeled_set", "pr_curve", "two_image_scores",
 ]

@@ -230,29 +230,19 @@ class Tensor:
 
     # -- reductions and shape moves -------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self):
+        """Sum of every element, as a 0-d tensor."""
+        out_data = self.data.sum()
 
         def back(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
+            if self.requires_grad:
                 self.accumulate(np.broadcast_to(g, self.data.shape).copy())
-                return
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(g, axis)
-            self.accumulate(np.broadcast_to(gg, self.data.shape).copy())
 
         return Tensor(np.asarray(out_data), parents=(self,), backward=back)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            n = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self):
+        """Mean of every element, as a 0-d tensor."""
+        return self.sum() * (1.0 / self.data.size)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

@@ -5,19 +5,19 @@ ablate, selftest. Every run writes exactly one JSON manifest alongside its
 outputs recording the resolved configuration, inputs, outputs, seed, tool
 version and wall-clock duration.
 
-The CLI only resolves flags, reads inputs and writes outputs; forecasting
-(`inference.forecast`) and two-image scoring (`evaluation.two_image_scores`)
-live in the library. `eval` scores the estimate `estimate --drop-last 2` wrote.
+The CLI only resolves flags, reads and writes; the library forecasts
+(`inference.forecast`), picks and checks the scored frames (`score_frame`,
+`two_image_scores`). `eval` scores the estimate `estimate --drop-last 2` wrote.
 
 Each flag is declared once, in `COMMANDS` or a dataclass table, with its type.
 Flag precedence: explicit flags > --config JSON file > built-in defaults. A
 config value must have the flag's JSON type: an integer for int flags, a number
 for float flags, a string for paths and choices, true or false for switches and
-a list of (vv, vh) number pairs for --class-gamma0. A flag's text is read into
-that type, so both sources are checked by the same rule. A config key that
-is not a flag of any subcommand is a validation error.
-Thread count resolves as --threads > SARDIST_THREADS > 1; one thread is the
-bitwise reference path, and N > 1 sweep workers run BLAS single-threaded.
+a list of (vv, vh) number pairs for --class-gamma0, and 0 <= seed < 2**64. A
+flag's text is read into that type, so both sources are checked by the same
+rule. A config key that is not a flag of any subcommand is a validation error.
+Threads resolve as --threads > --config > 1; one thread is the bitwise
+reference path, and N > 1 sweep workers run BLAS single-threaded.
 
 Exit codes: 0 success (stderr empty), 1 validation error (bad values,
 malformed files, diverged training), 2 I/O error; stderr then holds one line.
@@ -35,10 +35,10 @@ import warnings
 from dataclasses import replace
 
 from . import __version__
-from .errors import ValidationError
+from .errors import ProvenanceError, ValidationError
 from .evaluation import REPORT_FILES, default_tau_grid, emit_report, f1_vs_threshold, \
     pr_curve, two_image_scores
-from .disturbance import log_ratio_map, mahalanobis_map, threshold_map
+from .disturbance import score_frame, threshold_map
 from .inference import _FORWARD_WINDOWS, SweepConfig, forecast
 from .model import Model, ModelConfig, load_checkpoint, preset_input_patch, \
     preset_model_size, save_checkpoint
@@ -58,8 +58,16 @@ def _class_gamma0(value) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(_convert(float, v) for v in entry) for entry in value)
 
 
+def _seed(value) -> int:
+    """0 <= seed < 2**64: numpy rejects a negative seed, splitmix64 wraps a larger one."""
+    value = _convert(int, value)
+    if not 0 <= value < 2**64:
+        raise ValueError(value)
+    return value
+
+
 # A flag's type is int, float, str (every str flag names a file), bool (a switch),
-# a tuple of choices, or a converter of JSON values such as _class_gamma0.
+# a tuple of choices, or a converter of JSON values such as _class_gamma0 or _seed.
 # (flag, config field, type): each table declares its flags and resolves them
 # into the fields of its dataclass, whose values are the defaults
 SYNTH_FLAGS = (
@@ -94,7 +102,8 @@ ABLATE_GRIDS = ("input-patch", "model-size", "learning-rate")
 
 #: what a value of each flag type must be, for error messages
 _EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
-             _class_gamma0: "a JSON list of (vv, vh) number pairs"}
+             _class_gamma0: "a JSON list of (vv, vh) number pairs",
+             _seed: "an integer in [0, 2**64)"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -186,9 +195,8 @@ class _Resolver:
                 raise ValidationError(f"{source} must be {expected}, got {value!r}") from None
 
     def get(self, name: str):
-        """The value of flag `name`; a callable default is called."""
-        default = self.defaults[name]
-        return self._take(name, default() if callable(default) else default)
+        """The value of flag `name`."""
+        return self._take(name, self.defaults[name])
 
     def require(self, what: str, *names: str) -> list:
         """The values of flags `names`, without which `what` cannot run."""
@@ -210,18 +218,13 @@ class _Resolver:
         return value
 
 
-def _env_threads() -> int:
-    env = os.environ.get("SARDIST_THREADS")
-    try:
-        return int(env) if env else 1
-    except ValueError:
-        raise ValidationError(f"SARDIST_THREADS must be an integer, got {env!r}") from None
-
-
-def _estimate_flags(r: _Resolver, command: str):
-    """The estimate named by --mu/--sigma, and those two paths."""
+def _score_estimate(r: _Resolver, command: str, score, *args):
+    """score(*args, est) and the --mu/--sigma paths; a provenance error names mu."""
     paths = r.require(f"{command} mahalanobis", "mu", "sigma")
-    return read_estimate(*paths), paths
+    try:
+        return score(*args, read_estimate(*paths)), paths
+    except ProvenanceError as exc:
+        raise ProvenanceError(f"{paths[0]}: {exc}") from None
 
 
 def _write_manifest(r: _Resolver, target: str, inputs: list[str], outputs: list[str],
@@ -322,19 +325,11 @@ def _cmd_train(r: _Resolver) -> int:
 def _cmd_estimate(r: _Resolver) -> int:
     ckpt, inp, out_mu, out_sigma = r.require("estimate", "checkpoint", "input", "out-mu",
                                              "out-sigma")
-    sweep = r.config(SweepConfig(threads=_env_threads()), SWEEP_FLAGS)
-    drop_last = r.get("drop-last")
-    if drop_last < 0:
-        raise ValidationError(f"drop-last must be >= 0, got {drop_last}")
+    sweep = r.config(SweepConfig(), SWEEP_FLAGS)
     stack = read_stack(inp, allow_raw=r.get("allow-raw"))
-    frames = stack.values if drop_last == 0 else stack.values[:-drop_last]
-    if frames.shape[0] < 2:
-        raise ValidationError(f"only {frames.shape[0]} frames left after --drop-last")
     stats = {}
-    est = forecast(load_checkpoint(ckpt), frames, sweep, stats)
-    # stamped with the last frame it saw, so metric and eval can tell which frames it forecast
-    write_estimate(replace(est, timestamp=stack.timestamps[len(frames) - 1]),
-                   out_mu, out_sigma)
+    est = forecast(load_checkpoint(ckpt), stack, sweep, r.get("drop-last"), stats)
+    write_estimate(est, out_mu, out_sigma)
     _write_manifest(r, out_mu, [ckpt, inp], [out_mu, out_sigma],
                     extra={"sweep": stats})
     print(f"estimated {inp} -> {out_mu}, {out_sigma}")
@@ -345,30 +340,12 @@ def _cmd_metric(r: _Resolver) -> int:
     kind, stack_path, out = r.require("metric", "kind", "stack", "out")
     stack = read_stack(stack_path, allow_raw=r.get("allow-raw"))
     frame = r.get("frame")
-    count = stack.num_steps
-    frame = frame if frame >= 0 else count + frame
-    if not 0 <= frame < count:
-        raise ValidationError(f"frame {frame} outside stack of {count} frames")
     if kind == "mahalanobis":
-        est, est_paths = _estimate_flags(r, "metric --kind")
-        if est.timestamp not in stack.timestamps[:frame]:
-            raise ValidationError(f"{est_paths[0]}: estimate forecasts from frames up to "
-                                  f"{est.timestamp!r}, not from frames before frame {frame} "
-                                  f"({stack.timestamps[frame]!r}) of {stack_path}")
-        dmap = mahalanobis_map(est, to_logit(stack.values[frame]))
-        inputs = [stack_path, *est_paths]
+        dmap, est_paths = _score_estimate(r, "metric --kind", score_frame, stack, frame)
     else:
-        baseline = r.get("baseline-frames")
-        baseline = frame if baseline is None else baseline
-        if baseline < 2:
-            raise ValidationError(f"log ratio needs >= 2 baseline frames, got {baseline}")
-        if baseline > frame:
-            # frames[:baseline] would hold the scored frame itself
-            raise ValidationError(f"baseline of {baseline} frames includes scored frame {frame}")
-        dmap = log_ratio_map(stack.values[:baseline], stack.values[frame])
-        inputs = [stack_path]
+        dmap, est_paths = score_frame(stack, frame, baseline=r.get("baseline-frames")), []
     write_metric_map(dmap, out)
-    _write_manifest(r, out, inputs, [out])
+    _write_manifest(r, out, [stack_path, *est_paths], [out])
     print(f"wrote {kind} map {out} (units {dmap.units})")
     return 0
 
@@ -390,21 +367,15 @@ def _cmd_eval(r: _Resolver) -> int:
     max_points = r.get("max-points")
     stack = read_stack(stack_path, allow_raw=r.get("allow-raw"))
     truth = read_mask(truth_path)
-    est, inputs = None, [stack_path, truth_path]
     if method == "mahalanobis":
-        est, est_paths = _estimate_flags(r, "eval --method")
-        inputs += est_paths
-        if stack.num_steps < 4:
-            raise ValidationError(f"evaluation needs >= 4 frames, got {stack.num_steps}")
-        if est.timestamp != stack.timestamps[-3]:
-            raise ValidationError(f"{est_paths[0]}: estimate forecasts from frames up to "
-                                  f"{est.timestamp!r}, eval needs {stack.timestamps[-3]!r} "
-                                  f"(estimate --drop-last 2 of {stack_path})")
-    labeled = two_image_scores(stack.values, truth, est)
+        labeled, est_paths = _score_estimate(r, "eval --method", two_image_scores, stack, truth)
+    else:
+        labeled, est_paths = two_image_scores(stack, truth), []
     curve = pr_curve(labeled, max_points=max_points)
     summary = emit_report(out_dir, curve, f1_vs_threshold(labeled, default_tau_grid(labeled)))
     outputs = [os.path.join(out_dir, name) for name in REPORT_FILES]
-    _write_manifest(r, out_dir, inputs, outputs, extra={"method": method})
+    _write_manifest(r, out_dir, [stack_path, truth_path, *est_paths], outputs,
+                    extra={"method": method})
     print(f"{method}: pr_auc={summary['pr_auc']:.4f} best_f1={summary['best_f1']:.4f} "
           f"best_tau={summary['best_tau']:.4f}")
     return 0
@@ -438,10 +409,10 @@ def _ablate_presets(grid: str):
         for input_size, patch in ((16, 8), (32, 8), (32, 16)):
             yield f"input{input_size}_patch{patch}", \
                 replace(preset_input_patch(input_size, patch), ff_dim=512,
-                        num_layers=2), None
+                        num_layers=2), 1e-3
     elif grid == "model-size":
         for ff, layers in ((512, 2), (768, 4), (1024, 8)):
-            yield f"ff{ff}_layers{layers}", preset_model_size(ff, layers), None
+            yield f"ff{ff}_layers{layers}", preset_model_size(ff, layers), 1e-3
     else:
         for lr in (1e-4, 1e-5, 1e-6):
             yield f"lr{lr:g}", preset_model_size(512, 2), lr
@@ -456,7 +427,6 @@ def _run_ablate_case(grid, label, model_cfg, lr, seed, corpus_size, epochs,
     corpus_manifest = generate_training_corpus(
         synth_cfg, corpus_size, seed, os.path.join(case_dir, "corpus"))
     frames = to_logit(load_corpus(corpus_manifest))
-    lr = lr if lr is not None else 1e-3
     tc = TrainConfig(batch_size=batch_size, epochs=epochs, seed=seed, lr_initial=lr,
                      lr_after_decay=lr / 10.0, decay_epoch=max(1, epochs))
     result = train(Model(model_cfg, seed=seed), tc, frames)
@@ -464,8 +434,8 @@ def _run_ablate_case(grid, label, model_cfg, lr, seed, corpus_size, epochs,
                         width=max(scene_size, model_cfg.input_size))
     stack, truth = generate_scene(scene_cfg, splitmix64(seed, 0xAB1A7E))
     sweep = SweepConfig(stride=model_cfg.patch_size, batch_size=64, threads=threads)
-    est = forecast(result.model, stack.values[:-2], sweep)
-    curve = pr_curve(two_image_scores(stack.values, truth, est))
+    est = forecast(result.model, stack, sweep, drop_last=2)
+    curve = pr_curve(two_image_scores(stack, truth, est))
     return (grid, label, result.model.parameter_count(), curve.auc, curve.best_f1)
 
 
@@ -486,12 +456,12 @@ _ESTIMATE = (("mu", str, None), ("sigma", str, None))
 COMMANDS = {
     "synth": (_cmd_synth, "generate synthetic scenes or training corpora", (
         ("kind", ("scene", "corpus"), "scene"), ("out", str, None), ("mask", str, None),
-        ("out-dir", str, None), ("count", int, 64), ("seed", int, 0)), (SYNTH_FLAGS,)),
+        ("out-dir", str, None), ("count", int, 64), ("seed", _seed, 0)), (SYNTH_FLAGS,)),
     "despeckle": (_cmd_despeckle, "TV-despeckle a stack or a whole corpus", (
         ("input", str, None), ("out", str, None), ("manifest", str, None),
         ("out-dir", str, None), _ALLOW_RAW), (PREPROCESS_FLAGS,)),
     "train": (_cmd_train, "train a forecasting model on a corpus", (
-        ("corpus", str, None), ("out", str, None), ("seed", int, 0),
+        ("corpus", str, None), ("out", str, None), ("seed", _seed, 0),
         ("model", ("transformer", "gru"), "transformer")), (MODEL_FLAGS, TRAIN_FLAGS)),
     "estimate": (_cmd_estimate, "sliding-window forecast of a scene; --batch-size is the most "
                  f"windows per forward pass, capped at {_FORWARD_WINDOWS}", (
@@ -510,7 +480,7 @@ COMMANDS = {
     "ablate": (_cmd_ablate, "run preset ablation grids at desk scale", (
         ("grid", (*ABLATE_GRIDS, "all"), "all"), ("out-dir", str, None),
         ("corpus-size", int, 64), ("epochs", int, 2), ("scene-size", int, 64),
-        ("batch-size", int, 32), ("threads", int, _env_threads), ("seed", int, 0)), ()),
+        ("batch-size", int, 32), ("threads", int, 1), ("seed", _seed, 0)), ()),
     "selftest": (_cmd_selftest, "run the built-in invariant checks", (), ()),
 }
 

@@ -16,14 +16,18 @@ reference built from the pre-event frames:
 Log-ratio maps carry raw log10-ratio values and are tagged with "log10_ratio"
 units; multiply by 10 only when displaying as dB. Thresholding is strict
 (score > tau) for both metrics.
+
+`score_frame` picks the scored frame and checks that its reference, estimate
+or baseline, saw only earlier frames.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
-from .raster import BinaryDelineation, DistributionEstimate, DisturbanceMap
+from .errors import ProvenanceError, ShapeError, ValidationError
+from .preprocess import to_logit
+from .raster import BinaryDelineation, DistributionEstimate, DisturbanceMap, RasterStack
 
 
 def lower_median(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -73,6 +77,30 @@ def log_ratio_map(pre_frames: np.ndarray, post: np.ndarray) -> DisturbanceMap:
     reference = lower_median(pre_frames, axis=0)          # (C, H, W)
     ell = np.abs(np.log10(post) - np.log10(reference))
     return DisturbanceMap(ell.max(axis=0), units="log10_ratio")
+
+
+def score_frame(stack: RasterStack, frame: int, est: DistributionEstimate | None = None,
+                baseline: int | None = None) -> DisturbanceMap:
+    """Metric map of frame `frame` of `stack` (negative counts from the end): against
+    `est`, which must be stamped with an earlier frame, or else by the log ratio
+    against the first `baseline` frames (default: all before `frame`; at least 2)."""
+    count = stack.num_steps
+    frame = frame if frame >= 0 else count + frame
+    if not 0 <= frame < count:
+        raise ValidationError(f"frame {frame} outside stack of {count} frames")
+    if est is not None:
+        if est.timestamp not in stack.timestamps[:frame]:
+            raise ProvenanceError(f"estimate forecasts from frames up to {est.timestamp!r}, "
+                                  f"not from frames before frame {frame} "
+                                  f"({stack.timestamps[frame]!r})")
+        return mahalanobis_map(est, to_logit(stack.values[frame]))
+    baseline = frame if baseline is None else baseline
+    if baseline < 2:
+        raise ValidationError(f"log ratio needs >= 2 baseline frames, got {baseline}")
+    if baseline > frame:
+        # values[:baseline] would hold the scored frame itself
+        raise ValidationError(f"baseline of {baseline} frames includes scored frame {frame}")
+    return log_ratio_map(stack.values[:baseline], stack.values[frame])
 
 
 def threshold_map(dmap: DisturbanceMap, tau: float) -> BinaryDelineation:

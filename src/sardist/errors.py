@@ -1,8 +1,8 @@
 """Error taxonomy shared across the package.
 
 Validation failures (bad values, malformed files, contract violations) are
-distinct from storage failures (missing files, short reads) so the CLI can
-map them to separate exit codes.
+distinct from storage failures, which are plain OSError, so the CLI can map
+them to separate exit codes.
 """
 
 
@@ -22,9 +22,5 @@ class FormatError(ValidationError):
     """A container file is malformed (bad magic, header, or payload size)."""
 
 
-class NumericError(SardistError, ArithmeticError):
-    """A numeric procedure diverged or produced non-finite values."""
-
-
-class StorageError(SardistError, OSError):
-    """An I/O operation failed."""
+class ProvenanceError(ValidationError):
+    """An estimate was not forecast from the frames before the one it scores."""

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disturbance import log_ratio_map, mahalanobis_map
-from .errors import ShapeError, ValidationError
-from .preprocess import to_logit
-from .raster import DistributionEstimate, DisturbanceMap, write_json, write_text
+from .disturbance import score_frame
+from .errors import ProvenanceError, ShapeError, ValidationError
+from .raster import DistributionEstimate, DisturbanceMap, RasterStack, write_json, write_text
 
 _FMT = "{:.10g}"
 
@@ -81,24 +80,24 @@ def build_labeled_set(pre_map: DisturbanceMap, post_map: DisturbanceMap,
     return LabeledScores(scores.astype(np.float64), labels)
 
 
-def two_image_scores(values: np.ndarray, truth: np.ndarray,
+def two_image_scores(stack: RasterStack, truth: np.ndarray,
                      est: DistributionEstimate | None = None) -> LabeledScores:
-    """Score the held-out pre frame and the post frame of a (S, C, H, W) stack.
+    """Score the held-out pre frame and the post frame of a stack of T >= 4 frames.
 
     Frames [:-2] are the baseline, frame -2 the held-out pre-event frame and
-    frame -1 the post-event frame. With an estimate, the forecast from the
-    baseline, both are scored against it; without one, by the log ratio
-    against the baseline.
+    frame -1 the post-event frame. With an estimate, which must have been
+    forecast from exactly the baseline (`forecast(..., drop_last=2)`), both are
+    scored against it; without one, by the log ratio against the baseline.
     """
-    if values.shape[0] < 4:
-        raise ValidationError(f"evaluation needs >= 4 frames, got {values.shape[0]}")
-    baseline, pre, post = values[:-2], values[-2], values[-1]
-    if est is None:
-        pre_map, post_map = log_ratio_map(baseline, pre), log_ratio_map(baseline, post)
-    else:
-        pre_map = mahalanobis_map(est, to_logit(pre))
-        post_map = mahalanobis_map(est, to_logit(post))
-    return build_labeled_set(pre_map, post_map, truth)
+    count = stack.num_steps
+    if count < 4:
+        raise ValidationError(f"evaluation needs >= 4 frames, got {count}")
+    if est is not None and est.timestamp != stack.timestamps[-3]:
+        raise ProvenanceError(f"estimate forecasts from frames up to {est.timestamp!r}, "
+                              f"two-image scoring needs {stack.timestamps[-3]!r} "
+                              f"(a forecast with drop_last=2)")
+    pre, post = (score_frame(stack, frame, est, count - 2) for frame in (-2, -1))
+    return build_labeled_set(pre, post, truth)
 
 
 @dataclass

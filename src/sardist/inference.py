@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import ValidationError
 from .model import Model
 from .native import one_blas_thread, pin_malloc
 from .preprocess import to_logit
-from .raster import DistributionEstimate
+from .raster import DistributionEstimate, RasterStack
 
 
 #: most windows one forward covers (a chunk): the benchmark model (ff 512,
@@ -151,7 +151,14 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
     return DistributionEstimate(mu, sigma)
 
 
-def forecast(model: Model, values: np.ndarray, sweep: SweepConfig | None = None,
-             stats: dict | None = None) -> DistributionEstimate:
-    """Forecast the frame after a (T, C, H, W) backscatter stack in (0, 1)."""
-    return sweep_estimate(model, to_logit(values), sweep, stats)
+def forecast(model: Model, stack: RasterStack, sweep: SweepConfig | None = None,
+             drop_last: int = 0, stats: dict | None = None) -> DistributionEstimate:
+    """Forecast the frame after the first T - `drop_last` frames of `stack`, stamped
+    with the last of them so a scorer can tell which frames it saw."""
+    if drop_last < 0:
+        raise ValidationError(f"drop-last must be >= 0, got {drop_last}")
+    seen = max(stack.num_steps - drop_last, 0)
+    if seen < 2:
+        raise ValidationError(f"only {seen} frames left after --drop-last")
+    est = sweep_estimate(model, to_logit(stack.values[:seen]), sweep, stats)
+    return replace(est, timestamp=stack.timestamps[seen - 1])

@@ -95,14 +95,6 @@ class RasterStack:
     def num_steps(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[3]
-
 
 @dataclass
 class DistributionEstimate:

@@ -17,7 +17,7 @@ seed, so corpus generation order (or parallelism) cannot change content.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -164,19 +164,6 @@ def make_connected_mask(height: int, width: int, fraction: float,
     return mask
 
 
-def _base_sequence(cfg: SynthConfig, seed: int, num_steps: int) -> np.ndarray:
-    """Disturbance-free (T, C, H, W) intensities before clipping."""
-    rng = np.random.default_rng(seed)
-    labels = make_mosaic(cfg, rng)                       # (H, W)
-    levels = _class_levels(cfg, rng)                     # (C, K)
-    season_db = _seasonal_db(cfg, rng)                   # (num_steps, K)
-    base = levels[:, labels]                             # (C, H, W)
-    season = 10.0 ** (season_db[:, labels][:, None, :, :] / 10.0)  # (T, 1, H, W)
-    speckle = rng.gamma(shape=cfg.looks, scale=1.0 / cfg.looks,
-                        size=(num_steps, 2, cfg.height, cfg.width))
-    return base[None, :, :, :] * season * speckle
-
-
 def generate_scene(cfg: SynthConfig, seed: int | None = None) -> tuple[RasterStack, np.ndarray]:
     """Scene with a disturbance in the final frame; returns (stack, truth mask).
 
@@ -184,7 +171,14 @@ def generate_scene(cfg: SynthConfig, seed: int | None = None) -> tuple[RasterSta
     """
     cfg.validate()
     seed = cfg.seed if seed is None else seed
-    values = _base_sequence(cfg, seed, cfg.num_steps)
+    rng = np.random.default_rng(seed)
+    labels = make_mosaic(cfg, rng)                       # (H, W)
+    levels = _class_levels(cfg, rng)                     # (C, K)
+    season_db = _seasonal_db(cfg, rng)                   # (T, K)
+    season = 10.0 ** (season_db[:, labels][:, None, :, :] / 10.0)  # (T, 1, H, W)
+    speckle = rng.gamma(shape=cfg.looks, scale=1.0 / cfg.looks,
+                        size=(cfg.num_steps, 2, cfg.height, cfg.width))
+    values = levels[:, labels][None, :, :, :] * season * speckle
     mask_rng = np.random.default_rng(splitmix64(seed, 0x5EED))
     mask = make_connected_mask(cfg.height, cfg.width, cfg.disturbance_fraction, mask_rng)
     values[-1] = np.where(mask[None, :, :],
@@ -196,12 +190,9 @@ def generate_scene(cfg: SynthConfig, seed: int | None = None) -> tuple[RasterSta
 
 
 def generate_nominal_sequence(cfg: SynthConfig, seed: int | None = None) -> RasterStack:
-    """Disturbance-free sequence used for self-supervised training."""
-    cfg.validate()
-    seed = cfg.seed if seed is None else seed
-    values = _base_sequence(cfg, seed, cfg.num_steps)
-    values = np.clip(values, CLIP_EPS, 1.0 - CLIP_EPS).astype(np.float32)
-    return RasterStack(values, _timestamps(cfg, cfg.num_steps))
+    """Disturbance-free sequence used for self-supervised training: a scene
+    whose disturbance covers no pixel, so its last frame is left as drawn."""
+    return generate_scene(replace(cfg, disturbance_fraction=0.0), seed)[0]
 
 
 def generate_training_corpus(cfg: SynthConfig, count: int, master_seed: int | None = None,

@@ -21,7 +21,7 @@ from sardist.model import (
     patch_split,
     preset_model_size,
 )
-from sardist.preprocess import clip_unit, despeckle_values, logit
+from sardist.preprocess import despeckle_stack, despeckle_values, to_logit
 from sardist.raster import DistributionEstimate
 from sardist.synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus
 from sardist.training import TrainConfig, nll_loss, train
@@ -189,7 +189,7 @@ def test_criterion_07_end_to_end_benchmark(tmp_path):
     manifest = generate_training_corpus(syn, 512, 2024, str(tmp_path / "corpus"))
     seqs = load_corpus(manifest)
     den = despeckle_values(seqs.reshape(-1, 16, 16)).reshape(seqs.shape)
-    frames = logit(clip_unit(den, 1e-4)).astype(np.float32)
+    frames = to_logit(den)
     model = Model(preset_model_size(512, 2), seed=0)
     tc = TrainConfig(batch_size=1, epochs=5, lr_initial=5e-4, lr_after_decay=5e-4,
                      decay_epoch=5, seed=0)
@@ -198,10 +198,10 @@ def test_criterion_07_end_to_end_benchmark(tmp_path):
     scene_cfg = SynthConfig(height=128, width=128, seasonal_amplitude_db=1.5,
                             seasonal_period=24, disturbance_fraction=0.05)
     stack, truth = generate_scene(scene_cfg, 303)
-    sden = despeckle_values(stack.values.reshape(-1, 128, 128)).reshape(stack.values.shape)
+    sden = despeckle_stack(stack)
 
     # the two-image protocol: forecast from frames [:-2], score frames -2 and -1
-    est = forecast(model, sden[:-2], SweepConfig(stride=2, batch_size=64))
+    est = forecast(model, sden, SweepConfig(stride=2, batch_size=64), drop_last=2)
     transformer = pr_curve(two_image_scores(sden, truth, est))
     logratio = pr_curve(two_image_scores(sden, truth))
 

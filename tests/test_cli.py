@@ -77,11 +77,11 @@ class TestPlumbing:
         assert info.value.code == 0
         assert capsys.readouterr().out.strip()
 
-    def test_validation_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+    def test_validation_failure_exits_1(self, tmp_path, capsys):
         # synth scene without --out/--mask
         assert run("synth", "--kind", "scene", "--seed", "1") == 1
-        # malformed config JSON, a non-numeric or infinite config value, a bad
-        # thread variable: one error line naming the file, key or variable
+        # malformed config JSON, a non-numeric or infinite config value: one
+        # error line naming the file or key
         bad_json = tmp_path / "bad.json"
         bad_json.write_text('{"stride": 4,')
         bad_value = tmp_path / "value.json"
@@ -98,11 +98,6 @@ class TestPlumbing:
             assert run(*estimate, "--config", str(config)) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err and err.count("\n") == 1
-        monkeypatch.setenv("SARDIST_THREADS", "abc")
-        assert run(*estimate) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: SARDIST_THREADS") and err.count("\n") == 1
-        monkeypatch.delenv("SARDIST_THREADS")
         # a checkpoint whose model.json config carries an unknown key
         cfg = ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8)
         save_checkpoint(Model(cfg, seed=0), str(tmp_path / "ckpt"))
@@ -169,12 +164,12 @@ class TestPlumbing:
         # config alone
         assert run("synth", "--kind", "scene", "--config", str(cfg_path),
                    "--out", out_a, "--mask", str(tmp_path / "ma.rts")) == 0
-        assert read_stack(out_a).height == 20
+        assert read_stack(out_a).values.shape[2] == 20
         # flag beats config
         assert run("synth", "--kind", "scene", "--config", str(cfg_path),
                    "--height", "24", "--width", "24",
                    "--out", out_b, "--mask", str(tmp_path / "mb.rts")) == 0
-        assert read_stack(out_b).height == 24
+        assert read_stack(out_b).values.shape[2] == 24
 
     def test_manifest_written_next_to_output(self, tmp_path):
         out = str(tmp_path / "s.rts")
@@ -230,7 +225,17 @@ VALUE_CASES = [
     ("argv", "choice", METRIC + ["--kind", "median"], None, "--kind"),
     ("config", "choice", METRIC, {"kind": "median"}, "kind"),
     ("config", "path", LOGRATIO, {"out": 7}, "out"),
+    ("config", "seed", SCENE, {"seed": -1}, "seed"),
 ]
+# every command that reads --seed, with tiny sizes and outputs under {o}
+SEED_COMMANDS = {
+    "synth-scene": SCENE,
+    "synth-corpus": ["synth", "--kind", "corpus", "--count", "1", "--out-dir", "{o}/c"],
+    "train": ["train", "--corpus", "{r}/corpus/corpus.json", "--out", "{o}/ckpt",
+              *TINY_MODEL_FLAGS, "--epochs", "1", "--batch-size", "1"],
+    "ablate": ["ablate", "--grid", "learning-rate", "--corpus-size", "1", "--epochs", "1",
+               "--scene-size", "16", "--batch-size", "1", "--out-dir", "{o}/a"],
+}
 
 
 class TestFlagValues:
@@ -252,6 +257,19 @@ class TestFlagValues:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"{named} must be" in err and (config is None or "cfg.json: " in err), err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+    def test_out_of_range_seed_is_one_error_line(self, trained, tmp_path, capsys, command,
+                                                 seed):
+        # a negative seed fails inside numpy, and 2**64 would alias seed 0 in
+        # every splitmix64 child stream
+        argv = [a.format(r=trained, o=tmp_path) for a in SEED_COMMANDS[command]]
+        capsys.readouterr()
+        assert run(*argv, "--seed", seed) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --seed must be an integer in [0, 2**64), got {seed!r}\n", err
+        assert os.listdir(tmp_path) == []
 
     def test_unknown_config_key_is_one_error_line(self, scored, tmp_path, capsys):
         # a misspelt key must not be ignored: "fram" would leave --frame at -1
@@ -303,7 +321,7 @@ class TestSynthCommand:
         with open(a_mask, "rb") as fh_a, open(b_mask, "rb") as fh_b:
             assert fh_a.read() == fh_b.read()
         stack = read_stack(a_out)
-        assert stack.num_steps == 5 and stack.height == 24
+        assert stack.num_steps == 5 and stack.values.shape[2] == 24
         mask = read_mask(a_mask)
         assert mask.dtype == bool and mask.any()
 
@@ -595,7 +613,6 @@ class TestModelCommands:
         mu, sigma = str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")
         src = os.path.dirname(os.path.dirname(sardist.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        env.pop("SARDIST_THREADS", None)
         proc = subprocess.run(
             [sys.executable, "-m", "sardist.cli", "estimate", "--checkpoint", str(ckpt),
              "--input", scene, "--out-mu", mu, "--out-sigma", sigma, "--drop-last", "2",

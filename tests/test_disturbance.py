@@ -9,10 +9,12 @@ from sardist.disturbance import (
     log_ratio_map,
     lower_median,
     mahalanobis_map,
+    score_frame,
     threshold_map,
 )
-from sardist.errors import ShapeError, ValidationError
-from sardist.raster import DistributionEstimate
+from sardist.errors import ProvenanceError, ShapeError, ValidationError
+from sardist.preprocess import to_logit
+from sardist.raster import DistributionEstimate, RasterStack
 
 
 def scalar_mahalanobis(est: DistributionEstimate, post: np.ndarray) -> np.ndarray:
@@ -232,6 +234,64 @@ class TestLogRatioMap:
         post[0, 0, 0] = np.nan
         with pytest.raises(ValidationError):
             log_ratio_map(pre, post)
+
+
+# ---------------------------------------------------------------------------
+# one frame of a stack
+# ---------------------------------------------------------------------------
+
+class TestScoreFrame:
+    """score_frame picks the frame and checks that its reference saw only earlier ones."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        values = rng.uniform(0.05, 0.6, size=(6, 2, 4, 4)).astype(np.float32)
+        self.stack = RasterStack(values, [f"2024-03-{d:02d}" for d in range(1, 7)])
+
+    def estimate_after(self, frame: int) -> DistributionEstimate:
+        """An estimate stamped as forecast from frames 0..frame."""
+        est = random_estimate(np.random.default_rng(frame), h=4, w=4)
+        return DistributionEstimate(est.mu, est.sigma, timestamp=self.stack.timestamps[frame])
+
+    def test_estimate_scores_any_later_frame(self):
+        est = self.estimate_after(2)
+        for frame in (3, 4, 5, -1, -3):
+            expected = mahalanobis_map(est, to_logit(self.stack.values[frame]))
+            np.testing.assert_array_equal(score_frame(self.stack, frame, est).values,
+                                          expected.values)
+
+    @pytest.mark.parametrize("seen", range(6))
+    def test_estimate_rejected_at_or_before_its_timestamp(self, seen):
+        est = self.estimate_after(seen)
+        for frame in range(seen + 1):
+            with pytest.raises(ProvenanceError, match="not from frames before"):
+                score_frame(self.stack, frame, est)
+            with pytest.raises(ProvenanceError):
+                score_frame(self.stack, frame - 6, est)
+
+    def test_unstamped_estimate_rejected(self):
+        est = random_estimate(np.random.default_rng(0), h=4, w=4)
+        with pytest.raises(ProvenanceError):
+            score_frame(self.stack, -1, est)
+
+    def test_log_ratio_defaults_to_every_earlier_frame(self):
+        for frame, baseline, n in ((5, None, 5), (5, 3, 3), (-1, 2, 2), (2, None, 2)):
+            expected = log_ratio_map(self.stack.values[:n], self.stack.values[frame])
+            np.testing.assert_array_equal(
+                score_frame(self.stack, frame, baseline=baseline).values, expected.values)
+
+    @pytest.mark.parametrize("frame, baseline, message", [
+        (3, 4, "baseline of 4 frames includes scored frame 3"),
+        (-3, 4, "baseline of 4 frames includes scored frame 3"),
+        (1, None, "log ratio needs >= 2 baseline frames, got 1"),
+        (5, 1, "log ratio needs >= 2 baseline frames, got 1"),
+        (6, None, "frame 6 outside stack of 6 frames"),
+        (-7, 2, "frame -1 outside stack of 6 frames"),
+    ])
+    def test_bad_frame_or_baseline_rejected(self, frame, baseline, message):
+        with pytest.raises(ValidationError) as info:
+            score_frame(self.stack, frame, baseline=baseline)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

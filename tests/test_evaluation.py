@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sardist.disturbance import log_ratio_map
-from sardist.errors import ShapeError, ValidationError
+from sardist.errors import ProvenanceError, ShapeError, ValidationError
 from sardist.evaluation import (
     LabeledScores,
     build_labeled_set,
@@ -24,8 +24,10 @@ from sardist.evaluation import (
     render_pr_svg,
     two_image_scores,
 )
+from sardist.inference import SweepConfig, forecast, sweep_estimate
+from sardist.model import Model, ModelConfig
 from sardist.preprocess import to_logit
-from sardist.raster import DistributionEstimate, DisturbanceMap
+from sardist.raster import DistributionEstimate, DisturbanceMap, RasterStack
 
 
 def exhaustive_pr(scores, labels):
@@ -131,23 +133,24 @@ class TestTwoImageScores:
 
     def setup_method(self):
         rng = np.random.default_rng(8)
-        self.values = rng.uniform(0.05, 0.6, size=(5, 2, 3, 4)).astype(np.float32)
-        self.truth = rng.random((3, 4)) < 0.5
+        self.values = rng.uniform(0.05, 0.6, size=(5, 2, 4, 4)).astype(np.float32)
+        self.stack = RasterStack(self.values, [f"2024-05-{d:02d}" for d in range(1, 6)])
+        self.truth = rng.random((4, 4)) < 0.5
         self.truth[0, 0] = True
 
     def test_estimate_scores_the_held_out_pair(self):
         # sigma 1 and mu equal to the pre frame's logits: the pre frame scores
         # 0 and the post frame its largest logit deviation
         pre, post = to_logit(self.values[-2]), to_logit(self.values[-1])
-        est = DistributionEstimate(pre, np.ones_like(pre))
-        ls = two_image_scores(self.values, self.truth, est)
-        np.testing.assert_array_equal(ls.scores[:12], 0.0)
+        est = DistributionEstimate(pre, np.ones_like(pre), timestamp=self.stack.timestamps[-3])
+        ls = two_image_scores(self.stack, self.truth, est)
+        np.testing.assert_array_equal(ls.scores[:16], 0.0)
         expected = np.abs(post - est.mu).max(axis=0).astype(np.float32)
-        np.testing.assert_array_equal(ls.scores[12:], expected.ravel())
-        np.testing.assert_array_equal(ls.labels[12:], self.truth.ravel())
+        np.testing.assert_array_equal(ls.scores[16:], expected.ravel())
+        np.testing.assert_array_equal(ls.labels[16:], self.truth.ravel())
 
     def test_without_estimate_uses_the_log_ratio(self):
-        ls = two_image_scores(self.values, self.truth)
+        ls = two_image_scores(self.stack, self.truth)
         baseline = self.values[:-2]
         expected = build_labeled_set(log_ratio_map(baseline, self.values[-2]),
                                      log_ratio_map(baseline, self.values[-1]), self.truth)
@@ -155,8 +158,20 @@ class TestTwoImageScores:
         np.testing.assert_array_equal(ls.labels, expected.labels)
 
     def test_needs_four_frames(self):
+        short = RasterStack(self.values[:3], self.stack.timestamps[:3])
         with pytest.raises(ValidationError, match="4 frames"):
-            two_image_scores(self.values[:3], self.truth)
+            two_image_scores(short, self.truth)
+
+    def test_scores_only_a_forecast_of_the_baseline(self):
+        model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,
+                                  num_layers=1, ff_dim=8, max_t=10, dropout=0.0), seed=0)
+        sweep = SweepConfig(stride=2)
+        two_image_scores(self.stack, self.truth, forecast(model, self.stack, sweep, 2))
+        # one that saw the pre frame, and an unstamped sweep of exactly the baseline
+        for est in (forecast(model, self.stack, sweep, 1),
+                    sweep_estimate(model, to_logit(self.values[:-2]), sweep)):
+            with pytest.raises(ProvenanceError, match="two-image scoring needs"):
+                two_image_scores(self.stack, self.truth, est)
 
 
 # ---------------------------------------------------------------------------

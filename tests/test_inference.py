@@ -18,7 +18,8 @@ from sardist.autodiff import Tensor
 from sardist.errors import ValidationError
 from sardist.inference import SweepConfig, forecast, sweep_estimate, window_positions
 from sardist.model import Model, ModelConfig
-from sardist.preprocess import clip_unit, logit
+from sardist.preprocess import clip_unit, logit, to_logit
+from sardist.raster import RasterStack
 
 
 class ConstantStub:
@@ -277,7 +278,7 @@ class TestSweepAveraging:
 
         stack = generate_nominal_sequence(SynthConfig(height=32, width=32), seed=20)
         den = despeckle_values(stack.values.reshape(-1, 32, 32)).reshape(stack.values.shape)
-        frames = logit(clip_unit(den, 1e-4))
+        frames = to_logit(den)
         cfg = ModelConfig(input_size=16, patch_size=8, d_model=32, num_heads=2,
                           num_layers=1, ff_dim=32, max_t=10, dropout=0.0)
         model = Model(cfg, seed=0)
@@ -394,18 +395,44 @@ class TestSweepValidation:
             sweep_estimate(tiny_model(), frames, SweepConfig(stride=5))
 
 
+def five_frame_stack(seed=6) -> RasterStack:
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.05, 0.6, size=(5, 2, 8, 8)).astype(np.float32)
+    return RasterStack(values, [f"2024-01-{d:02d}" for d in range(1, 6)])
+
+
 class TestEstimateFromStack:
-    """forecast(): clip + logit of the frame stack, then the sweep."""
+    """forecast(): clip + logit of the kept frames, then the sweep, then the stamp."""
 
     def test_matches_manual_preprocext_chain(self):
-        rng = np.random.default_rng(6)
-        values = rng.uniform(0.05, 0.6, size=(5, 2, 8, 8)).astype(np.float32)
+        stack = five_frame_stack()
         model = tiny_model(seed=6)
-        via_stack = forecast(model, values, SweepConfig(stride=2))
-        direct = sweep_estimate(model, logit(clip_unit(values, 1e-4)),
+        via_stack = forecast(model, stack, SweepConfig(stride=2))
+        direct = sweep_estimate(model, logit(clip_unit(stack.values, 1e-4)),
                                 SweepConfig(stride=2))
         np.testing.assert_array_equal(via_stack.mu, direct.mu)
         np.testing.assert_array_equal(via_stack.sigma, direct.sigma)
+
+    @pytest.mark.parametrize("drop_last", [0, 2])
+    def test_stamps_the_last_frame_it_saw(self, drop_last):
+        stack = five_frame_stack()
+        model = tiny_model(seed=6)
+        est = forecast(model, stack, SweepConfig(stride=2), drop_last)
+        direct = sweep_estimate(model, logit(clip_unit(stack.values[:5 - drop_last], 1e-4)),
+                                SweepConfig(stride=2))
+        np.testing.assert_array_equal(est.mu, direct.mu)
+        assert est.timestamp == stack.timestamps[4 - drop_last]
+        assert direct.timestamp not in stack.timestamps   # the sweep alone stamps nothing
+
+    @pytest.mark.parametrize("drop_last, message", [
+        (-1, "drop-last must be >= 0, got -1"),
+        (4, "only 1 frames left after --drop-last"),
+        (7, "only 0 frames left after --drop-last"),
+    ], ids=["negative", "T-1", "past-T"])
+    def test_rejects_drop_last_leaving_too_few_frames(self, drop_last, message):
+        with pytest.raises(ValidationError) as info:
+            forecast(ConstantStub(size=8), five_frame_stack(), drop_last=drop_last)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

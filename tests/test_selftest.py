@@ -1,5 +1,7 @@
 """Tests of the built-in invariant checks (`sardist selftest`)."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -8,6 +10,17 @@ import sardist
 from sardist.selftest import run_selftest
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sardist.__file__)))
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips asserts, so no check in src/ may be one
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "sardist", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_all_checks_pass(capsys):
