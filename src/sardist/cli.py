@@ -7,7 +7,8 @@ version and wall-clock duration.
 
 The CLI only resolves flags, reads and writes; the library forecasts
 (`inference.forecast`), picks and checks the scored frames (`score_frame`,
-`two_image_scores`). `eval` scores the estimate `estimate --drop-last 2` wrote.
+`two_image_scores`) and runs each `ablate` preset (`run_experiment`). `eval`
+scores the estimate `estimate --drop-last 2` wrote.
 
 Each flag is declared once, in `COMMANDS` or a dataclass table, with its type.
 Flag precedence: explicit flags > --config JSON file > built-in defaults. A
@@ -35,9 +36,9 @@ import warnings
 from dataclasses import replace
 
 from . import __version__
-from .errors import ProvenanceError, ValidationError
+from .errors import ProvenanceError, ValidationError, check_seed
 from .evaluation import REPORT_FILES, default_tau_grid, emit_report, f1_vs_threshold, \
-    pr_curve, two_image_scores
+    pr_curve, run_experiment, two_image_scores
 from .disturbance import score_frame, threshold_map
 from .inference import _FORWARD_WINDOWS, SweepConfig, forecast
 from .model import Model, ModelConfig, load_checkpoint, preset_input_patch, \
@@ -59,11 +60,8 @@ def _class_gamma0(value) -> tuple[tuple[float, ...], ...]:
 
 
 def _seed(value) -> int:
-    """0 <= seed < 2**64: numpy rejects a negative seed, splitmix64 wraps a larger one."""
-    value = _convert(int, value)
-    if not 0 <= value < 2**64:
-        raise ValueError(value)
-    return value
+    """An integer seed that the library accepts (`check_seed`)."""
+    return check_seed(_convert(int, value))
 
 
 # A flag's type is int, float, str (every str flag names a file), bool (a switch),
@@ -385,17 +383,26 @@ def _cmd_ablate(r: _Resolver) -> int:
     out_dir, = r.require("ablate", "out-dir")
     grid = r.get("grid")
     seed = r.get("seed")
-    sizes = [r.get(name) for name in ("corpus-size", "epochs", "scene-size", "batch-size",
-                                      "threads")]
-    chosen = ABLATE_GRIDS if grid == "all" else (grid,)
-
-    os.makedirs(out_dir, exist_ok=True)
+    corpus_size, epochs, scene_size, batch_size, threads = (
+        r.get(name) for name in ("corpus-size", "epochs", "scene-size", "batch-size", "threads"))
+    if scene_size < 1:
+        raise ValidationError(f"--scene-size must be >= 1, got {scene_size}")
     rows = []
-    for g in chosen:
+    for g in ABLATE_GRIDS if grid == "all" else (grid,):
         for label, model_cfg, lr in _ablate_presets(g):
-            row = _run_ablate_case(g, label, model_cfg, lr, seed, *sizes, out_dir)
-            rows.append(row)
-            print(f"{g} {label}: params={row[2]} pr_auc={row[3]:.4f}")
+            # the 32-pixel presets need 32-pixel sequences and scenes
+            size, scene = max(model_cfg.input_size, 16), max(scene_size, model_cfg.input_size)
+            corpus_cfg = SynthConfig(height=size, width=size, seasonal_amplitude_db=2.0, seed=seed)
+            tc = TrainConfig(batch_size=batch_size, epochs=epochs, seed=seed, lr_initial=lr,
+                             lr_after_decay=lr / 10.0, decay_epoch=max(1, epochs))
+            result, curve, _ = run_experiment(
+                corpus_cfg, corpus_size, os.path.join(out_dir, f"{g}_{label}", "corpus"),
+                model_cfg, tc, replace(corpus_cfg, height=scene, width=scene,
+                                       seed=splitmix64(seed, 0xAB1A7E)),
+                SweepConfig(stride=model_cfg.patch_size, batch_size=64, threads=threads))
+            params = result.model.parameter_count()
+            rows.append((g, label, params, curve.auc, curve.best_f1))
+            print(f"{g} {label}: params={params} pr_auc={curve.auc:.4f}")
     csv_path = os.path.join(out_dir, "ablation_summary.csv")
     write_text(csv_path, "grid,preset,parameters,pr_auc,best_f1\n" + "".join(
         f"{g},{label},{params},{auc:.6g},{f1:.6g}\n" for g, label, params, auc, f1 in rows))
@@ -416,27 +423,6 @@ def _ablate_presets(grid: str):
     else:
         for lr in (1e-4, 1e-5, 1e-6):
             yield f"lr{lr:g}", preset_model_size(512, 2), lr
-
-
-def _run_ablate_case(grid, label, model_cfg, lr, seed, corpus_size, epochs,
-                     scene_size, batch_size, threads, out_dir):
-    case_dir = os.path.join(out_dir, f"{grid}_{label}")
-    synth_cfg = SynthConfig(height=max(model_cfg.input_size, 16),
-                            width=max(model_cfg.input_size, 16),
-                            seasonal_amplitude_db=2.0)
-    corpus_manifest = generate_training_corpus(
-        synth_cfg, corpus_size, seed, os.path.join(case_dir, "corpus"))
-    frames = to_logit(load_corpus(corpus_manifest))
-    tc = TrainConfig(batch_size=batch_size, epochs=epochs, seed=seed, lr_initial=lr,
-                     lr_after_decay=lr / 10.0, decay_epoch=max(1, epochs))
-    result = train(Model(model_cfg, seed=seed), tc, frames)
-    scene_cfg = replace(synth_cfg, height=max(scene_size, model_cfg.input_size),
-                        width=max(scene_size, model_cfg.input_size))
-    stack, truth = generate_scene(scene_cfg, splitmix64(seed, 0xAB1A7E))
-    sweep = SweepConfig(stride=model_cfg.patch_size, batch_size=64, threads=threads)
-    est = forecast(result.model, stack, sweep, drop_last=2)
-    curve = pr_curve(two_image_scores(stack, truth, est))
-    return (grid, label, result.model.parameter_count(), curve.auc, curve.best_f1)
 
 
 def _cmd_selftest(r: _Resolver) -> int:

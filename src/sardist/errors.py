@@ -24,3 +24,11 @@ class FormatError(ValidationError):
 
 class ProvenanceError(ValidationError):
     """An estimate was not forecast from the frames before the one it scores."""
+
+
+def check_seed(seed: int) -> int:
+    """`seed` if 0 <= seed < 2**64, else ValidationError: numpy rejects a negative
+    seed, and splitmix64 would wrap a larger one onto a seed below 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed

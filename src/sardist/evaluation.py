@@ -1,4 +1,5 @@
-"""Two-image evaluation protocol: PR curves, F1 sweeps, report emission.
+"""Two-image evaluation protocol: PR curves, F1 sweeps, report emission, and
+`run_experiment`, the whole pipeline from a synthetic corpus to PR curves.
 
 Scoring set: the metric map of a held-out pre-event frame contributes
 all-negative pixels, the post-event metric map contributes pixels labeled by
@@ -29,7 +30,12 @@ import numpy as np
 
 from .disturbance import score_frame
 from .errors import ProvenanceError, ShapeError, ValidationError
+from .inference import SweepConfig, forecast
+from .model import Model, ModelConfig
+from .preprocess import despeckle_stack, despeckle_values, to_logit
 from .raster import DistributionEstimate, DisturbanceMap, RasterStack, write_json, write_text
+from .synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus
+from .training import TrainConfig, TrainResult, train
 
 _FMT = "{:.10g}"
 
@@ -177,6 +183,26 @@ def _pr_auc(points: list[tuple[float, float, float, float]]) -> float:
     for (r0, p0), (r1, p1) in zip(path, path[1:]):
         auc += (r1 - r0) * 0.5 * (p0 + p1)
     return auc
+
+
+def run_experiment(corpus_cfg: SynthConfig, corpus_size: int, corpus_dir: str,
+                   model_cfg: ModelConfig, train_cfg: TrainConfig, scene_cfg: SynthConfig,
+                   sweep: SweepConfig) -> tuple[TrainResult, PRCurve, PRCurve]:
+    """The documented pipeline: (training result, forecast and log-ratio PR curves).
+
+    `corpus_size` sequences of `corpus_cfg` (master seed `corpus_cfg.seed`) go to
+    `corpus_dir`; a model seeded with `train_cfg.seed` trains on their despeckled
+    logits and forecasts the despeckled scene of `scene_cfg` from its frames [:-2].
+    The bits are those of the CLI chain synth, despeckle, train, synth, despeckle,
+    estimate --drop-last 2 and eval (two-image protocol)."""
+    manifest = generate_training_corpus(corpus_cfg, corpus_size, out_dir=corpus_dir)
+    frames = to_logit(despeckle_values(load_corpus(manifest)))
+    result = train(Model(model_cfg, seed=train_cfg.seed), train_cfg, frames)
+    stack, truth = generate_scene(scene_cfg)
+    stack = despeckle_stack(stack)
+    est = forecast(result.model, stack, sweep, drop_last=2)
+    return (result, pr_curve(two_image_scores(stack, truth, est)),
+            pr_curve(two_image_scores(stack, truth)))
 
 
 def normalized_tau(tau: float, max_score: float) -> float:

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .autodiff import Tensor, add, dropout, layer_norm, linear, relu, scale, softplus
-from .errors import FormatError, ShapeError, ValidationError
+from .errors import FormatError, ShapeError, ValidationError, check_seed
 from .raster import read_json, write_file, write_json
 
 KINDS = ("transformer", "gru")
@@ -146,7 +146,7 @@ class Model:
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_seed(seed))
         if cfg.kind == "transformer":
             self._init_transformer(rng)
         else:

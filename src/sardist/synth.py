@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_seed
 from .preprocess import CLIP_EPS
 from .raster import RasterStack, read_json, read_stack, write_json, write_stack
 
@@ -76,8 +76,7 @@ class SynthConfig:
                 for v in entry:
                     if not 0 < v < 1:
                         raise ValidationError(f"class_gamma0 value {v} outside (0,1)")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must fit in uint64, got {self.seed}")
+        check_seed(self.seed)
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -170,7 +169,7 @@ def generate_scene(cfg: SynthConfig, seed: int | None = None) -> tuple[RasterSta
     seed overrides cfg.seed when given.
     """
     cfg.validate()
-    seed = cfg.seed if seed is None else seed
+    seed = cfg.seed if seed is None else check_seed(seed)
     rng = np.random.default_rng(seed)
     labels = make_mosaic(cfg, rng)                       # (H, W)
     levels = _class_levels(cfg, rng)                     # (C, K)
@@ -203,7 +202,7 @@ def generate_training_corpus(cfg: SynthConfig, count: int, master_seed: int | No
     regenerated independently. master_seed defaults to cfg.seed.
     """
     cfg.validate()
-    master_seed = cfg.seed if master_seed is None else master_seed
+    master_seed = cfg.seed if master_seed is None else check_seed(master_seed)
     if count < 1:
         raise ValidationError(f"corpus size must be >= 1, got {count}")
     os.makedirs(out_dir, exist_ok=True)

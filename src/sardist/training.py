@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ValidationError
+from .errors import ValidationError, check_seed
 from .model import Model
 from .native import flush_subnormals, pin_malloc, trim_malloc
 from .synth import splitmix64
@@ -71,6 +71,7 @@ class TrainConfig:
             raise ValidationError(f"need 2 <= t_min <= t_max, got [{self.t_min}, {self.t_max}]")
         if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
             raise ValidationError("steps per epoch must be >= 1")
+        check_seed(self.seed)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

@@ -13,18 +13,17 @@ import numpy as np
 
 from sardist.autodiff import Tensor
 from sardist.disturbance import log_ratio_map, mahalanobis_map
-from sardist.evaluation import LabeledScores, pr_curve, two_image_scores
-from sardist.inference import SweepConfig, forecast, sweep_estimate
+from sardist.evaluation import LabeledScores, pr_curve, run_experiment
+from sardist.inference import SweepConfig, sweep_estimate
 from sardist.model import (
     Model,
     ModelConfig,
     patch_split,
     preset_model_size,
 )
-from sardist.preprocess import despeckle_stack, despeckle_values, to_logit
 from sardist.raster import DistributionEstimate
-from sardist.synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus
-from sardist.training import TrainConfig, nll_loss, train
+from sardist.synth import SynthConfig
+from sardist.training import TrainConfig, nll_loss
 
 from gradcheck import gradient_check
 
@@ -184,32 +183,22 @@ def test_criterion_06_sweep_exactness():
 
 def test_criterion_07_end_to_end_benchmark(tmp_path):
     t0 = time.time()
-    # seeded corpus with a seasonal cycle longer than the model window
-    syn = SynthConfig(seasonal_amplitude_db=1.5, seasonal_period=24)
-    manifest = generate_training_corpus(syn, 512, 2024, str(tmp_path / "corpus"))
-    seqs = load_corpus(manifest)
-    den = despeckle_values(seqs.reshape(-1, 16, 16)).reshape(seqs.shape)
-    frames = to_logit(den)
-    model = Model(preset_model_size(512, 2), seed=0)
+    # seeded corpus with a seasonal cycle longer than the model window; the
+    # despeckled pipeline scores frames -2 and -1 of a despeckled scene
+    syn = SynthConfig(seasonal_amplitude_db=1.5, seasonal_period=24, seed=2024)
     tc = TrainConfig(batch_size=1, epochs=5, lr_initial=5e-4, lr_after_decay=5e-4,
                      decay_epoch=5, seed=0)
-    result = train(model, tc, frames)
-
     scene_cfg = SynthConfig(height=128, width=128, seasonal_amplitude_db=1.5,
-                            seasonal_period=24, disturbance_fraction=0.05)
-    stack, truth = generate_scene(scene_cfg, 303)
-    sden = despeckle_stack(stack)
-
-    # the two-image protocol: forecast from frames [:-2], score frames -2 and -1
-    est = forecast(model, sden, SweepConfig(stride=2, batch_size=64), drop_last=2)
-    transformer = pr_curve(two_image_scores(sden, truth, est))
-    logratio = pr_curve(two_image_scores(sden, truth))
+                            seasonal_period=24, disturbance_fraction=0.05, seed=303)
+    result, transformer, logratio = run_experiment(
+        syn, 512, str(tmp_path / "corpus"), preset_model_size(512, 2), tc, scene_cfg,
+        SweepConfig(stride=2, batch_size=64))
 
     ok = (not result.diverged and transformer.auc >= 0.85
           and transformer.auc >= logratio.auc)
     _report(7, ok, 1200.0, time.time() - t0,
-            f"transformer pr_auc={transformer.auc:.5f} >= 0.85 and >= "
-            f"logratio pr_auc={logratio.auc:.5f}")
+            f"transformer pr_auc={transformer.auc!r} >= 0.85 and >= "
+            f"logratio pr_auc={logratio.auc!r}")
 
 
 def _exhaustive_pr_auc(scores, labels):

@@ -12,6 +12,8 @@ import sardist
 from sardist import native
 from sardist.cli import main
 from sardist.disturbance import lower_median
+from sardist.evaluation import run_experiment
+from sardist.inference import SweepConfig
 from sardist.model import Model, ModelConfig, save_checkpoint
 from sardist.raster import (
     RasterStack,
@@ -23,6 +25,8 @@ from sardist.raster import (
     write_array,
     write_stack,
 )
+from sardist.synth import SynthConfig
+from sardist.training import TrainConfig
 
 TINY_MODEL_FLAGS = [
     "--model", "transformer", "--input-size", "16", "--patch-size", "8",
@@ -212,6 +216,8 @@ MAHALANOBIS = ["metric", "--kind", "mahalanobis", "--stack", "{r}/s.rts", "--mu"
 DELINEATE = ["delineate", "--metric", "{r}/d.rts", "--out", "{o}/b.rts"]
 METRIC = ["metric", "--stack", "{r}/s.rts", "--out", "{o}/l.rts"]
 LOGRATIO = ["metric", "--kind", "logratio", "--stack", "{r}/s.rts"]
+ABLATE = ["ablate", "--grid", "learning-rate", "--corpus-size", "1", "--epochs", "1",
+          "--batch-size", "1", "--out-dir", "{o}/a"]
 # (source, flag type, argv, config file contents, flag or key the error names); a
 # command line cannot give a switch a value, and any argv word is a path string
 VALUE_CASES = [
@@ -226,6 +232,8 @@ VALUE_CASES = [
     ("config", "choice", METRIC, {"kind": "median"}, "kind"),
     ("config", "path", LOGRATIO, {"out": 7}, "out"),
     ("config", "seed", SCENE, {"seed": -1}, "seed"),
+    # a scene is at least one model window, but the manifest records the given size
+    ("argv", "range", ABLATE + ["--scene-size", "-5"], None, "--scene-size"),
 ]
 # every command that reads --seed, with tiny sizes and outputs under {o}
 SEED_COMMANDS = {
@@ -233,8 +241,7 @@ SEED_COMMANDS = {
     "synth-corpus": ["synth", "--kind", "corpus", "--count", "1", "--out-dir", "{o}/c"],
     "train": ["train", "--corpus", "{r}/corpus/corpus.json", "--out", "{o}/ckpt",
               *TINY_MODEL_FLAGS, "--epochs", "1", "--batch-size", "1"],
-    "ablate": ["ablate", "--grid", "learning-rate", "--corpus-size", "1", "--epochs", "1",
-               "--scene-size", "16", "--batch-size", "1", "--out-dir", "{o}/a"],
+    "ablate": ABLATE + ["--scene-size", "16"],
 }
 
 
@@ -638,6 +645,38 @@ class TestAblateCommand:
         for row in rows:
             assert row.startswith("learning-rate,lr")
             assert np.isfinite(float(row.split(",")[3]))
+
+    def test_experiment_is_the_cli_chain(self, tmp_path):
+        # ablate and criterion 7 run `run_experiment`; its curves must be the
+        # bits of the documented chain run file by file through the CLI
+        r = str(tmp_path)
+        for argv in (
+            ["synth", "--kind", "corpus", "--count", "4", "--seed", "3", "--out-dir", "{r}/c"],
+            ["despeckle", "--manifest", "{r}/c/corpus.json", "--out-dir", "{r}/cd"],
+            ["train", "--corpus", "{r}/cd/corpus.json", "--out", "{r}/ckpt", *TINY_MODEL_FLAGS,
+             "--epochs", "1", "--batch-size", "2", "--lr", "1e-4", "--seed", "0"],
+            ["synth", "--kind", "scene", "--seed", "21", "--height", "16", "--width", "16",
+             "--steps", "6", "--fraction", "0.1", "--out", "{r}/s.rts", "--mask", "{r}/m.rts"],
+            ["despeckle", "--input", "{r}/s.rts", "--out", "{r}/sd.rts"],
+            ["estimate", "--checkpoint", "{r}/ckpt", "--input", "{r}/sd.rts", "--out-mu",
+             "{r}/mu.rts", "--out-sigma", "{r}/sigma.rts", "--stride", "4", "--drop-last", "2"],
+            ["eval", "--method", "mahalanobis", "--stack", "{r}/sd.rts", "--truth", "{r}/m.rts",
+             "--mu", "{r}/mu.rts", "--sigma", "{r}/sigma.rts", "--out-dir", "{r}/forecast"],
+            ["eval", "--method", "logratio", "--stack", "{r}/sd.rts", "--truth", "{r}/m.rts",
+             "--out-dir", "{r}/logratio"],
+        ):
+            assert run(*(a.format(r=r) for a in argv)) == 0
+        model_cfg = ModelConfig(input_size=16, patch_size=8, d_model=8, num_heads=2,
+                                num_layers=1, ff_dim=8, dropout=0.0)
+        result, *curves = run_experiment(
+            SynthConfig(seed=3), 4, str(tmp_path / "lib"), model_cfg,
+            TrainConfig(batch_size=2, epochs=1, lr_initial=1e-4, seed=0),
+            SynthConfig(height=16, width=16, num_steps=6, disturbance_fraction=0.1, seed=21),
+            SweepConfig(stride=4))
+        assert not result.diverged
+        for name, curve in zip(("forecast", "logratio"), curves):
+            summary = json.loads((tmp_path / name / "summary.json").read_text())
+            assert (summary["pr_auc"], summary["best_f1"]) == (curve.auc, curve.best_f1), name
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,14 @@ import os
 import numpy as np
 import pytest
 
+from sardist import cli
 from sardist.errors import FormatError, ValidationError
+from sardist.model import Model, ModelConfig
 from sardist.raster import read_stack
 from sardist.synth import (SynthConfig, generate_nominal_sequence,
                            generate_scene, generate_training_corpus,
                            load_corpus, make_connected_mask, splitmix64)
+from sardist.training import TrainConfig
 
 
 def flood_fill_components(mask):
@@ -89,6 +92,30 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SynthConfig(seed=2**64).validate()
         SynthConfig(seed=2**64 - 1).validate()
+
+
+# every entry point that takes a seed, called as f(seed, directory)
+SEED_ENTRY_POINTS = {
+    "SynthConfig": lambda seed, d: SynthConfig(seed=seed).validate(),
+    "generate_scene": lambda seed, d: generate_scene(SynthConfig(), seed),
+    "generate_nominal_sequence": lambda seed, d: generate_nominal_sequence(SynthConfig(), seed),
+    "generate_training_corpus": lambda seed, d: generate_training_corpus(
+        SynthConfig(), 1, seed, os.path.join(d, "corpus")),
+    "Model": lambda seed, d: Model(ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8),
+                                   seed=seed),
+    "TrainConfig": lambda seed, d: TrainConfig(seed=seed).validate(),
+    "cli-seed": lambda seed, d: cli._seed(seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+def test_out_of_range_seed_is_a_validation_error(tmp_path, entry, seed):
+    # numpy rejects a negative seed with its own ValueError, and splitmix64
+    # wraps 2**64 onto seed 0's streams; one rule rejects both everywhere
+    with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        SEED_ENTRY_POINTS[entry](seed, str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 class TestDeterminism:
