@@ -190,7 +190,11 @@ class Tensor:
             if self.requires_grad:
                 ga = np.matmul(g, np.swapaxes(o.data, -1, -2))
                 self.accumulate(_unbroadcast(ga, self.data.shape))
-            if o.requires_grad:
+            if o.requires_grad and o.data.ndim == 2 < self.data.ndim:
+                # a weight: one 2-D GEMM over every leading row, not a batched product summed
+                x = self.data.reshape(-1, self.data.shape[-1])
+                o.accumulate(x.T @ g.reshape(-1, g.shape[-1]))
+            elif o.requires_grad:
                 gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
                 o.accumulate(_unbroadcast(gb, o.data.shape))
             if bias is not None and bias.requires_grad:

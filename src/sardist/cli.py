@@ -385,24 +385,27 @@ def _cmd_ablate(r: _Resolver) -> int:
     seed = r.get("seed")
     corpus_size, epochs, scene_size, batch_size, threads = (
         r.get(name) for name in ("corpus-size", "epochs", "scene-size", "batch-size", "threads"))
-    if scene_size < 1:
-        raise ValidationError(f"--scene-size must be >= 1, got {scene_size}")
-    rows = []
+    for flag in ("scene-size", "epochs", "batch-size", "threads"):
+        if r.get(flag) < 1:   # before the first preset writes its corpus
+            raise ValidationError(f"--{flag} must be >= 1, got {r.get(flag)}")
+    rows, runs = [], {}   # equal presets (input16_patch8, ff512_layers2) run once
     for g in ABLATE_GRIDS if grid == "all" else (grid,):
         for label, model_cfg, lr in _ablate_presets(g):
-            # the 32-pixel presets need 32-pixel sequences and scenes
-            size, scene = max(model_cfg.input_size, 16), max(scene_size, model_cfg.input_size)
-            corpus_cfg = SynthConfig(height=size, width=size, seasonal_amplitude_db=2.0, seed=seed)
-            tc = TrainConfig(batch_size=batch_size, epochs=epochs, seed=seed, lr_initial=lr,
-                             lr_after_decay=lr / 10.0, decay_epoch=max(1, epochs))
-            result, curve, _ = run_experiment(
-                corpus_cfg, corpus_size, os.path.join(out_dir, f"{g}_{label}", "corpus"),
-                model_cfg, tc, replace(corpus_cfg, height=scene, width=scene,
-                                       seed=splitmix64(seed, 0xAB1A7E)),
-                SweepConfig(stride=model_cfg.patch_size, batch_size=64, threads=threads))
-            params = result.model.parameter_count()
-            rows.append((g, label, params, curve.auc, curve.best_f1))
-            print(f"{g} {label}: params={params} pr_auc={curve.auc:.4f}")
+            if (model_cfg, lr) not in runs:
+                # the 32-pixel presets need 32-pixel sequences and scenes
+                size, scene = max(model_cfg.input_size, 16), max(scene_size, model_cfg.input_size)
+                corpus_cfg = SynthConfig(height=size, width=size, seasonal_amplitude_db=2.0,
+                                         seed=seed)
+                tc = TrainConfig(batch_size=batch_size, epochs=epochs, seed=seed, lr_initial=lr,
+                                 lr_after_decay=lr / 10.0, decay_epoch=max(1, epochs))
+                result, curve, _ = run_experiment(
+                    corpus_cfg, corpus_size, os.path.join(out_dir, f"{g}_{label}", "corpus"),
+                    model_cfg, tc, replace(corpus_cfg, height=scene, width=scene,
+                                           seed=splitmix64(seed, 0xAB1A7E)),
+                    SweepConfig(stride=model_cfg.patch_size, batch_size=64, threads=threads))
+                runs[model_cfg, lr] = result.model.parameter_count(), curve.auc, curve.best_f1
+            rows.append((g, label, *runs[model_cfg, lr]))
+            print(f"{g} {label}: params={rows[-1][2]} pr_auc={rows[-1][3]:.4f}")
     csv_path = os.path.join(out_dir, "ablation_summary.csv")
     write_text(csv_path, "grid,preset,parameters,pr_auc,best_f1\n" + "".join(
         f"{g},{label},{params},{auc:.6g},{f1:.6g}\n" for g, label, params, auc, f1 in rows))

@@ -75,9 +75,10 @@ _blas_cap = {"depth": 0, "saved": 1}
 
 @contextmanager
 def one_blas_thread():
-    """Run the block with OpenBLAS at one thread; the last overlapping caller restores it."""
+    """Run the block with OpenBLAS at one thread; the last overlapping caller restores it.
+    Yields whether the cap holds: False, having done nothing, without OpenBLAS."""
     if _BLAS is None:
-        yield
+        yield False
         return
     get, set_ = _BLAS
     with _blas_cap_lock:
@@ -86,7 +87,7 @@ def one_blas_thread():
             set_(1)
         _blas_cap["depth"] += 1
     try:
-        yield
+        yield True
     finally:
         with _blas_cap_lock:
             _blas_cap["depth"] -= 1

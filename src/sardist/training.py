@@ -17,22 +17,26 @@ with fixed stream indices, and every array op is single-threaded numpy, so
 rerunning reproduces the loss curve bit for bit. If the loss ever goes
 non-finite the run aborts and reports the last finished epoch's weights.
 
-Adam updates `m`, `v` and the parameters in place, allocating nothing per
-step, with subnormals flushed to zero in the calling thread
-(`native.flush_subnormals`): where a gradient stays zero, `m` decays into
-float32 subnormals after about 700 steps, which x86 computes with about 19
-times slower. Flushing changes a parameter bit only where the subnormal
-update would exceed half an ulp of the parameter; both benchmark trainings
-(64 and 1,024 steps) keep every bit. `train` pins glibc's allocator
-(`native.pin_malloc`) before its first step, so the backward's fresh
-gradient arrays reuse mapped memory rather than fresh pages, and hands the
-freed heap back (`native.trim_malloc`) when it returns.
+Adam keeps the scaled moments m/(1-b1) and v/(1-b2), so both bias corrections
+fold into two scalars (the last bits differ from the textbook order's) and a
+step is ten in-place passes, allocating nothing, with subnormals flushed to
+zero in the calling thread (`native.flush_subnormals`): where a gradient
+stays zero, `m` decays into float32 subnormals after about 700 steps, which
+x86 computes with about 19 times slower. Flushing changes a parameter bit
+only where the subnormal update would exceed half an ulp of the parameter;
+both benchmark trainings (64 and 1,024 steps) keep every bit. `train` pins
+glibc's allocator (`native.pin_malloc`) before its first step, so the
+backward's fresh gradient arrays reuse mapped memory rather than fresh pages,
+and hands the freed heap back (`native.trim_malloc`) when it returns. At
+batch 1 the loop runs with OpenBLAS at one thread (`native.one_blas_thread`):
+its GEMMs are too small to share, and a second thread only spent CPU.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +44,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ValidationError, check_seed
 from .model import Model
-from .native import flush_subnormals, pin_malloc, trim_malloc
+from .native import flush_subnormals, one_blas_thread, pin_malloc, trim_malloc
 from .synth import splitmix64
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -93,9 +97,10 @@ def nll_loss(mu: Tensor, sigma: Tensor, target: np.ndarray) -> Tensor:
 class Adam:
     """Adam with bias correction over a named parameter dict, updated in place.
 
-    A step runs `m = b1*m + (1-b1)*g`, `v = b2*v + (1-b2)*(g*g)` and
-    `p = p - lr*(m/c1) / (sqrt(v/c2) + eps)` op for op, into `m`, `v`, `p`
-    and two scratch buffers per dtype sized to its largest parameter."""
+    `m` and `v` hold the scaled moments M = m/(1-b1) and V = v/(1-b2): a step
+    is `M = b1*M + g`, `V = b2*V + g*g`, `p -= s*M / (sqrt(V) + e)` with both
+    bias corrections folded into s and e (Kingma & Ba 2015, section 2), ten
+    passes through one scratch buffer per dtype sized to its largest parameter."""
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -107,29 +112,32 @@ class Adam:
         largest = {}
         for p in params.values():
             largest[p.data.dtype] = max(largest.get(p.data.dtype, 0), p.data.size)
-        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in largest.items()}
+        self._scratch = {dt: np.empty(n, dt) for dt, n in largest.items()}
         self.subnormals_flushed = False
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        # Python floats: an np.float64 scalar would run the float32 passes in float64
+        root = math.sqrt(c2 / (1.0 - b2))
+        size, eps = lr * (1.0 - b1) / c1 * root, self.eps * root
         with flush_subnormals() as flushed:
             self.subnormals_flushed = flushed
             for name, p in self.params.items():
                 if p.grad is None:
                     continue
                 g, m, v, w = p.grad, self.m[name], self.v[name], p.data
-                a, b = (s[:w.size].reshape(w.shape) for s in self._scratch[w.dtype])
+                b = self._scratch[w.dtype][:w.size].reshape(w.shape)
                 m *= b1
-                m += np.multiply(g, 1.0 - b1, out=a)
+                m += g
                 v *= b2
-                v += np.multiply(np.multiply(g, g, out=b), 1.0 - b2, out=b)
-                np.multiply(np.divide(m, c1, out=a), lr, out=a)
-                np.sqrt(np.divide(v, c2, out=b), out=b)
-                b += self.eps
-                w -= np.divide(a, b, out=a)
+                v += np.square(g, out=b)
+                np.sqrt(v, out=b)
+                b += eps
+                np.divide(m, b, out=b)
+                b *= size
+                w -= b
 
 
 def sample_batch(sequences: np.ndarray, rng: np.random.Generator,
@@ -183,9 +191,9 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
           stats: dict | None = None) -> TrainResult:
     """Run the training loop on logit-space sequences (N, steps, C, H, W).
 
-    `stats`, if given, receives the run's facts: `malloc_pinned`,
-    `subnormals_flushed` and `epoch_step_seconds`, the mean wall time of a
-    step in each finished epoch."""
+    `stats`, if given, receives the run's facts: `malloc_pinned`, `subnormals_flushed`,
+    `blas_capped`, `cpu_s` (the loop's process CPU seconds) and `epoch_step_seconds`,
+    the mean wall time of a step in each finished epoch."""
     cfg.validate()
     if sequences.ndim != 5:
         raise ValidationError(f"corpus must be (N,steps,C,H,W), got {sequences.shape}")
@@ -198,32 +206,36 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
     optimizer = Adam(model.params)
     result = TrainResult(model=model)
     last_good = {k: p.data.copy() for k, p in model.params.items()}
-    for epoch in range(1, cfg.epochs + 1):
-        lr = lr_at(epoch, cfg)
-        total = 0.0
-        start = time.perf_counter()
-        for _ in range(steps_per_epoch):
-            x, y = sample_batch(sequences, batch_rng, cfg.batch_size,
-                                cfg.t_min, cfg.t_max, window=model.cfg.input_size)
-            model.zero_grads()
-            mu, sigma = model.forward(x, train=True, rng=drop_rng)
-            loss = nll_loss(mu, sigma, y)
-            value = float(loss.data)
-            if not math.isfinite(value):
-                # diverged: roll back to the last finished epoch
-                for name, p in model.params.items():
-                    p.data = last_good[name]
-                result.diverged = True
+    cap = one_blas_thread() if cfg.batch_size == 1 else nullcontext(False)
+    cpu = time.process_time()
+    with cap as facts["blas_capped"]:
+        for epoch in range(1, cfg.epochs + 1):
+            lr = lr_at(epoch, cfg)
+            total = 0.0
+            start = time.perf_counter()
+            for _ in range(steps_per_epoch):
+                x, y = sample_batch(sequences, batch_rng, cfg.batch_size,
+                                    cfg.t_min, cfg.t_max, window=model.cfg.input_size)
+                model.zero_grads()
+                mu, sigma = model.forward(x, train=True, rng=drop_rng)
+                loss = nll_loss(mu, sigma, y)
+                value = float(loss.data)
+                if not math.isfinite(value):
+                    # diverged: roll back to the last finished epoch
+                    for name, p in model.params.items():
+                        p.data = last_good[name]
+                    result.diverged = True
+                    break
+                loss.backward()
+                optimizer.step(lr)
+                total += value
+            if result.diverged:
                 break
-            loss.backward()
-            optimizer.step(lr)
-            total += value
-        if result.diverged:
-            break
-        facts["epoch_step_seconds"].append((time.perf_counter() - start) / steps_per_epoch)
-        result.loss_rows.append((epoch, total / steps_per_epoch, lr))
-        result.completed_epochs = epoch
-        last_good = {k: p.data.copy() for k, p in model.params.items()}
+            facts["epoch_step_seconds"].append((time.perf_counter() - start) / steps_per_epoch)
+            result.loss_rows.append((epoch, total / steps_per_epoch, lr))
+            result.completed_epochs = epoch
+            last_good = {k: p.data.copy() for k, p in model.params.items()}
+    facts["cpu_s"] = time.process_time() - cpu
     trim_malloc()   # the pinned heap keeps training's freed buffers; hand them back
     if stats is not None:
         stats.update(facts, subnormals_flushed=optimizer.subnormals_flushed)

@@ -115,6 +115,22 @@ class TestArithmetic:
         linear(Tensor(x), Tensor(w), tb).sum().backward()
         np.testing.assert_array_equal(tb.grad, np.full(6, 2.0 * 3 * 4))
 
+    @pytest.mark.parametrize("shape", [(1, 4, 256), (1, 9, 4, 128), (3, 4, 256)])
+    def test_weight_grad_matches_batched_product(self, shape):
+        # a 2-D weight's gradient is one GEMM over every leading row; the
+        # batched product summed down by _unbroadcast is the same sum in
+        # another order, and the very same GEMM at batch 1 with 3-D input
+        rng = np.random.default_rng(len(shape) + shape[0])
+        x = rng.standard_normal(shape).astype(np.float32)
+        g = rng.standard_normal((*shape[:-1], 64)).astype(np.float32)
+        w = Tensor(rng.standard_normal((shape[-1], 64)).astype(np.float32), requires_grad=True)
+        (linear(Tensor(x), w, Tensor(np.zeros(64, np.float32))) * Tensor(g)).sum().backward()
+        batched = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), w.shape)
+        assert w.grad.dtype == np.float32 and w.grad.shape == w.shape
+        assert np.max(np.abs(w.grad - batched)) <= 1e-6 * np.max(np.abs(batched))
+        if shape == (1, 4, 256):
+            np.testing.assert_array_equal(w.grad, batched)
+
 
 class TestNonlinearities:
     def test_relu(self):

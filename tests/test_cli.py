@@ -234,6 +234,10 @@ VALUE_CASES = [
     ("config", "seed", SCENE, {"seed": -1}, "seed"),
     # a scene is at least one model window, but the manifest records the given size
     ("argv", "range", ABLATE + ["--scene-size", "-5"], None, "--scene-size"),
+    # checked before the first preset writes its corpus
+    ("argv", "range", ABLATE + ["--scene-size", "16", "--threads", "0"], None, "--threads"),
+    ("argv", "range", ABLATE + ["--scene-size", "16", "--epochs", "0"], None, "--epochs"),
+    ("argv", "range", ABLATE + ["--scene-size", "16", "--batch-size", "0"], None, "--batch-size"),
 ]
 # every command that reads --seed, with tiny sizes and outputs under {o}
 SEED_COMMANDS = {
@@ -441,8 +445,10 @@ class TestModelCommands:
         assert manifest["completed_epochs"] == 1
         assert manifest["diverged"] is False
         facts = manifest["training"]
-        assert sorted(facts) == ["epoch_step_seconds", "malloc_pinned", "subnormals_flushed"]
+        assert sorted(facts) == ["blas_capped", "cpu_s", "epoch_step_seconds", "malloc_pinned",
+                                 "subnormals_flushed"]
         assert isinstance(facts["malloc_pinned"], bool)
+        assert facts["blas_capped"] is False and facts["cpu_s"] > 0   # batch 2 keeps threads
         assert facts["subnormals_flushed"] is (native._FENV is not None)
         assert len(facts["epoch_step_seconds"]) == 1 and facts["epoch_step_seconds"][0] > 0
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import cache
 from types import SimpleNamespace
 
@@ -257,14 +258,15 @@ class TestAdam:
 
 def allocating_adam(w0: np.ndarray, grads: list[np.ndarray], lr: float,
                     b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
-    """The allocating update, op for op, in w0's dtype; returns the final (w, m, v)."""
+    """The allocating update, op for op, in w0's dtype; returns the final (w, m, v),
+    where m and v are the scaled moments m/(1-b1) and v/(1-b2)."""
     w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
     for t, g in enumerate(grads, start=1):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        root = math.sqrt(c2 / (1.0 - b2))
+        m = b1 * m + g
+        v = b2 * v + g * g
+        w = w - m / (np.sqrt(v) + eps * root) * (lr * (1.0 - b1) / c1 * root)
     return w, m, v
 
 
@@ -544,9 +546,11 @@ class TestTrainLoop:
         stats = {}
         plain = train(Model(tiny_cfg(), seed=7), cfg, small_corpus())
         res = train(Model(tiny_cfg(), seed=7), cfg, small_corpus(), stats)
-        assert sorted(stats) == ["epoch_step_seconds", "malloc_pinned", "subnormals_flushed"]
+        assert sorted(stats) == ["blas_capped", "cpu_s", "epoch_step_seconds", "malloc_pinned",
+                                 "subnormals_flushed"]
         assert isinstance(stats["malloc_pinned"], bool)
         assert stats["subnormals_flushed"] is (native._FENV is not None)
+        assert stats["blas_capped"] is False and stats["cpu_s"] > 0   # batch 2 keeps threads
         assert len(stats["epoch_step_seconds"]) == 3
         assert all(s > 0 for s in stats["epoch_step_seconds"])
         assert res.loss_csv() == plain.loss_csv()   # timings stay out of loss.csv
@@ -620,6 +624,49 @@ class TestTrainLoop:
         for name in model.params:
             np.testing.assert_array_equal(model.params[name].data,
                                           replay.params[name].data)
+
+
+class TestTrainBlasCap:
+    CFG = TrainConfig(batch_size=1, epochs=2, lr_initial=1e-3, lr_after_decay=1e-3,
+                      decay_epoch=2, steps_per_epoch=2, seed=5)
+
+    @pytest.fixture
+    def get(self):
+        """The BLAS count getter, with the pool at 2 threads so a cap to 1 shows."""
+        if native._BLAS is None:
+            pytest.skip("numpy's bundled OpenBLAS thread symbols not found; the cap is a no-op")
+        get, set_ = native._BLAS
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @pytest.fixture
+    def seen(self, get, monkeypatch):
+        """The BLAS thread count at each Adam step of a training run."""
+        counts, step = [], Adam.step
+        monkeypatch.setattr(Adam, "step", lambda opt, lr: (counts.append(get()), step(opt, lr)))
+        return counts
+
+    def test_batch_one_steps_run_at_one_thread_and_restore(self, get, seen):
+        stats = {}
+        train(Model(tiny_cfg(), seed=1), self.CFG, small_corpus(), stats)
+        assert seen == [1] * 4 and stats["blas_capped"] is True
+        assert get() == 2
+
+    def test_batch_two_is_not_capped(self, get, seen):
+        stats = {}
+        train(Model(tiny_cfg(), seed=1), replace(self.CFG, batch_size=2), small_corpus(), stats)
+        assert seen == [2] * 4 and stats["blas_capped"] is False
+        assert get() == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_count_restored_after_divergence(self, get, seen):
+        cfg = replace(self.CFG, lr_initial=1e10, lr_after_decay=1e10)
+        stats = {}
+        assert train(Model(tiny_cfg(), seed=0), cfg, small_corpus(scale=4.0), stats).diverged
+        assert seen and set(seen) == {1} and stats["blas_capped"] is True
+        assert get() == 2
 
 
 # ---------------------------------------------------------------------------
