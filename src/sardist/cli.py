@@ -41,8 +41,7 @@ from .evaluation import REPORT_FILES, default_tau_grid, emit_report, f1_vs_thres
     pr_curve, run_experiment, two_image_scores
 from .disturbance import score_frame, threshold_map
 from .inference import _FORWARD_WINDOWS, SweepConfig, forecast
-from .model import Model, ModelConfig, load_checkpoint, preset_input_patch, \
-    preset_model_size, save_checkpoint
+from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import PreprocessConfig, despeckle_stack, to_logit
 from .raster import (read_estimate, read_json, read_mask, read_metric_map, read_stack,
                      write_delineation, write_estimate, write_json, write_mask,
@@ -247,20 +246,19 @@ def _write_manifest(r: _Resolver, target: str, inputs: list[str], outputs: list[
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(r: _Resolver) -> int:
-    cfg = r.config(SynthConfig(), SYNTH_FLAGS)
-    seed = r.get("seed")
+    cfg = r.config(SynthConfig(), SYNTH_FLAGS, seed=r.get("seed"))
     if r.get("kind") == "corpus":
         count = r.get("count")
         out_dir, = r.require("synth corpus", "out-dir")
-        manifest = generate_training_corpus(cfg, count, seed, out_dir)
-        _write_manifest(r, out_dir, [], [manifest], seed)
+        manifest = generate_training_corpus(cfg, count, out_dir)
+        _write_manifest(r, out_dir, [], [manifest], cfg.seed)
         print(f"wrote {count} sequences to {out_dir}")
         return 0
     out, truth_out = r.require("synth scene", "out", "mask")
-    stack, mask = generate_scene(cfg, seed)
+    stack, mask = generate_scene(cfg)
     write_stack(stack, out)
     write_mask(mask, truth_out)
-    _write_manifest(r, out, [], [out, truth_out], seed)
+    _write_manifest(r, out, [], [out, truth_out], cfg.seed)
     print(f"wrote scene {out} ({stack.num_steps} frames) and truth {truth_out}")
     return 0
 
@@ -296,7 +294,7 @@ def _cmd_train(r: _Resolver) -> int:
     corpus_path, out_dir = r.require("train", "corpus", "out")
     seed = r.get("seed")
     kind = r.get("model")
-    base = ModelConfig.gru_default() if kind == "gru" else ModelConfig.transformer_default()
+    base = ModelConfig.gru_default() if kind == "gru" else ModelConfig()
     model_cfg = r.config(base, MODEL_FLAGS, kind=kind)
     train_cfg = r.config(TrainConfig(), TRAIN_FLAGS, seed=seed)
     frames = to_logit(load_corpus(corpus_path))
@@ -417,15 +415,14 @@ def _cmd_ablate(r: _Resolver) -> int:
 def _ablate_presets(grid: str):
     if grid == "input-patch":
         for input_size, patch in ((16, 8), (32, 8), (32, 16)):
-            yield f"input{input_size}_patch{patch}", \
-                replace(preset_input_patch(input_size, patch), ff_dim=512,
-                        num_layers=2), 1e-3
+            yield f"input{input_size}_patch{patch}", ModelConfig(
+                input_size=input_size, patch_size=patch, ff_dim=512, num_layers=2), 1e-3
     elif grid == "model-size":
         for ff, layers in ((512, 2), (768, 4), (1024, 8)):
-            yield f"ff{ff}_layers{layers}", preset_model_size(ff, layers), 1e-3
+            yield f"ff{ff}_layers{layers}", ModelConfig(ff_dim=ff, num_layers=layers), 1e-3
     else:
         for lr in (1e-4, 1e-5, 1e-6):
-            yield f"lr{lr:g}", preset_model_size(512, 2), lr
+            yield f"lr{lr:g}", ModelConfig(ff_dim=512, num_layers=2), lr
 
 
 def _cmd_selftest(r: _Resolver) -> int:

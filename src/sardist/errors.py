@@ -5,6 +5,8 @@ distinct from storage failures, which are plain OSError, so the CLI can map
 them to separate exit codes.
 """
 
+from dataclasses import fields
+
 
 class SardistError(Exception):
     """Base class for all package-specific errors."""
@@ -32,3 +34,16 @@ def check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return seed
+
+
+#: the values a config field of each annotated type accepts; a bool is no int here
+_FIELD_TYPES = {"str": str, "int": int, "int | None": (int, type(None)), "float": (int, float),
+                "tuple[tuple[float, float], ...] | None": (tuple, list, type(None))}
+
+
+def check_fields(config) -> None:
+    """ValidationError unless every field of the dataclass `config` has its annotated type."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")

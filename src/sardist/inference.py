@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import no_grad
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .model import Model
 from .native import one_blas_thread, pin_malloc
 from .preprocess import to_logit
@@ -59,6 +59,7 @@ class SweepConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        check_fields(self)
         if self.stride < 1:
             raise ValidationError(f"stride must be >= 1, got {self.stride}")
         if self.batch_size < 1:

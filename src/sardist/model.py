@@ -36,16 +36,15 @@ rule). Parameters and the caller's window are never written.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, add, dropout, layer_norm, linear, relu, scale, softplus
-from .errors import FormatError, ShapeError, ValidationError, check_seed
+from .errors import FormatError, ShapeError, ValidationError, check_fields, check_seed
 from .raster import read_json, write_file, write_json
 
 KINDS = ("transformer", "gru")
-_FIELD_TYPES = {"str": str, "int": int, "int | None": (int, type(None)), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,6 @@ class ModelConfig:
     dropout: float = 0.2
     max_t: int = 10
     sigma_floor: float = 1e-3
-
-    @staticmethod
-    def transformer_default() -> "ModelConfig":
-        return ModelConfig()
 
     @staticmethod
     def gru_default() -> "ModelConfig":
@@ -91,10 +86,7 @@ class ModelConfig:
         return self.channels * self.input_size ** 2
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
+        check_fields(self)
         if self.kind not in KINDS:
             raise ValidationError(f"unknown model kind {self.kind!r}")
         for name in ("input_size", "channels", "d_model", "num_layers"):
@@ -141,10 +133,10 @@ def patch_split(frames: np.ndarray, patch: int) -> np.ndarray:
 class Model:
     """Parameter container plus forward pass for either model kind."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
         cfg.validate()
         self.cfg = cfg
-        self.dtype = np.dtype(dtype)
+        self.dtype = np.dtype(np.float32)
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(check_seed(seed))
         if cfg.kind == "transformer":
@@ -396,14 +388,3 @@ def load_checkpoint(directory: str) -> Model:
             raise FormatError(f"{directory}: weights.bin holds non-finite {entry['name']}")
         model.params[entry["name"]] = Tensor(data, requires_grad=True)
     return model
-
-
-def preset_model_size(ff_dim: int, num_layers: int) -> ModelConfig:
-    """Transformer preset with the head width tied to the feed-forward width."""
-    return replace(ModelConfig.transformer_default(),
-                   ff_dim=ff_dim, num_layers=num_layers, head_hidden=None)
-
-
-def preset_input_patch(input_size: int, patch_size: int) -> ModelConfig:
-    return replace(ModelConfig.transformer_default(),
-                   input_size=input_size, patch_size=patch_size)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .raster import RasterStack
 
 
@@ -60,19 +60,19 @@ class PreprocessConfig:
     tv_step: float = 0.25
 
     def validate(self) -> None:
-        if self.tv_weight_db < 0:
-            raise ValidationError(f"tv weight must be >= 0, got {self.tv_weight_db}")
+        check_fields(self)
+        # a NaN or infinite weight would leave every slice as it was (descent safeguard)
+        if not 0 <= self.tv_weight_db < float("inf"):
+            raise ValidationError(f"tv weight must be finite and >= 0, got {self.tv_weight_db}")
         if self.tv_iterations < 1:
             raise ValidationError(f"tv iterations must be >= 1, got {self.tv_iterations}")
         if not 0 < self.tv_step <= 0.25:
             raise ValidationError(f"tv step must be in (0, 0.25], got {self.tv_step}")
 
 
-def clip_unit(x: np.ndarray, eps: float = CLIP_EPS) -> np.ndarray:
-    """Clip into [eps, 1-eps] so logit and log10 stay finite."""
-    if not 0 < eps < 0.5:
-        raise ValidationError(f"clip epsilon must be in (0, 0.5), got {eps}")
-    return np.clip(x, eps, 1.0 - eps)
+def clip_unit(x: np.ndarray) -> np.ndarray:
+    """Clip into [CLIP_EPS, 1 - CLIP_EPS] so logit and log10 stay finite."""
+    return np.clip(x, CLIP_EPS, 1.0 - CLIP_EPS)
 
 
 def logit(x: np.ndarray) -> np.ndarray:

@@ -9,20 +9,23 @@ L-look noise) and the optional seasonal term is a per-class sinusoid in dB.
 The final frame of a disturbed scene is additionally multiplied by
 10^(delta_db/10) inside a randomly grown connected truth mask.
 
-All randomness flows from a single seed through named child streams, and
-per-sequence corpus seeds are derived with a splitmix64 mix of the master
-seed, so corpus generation order (or parallelism) cannot change content.
+Frames are dated on one 12-day schedule from 2024-01-03. All randomness
+flows from `SynthConfig.seed`, the only seed a scene or corpus reads, through
+named child streams; per-sequence corpus seeds are splitmix64 mixes of it, so
+generation order (or parallelism) cannot change content, and the config that
+corpus.json records regenerates its corpus.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, replace
+from datetime import date, timedelta
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_seed
-from .preprocess import CLIP_EPS
+from .errors import FormatError, ValidationError, check_fields, check_seed
+from .preprocess import clip_unit
 from .raster import RasterStack, read_json, read_stack, write_json, write_stack
 
 _MASK64 = (1 << 64) - 1
@@ -39,13 +42,12 @@ class SynthConfig:
     seasonal_period: float = 8.0
     disturbance_delta_db: float = -6.0
     disturbance_fraction: float = 0.05
-    start_date: str = "2024-01-03"
-    cadence_days: int = 12
     # (vv, vh) mean backscatter per class; None draws levels from the seed
     class_gamma0: tuple[tuple[float, float], ...] | None = None
     seed: int = 0
 
     def validate(self) -> None:
+        check_fields(self)
         if self.height < 1 or self.width < 1:
             raise ValidationError(f"bad extent {self.height}x{self.width}")
         if self.num_steps < 3:
@@ -62,8 +64,6 @@ class SynthConfig:
             raise ValidationError(
                 f"disturbance fraction must be in [0,1], got {self.disturbance_fraction}"
             )
-        if self.cadence_days < 1:
-            raise ValidationError("cadence must be >= 1 day")
         if self.class_gamma0 is not None:
             if len(self.class_gamma0) != self.num_classes:
                 raise ValidationError(
@@ -85,14 +85,6 @@ def splitmix64(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def _timestamps(cfg: SynthConfig, count: int) -> list[str]:
-    from datetime import date, timedelta
-
-    y, m, d = (int(p) for p in cfg.start_date.split("-"))
-    t0 = date(y, m, d)
-    return [(t0 + timedelta(days=i * cfg.cadence_days)).isoformat() for i in range(count)]
 
 
 def make_mosaic(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
@@ -163,14 +155,10 @@ def make_connected_mask(height: int, width: int, fraction: float,
     return mask
 
 
-def generate_scene(cfg: SynthConfig, seed: int | None = None) -> tuple[RasterStack, np.ndarray]:
-    """Scene with a disturbance in the final frame; returns (stack, truth mask).
-
-    seed overrides cfg.seed when given.
-    """
+def generate_scene(cfg: SynthConfig) -> tuple[RasterStack, np.ndarray]:
+    """Scene with a disturbance in the final frame; returns (stack, truth mask)."""
     cfg.validate()
-    seed = cfg.seed if seed is None else check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     labels = make_mosaic(cfg, rng)                       # (H, W)
     levels = _class_levels(cfg, rng)                     # (C, K)
     season_db = _seasonal_db(cfg, rng)                   # (T, K)
@@ -178,42 +166,36 @@ def generate_scene(cfg: SynthConfig, seed: int | None = None) -> tuple[RasterSta
     speckle = rng.gamma(shape=cfg.looks, scale=1.0 / cfg.looks,
                         size=(cfg.num_steps, 2, cfg.height, cfg.width))
     values = levels[:, labels][None, :, :, :] * season * speckle
-    mask_rng = np.random.default_rng(splitmix64(seed, 0x5EED))
+    mask_rng = np.random.default_rng(splitmix64(cfg.seed, 0x5EED))
     mask = make_connected_mask(cfg.height, cfg.width, cfg.disturbance_fraction, mask_rng)
     values[-1] = np.where(mask[None, :, :],
                           values[-1] * 10.0 ** (cfg.disturbance_delta_db / 10.0),
                           values[-1])
-    values = np.clip(values, CLIP_EPS, 1.0 - CLIP_EPS).astype(np.float32)
-    stack = RasterStack(values, _timestamps(cfg, cfg.num_steps))
-    return stack, mask
+    dates = [(date(2024, 1, 3) + timedelta(days=12 * i)).isoformat()
+             for i in range(cfg.num_steps)]
+    return RasterStack(clip_unit(values).astype(np.float32), dates), mask
 
 
-def generate_nominal_sequence(cfg: SynthConfig, seed: int | None = None) -> RasterStack:
-    """Disturbance-free sequence used for self-supervised training: a scene
-    whose disturbance covers no pixel, so its last frame is left as drawn."""
-    return generate_scene(replace(cfg, disturbance_fraction=0.0), seed)[0]
-
-
-def generate_training_corpus(cfg: SynthConfig, count: int, master_seed: int | None = None,
-                             out_dir: str = ".") -> str:
+def generate_training_corpus(cfg: SynthConfig, count: int, out_dir: str) -> str:
     """Write `count` nominal sequences plus a manifest; returns manifest path.
 
-    Per-sequence seeds are splitmix64(master_seed, i), so any subset can be
-    regenerated independently. master_seed defaults to cfg.seed.
+    Sequence i is the scene of seed splitmix64(cfg.seed, i) with no disturbance
+    (its last frame is left as drawn), so any subset can be regenerated
+    independently.
     """
     cfg.validate()
-    master_seed = cfg.seed if master_seed is None else check_seed(master_seed)
     if count < 1:
         raise ValidationError(f"corpus size must be >= 1, got {count}")
     os.makedirs(out_dir, exist_ok=True)
+    nominal = replace(cfg, disturbance_fraction=0.0)
     entries = []
     for i in range(count):
-        seed_i = splitmix64(master_seed, i)
+        seed_i = splitmix64(cfg.seed, i)
         name = f"seq_{i:05d}.rts"
-        write_stack(generate_nominal_sequence(cfg, seed_i), os.path.join(out_dir, name))
+        write_stack(generate_scene(replace(nominal, seed=seed_i))[0], os.path.join(out_dir, name))
         entries.append({"path": name, "seed": seed_i})
     manifest = {
-        "master_seed": int(master_seed),
+        "master_seed": cfg.seed,
         "config": asdict(cfg),
         "entries": entries,
     }

@@ -17,9 +17,10 @@ with fixed stream indices, and every array op is single-threaded numpy, so
 rerunning reproduces the loss curve bit for bit. If the loss ever goes
 non-finite the run aborts and reports the last finished epoch's weights.
 
-Adam keeps the scaled moments m/(1-b1) and v/(1-b2), so both bias corrections
-fold into two scalars (the last bits differ from the textbook order's) and a
-step is ten in-place passes, allocating nothing, with subnormals flushed to
+Adam (b1 = 0.9, b2 = 0.999 and e = 1e-8, Kingma & Ba's defaults, fixed) keeps
+the scaled moments m/(1-b1) and v/(1-b2), so both bias corrections fold into
+two scalars (the last bits differ from the textbook order's) and a step is ten
+in-place passes, allocating nothing, with subnormals flushed to
 zero in the calling thread (`native.flush_subnormals`): where a gradient
 stays zero, `m` decays into float32 subnormals after about 700 steps, which
 x86 computes with about 19 times slower. Flushing changes a parameter bit
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ValidationError, check_seed
+from .errors import ValidationError, check_fields, check_seed
 from .model import Model
 from .native import flush_subnormals, one_blas_thread, pin_malloc, trim_malloc
 from .synth import splitmix64
@@ -63,6 +64,7 @@ class TrainConfig:
     steps_per_epoch: int | None = None  # None -> ceil(corpus / batch)
 
     def validate(self) -> None:
+        check_fields(self)
         if self.batch_size < 1:
             raise ValidationError("batch size must be >= 1")
         if self.epochs < 1:
@@ -102,10 +104,10 @@ class Adam:
     bias corrections folded into s and e (Kingma & Ba 2015, section 2), ten
     passes through one scratch buffer per dtype sized to its largest parameter."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}

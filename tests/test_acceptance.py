@@ -19,7 +19,6 @@ from sardist.model import (
     Model,
     ModelConfig,
     patch_split,
-    preset_model_size,
 )
 from sardist.raster import DistributionEstimate
 from sardist.synth import SynthConfig
@@ -39,10 +38,10 @@ def _report(num: int, ok: bool, bound_s: float, elapsed: float, detail: str) -> 
 
 def test_criterion_01_parameter_counts():
     t0 = time.time()
-    transformer = Model(ModelConfig.transformer_default(), seed=0).parameter_count()
+    transformer = Model(ModelConfig(), seed=0).parameter_count()
     gru = Model(ModelConfig.gru_default(), seed=0).parameter_count()
-    small = Model(preset_model_size(512, 2), seed=0).parameter_count()
-    large = Model(preset_model_size(1024, 8), seed=0).parameter_count()
+    small = Model(ModelConfig(ff_dim=512, num_layers=2), seed=0).parameter_count()
+    large = Model(ModelConfig(ff_dim=1024, num_layers=8), seed=0).parameter_count()
     ok = (abs(transformer - 3.3e6) <= 0.05 * 3.3e6
           and abs(gru - 3.3e6) <= 0.05 * 3.3e6
           and abs(small - 1.5e6) <= 0.10 * 1.5e6
@@ -63,7 +62,7 @@ def test_criterion_02_token_count():
 def test_criterion_03_gradient_gate():
     t0 = time.time()
     rng = np.random.default_rng(0)
-    model = Model(ModelConfig.transformer_default(), seed=0)
+    model = Model(ModelConfig(), seed=0)
     x = rng.normal(-2.0, 1.0, size=(1, 5, 2, 16, 16))
     target = rng.normal(-2.0, 1.0, size=(1, 2, 16, 16))
     report = gradient_check(model, x, target, num_probes=50, h=1e-5, seed=0)
@@ -191,7 +190,7 @@ def test_criterion_07_end_to_end_benchmark(tmp_path):
     scene_cfg = SynthConfig(height=128, width=128, seasonal_amplitude_db=1.5,
                             seasonal_period=24, disturbance_fraction=0.05, seed=303)
     result, transformer, logratio = run_experiment(
-        syn, 512, str(tmp_path / "corpus"), preset_model_size(512, 2), tc, scene_cfg,
+        syn, 512, str(tmp_path / "corpus"), ModelConfig(ff_dim=512, num_layers=2), tc, scene_cfg,
         SweepConfig(stride=2, batch_size=64))
 
     ok = (not result.diverged and transformer.auc >= 0.85

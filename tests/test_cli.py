@@ -25,7 +25,7 @@ from sardist.raster import (
     write_array,
     write_stack,
 )
-from sardist.synth import SynthConfig
+from sardist.synth import SynthConfig, generate_training_corpus
 from sardist.training import TrainConfig
 
 TINY_MODEL_FLAGS = [
@@ -116,6 +116,13 @@ class TestPlumbing:
         assert run(*estimate) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bogus" in err and err.count("\n") == 1
+        # a TV weight that is not a finite number would write the input back unchanged
+        for weight in ("nan", "inf"):
+            assert run("despeckle", "--input", str(tmp_path / "s.rts"), "--tv-weight", weight,
+                       "--out", str(tmp_path / "den.rts")) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "tv weight" in err and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "den.rts")
         # a model.json that is not UTF-8
         meta_path.write_bytes(b'{"config": "\xff"}\n')
         assert run(*estimate) == 1
@@ -344,6 +351,19 @@ class TestSynthCommand:
         assert tree_bytes(a_dir) == tree_bytes(b_dir)
         manifest = json.loads(open(os.path.join(a_dir, "corpus.json")).read())
         assert len(manifest["entries"]) == 3
+
+    def test_corpus_config_regenerates_the_corpus(self, tmp_path):
+        # corpus.json records the config, seed included, that produced it; JSON
+        # gives class_gamma0 back as lists
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        assert run("synth", "--kind", "corpus", "--count", "2", "--seed", "5",
+                   "--height", "8", "--width", "8", "--classes", "2",
+                   "--class-gamma0", "[[0.3, 0.05], [0.2, 0.04]]",
+                   "--out-dir", str(cli_dir)) == 0
+        manifest = json.loads((cli_dir / "corpus.json").read_text())
+        assert manifest["config"]["seed"] == manifest["master_seed"] == 5
+        generate_training_corpus(SynthConfig(**manifest["config"]), 2, str(lib_dir))
+        assert tree_bytes(cli_dir) == tree_bytes(lib_dir)
 
     def test_class_gamma0_flag(self, tmp_path):
         out = str(tmp_path / "s.rts")

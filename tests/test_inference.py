@@ -233,7 +233,7 @@ class TestSweepAveraging:
     def test_frozen_size_batch_and_thread_invariance_bitwise(self):
         # the benchmark's model size: 36-row encoder GEMMs and 4-row last-block
         # and head GEMMs per window, where BLAS kernel choice depends on shape
-        cfg = replace(ModelConfig.transformer_default(), ff_dim=512, num_layers=2)
+        cfg = ModelConfig(ff_dim=512, num_layers=2)
         model = Model(cfg, seed=1)
         frames = np.random.default_rng(8).normal(-2.0, 0.5, size=(9, 2, 20, 20))
         frames = frames.astype(np.float32)
@@ -274,9 +274,10 @@ class TestSweepAveraging:
     def test_stride_choice_changes_little(self):
         # denser overlap only smooths; fully seeded, so the bound is stable
         from sardist.preprocess import despeckle_values
-        from sardist.synth import SynthConfig, generate_nominal_sequence
+        from sardist.synth import SynthConfig, generate_scene
 
-        stack = generate_nominal_sequence(SynthConfig(height=32, width=32), seed=20)
+        stack, _ = generate_scene(SynthConfig(height=32, width=32, disturbance_fraction=0.0,
+                                              seed=20))
         den = despeckle_values(stack.values.reshape(-1, 32, 32)).reshape(stack.values.shape)
         frames = to_logit(den)
         cfg = ModelConfig(input_size=16, patch_size=8, d_model=32, num_heads=2,
@@ -408,7 +409,7 @@ class TestEstimateFromStack:
         stack = five_frame_stack()
         model = tiny_model(seed=6)
         via_stack = forecast(model, stack, SweepConfig(stride=2))
-        direct = sweep_estimate(model, logit(clip_unit(stack.values, 1e-4)),
+        direct = sweep_estimate(model, logit(clip_unit(stack.values)),
                                 SweepConfig(stride=2))
         np.testing.assert_array_equal(via_stack.mu, direct.mu)
         np.testing.assert_array_equal(via_stack.sigma, direct.sigma)
@@ -418,7 +419,7 @@ class TestEstimateFromStack:
         stack = five_frame_stack()
         model = tiny_model(seed=6)
         est = forecast(model, stack, SweepConfig(stride=2), drop_last)
-        direct = sweep_estimate(model, logit(clip_unit(stack.values[:5 - drop_last], 1e-4)),
+        direct = sweep_estimate(model, logit(clip_unit(stack.values[:5 - drop_last])),
                                 SweepConfig(stride=2))
         np.testing.assert_array_equal(est.mu, direct.mu)
         assert est.timestamp == stack.timestamps[4 - drop_last]

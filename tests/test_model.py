@@ -13,7 +13,7 @@ import pytest
 from sardist.autodiff import no_grad
 from sardist.errors import FormatError, ShapeError, ValidationError
 from sardist.model import (Model, ModelConfig, load_checkpoint, patch_split,
-                           preset_input_patch, preset_model_size, save_checkpoint)
+                           save_checkpoint)
 
 from gradcheck import cast
 
@@ -45,7 +45,7 @@ def expected_gru_params(cfg: ModelConfig) -> int:
 
 class TestParameterCounts:
     def test_default_transformer_frozen(self):
-        model = Model(ModelConfig.transformer_default())
+        model = Model(ModelConfig())
         count = model.parameter_count()
         assert count == expected_transformer_params(model.cfg)
         assert count == 3_262_464
@@ -59,21 +59,21 @@ class TestParameterCounts:
         assert abs(count - 3.3e6) / 3.3e6 < 0.05
 
     def test_small_preset(self):
-        count = Model(preset_model_size(512, 2)).parameter_count()
+        count = Model(ModelConfig(ff_dim=512, num_layers=2)).parameter_count()
         assert count == 1_485_824
         assert abs(count - 1.5e6) / 1.5e6 < 0.10
 
     def test_mid_preset_equals_default(self):
-        assert Model(preset_model_size(768, 4)).parameter_count() == 3_262_464
+        assert Model(ModelConfig(ff_dim=768, num_layers=4)).parameter_count() == 3_262_464
 
     def test_large_preset(self):
-        count = Model(preset_model_size(1024, 8)).parameter_count()
+        count = Model(ModelConfig(ff_dim=1024, num_layers=8)).parameter_count()
         assert count == 7_143_936
         assert abs(count - 7.1e6) / 7.1e6 < 0.10
 
     def test_input_patch_presets_token_grid(self):
         for size, patch, tokens_per_frame in ((16, 8, 4), (32, 8, 16), (32, 16, 4)):
-            cfg = preset_input_patch(size, patch)
+            cfg = ModelConfig(input_size=size, patch_size=patch)
             assert cfg.patches_per_frame == tokens_per_frame
 
 
@@ -92,7 +92,7 @@ def patch_merge(patches: np.ndarray, patch: int, size: int, channels: int = 2) -
 
 class TestTokenLayout:
     def test_forty_tokens_for_ten_frames(self):
-        cfg = ModelConfig.transformer_default()
+        cfg = ModelConfig()
         frames = np.zeros((1, 10, 2, 16, 16), dtype=np.float32)
         tokens = patch_split(frames, cfg.patch_size)
         assert tokens.shape == (1, 10, 4, 128)
@@ -333,7 +333,7 @@ class TestForwardBehavior:
         np.testing.assert_array_equal(sigma.data, graph_sigma.data)
 
     def test_no_grad_forward_leaves_params_and_window_frozen_size(self):
-        cfg = preset_model_size(512, 2)   # the benchmark model
+        cfg = ModelConfig(ff_dim=512, num_layers=2)   # the benchmark model
         x = np.random.default_rng(11).normal(size=(4, 9, 2, 16, 16)).astype(np.float32)
         self._assert_no_grad_forward_writes_nothing(Model(cfg, seed=1), x)
 

@@ -7,18 +7,25 @@ means a generator bug, not an unlucky draw: every seed here is frozen.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sardist import cli
 from sardist.errors import FormatError, ValidationError
+from sardist.inference import SweepConfig
 from sardist.model import Model, ModelConfig
+from sardist.preprocess import PreprocessConfig
 from sardist.raster import read_stack
-from sardist.synth import (SynthConfig, generate_nominal_sequence,
-                           generate_scene, generate_training_corpus,
+from sardist.synth import (SynthConfig, generate_scene, generate_training_corpus,
                            load_corpus, make_connected_mask, splitmix64)
 from sardist.training import TrainConfig
+
+
+def nominal(cfg):
+    """The scene of `cfg` with no disturbance: a training corpus sequence."""
+    return generate_scene(replace(cfg, disturbance_fraction=0.0))[0]
 
 
 def flood_fill_components(mask):
@@ -97,10 +104,9 @@ class TestConfigValidation:
 # every entry point that takes a seed, called as f(seed, directory)
 SEED_ENTRY_POINTS = {
     "SynthConfig": lambda seed, d: SynthConfig(seed=seed).validate(),
-    "generate_scene": lambda seed, d: generate_scene(SynthConfig(), seed),
-    "generate_nominal_sequence": lambda seed, d: generate_nominal_sequence(SynthConfig(), seed),
+    "generate_scene": lambda seed, d: generate_scene(SynthConfig(seed=seed)),
     "generate_training_corpus": lambda seed, d: generate_training_corpus(
-        SynthConfig(), 1, seed, os.path.join(d, "corpus")),
+        SynthConfig(seed=seed), 1, os.path.join(d, "corpus")),
     "Model": lambda seed, d: Model(ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8),
                                    seed=seed),
     "TrainConfig": lambda seed, d: TrainConfig(seed=seed).validate(),
@@ -118,6 +124,27 @@ def test_out_of_range_seed_is_a_validation_error(tmp_path, entry, seed):
     assert os.listdir(tmp_path) == []
 
 
+# one wrong-typed field per config dataclass, and the entry point that checks it
+WRONG_FIELD_TYPES = {
+    "SynthConfig": (lambda: generate_scene(SynthConfig(height=16.5)), "height"),
+    "PreprocessConfig": (lambda: PreprocessConfig(tv_iterations="50").validate(),
+                         "tv_iterations"),
+    "ModelConfig": (lambda: Model(ModelConfig(dropout="0.2")), "dropout"),
+    "TrainConfig-seed": (lambda: TrainConfig(seed="abc").validate(), "seed"),
+    "TrainConfig-batch_size": (lambda: TrainConfig(batch_size=1.5).validate(), "batch_size"),
+    "SweepConfig": (lambda: SweepConfig(stride=1.5).validate(), "stride"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(WRONG_FIELD_TYPES))
+def test_wrong_field_type_is_a_validation_error(config):
+    # one field-type rule (errors.check_fields) for every config: a value of the
+    # wrong type fails by name, not as a bare TypeError or a silent pass
+    call, field = WRONG_FIELD_TYPES[config]
+    with pytest.raises(ValidationError, match=f"^{field} must be "):
+        call()
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         cfg = SynthConfig(seed=42)
@@ -129,20 +156,18 @@ class TestDeterminism:
         assert stack_a.timestamps == stack_b.timestamps
 
     def test_explicit_seed_overrides_config(self):
-        cfg = SynthConfig(seed=1)
-        stack_a, _ = generate_scene(cfg, seed=1)
-        stack_b, _ = generate_scene(cfg)
+        # the seed lives in the config alone; an explicit one is set by replace
+        stack_a, _ = generate_scene(replace(SynthConfig(), seed=1))
+        stack_b, _ = generate_scene(SynthConfig(seed=1))
         assert np.array_equal(stack_a.values, stack_b.values)
 
     def test_different_seeds_differ(self):
-        cfg = SynthConfig()
-        stack_a, _ = generate_scene(cfg, seed=0)
-        stack_b, _ = generate_scene(cfg, seed=1)
+        stack_a, _ = generate_scene(SynthConfig(seed=0))
+        stack_b, _ = generate_scene(SynthConfig(seed=1))
         assert not np.array_equal(stack_a.values, stack_b.values)
 
     def test_timestamps_follow_cadence(self):
-        cfg = SynthConfig(num_steps=4, start_date="2024-01-03", cadence_days=12)
-        stack, _ = generate_scene(cfg, seed=0)
+        stack, _ = generate_scene(SynthConfig(num_steps=4))
         assert stack.timestamps == ["2024-01-03", "2024-01-15",
                                     "2024-01-27", "2024-02-08"]
 
@@ -152,8 +177,7 @@ class TestDisturbanceInjection:
         cfg = SynthConfig(disturbance_fraction=0.0, seed=9)
         stack, mask = generate_scene(cfg)
         assert not mask.any()
-        nominal = generate_nominal_sequence(cfg)
-        assert np.array_equal(stack.values, nominal.values)
+        assert np.array_equal(stack.values, nominal(cfg).values)
 
     def test_mask_pixel_count_exact(self):
         cfg = SynthConfig(height=64, width=64, disturbance_fraction=0.1, seed=3)
@@ -183,11 +207,11 @@ class TestDisturbanceInjection:
     def test_untouched_outside_mask(self):
         cfg = SynthConfig(height=32, width=32, disturbance_fraction=0.1, seed=7)
         stack, mask = generate_scene(cfg)
-        nominal = generate_nominal_sequence(cfg)
+        clean = nominal(cfg)
         outside = ~mask
         assert np.array_equal(stack.values[:, :, outside],
-                              nominal.values[:, :, outside])
-        assert np.array_equal(stack.values[:-1], nominal.values[:-1])
+                              clean.values[:, :, outside])
+        assert np.array_equal(stack.values[:-1], clean.values[:-1])
 
     def test_median_db_shift_within_half_db(self):
         cfg = SynthConfig(height=64, width=64, num_classes=4, looks=9.0,
@@ -205,9 +229,8 @@ class TestDisturbanceInjection:
         cfg = SynthConfig(height=32, width=32, disturbance_fraction=0.2,
                           disturbance_delta_db=3.0, seed=5)
         stack, mask = generate_scene(cfg)
-        nominal = generate_nominal_sequence(cfg)
         post = stack.values[-1][:, mask]
-        base = nominal.values[-1][:, mask]
+        base = nominal(cfg).values[-1][:, mask]
         # clipping can pin a few already-bright pixels; most must move up
         assert (post >= base).mean() > 0.99
 
@@ -221,7 +244,7 @@ class TestSpeckleStatistics:
         cfg = SynthConfig(height=64, width=64, num_steps=25, num_classes=1,
                           looks=looks, class_gamma0=(levels,),
                           disturbance_fraction=0.0, seed=5)
-        seq = generate_nominal_sequence(cfg)
+        seq = nominal(cfg)
         for channel, gamma0 in enumerate(levels):
             speckle = seq.values[:, channel].astype(np.float64) / gamma0
             n = speckle.size
@@ -254,8 +277,8 @@ class TestSpeckleStatistics:
     def test_seasonal_amplitude_modulates(self):
         flat = SynthConfig(height=16, width=16, seasonal_amplitude_db=0.0, seed=2)
         wavy = SynthConfig(height=16, width=16, seasonal_amplitude_db=2.0, seed=2)
-        a = generate_nominal_sequence(flat)
-        b = generate_nominal_sequence(wavy)
+        a = nominal(flat)
+        b = nominal(wavy)
         assert not np.array_equal(a.values, b.values)
 
 
@@ -275,11 +298,11 @@ class TestSplitmix:
 
 class TestCorpus:
     def test_count_and_manifest(self, tmp_path):
-        cfg = SynthConfig(height=16, width=16, num_steps=11, seed=0)
-        manifest_path = generate_training_corpus(cfg, 10, 123, str(tmp_path))
+        cfg = SynthConfig(height=16, width=16, num_steps=11, seed=123)
+        manifest_path = generate_training_corpus(cfg, 10, str(tmp_path))
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        assert manifest["master_seed"] == 123
+        assert manifest["master_seed"] == manifest["config"]["seed"] == 123
         assert len(manifest["entries"]) == 10
         files = sorted(p for p in os.listdir(tmp_path) if p.endswith(".rts"))
         assert len(files) == 10
@@ -287,8 +310,8 @@ class TestCorpus:
             assert entry["seed"] == splitmix64(123, manifest["entries"].index(entry))
 
     def test_sequences_read_back_with_requested_length(self, tmp_path):
-        cfg = SynthConfig(num_steps=11, seed=0)
-        manifest_path = generate_training_corpus(cfg, 3, 7, str(tmp_path))
+        cfg = SynthConfig(num_steps=11, seed=7)
+        manifest_path = generate_training_corpus(cfg, 3, str(tmp_path))
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
         for entry in manifest["entries"]:
@@ -297,11 +320,11 @@ class TestCorpus:
             assert stack.values.shape[1] == 2
 
     def test_regeneration_byte_identical(self, tmp_path):
-        cfg = SynthConfig(height=16, width=16, seed=0)
+        cfg = SynthConfig(height=16, width=16, seed=99)
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
-        generate_training_corpus(cfg, 4, 99, str(dir_a))
-        generate_training_corpus(cfg, 4, 99, str(dir_b))
+        generate_training_corpus(cfg, 4, str(dir_a))
+        generate_training_corpus(cfg, 4, str(dir_b))
         for name in sorted(os.listdir(dir_a)):
             with open(dir_a / name, "rb") as fh:
                 blob_a = fh.read()
@@ -310,9 +333,9 @@ class TestCorpus:
             assert blob_a == blob_b, name
 
     def test_per_sequence_seeds_independent_of_count(self, tmp_path):
-        cfg = SynthConfig(height=16, width=16, seed=0)
-        generate_training_corpus(cfg, 2, 5, str(tmp_path / "small"))
-        generate_training_corpus(cfg, 4, 5, str(tmp_path / "large"))
+        cfg = SynthConfig(height=16, width=16, seed=5)
+        generate_training_corpus(cfg, 2, str(tmp_path / "small"))
+        generate_training_corpus(cfg, 4, str(tmp_path / "large"))
         for name in ("seq_00000.rts", "seq_00001.rts"):
             with open(tmp_path / "small" / name, "rb") as fh:
                 blob_small = fh.read()
@@ -321,8 +344,8 @@ class TestCorpus:
             assert blob_small == blob_large
 
     def test_load_corpus_stacks_everything(self, tmp_path):
-        cfg = SynthConfig(height=16, width=16, num_steps=11, seed=0)
-        manifest_path = generate_training_corpus(cfg, 5, 1, str(tmp_path))
+        cfg = SynthConfig(height=16, width=16, num_steps=11, seed=1)
+        manifest_path = generate_training_corpus(cfg, 5, str(tmp_path))
         corpus = load_corpus(manifest_path)
         assert corpus.shape == (5, 11, 2, 16, 16)
         assert corpus.dtype == np.float32
@@ -338,17 +361,16 @@ class TestCorpus:
 
     def test_zero_count_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            generate_training_corpus(SynthConfig(), 0, 0, str(tmp_path))
+            generate_training_corpus(SynthConfig(), 0, str(tmp_path))
 
     def test_corpus_sequences_have_no_disturbance(self, tmp_path):
         # nominal sequences must match the zero-fraction scene exactly
-        cfg = SynthConfig(height=16, width=16, disturbance_fraction=0.5, seed=0)
-        manifest_path = generate_training_corpus(cfg, 1, 77, str(tmp_path))
+        cfg = SynthConfig(height=16, width=16, disturbance_fraction=0.5, seed=77)
+        manifest_path = generate_training_corpus(cfg, 1, str(tmp_path))
         with open(manifest_path, encoding="utf-8") as fh:
             seed0 = json.load(fh)["entries"][0]["seed"]
         stack = read_stack(str(tmp_path / "seq_00000.rts"))
         clean, mask = generate_scene(
-            SynthConfig(height=16, width=16, disturbance_fraction=0.0, seed=0),
-            seed=seed0)
+            SynthConfig(height=16, width=16, disturbance_fraction=0.0, seed=seed0))
         assert not mask.any()
         assert np.array_equal(stack.values, clean.values)

@@ -200,7 +200,7 @@ class TestAdam:
         w0 = rng.normal(size=(3, 4))
         grads = [rng.normal(size=(3, 4)) for _ in range(7)]
         p = Tensor(w0.copy(), requires_grad=True)
-        opt = Adam({"w": p}, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam({"w": p})
         for g in grads:
             p.grad = g.copy()
             opt.step(3e-4)
