@@ -1,5 +1,6 @@
 """Tests for PR curves and report emission against a brute-force oracle."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sardist.disturbance import log_ratio_map
 from sardist.errors import ProvenanceError, ShapeError, ValidationError
 from sardist.evaluation import (
+    REPORT_FILES,
     LabeledScores,
     build_labeled_set,
     default_tau_grid,
@@ -386,3 +388,27 @@ class TestEmission:
         assert parsed["pr_auc"] == summary["pr_auc"]
         assert parsed["best_f1"] == curve.best_f1
         assert parsed["num_positive"] == curve.num_positive
+
+    # SHA-256 of each of the REPORT_FILES for random_set(default_rng(20), 3000), in
+    # order; a change to the report path that keeps the report keeps these bytes
+    PINNED = {
+        512: ("5195ff850b04030b208d370ef451a728dab1e3969e03155af21eb78ca9c17ad3",
+              "042ac9de06cd7a6509420f9be069ed121692417bdd1f6f144867dcc3f39ab805",
+              "84504dbea059eba76b5013ce60f713f20558312446b137fe94def204a1e38719",
+              "44d5edd54c18ad1ce84278db2507c64c7185adef2236a8eda5604e0e2c28e065",
+              "d4d7923d57389c167f3aec539bd621dea66b5a780c0dace510e0b0a7c0a8f6e0"),
+        None: ("5bc15c6e4a7f2e7e67b0fc0388c05a62133e897637ae0c35e2541a36764007df",
+               "042ac9de06cd7a6509420f9be069ed121692417bdd1f6f144867dcc3f39ab805",
+               "a7ad85227fd1f581da007b7ccb7964505d32f3f36d793f77abbbe180e9fb5c0d",
+               "44d5edd54c18ad1ce84278db2507c64c7185adef2236a8eda5604e0e2c28e065",
+               "73386ad8980c72e676408b953ae601913b527e98e48447932a778d812e765220"),
+    }
+
+    @pytest.mark.parametrize("max_points", [512, None])
+    def test_report_bytes_pinned(self, tmp_path, max_points):
+        ls = random_set(np.random.default_rng(20), 3000)
+        emit_report(str(tmp_path), pr_curve(ls, max_points),
+                    f1_vs_threshold(ls, default_tau_grid(ls)))
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in REPORT_FILES)
+        assert digests == self.PINNED[max_points]
