@@ -9,9 +9,12 @@
   not settings);
 - `env_vars_read`: distinct environment variable names that src/ reads
   through `os.environ` or `os.getenv` with a literal name;
-- `config_fields.<Config>`: fields of each config dataclass, then their total.
+- `config_fields.<Config>`: fields of each config dataclass, then their total;
+- `public_defs`: module-level functions and classes under src/sardist whose
+  name has no leading underscore.
 """
 
+import ast
 import dataclasses
 import os
 import re
@@ -54,6 +57,10 @@ def counts() -> dict[str, int]:
         "env_vars_read": len({name for text in texts for name in ENV_READ.findall(text)}),
         **fields,
         "config_fields": sum(fields.values()),
+        "public_defs": sum(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            for text in texts for node in ast.parse(text).body),
     }
 
 

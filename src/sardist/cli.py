@@ -37,8 +37,7 @@ from dataclasses import replace
 
 from . import __version__
 from .errors import ProvenanceError, ValidationError, check_seed
-from .evaluation import REPORT_FILES, default_tau_grid, emit_report, f1_vs_threshold, \
-    pr_curve, run_experiment, two_image_scores
+from .evaluation import REPORT_FILES, emit_report, run_experiment, two_image_scores
 from .disturbance import score_frame, threshold_map
 from .inference import _FORWARD_WINDOWS, SweepConfig, forecast
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -360,18 +359,15 @@ def _cmd_delineate(r: _Resolver) -> int:
 def _cmd_eval(r: _Resolver) -> int:
     stack_path, truth_path, out_dir = r.require("eval", "stack", "truth", "out-dir")
     method = r.get("method")
-    max_points = r.get("max-points")
     stack = read_stack(stack_path, allow_raw=r.get("allow-raw"))
     truth = read_mask(truth_path)
     if method == "mahalanobis":
         labeled, est_paths = _score_estimate(r, "eval --method", two_image_scores, stack, truth)
     else:
         labeled, est_paths = two_image_scores(stack, truth), []
-    curve = pr_curve(labeled, max_points=max_points)
-    summary = emit_report(out_dir, curve, f1_vs_threshold(labeled, default_tau_grid(labeled)))
-    outputs = [os.path.join(out_dir, name) for name in REPORT_FILES]
-    _write_manifest(r, out_dir, [stack_path, truth_path, *est_paths], outputs,
-                    extra={"method": method})
+    summary = emit_report(out_dir, labeled, r.get("max-points"))
+    _write_manifest(r, out_dir, [stack_path, truth_path, *est_paths],
+                    [os.path.join(out_dir, n) for n in REPORT_FILES], extra={"method": method})
     print(f"{method}: pr_auc={summary['pr_auc']:.4f} best_f1={summary['best_f1']:.4f} "
           f"best_tau={summary['best_tau']:.4f}")
     return 0

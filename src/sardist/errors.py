@@ -5,6 +5,7 @@ distinct from storage failures, which are plain OSError, so the CLI can map
 them to separate exit codes.
 """
 
+import math
 from dataclasses import fields
 
 
@@ -42,8 +43,11 @@ _FIELD_TYPES = {"str": str, "int": int, "int | None": (int, type(None)), "float"
 
 
 def check_fields(config) -> None:
-    """ValidationError unless every field of the dataclass `config` has its annotated type."""
+    """ValidationError unless every field of the dataclass `config` has its annotated type,
+    finite if a float (an int may be past float range, where math.isfinite overflows)."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
             raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value!r}")

@@ -1,5 +1,6 @@
-"""Two-image evaluation protocol: PR curves, F1 sweeps, report emission, and
-`run_experiment`, the whole pipeline from a synthetic corpus to PR curves.
+"""Two-image evaluation protocol: PR curves, F1 sweeps, the eval report
+(`emit_report`), and `run_experiment`, the whole pipeline from a synthetic
+corpus to PR curves.
 
 Scoring set: the metric map of a held-out pre-event frame contributes
 all-negative pixels, the post-event metric map contributes pixels labeled by
@@ -24,7 +25,7 @@ highest defined threshold (no interpolation to (0,1)).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +37,6 @@ from .preprocess import despeckle_stack, despeckle_values, to_logit
 from .raster import DistributionEstimate, DisturbanceMap, RasterStack, write_json, write_text
 from .synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus
 from .training import TrainConfig, TrainResult, train
-
-_FMT = "{:.10g}"
 
 #: the files `emit_report` writes into its output directory, in writing order
 REPORT_FILES = ("pr_curve.csv", "f1_vs_tau.csv", "pr_curve.svg", "f1_vs_tau.svg",
@@ -116,8 +115,6 @@ class PRCurve:
     best_f1: float
     best_precision: float
     best_recall: float
-    #: thresholds with zero predicted positives: [max_score]
-    skipped_thresholds: list[float] = field(default_factory=list)
     max_score: float = 0.0
     num_positive: int = 0
     num_negative: int = 0
@@ -163,7 +160,6 @@ def pr_curve(ls: LabeledScores, max_points: int | None = 512) -> PRCurve:
         best_f1=float(f1[best]),
         best_precision=float(tp[best] / predicted[best]),
         best_recall=float(recall[best]),
-        skipped_thresholds=[float(tau[0])],
         max_score=float(tau[0]),
         num_positive=positives,
         num_negative=ls.scores.size - positives,
@@ -205,10 +201,6 @@ def run_experiment(corpus_cfg: SynthConfig, corpus_size: int, corpus_dir: str,
             pr_curve(two_image_scores(stack, truth)))
 
 
-def normalized_tau(tau: float, max_score: float) -> float:
-    return tau / max_score if max_score > 0 else 0.0
-
-
 def f1_vs_threshold(ls: LabeledScores, taus) -> list[tuple[float, float, float]]:
     """Rows (tau, tau/max_score, f1) for explicit thresholds, strict >."""
     taus = np.asarray(taus, dtype=np.float64)
@@ -225,28 +217,12 @@ def f1_vs_threshold(ls: LabeledScores, taus) -> list[tuple[float, float, float]]
     return list(zip(taus.tolist(), normalized.tolist(), f1.tolist()))
 
 
-def default_tau_grid(ls: LabeledScores, count: int = 256) -> np.ndarray:
-    """Evenly spaced thresholds from 0 to the maximum score."""
-    if count < 2:
-        raise ValidationError(f"grid needs >= 2 points, got {count}")
-    return np.linspace(0.0, float(ls.scores.max()), count)
-
-
 # ---------------------------------------------------------------------------
 # report emission (CSV + deterministic hand-rolled SVG)
 # ---------------------------------------------------------------------------
 
-def pr_curve_csv(curve: PRCurve) -> str:
-    lines = ["tau,precision,recall,f1"]
-    for tau, precision, recall, f1 in curve.points:
-        lines.append(",".join(_FMT.format(v) for v in (tau, precision, recall, f1)))
-    return "\n".join(lines) + "\n"
-
-
-def f1_table_csv(rows: list[tuple[float, float, float]]) -> str:
-    lines = ["tau,tau_normalized,f1"]
-    for tau, tau_norm, f1 in rows:
-        lines.append(",".join(_FMT.format(v) for v in (tau, tau_norm, f1)))
+def _csv(header: str, rows) -> str:
+    lines = [header] + [",".join(f"{v:.10g}" for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -255,14 +231,16 @@ _ML, _MR, _MT, _MB = 70, 20, 26, 56
 
 
 def _sx(x: float) -> float:
-    return _ML + x * (_W - _ML - _MR)
+    return _ML + min(max(x, 0.0), 1.0) * (_W - _ML - _MR)
 
 
 def _sy(y: float) -> float:
     return _H - _MB - y * (_H - _MT - _MB)
 
 
-def _svg_frame(title: str, xlabel: str, ylabel: str, body: list[str]) -> str:
+def _plot(title: str, xlabel: str, ylabel: str, path: list[tuple[float, float]],
+          colour: str, star: tuple[float, float], caption: str | None = None) -> str:
+    """SVG of the unit square, x clamped to it: `path` as a polyline, a star, a caption."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -289,44 +267,28 @@ def _svg_frame(title: str, xlabel: str, ylabel: str, body: list[str]) -> str:
     parts.append(f'<text x="18" y="{(_sy(0) + _sy(1)) / 2:.1f}" text-anchor="middle" '
                  f'font-family="monospace" font-size="12" '
                  f'transform="rotate(-90 18 {(_sy(0) + _sy(1)) / 2:.1f})">{ylabel}</text>')
-    parts.extend(body)
+    poly = " ".join(f"{_sx(x):.2f},{_sy(y):.2f}" for x, y in path)
+    parts.append(f'<polyline points="{poly}" fill="none" stroke="{colour}" stroke-width="2"/>')
+    cx, cy = _sx(star[0]), _sy(star[1])
+    pts = []
+    for i in range(10):
+        r = 7.0 if i % 2 == 0 else 7.0 * 0.42
+        ang = -np.pi / 2 + i * np.pi / 5
+        pts.append(f"{cx + r * np.cos(ang):.2f},{cy + r * np.sin(ang):.2f}")
+    parts.append(f'<polygon points="{" ".join(pts)}" fill="gold" stroke="black"/>')
+    if caption is not None:
+        parts.append(f'<text x="{_sx(0.02):.1f}" y="{_sy(0.04):.1f}" font-family="monospace" '
+                     f'font-size="12">{caption}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _star(cx: float, cy: float, radius: float = 7.0) -> str:
-    pts = []
-    for i in range(10):
-        r = radius if i % 2 == 0 else radius * 0.42
-        ang = -np.pi / 2 + i * np.pi / 5
-        pts.append(f"{cx + r * np.cos(ang):.2f},{cy + r * np.sin(ang):.2f}")
-    return f'<polygon points="{" ".join(pts)}" fill="gold" stroke="black"/>'
-
-
-def render_pr_svg(curve: PRCurve) -> str:
-    poly = " ".join(f"{_sx(r):.2f},{_sy(p):.2f}" for r, p in _pr_path(curve.points))
-    body = [f'<polyline points="{poly}" fill="none" stroke="steelblue" stroke-width="2"/>']
-    body.append(_star(_sx(curve.best_recall), _sy(curve.best_precision)))
-    body.append(f'<text x="{_sx(0.02):.1f}" y="{_sy(0.04):.1f}" font-family="monospace" '
-                f'font-size="12">AUC={curve.auc:.4f} bestF1={curve.best_f1:.4f} '
-                f'tau={curve.best_tau:.4f}</text>')
-    return _svg_frame("precision vs recall", "recall", "precision", body)
-
-
-def render_f1_svg(rows: list[tuple[float, float, float]], best_tau_norm: float,
-                  best_f1: float) -> str:
-    poly = " ".join(
-        f"{_sx(min(max(tn, 0.0), 1.0)):.2f},{_sy(f1):.2f}" for _, tn, f1 in rows
-    )
-    body = [f'<polyline points="{poly}" fill="none" stroke="firebrick" stroke-width="2"/>']
-    body.append(_star(_sx(min(max(best_tau_norm, 0.0), 1.0)), _sy(best_f1)))
-    return _svg_frame("F1 vs normalized threshold", "tau / max score", "F1", body)
-
-
-def emit_report(out_dir: str, curve: PRCurve,
-                f1_rows: list[tuple[float, float, float]]) -> dict:
-    """Write the REPORT_FILES (both CSVs, both SVGs, summary.json) into `out_dir`."""
-    best_tau_normalized = normalized_tau(curve.best_tau, curve.max_score)
+def emit_report(out_dir: str, ls: LabeledScores, max_points: int | None = 512) -> dict:
+    """Write the REPORT_FILES of `ls` into `out_dir`, return the summary: its PR curve and
+    its F1 at 256 thresholds from 0 to the maximum score as CSV and SVG, then summary.json."""
+    curve = pr_curve(ls, max_points)
+    f1_rows = f1_vs_threshold(ls, np.linspace(0.0, curve.max_score, 256))
+    best_tau_normalized = curve.best_tau / curve.max_score if curve.max_score > 0 else 0.0
     summary = {
         "pr_auc": curve.auc,
         "best_tau": curve.best_tau,
@@ -336,10 +298,18 @@ def emit_report(out_dir: str, curve: PRCurve,
         "best_recall": curve.best_recall,
         "num_positive": curve.num_positive,
         "num_negative": curve.num_negative,
-        "skipped_thresholds": curve.skipped_thresholds,
+        "skipped_thresholds": [curve.max_score],
     }
-    texts = (pr_curve_csv(curve), f1_table_csv(f1_rows), render_pr_svg(curve),
-             render_f1_svg(f1_rows, best_tau_normalized, curve.best_f1))
+    texts = (
+        _csv("tau,precision,recall,f1", curve.points),
+        _csv("tau,tau_normalized,f1", f1_rows),
+        _plot("precision vs recall", "recall", "precision", _pr_path(curve.points),
+              "steelblue", (curve.best_recall, curve.best_precision),
+              f"AUC={curve.auc:.4f} bestF1={curve.best_f1:.4f} tau={curve.best_tau:.4f}"),
+        _plot("F1 vs normalized threshold", "tau / max score", "F1",
+              [(tn, f1) for _, tn, f1 in f1_rows], "firebrick",
+              (best_tau_normalized, curve.best_f1)),
+    )
     os.makedirs(out_dir, exist_ok=True)
     for name, text in zip(REPORT_FILES[:-1], texts):
         write_text(os.path.join(out_dir, name), text)

@@ -61,9 +61,8 @@ class PreprocessConfig:
 
     def validate(self) -> None:
         check_fields(self)
-        # a NaN or infinite weight would leave every slice as it was (descent safeguard)
-        if not 0 <= self.tv_weight_db < float("inf"):
-            raise ValidationError(f"tv weight must be finite and >= 0, got {self.tv_weight_db}")
+        if self.tv_weight_db < 0:
+            raise ValidationError(f"tv weight must be >= 0, got {self.tv_weight_db}")
         if self.tv_iterations < 1:
             raise ValidationError(f"tv iterations must be >= 1, got {self.tv_iterations}")
         if not 0 < self.tv_step <= 0.25:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, replace
 from datetime import date, timedelta
+from numbers import Real
 
 import numpy as np
 
@@ -71,8 +72,10 @@ class SynthConfig:
                     f"for {self.num_classes} classes"
                 )
             for entry in self.class_gamma0:
-                if len(entry) != 2:
-                    raise ValidationError("class_gamma0 entries must be (vv, vh) pairs")
+                if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(
+                        isinstance(v, Real) and not isinstance(v, bool) for v in entry)):
+                    raise ValidationError(f"class_gamma0 entries must be (vv, vh) number "
+                                          f"pairs, got {entry!r}")
                 for v in entry:
                     if not 0 < v < 1:
                         raise ValidationError(f"class_gamma0 value {v} outside (0,1)")
@@ -184,8 +187,8 @@ def generate_training_corpus(cfg: SynthConfig, count: int, out_dir: str) -> str:
     independently.
     """
     cfg.validate()
-    if count < 1:
-        raise ValidationError(f"corpus size must be >= 1, got {count}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValidationError(f"corpus size must be an integer >= 1, got {count!r}")
     os.makedirs(out_dir, exist_ok=True)
     nominal = replace(cfg, disturbance_fraction=0.0)
     entries = []

@@ -121,8 +121,14 @@ class TestPlumbing:
             assert run("despeckle", "--input", str(tmp_path / "s.rts"), "--tv-weight", weight,
                        "--out", str(tmp_path / "den.rts")) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and "tv weight" in err and err.count("\n") == 1
+            assert err.startswith("error: ") and "tv_weight_db" in err and err.count("\n") == 1
         assert not os.path.exists(tmp_path / "den.rts")
+        # an infinite disturbance would saturate the disturbed pixels at the clip bound
+        assert run("synth", "--kind", "scene", "--delta-db", "inf", "--out",
+                   str(tmp_path / "inf.rts"), "--mask", str(tmp_path / "inf_mask.rts")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "disturbance_delta_db" in err and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "inf.rts")
         # a model.json that is not UTF-8
         meta_path.write_bytes(b'{"config": "\xff"}\n')
         assert run(*estimate) == 1

@@ -15,15 +15,9 @@ from sardist.evaluation import (
     REPORT_FILES,
     LabeledScores,
     build_labeled_set,
-    default_tau_grid,
     emit_report,
-    f1_table_csv,
     f1_vs_threshold,
-    normalized_tau,
     pr_curve,
-    pr_curve_csv,
-    render_f1_svg,
-    render_pr_svg,
     two_image_scores,
 )
 from sardist.inference import SweepConfig, forecast, sweep_estimate
@@ -78,6 +72,11 @@ def random_set(rng, n, informative=True, ties=False):
     if labels.all():
         labels[int(np.argmin(scores))] = False
     return LabeledScores(scores, labels)
+
+
+def read_csv(path):
+    """The rows of a report CSV, without its header."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +195,7 @@ class TestPRCurve:
         assert abs(curve.auc - oracle_auc) < 1e-12
         assert abs(curve.best_f1 - oracle_f1) < 1e-12
         assert curve.best_tau == oracle_tau
-        assert curve.skipped_thresholds == [0.9]
+        assert curve.max_score == 0.9
 
     def test_matches_oracle_exactly_without_downsampling(self):
         rng = np.random.default_rng(0)
@@ -239,7 +238,7 @@ class TestPRCurve:
         assert precision == 0.25   # prevalence
         assert recall == 1.0
         assert abs(curve.auc - 0.25) < 1e-12
-        assert curve.skipped_thresholds == [0.4]
+        assert curve.max_score == 0.4
 
     def test_best_point_always_on_curve(self):
         rng = np.random.default_rng(2)
@@ -306,6 +305,7 @@ class TestF1VsThreshold:
         for ls, taus in cases:
             rows = f1_vs_threshold(ls, taus)
             positives = int(ls.labels.sum())
+            max_score = float(ls.scores.max())
             for (tau, tau_norm, f1), tau_in in zip(rows, taus):
                 predicted = ls.scores > tau_in
                 tp = int((predicted & ls.labels).sum())
@@ -313,7 +313,7 @@ class TestF1VsThreshold:
                 expected = 2.0 * tp / denom if denom > 0 else 0.0
                 assert tau == tau_in
                 assert abs(f1 - expected) < 1e-12
-                assert tau_norm == normalized_tau(tau_in, float(ls.scores.max()))
+                assert tau_norm == tau_in / max_score
 
     def test_thresholds_outside_score_range(self):
         ls = LabeledScores([0.2, 0.8], [False, True])
@@ -328,16 +328,24 @@ class TestF1VsThreshold:
         with pytest.raises(ValidationError):
             f1_vs_threshold(ls, [0.1, np.inf])
 
-    def test_default_grid(self):
+    def test_default_grid(self, tmp_path):
+        # emit_report tabulates F1 at 256 evenly spaced thresholds from 0 to the max
         ls = LabeledScores([0.0, 2.0, 4.0], [False, True, True])
-        grid = default_tau_grid(ls, count=5)
-        np.testing.assert_allclose(grid, [0.0, 1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(ValidationError):
-            default_tau_grid(ls, count=1)
+        emit_report(str(tmp_path), ls)
+        rows = read_csv(tmp_path / "f1_vs_tau.csv")
+        np.testing.assert_allclose(rows[:, 0], np.linspace(0.0, 4.0, 256), rtol=1e-9)
+        np.testing.assert_allclose(rows[:, 1], np.linspace(0.0, 1.0, 256), rtol=1e-9)
+        assert rows[0, 2] == 1.0 and rows[-1, 2] == 0.0   # tau 0 leaves out the 0.0 score
 
-    def test_normalized_tau_zero_guard(self):
-        assert normalized_tau(0.5, 0.0) == 0.0
-        assert normalized_tau(0.5, 2.0) == 0.25
+    def test_normalized_tau_zero_guard(self, tmp_path):
+        # no positive score: every normalized threshold reads 0, not a division by <= 0
+        summary = emit_report(str(tmp_path / "a"),
+                              LabeledScores([-3.0, -1.0, -2.0], [False, True, False]))
+        assert summary["best_tau_normalized"] == 0.0
+        assert (read_csv(tmp_path / "a" / "f1_vs_tau.csv")[:, 1] == 0.0).all()
+        summary = emit_report(str(tmp_path / "b"),
+                              LabeledScores([0.5, 2.0, 0.1, 1.0], [False, True, False, True]))
+        assert summary["best_tau"] == 0.5 and summary["best_tau_normalized"] == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -345,49 +353,50 @@ class TestF1VsThreshold:
 # ---------------------------------------------------------------------------
 
 class TestEmission:
-    def make_curve(self, seed=6):
-        rng = np.random.default_rng(seed)
-        ls = random_set(rng, 400)
-        return pr_curve(ls), f1_vs_threshold(ls, default_tau_grid(ls, 32))
+    def make_report(self, out_dir, seed=6):
+        ls = random_set(np.random.default_rng(seed), 400)
+        return ls, emit_report(str(out_dir), ls)
 
-    def test_pr_csv_shape(self):
-        curve, _ = self.make_curve()
-        lines = pr_curve_csv(curve).splitlines()
+    def test_pr_csv_shape(self, tmp_path):
+        ls, _ = self.make_report(tmp_path)
+        curve = pr_curve(ls)
+        lines = (tmp_path / "pr_curve.csv").read_text().splitlines()
         assert lines[0] == "tau,precision,recall,f1"
         assert len(lines) == len(curve.points) + 1
         for line, point in zip(lines[1:], curve.points):
             parsed = tuple(float(v) for v in line.split(","))
             np.testing.assert_allclose(parsed, point, rtol=1e-9)
 
-    def test_f1_csv_shape(self):
-        _, rows = self.make_curve()
-        lines = f1_table_csv(rows).splitlines()
+    def test_f1_csv_shape(self, tmp_path):
+        ls, _ = self.make_report(tmp_path)
+        lines = (tmp_path / "f1_vs_tau.csv").read_text().splitlines()
         assert lines[0] == "tau,tau_normalized,f1"
-        assert len(lines) == len(rows) + 1
+        assert len(lines) == 256 + 1
+        expected = f1_vs_threshold(ls, np.linspace(0.0, ls.scores.max(), 256))
+        np.testing.assert_allclose(read_csv(tmp_path / "f1_vs_tau.csv"), expected, rtol=1e-9)
 
-    def test_svgs_are_well_formed_xml(self):
-        curve, rows = self.make_curve()
-        for text in (render_pr_svg(curve),
-                     render_f1_svg(rows, 0.4, 0.9)):
+    def test_svgs_are_well_formed_xml(self, tmp_path):
+        self.make_report(tmp_path)
+        for name in ("pr_curve.svg", "f1_vs_tau.svg"):
+            text = (tmp_path / name).read_text()
             root = ET.fromstring(text)
             assert root.tag.endswith("svg")
             assert "polyline" in text and "polygon" in text
 
     def test_emit_report_files_and_determinism(self, tmp_path):
-        curve, rows = self.make_curve()
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        summary = emit_report(str(a_dir), curve, rows)
-        emit_report(str(b_dir), curve, rows)
-        names = ["pr_curve.csv", "f1_vs_tau.csv", "pr_curve.svg",
-                 "f1_vs_tau.svg", "summary.json"]
-        for name in names:
-            a_bytes = (a_dir / name).read_bytes()
-            assert a_bytes == (b_dir / name).read_bytes()
+        ls, summary = self.make_report(tmp_path / "a")
+        self.make_report(tmp_path / "b")
+        curve = pr_curve(ls)
+        for name in REPORT_FILES:
+            a_bytes = (tmp_path / "a" / name).read_bytes()
+            assert a_bytes == (tmp_path / "b" / name).read_bytes()
             assert len(a_bytes) > 0
-        parsed = json.loads((a_dir / "summary.json").read_text())
-        assert parsed["pr_auc"] == summary["pr_auc"]
+        parsed = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert parsed == summary
+        assert parsed["pr_auc"] == curve.auc
         assert parsed["best_f1"] == curve.best_f1
         assert parsed["num_positive"] == curve.num_positive
+        assert parsed["skipped_thresholds"] == [curve.max_score]
 
     # SHA-256 of each of the REPORT_FILES for random_set(default_rng(20), 3000), in
     # order; a change to the report path that keeps the report keeps these bytes
@@ -407,8 +416,7 @@ class TestEmission:
     @pytest.mark.parametrize("max_points", [512, None])
     def test_report_bytes_pinned(self, tmp_path, max_points):
         ls = random_set(np.random.default_rng(20), 3000)
-        emit_report(str(tmp_path), pr_curve(ls, max_points),
-                    f1_vs_threshold(ls, default_tau_grid(ls)))
+        emit_report(str(tmp_path), ls, max_points)
         digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                         for name in REPORT_FILES)
         assert digests == self.PINNED[max_points]

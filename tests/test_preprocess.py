@@ -284,5 +284,5 @@ class TestConfig:
         # so despeckling would silently write its input
         stack = RasterStack(np.full((3, 2, 4, 4), 0.2, dtype=np.float32),
                             ["2024-01-01", "2024-01-13", "2024-01-25"])
-        with pytest.raises(ValidationError, match="tv weight must be finite"):
+        with pytest.raises(ValidationError, match="^tv_weight_db must be finite"):
             despeckle_stack(stack, PreprocessConfig(tv_weight_db=weight))

@@ -6,6 +6,7 @@ means a generator bug, not an unlucky draw: every seed here is frozen.
 """
 
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -90,8 +91,10 @@ class TestConfigValidation:
             SynthConfig(num_classes=1, class_gamma0=((0.2, 0.0),)).validate()
 
     def test_gamma0_entry_not_a_pair(self):
-        with pytest.raises(ValidationError):
-            SynthConfig(num_classes=1, class_gamma0=((0.2, 0.06, 0.01),)).validate()
+        # checked before the range test, which would raise a bare TypeError
+        for levels in (((0.2, 0.06, 0.01),), ((0.1, "a"),), (0.1,), ((True, 0.06),)):
+            with pytest.raises(ValidationError, match="class_gamma0 entries"):
+                SynthConfig(num_classes=1, class_gamma0=levels).validate()
 
     def test_seed_must_fit_uint64(self):
         with pytest.raises(ValidationError):
@@ -124,7 +127,8 @@ def test_out_of_range_seed_is_a_validation_error(tmp_path, entry, seed):
     assert os.listdir(tmp_path) == []
 
 
-# one wrong-typed field per config dataclass, and the entry point that checks it
+# one wrong-typed field per config dataclass, then non-finite floats, and the
+# entry point that checks each
 WRONG_FIELD_TYPES = {
     "SynthConfig": (lambda: generate_scene(SynthConfig(height=16.5)), "height"),
     "PreprocessConfig": (lambda: PreprocessConfig(tv_iterations="50").validate(),
@@ -133,6 +137,21 @@ WRONG_FIELD_TYPES = {
     "TrainConfig-seed": (lambda: TrainConfig(seed="abc").validate(), "seed"),
     "TrainConfig-batch_size": (lambda: TrainConfig(batch_size=1.5).validate(), "batch_size"),
     "SweepConfig": (lambda: SweepConfig(stride=1.5).validate(), "stride"),
+    # a NaN or an infinity in a float field
+    "SynthConfig-nan-amplitude": (lambda: SynthConfig(seasonal_amplitude_db=math.nan).validate(),
+                                  "seasonal_amplitude_db"),
+    "SynthConfig-inf-delta": (lambda: SynthConfig(disturbance_delta_db=math.inf).validate(),
+                              "disturbance_delta_db"),
+    "SynthConfig-neg-inf-delta": (lambda: SynthConfig(disturbance_delta_db=-math.inf).validate(),
+                                  "disturbance_delta_db"),
+    "SynthConfig-nan-delta": (lambda: SynthConfig(disturbance_delta_db=math.nan).validate(),
+                              "disturbance_delta_db"),
+    "SynthConfig-inf-period": (lambda: SynthConfig(seasonal_period=math.inf).validate(),
+                               "seasonal_period"),
+    "SynthConfig-inf-looks": (lambda: SynthConfig(looks=math.inf).validate(), "looks"),
+    "TrainConfig-inf-lr": (lambda: TrainConfig(lr_initial=math.inf).validate(), "lr_initial"),
+    "ModelConfig-inf-sigma-floor": (lambda: Model(ModelConfig(sigma_floor=math.inf)),
+                                    "sigma_floor"),
 }
 
 
@@ -362,6 +381,13 @@ class TestCorpus:
     def test_zero_count_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             generate_training_corpus(SynthConfig(), 0, str(tmp_path))
+
+    @pytest.mark.parametrize("count", [1.5, "2", True])
+    def test_non_integer_count_rejected(self, tmp_path, count):
+        # checked before the output directory is made
+        with pytest.raises(ValidationError, match="corpus size"):
+            generate_training_corpus(SynthConfig(), count, str(tmp_path / "corpus"))
+        assert os.listdir(tmp_path) == []
 
     def test_corpus_sequences_have_no_disturbance(self, tmp_path):
         # nominal sequences must match the zero-fraction scene exactly
