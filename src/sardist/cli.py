@@ -36,11 +36,11 @@ import warnings
 from dataclasses import replace
 
 from . import __version__
-from .errors import ProvenanceError, ValidationError, check_seed
+from .errors import ProvenanceError, ValidationError, _check_bound, check_seed
 from .evaluation import REPORT_FILES, emit_report, run_experiment, two_image_scores
 from .disturbance import score_frame, threshold_map
 from .inference import _FORWARD_WINDOWS, SweepConfig, forecast
-from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import KINDS, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import PreprocessConfig, despeckle_stack, to_logit
 from .raster import (read_estimate, read_json, read_mask, read_metric_map, read_stack,
                      write_delineation, write_estimate, write_json, write_mask,
@@ -268,8 +268,9 @@ def _cmd_despeckle(r: _Resolver) -> int:
     manifest_in = r.get("manifest")
     if manifest_in is not None:
         out_dir, = r.require("despeckle --manifest", "out-dir")
-        os.makedirs(out_dir, exist_ok=True)
+        cfg.validate()   # like the manifest, before the output directory is made
         corpus = read_corpus_manifest(manifest_in)
+        os.makedirs(out_dir, exist_ok=True)
         base = os.path.dirname(manifest_in)
         outputs = []
         for entry in corpus["entries"]:
@@ -375,13 +376,10 @@ def _cmd_eval(r: _Resolver) -> int:
 
 def _cmd_ablate(r: _Resolver) -> int:
     out_dir, = r.require("ablate", "out-dir")
-    grid = r.get("grid")
-    seed = r.get("seed")
-    corpus_size, epochs, scene_size, batch_size, threads = (
-        r.get(name) for name in ("corpus-size", "epochs", "scene-size", "batch-size", "threads"))
-    for flag in ("scene-size", "epochs", "batch-size", "threads"):
-        if r.get(flag) < 1:   # before the first preset writes its corpus
-            raise ValidationError(f"--{flag} must be >= 1, got {r.get(flag)}")
+    grid, seed, corpus_size, epochs, scene_size, batch_size, threads = (r.get(name) for name in (
+        "grid", "seed", "corpus-size", "epochs", "scene-size", "batch-size", "threads"))
+    # a scene is at least one model window, which would hide a bad size from the library
+    _check_bound("--scene-size", scene_size, SynthConfig.__dataclass_fields__["height"])
     rows, runs = [], {}   # equal presets (input16_patch8, ff512_layers2) run once
     for g in ABLATE_GRIDS if grid == "all" else (grid,):
         for label, model_cfg, lr in _ablate_presets(g):
@@ -391,7 +389,7 @@ def _cmd_ablate(r: _Resolver) -> int:
                 corpus_cfg = SynthConfig(height=size, width=size, seasonal_amplitude_db=2.0,
                                          seed=seed)
                 tc = TrainConfig(batch_size=batch_size, epochs=epochs, seed=seed, lr_initial=lr,
-                                 lr_after_decay=lr / 10.0, decay_epoch=max(1, epochs))
+                                 lr_after_decay=lr / 10.0, decay_epoch=epochs)
                 result, curve, _ = run_experiment(
                     corpus_cfg, corpus_size, os.path.join(out_dir, f"{g}_{label}", "corpus"),
                     model_cfg, tc, replace(corpus_cfg, height=scene, width=scene,
@@ -444,7 +442,7 @@ COMMANDS = {
         ("out-dir", str, None), _ALLOW_RAW), (PREPROCESS_FLAGS,)),
     "train": (_cmd_train, "train a forecasting model on a corpus", (
         ("corpus", str, None), ("out", str, None), ("seed", _seed, 0),
-        ("model", ("transformer", "gru"), "transformer")), (MODEL_FLAGS, TRAIN_FLAGS)),
+        ("model", KINDS, "transformer")), (MODEL_FLAGS, TRAIN_FLAGS)),
     "estimate": (_cmd_estimate, "sliding-window forecast of a scene; --batch-size is the most "
                  f"windows per forward pass, capped at {_FORWARD_WINDOWS}", (
         ("checkpoint", str, None), ("input", str, None), ("out-mu", str, None),

@@ -104,7 +104,5 @@ def score_frame(stack: RasterStack, frame: int, est: DistributionEstimate | None
 
 
 def threshold_map(dmap: DisturbanceMap, tau: float) -> BinaryDelineation:
-    """Binary delineation at strict threshold: disturbed iff value > tau."""
-    if not (tau > 0) or not np.isfinite(tau):
-        raise ValidationError(f"threshold must be finite and > 0, got {tau}")
+    """Binary delineation at strict threshold: disturbed iff value > tau (finite, > 0)."""
     return BinaryDelineation(dmap.values > tau, float(tau))

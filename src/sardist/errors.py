@@ -6,7 +6,7 @@ them to separate exit codes.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import field, fields
 
 
 class SardistError(Exception):
@@ -42,12 +42,34 @@ _FIELD_TYPES = {"str": str, "int": int, "int | None": (int, type(None)), "float"
                 "tuple[tuple[float, float], ...] | None": (tuple, list, type(None))}
 
 
+def bound(default, rule: str | tuple):
+    """A config field with `default` that `check_fields` keeps within `rule`: ">= a", "> a",
+    an interval such as "(a, b]", or a tuple of the allowed values. None passes any rule."""
+    if isinstance(rule, tuple):
+        return field(default=default, metadata={"bound": "in {%s}" % ", ".join(map(repr, rule)),
+                                                "choices": rule, "within": rule.__contains__})
+    lo, hi = map(float, rule[1:-1].split(",") if rule[0] in "[(" else (rule.split()[1], "inf"))
+    lo_closed, hi_closed = rule[0] == "[" or rule.startswith(">="), rule[-1] == "]"
+    return field(default=default, metadata={
+        "bound": rule if rule[0] == ">" else f"in {rule}", "ends": (lo, lo_closed, hi, hi_closed),
+        "within": lambda v: ((lo <= v if lo_closed else lo < v)
+                             and (v <= hi if hi_closed else v < hi))})
+
+
+def _check_bound(name: str, value, f) -> None:
+    """ValidationError `<name> must be <bound>, got <value>` unless `value` is within `f`'s."""
+    if value is not None and "bound" in f.metadata and not f.metadata["within"](value):
+        raise ValidationError(f"{name} must be {f.metadata['bound']}, got {value!r}")
+
+
 def check_fields(config) -> None:
     """ValidationError unless every field of the dataclass `config` has its annotated type,
-    finite if a float (an int may be past float range, where math.isfinite overflows)."""
+    is finite if a float (an int may be past float range, where math.isfinite overflows)
+    and is within its declared bound."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
             raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"{f.name} must be finite, got {value!r}")
+        _check_bound(f.name, value, f)

@@ -136,9 +136,14 @@ def _f1(tp: np.ndarray, predicted: np.ndarray, positives: int) -> np.ndarray:
 
 
 def pr_curve(ls: LabeledScores, max_points: int | None = 512) -> PRCurve:
+    return _pr_curve(ls, _operating_points(ls), max_points)
+
+
+def _pr_curve(ls: LabeledScores, ops, max_points: int | None) -> PRCurve:
+    """`pr_curve` from the operating points `ops` of `ls`."""
     if max_points is not None and max_points < 2:
         raise ValidationError(f"max_points must be >= 2, got {max_points}")
-    tau, predicted, tp = _operating_points(ls)
+    tau, predicted, tp = ops
     positives = int(ls.labels.sum())
     f1 = _f1(tp, predicted, positives)
     best = int(np.argmax(f1))   # the first maximum: ties go to the largest tau
@@ -191,6 +196,8 @@ def run_experiment(corpus_cfg: SynthConfig, corpus_size: int, corpus_dir: str,
     logits and forecasts the despeckled scene of `scene_cfg` from its frames [:-2].
     The bits are those of the CLI chain synth, despeckle, train, synth, despeckle,
     estimate --drop-last 2 and eval (two-image protocol)."""
+    for cfg in (corpus_cfg, model_cfg, train_cfg, scene_cfg, sweep):
+        cfg.validate()   # before anything is written
     manifest = generate_training_corpus(corpus_cfg, corpus_size, out_dir=corpus_dir)
     frames = to_logit(despeckle_values(load_corpus(manifest)))
     result = train(Model(model_cfg, seed=train_cfg.seed), train_cfg, frames)
@@ -208,7 +215,12 @@ def f1_vs_threshold(ls: LabeledScores, taus) -> list[tuple[float, float, float]]
         raise ValidationError("need a non-empty 1-d threshold list")
     if not np.all(np.isfinite(taus)):
         raise ValidationError("thresholds contain non-finite values")
-    tau, predicted, tp = _operating_points(ls)
+    return _f1_rows(ls, _operating_points(ls), taus)
+
+
+def _f1_rows(ls: LabeledScores, ops, taus: np.ndarray) -> list[tuple[float, float, float]]:
+    """`f1_vs_threshold` from the operating points `ops` of `ls` and finite 1-d `taus`."""
+    tau, predicted, tp = ops
     # the largest candidate at or below each tau; below the floor, the floor
     row = np.minimum(np.searchsorted(-tau, -taus), tau.size - 1)
     f1 = _f1(tp[row], predicted[row], int(ls.labels.sum()))
@@ -286,8 +298,9 @@ def _plot(title: str, xlabel: str, ylabel: str, path: list[tuple[float, float]],
 def emit_report(out_dir: str, ls: LabeledScores, max_points: int | None = 512) -> dict:
     """Write the REPORT_FILES of `ls` into `out_dir`, return the summary: its PR curve and
     its F1 at 256 thresholds from 0 to the maximum score as CSV and SVG, then summary.json."""
-    curve = pr_curve(ls, max_points)
-    f1_rows = f1_vs_threshold(ls, np.linspace(0.0, curve.max_score, 256))
+    ops = _operating_points(ls)   # one sort of the scores for the whole report
+    curve = _pr_curve(ls, ops, max_points)
+    f1_rows = _f1_rows(ls, ops, np.linspace(0.0, curve.max_score, 256))
     best_tau_normalized = curve.best_tau / curve.max_score if curve.max_score > 0 else 0.0
     summary = {
         "pr_auc": curve.auc,

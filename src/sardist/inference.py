@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import no_grad
-from .errors import ValidationError, check_fields
+from .errors import ValidationError, bound, check_fields
 from .model import Model
 from .native import one_blas_thread, pin_malloc
 from .preprocess import to_logit
@@ -54,18 +54,11 @@ _FORWARD_WINDOWS = 16
 
 @dataclass(frozen=True)
 class SweepConfig:
-    stride: int = 4
-    batch_size: int = 64
-    threads: int = 1
+    stride: int = bound(4, ">= 1")
+    batch_size: int = bound(64, ">= 1")
+    threads: int = bound(1, ">= 1")
 
-    def validate(self) -> None:
-        check_fields(self)
-        if self.stride < 1:
-            raise ValidationError(f"stride must be >= 1, got {self.stride}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {self.threads}")
+    validate = check_fields
 
 
 def window_positions(extent: int, window: int, stride: int) -> list[int]:

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tensor, add, dropout, layer_norm, linear, relu, scale, softplus
-from .errors import FormatError, ShapeError, ValidationError, check_fields, check_seed
+from .errors import FormatError, ShapeError, ValidationError, bound, check_fields, check_seed
 from .raster import read_json, write_file, write_json
 
 KINDS = ("transformer", "gru")
@@ -49,20 +49,20 @@ KINDS = ("transformer", "gru")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    kind: str = "transformer"
-    input_size: int = 16
-    patch_size: int = 8
-    channels: int = 2
-    d_model: int = 256
-    num_heads: int = 4
-    num_layers: int = 4
-    ff_dim: int = 768
+    kind: str = bound("transformer", KINDS)
+    input_size: int = bound(16, ">= 1")
+    patch_size: int = bound(8, ">= 1")
+    channels: int = bound(2, (2,))   # models are dual-pol only
+    d_model: int = bound(256, ">= 1")
+    num_heads: int = bound(4, ">= 1")
+    num_layers: int = bound(4, ">= 1")
+    ff_dim: int = bound(768, ">= 1")
     # None ties the head width to ff_dim (the transformer's head and
     # feed-forward widths are one knob); the gru default pins 978.
-    head_hidden: int | None = None
-    dropout: float = 0.2
-    max_t: int = 10
-    sigma_floor: float = 1e-3
+    head_hidden: int | None = bound(None, ">= 1")
+    dropout: float = bound(0.2, "[0, 1)")
+    max_t: int = bound(10, ">= 2")
+    sigma_floor: float = bound(1e-3, "> 0")
 
     @staticmethod
     def gru_default() -> "ModelConfig":
@@ -87,32 +87,11 @@ class ModelConfig:
 
     def validate(self) -> None:
         check_fields(self)
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown model kind {self.kind!r}")
-        for name in ("input_size", "channels", "d_model", "num_layers"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-        if self.channels != 2:
-            raise ValidationError(f"models are dual-pol only (channels=2), got {self.channels}")
-        if self.resolved_head_hidden < 1:
-            raise ValidationError("head width must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError(f"dropout must be in [0,1), got {self.dropout}")
-        if self.max_t < 2:
-            raise ValidationError(f"max_t must be >= 2, got {self.max_t}")
-        if not self.sigma_floor > 0:
-            raise ValidationError(f"sigma floor must be > 0, got {self.sigma_floor}")
-        if self.kind == "transformer":
-            if self.patch_size < 1 or self.input_size % self.patch_size != 0:
-                raise ValidationError(
-                    f"patch size {self.patch_size} must divide input size {self.input_size}"
-                )
-            if self.num_heads < 1 or self.d_model % self.num_heads != 0:
-                raise ValidationError(
-                    f"num_heads {self.num_heads} must divide d_model {self.d_model}"
-                )
-            if self.ff_dim < 1:
-                raise ValidationError("ff_dim must be >= 1")
+        if self.kind == "transformer" and self.input_size % self.patch_size != 0:
+            raise ValidationError(f"patch size {self.patch_size} must divide input size "
+                                  f"{self.input_size}")
+        if self.kind == "transformer" and self.d_model % self.num_heads != 0:
+            raise ValidationError(f"num_heads {self.num_heads} must divide d_model {self.d_model}")
 
 
 # ---------------------------------------------------------------------------

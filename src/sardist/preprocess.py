@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_fields
+from .errors import ValidationError, bound, check_fields
 from .raster import RasterStack
 
 
@@ -55,18 +55,11 @@ CLIP_EPS = 1e-4
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    tv_weight_db: float = 1.5
-    tv_iterations: int = 50
-    tv_step: float = 0.25
+    tv_weight_db: float = bound(1.5, ">= 0")
+    tv_iterations: int = bound(50, ">= 1")
+    tv_step: float = bound(0.25, "(0, 0.25]")
 
-    def validate(self) -> None:
-        check_fields(self)
-        if self.tv_weight_db < 0:
-            raise ValidationError(f"tv weight must be >= 0, got {self.tv_weight_db}")
-        if self.tv_iterations < 1:
-            raise ValidationError(f"tv iterations must be >= 1, got {self.tv_iterations}")
-        if not 0 < self.tv_step <= 0.25:
-            raise ValidationError(f"tv step must be in (0, 0.25], got {self.tv_step}")
+    validate = check_fields
 
 
 def clip_unit(x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_fields, check_seed
+from .errors import FormatError, ValidationError, bound, check_fields, check_seed
 from .preprocess import clip_unit
 from .raster import RasterStack, read_json, read_stack, write_json, write_stack
 
@@ -34,51 +34,31 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class SynthConfig:
-    height: int = 16
-    width: int = 16
-    num_steps: int = 11
-    num_classes: int = 4
-    looks: float = 9.0
-    seasonal_amplitude_db: float = 0.0
-    seasonal_period: float = 8.0
+    height: int = bound(16, ">= 1")
+    width: int = bound(16, ">= 1")
+    num_steps: int = bound(11, ">= 3")
+    num_classes: int = bound(4, ">= 1")
+    looks: float = bound(9.0, ">= 1")
+    seasonal_amplitude_db: float = bound(0.0, ">= 0")
+    seasonal_period: float = bound(8.0, "> 0")
     disturbance_delta_db: float = -6.0
-    disturbance_fraction: float = 0.05
+    disturbance_fraction: float = bound(0.05, "[0, 1]")
     # (vv, vh) mean backscatter per class; None draws levels from the seed
     class_gamma0: tuple[tuple[float, float], ...] | None = None
     seed: int = 0
 
     def validate(self) -> None:
         check_fields(self)
-        if self.height < 1 or self.width < 1:
-            raise ValidationError(f"bad extent {self.height}x{self.width}")
-        if self.num_steps < 3:
-            raise ValidationError(f"need at least 3 steps, got {self.num_steps}")
-        if self.num_classes < 1:
-            raise ValidationError(f"need at least 1 class, got {self.num_classes}")
-        if not self.looks >= 1:
-            raise ValidationError(f"looks must be >= 1, got {self.looks}")
-        if self.seasonal_amplitude_db < 0:
-            raise ValidationError("seasonal amplitude must be >= 0")
-        if not self.seasonal_period > 0:
-            raise ValidationError("seasonal period must be > 0")
-        if not 0 <= self.disturbance_fraction <= 1:
-            raise ValidationError(
-                f"disturbance fraction must be in [0,1], got {self.disturbance_fraction}"
-            )
         if self.class_gamma0 is not None:
             if len(self.class_gamma0) != self.num_classes:
-                raise ValidationError(
-                    f"class_gamma0 has {len(self.class_gamma0)} entries "
-                    f"for {self.num_classes} classes"
-                )
+                raise ValidationError(f"class_gamma0 has {len(self.class_gamma0)} entries "
+                                      f"for {self.num_classes} classes")
             for entry in self.class_gamma0:
                 if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(
-                        isinstance(v, Real) and not isinstance(v, bool) for v in entry)):
-                    raise ValidationError(f"class_gamma0 entries must be (vv, vh) number "
-                                          f"pairs, got {entry!r}")
-                for v in entry:
-                    if not 0 < v < 1:
-                        raise ValidationError(f"class_gamma0 value {v} outside (0,1)")
+                        isinstance(v, Real) and not isinstance(v, bool) and 0 < v < 1
+                        for v in entry)):
+                    raise ValidationError(f"class_gamma0 entries must be (vv, vh) pairs of "
+                                          f"numbers in (0, 1), got {entry!r}")
         check_seed(self.seed)
 
 

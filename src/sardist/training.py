@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ValidationError, check_fields, check_seed
+from .errors import ValidationError, bound, check_fields, check_seed
 from .model import Model
 from .native import flush_subnormals, one_blas_thread, pin_malloc, trim_malloc
 from .synth import splitmix64
@@ -53,30 +53,20 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 256
-    epochs: int = 50
-    lr_initial: float = 1e-4
-    lr_after_decay: float = 1e-5
-    decay_epoch: int = 25
-    t_min: int = 2
+    batch_size: int = bound(256, ">= 1")
+    epochs: int = bound(50, ">= 1")
+    lr_initial: float = bound(1e-4, "> 0")
+    lr_after_decay: float = bound(1e-5, "> 0")
+    decay_epoch: int = bound(25, ">= 1")
+    t_min: int = bound(2, ">= 2")
     t_max: int = 10
     seed: int = 0
-    steps_per_epoch: int | None = None  # None -> ceil(corpus / batch)
+    steps_per_epoch: int | None = bound(None, ">= 1")  # None -> ceil(corpus / batch)
 
     def validate(self) -> None:
         check_fields(self)
-        if self.batch_size < 1:
-            raise ValidationError("batch size must be >= 1")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if not (self.lr_initial > 0 and self.lr_after_decay > 0):
-            raise ValidationError("learning rates must be > 0")
-        if self.decay_epoch < 1:
-            raise ValidationError("decay epoch must be >= 1")
-        if not 2 <= self.t_min <= self.t_max:
-            raise ValidationError(f"need 2 <= t_min <= t_max, got [{self.t_min}, {self.t_max}]")
-        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
-            raise ValidationError("steps per epoch must be >= 1")
+        if self.t_min > self.t_max:
+            raise ValidationError(f"need t_min <= t_max, got [{self.t_min}, {self.t_max}]")
         check_seed(self.seed)
 
 

@@ -247,10 +247,10 @@ VALUE_CASES = [
     ("config", "seed", SCENE, {"seed": -1}, "seed"),
     # a scene is at least one model window, but the manifest records the given size
     ("argv", "range", ABLATE + ["--scene-size", "-5"], None, "--scene-size"),
-    # checked before the first preset writes its corpus
-    ("argv", "range", ABLATE + ["--scene-size", "16", "--threads", "0"], None, "--threads"),
-    ("argv", "range", ABLATE + ["--scene-size", "16", "--epochs", "0"], None, "--epochs"),
-    ("argv", "range", ABLATE + ["--scene-size", "16", "--batch-size", "0"], None, "--batch-size"),
+    # run_experiment checks the config fields these set before it writes a corpus
+    ("argv", "range", ABLATE + ["--scene-size", "16", "--threads", "0"], None, "threads"),
+    ("argv", "range", ABLATE + ["--scene-size", "16", "--epochs", "0"], None, "epochs"),
+    ("argv", "range", ABLATE + ["--scene-size", "16", "--batch-size", "0"], None, "batch_size"),
 ]
 # every command that reads --seed, with tiny sizes and outputs under {o}
 SEED_COMMANDS = {
@@ -279,7 +279,7 @@ class TestFlagValues:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert f"{named} must be" in err and (config is None or "cfg.json: " in err), err
+        assert f": {named} must be" in err and (config is None or "cfg.json: " in err), err
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -411,6 +411,14 @@ class TestProcessingCommands:
                    "--out-dir", str(tmp_path / "den")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "corpus.json" in err
+        assert not os.path.exists(tmp_path / "den")
+
+    def test_despeckle_bad_setting_writes_nothing(self, tmp_path, capsys):
+        manifest = generate_training_corpus(SynthConfig(), 1, str(tmp_path / "c"))
+        assert run("despeckle", "--manifest", manifest, "--tv-step", "0.3",
+                   "--out-dir", str(tmp_path / "den")) == 1
+        assert capsys.readouterr().err == "error: tv_step must be in (0, 0.25], got 0.3\n"
+        assert not os.path.exists(tmp_path / "den")
 
     def test_logratio_of_median_frame_is_zero(self, tmp_path):
         # post frame equal to the per-pixel lower median of the baseline
@@ -659,6 +667,22 @@ class TestModelCommands:
         assert (proc.returncode, proc.stderr) == (0, "")
         est = read_estimate(mu, sigma)
         assert np.all(np.isfinite(est.mu)) and np.all(est.sigma > 0)
+
+
+def test_python_m_sardist_runs_the_cli(tmp_path):
+    # the CLI runs from a checkout with no installed `sardist` script
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sardist.__file__)))
+
+    def python_m_sardist(*argv):
+        return subprocess.run([sys.executable, "-m", "sardist", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = python_m_sardist("--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{sardist.__version__}\n", "")
+    proc = python_m_sardist("synth", "--kind", "scene", "--height", "0", "--out", "s.rts",
+                            "--mask", "m.rts")
+    assert (proc.returncode, proc.stderr) == (1, "error: height must be >= 1, got 0\n")
+    assert os.listdir(tmp_path) == []
 
 
 class TestAblateCommand:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sardist import evaluation
 from sardist.disturbance import log_ratio_map
 from sardist.errors import ProvenanceError, ShapeError, ValidationError
 from sardist.evaluation import (
@@ -18,10 +20,13 @@ from sardist.evaluation import (
     emit_report,
     f1_vs_threshold,
     pr_curve,
+    run_experiment,
     two_image_scores,
 )
 from sardist.inference import SweepConfig, forecast, sweep_estimate
 from sardist.model import Model, ModelConfig
+from sardist.synth import SynthConfig
+from sardist.training import TrainConfig
 from sardist.preprocess import to_logit
 from sardist.raster import DistributionEstimate, DisturbanceMap, RasterStack
 
@@ -420,3 +425,37 @@ class TestEmission:
         digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                         for name in REPORT_FILES)
         assert digests == self.PINNED[max_points]
+
+    def test_one_sort_per_report(self, tmp_path, monkeypatch):
+        # the PR curve and the F1 table read the same operating points
+        sorts = []
+        operating_points = evaluation._operating_points
+        monkeypatch.setattr(evaluation, "_operating_points",
+                            lambda ls: sorts.append(ls) or operating_points(ls))
+        emit_report(str(tmp_path), random_set(np.random.default_rng(6), 400))
+        assert len(sorts) == 1
+
+
+# ---------------------------------------------------------------------------
+# run_experiment
+# ---------------------------------------------------------------------------
+
+TINY_MODEL = ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8)
+EXPERIMENT = {"corpus_cfg": SynthConfig(), "corpus_size": 1, "model_cfg": TINY_MODEL,
+              "train_cfg": TrainConfig(epochs=1, batch_size=1), "scene_cfg": SynthConfig(),
+              "sweep": SweepConfig()}
+# one bad value per argument of run_experiment
+BAD_EXPERIMENT = {"corpus_cfg": SynthConfig(height=0), "corpus_size": 0,
+                  "model_cfg": ModelConfig(d_model=8, num_heads=3, num_layers=1, ff_dim=8),
+                  "train_cfg": TrainConfig(epochs=0), "scene_cfg": SynthConfig(num_steps=2),
+                  "sweep": SweepConfig(threads=0)}
+
+
+@pytest.mark.parametrize("name", list(BAD_EXPERIMENT))
+def test_experiment_checks_every_input_before_writing(tmp_path, name):
+    # a bad training or sweep setting used to fail after the corpus was written,
+    # or after the whole model had trained
+    corpus_dir = tmp_path / "corpus"
+    with pytest.raises(ValidationError):
+        run_experiment(**{**EXPERIMENT, name: BAD_EXPERIMENT[name]}, corpus_dir=str(corpus_dir))
+    assert not os.path.exists(corpus_dir)

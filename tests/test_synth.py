@@ -8,13 +8,13 @@ means a generator bug, not an unlucky draw: every seed here is frozen.
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from sardist import cli
-from sardist.errors import FormatError, ValidationError
+from sardist.errors import FormatError, ValidationError, check_fields
 from sardist.inference import SweepConfig
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import PreprocessConfig
@@ -162,6 +162,46 @@ def test_wrong_field_type_is_a_validation_error(config):
     call, field = WRONG_FIELD_TYPES[config]
     with pytest.raises(ValidationError, match=f"^{field} must be "):
         call()
+
+
+# every config field that declares a bound (errors.bound)
+BOUNDED_FIELDS = [(config, f) for config in (SynthConfig, PreprocessConfig, ModelConfig,
+                                             TrainConfig, SweepConfig)
+                  for f in fields(config) if "bound" in f.metadata]
+
+
+def bound_cases(f) -> tuple[list, list]:
+    """(values just outside each finite end or choice set, values that must pass) of the
+    bound declared on the field `f`: each closed end, or each allowed value."""
+    if "choices" in f.metadata:
+        choices = f.metadata["choices"]
+        outside = "".join(choices) if isinstance(choices[0], str) else max(choices) + 1
+        return [outside], list(choices)
+    lo, lo_closed, hi, hi_closed = f.metadata["ends"]
+    integer = f.type.startswith("int")
+    outside, inside = [], []
+    for end, closed, outward in ((lo, lo_closed, -1), (hi, hi_closed, 1)):
+        if math.isinf(end):
+            continue
+        end = int(end) if integer else end
+        if closed:
+            inside.append(end)
+            end = end + outward if integer else math.nextafter(end, outward * math.inf)
+        outside.append(end)
+    return outside, inside
+
+
+@pytest.mark.parametrize("config, f", BOUNDED_FIELDS,
+                         ids=[f"{c.__name__}.{f.name}" for c, f in BOUNDED_FIELDS])
+def test_declared_bound_ends(config, f):
+    # the out-of-range values come from each field's own declaration
+    outside, inside = bound_cases(f)
+    assert outside
+    for value in outside:
+        with pytest.raises(ValidationError, match=f"^{f.name} must be "):
+            replace(config(), **{f.name: value}).validate()
+    for value in inside:   # other fields may then break a cross-field rule of validate
+        check_fields(replace(config(), **{f.name: value}))
 
 
 class TestDeterminism:
