@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 import warnings
@@ -104,7 +105,13 @@ _EXPECTED = {int: "an integer", float: "a number", str: "a string", bool: "true 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads -1 or -.5 after a flag as its value, but -1e1 or -inf as a flag
+    for i in range(len(words) - 1, 0, -1):
+        if (re.match(r"-(\.?\d|inf|nan)", words[i], re.IGNORECASE)
+                and words[i - 1].startswith("--") and "=" not in words[i - 1]):
+            words[i - 1:i + 1] = [f"{words[i - 1]}={words[i]}"]
+    args = parser.parse_args(words)
     if args.command is None:
         parser.print_help()
         return 1
@@ -268,7 +275,6 @@ def _cmd_despeckle(r: _Resolver) -> int:
     manifest_in = r.get("manifest")
     if manifest_in is not None:
         out_dir, = r.require("despeckle --manifest", "out-dir")
-        cfg.validate()   # like the manifest, before the output directory is made
         corpus = read_corpus_manifest(manifest_in)
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.dirname(manifest_in)

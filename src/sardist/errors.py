@@ -5,7 +5,7 @@ distinct from storage failures, which are plain OSError, so the CLI can map
 them to separate exit codes.
 """
 
-import math
+import sys
 from dataclasses import field, fields
 
 
@@ -64,12 +64,12 @@ def _check_bound(name: str, value, f) -> None:
 
 def check_fields(config) -> None:
     """ValidationError unless every field of the dataclass `config` has its annotated type,
-    is finite if a float (an int may be past float range, where math.isfinite overflows)
-    and is within its declared bound."""
+    is finite if a number (no NaN, no infinity, no int past float range) and is within
+    its declared bound. Each config runs it, and its cross-field rules, when it is made."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
             raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
             raise ValidationError(f"{f.name} must be finite, got {value!r}")
         _check_bound(f.name, value, f)

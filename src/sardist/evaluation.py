@@ -36,7 +36,7 @@ from .model import Model, ModelConfig
 from .preprocess import despeckle_stack, despeckle_values, to_logit
 from .raster import DistributionEstimate, DisturbanceMap, RasterStack, write_json, write_text
 from .synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus
-from .training import TrainConfig, TrainResult, train
+from .training import TrainConfig, TrainResult, _check_t_max, train
 
 #: the files `emit_report` writes into its output directory, in writing order
 REPORT_FILES = ("pr_curve.csv", "f1_vs_tau.csv", "pr_curve.svg", "f1_vs_tau.svg",
@@ -196,8 +196,7 @@ def run_experiment(corpus_cfg: SynthConfig, corpus_size: int, corpus_dir: str,
     logits and forecasts the despeckled scene of `scene_cfg` from its frames [:-2].
     The bits are those of the CLI chain synth, despeckle, train, synth, despeckle,
     estimate --drop-last 2 and eval (two-image protocol)."""
-    for cfg in (corpus_cfg, model_cfg, train_cfg, scene_cfg, sweep):
-        cfg.validate()   # before anything is written
+    _check_t_max(model_cfg, train_cfg)   # the rule across two configs, before any write
     manifest = generate_training_corpus(corpus_cfg, corpus_size, out_dir=corpus_dir)
     frames = to_logit(despeckle_values(load_corpus(manifest)))
     result = train(Model(model_cfg, seed=train_cfg.seed), train_cfg, frames)
@@ -208,18 +207,8 @@ def run_experiment(corpus_cfg: SynthConfig, corpus_size: int, corpus_dir: str,
             pr_curve(two_image_scores(stack, truth)))
 
 
-def f1_vs_threshold(ls: LabeledScores, taus) -> list[tuple[float, float, float]]:
-    """Rows (tau, tau/max_score, f1) for explicit thresholds, strict >."""
-    taus = np.asarray(taus, dtype=np.float64)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValidationError("need a non-empty 1-d threshold list")
-    if not np.all(np.isfinite(taus)):
-        raise ValidationError("thresholds contain non-finite values")
-    return _f1_rows(ls, _operating_points(ls), taus)
-
-
 def _f1_rows(ls: LabeledScores, ops, taus: np.ndarray) -> list[tuple[float, float, float]]:
-    """`f1_vs_threshold` from the operating points `ops` of `ls` and finite 1-d `taus`."""
+    """Rows (tau, tau/max_score, f1), strict >, at finite 1-d `taus` from `ops` of `ls`."""
     tau, predicted, tp = ops
     # the largest candidate at or below each tau; below the floor, the floor
     row = np.minimum(np.searchsorted(-tau, -taus), tau.size - 1)

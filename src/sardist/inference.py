@@ -58,7 +58,7 @@ class SweepConfig:
     batch_size: int = bound(64, ">= 1")
     threads: int = bound(1, ">= 1")
 
-    validate = check_fields
+    __post_init__ = check_fields
 
 
 def window_positions(extent: int, window: int, stride: int) -> list[int]:
@@ -87,7 +87,6 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
     `stats`, if given, receives the sweep's deterministic facts: `windows`,
     `windows_per_forward`, `max_chunks_in_flight` and `mallopt_pinned`."""
     cfg = cfg or SweepConfig()
-    cfg.validate()
     frames_logit = np.asarray(frames_logit, dtype=np.float32)
     if frames_logit.ndim != 4:
         raise ValidationError(f"expected (T,C,H,W), got {frames_logit.shape}")

@@ -85,7 +85,7 @@ class ModelConfig:
     def frame_dim(self) -> int:
         return self.channels * self.input_size ** 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self)
         if self.kind == "transformer" and self.input_size % self.patch_size != 0:
             raise ValidationError(f"patch size {self.patch_size} must divide input size "
@@ -113,7 +113,6 @@ class Model:
     """Parameter container plus forward pass for either model kind."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
-        cfg.validate()
         self.cfg = cfg
         self.dtype = np.dtype(np.float32)
         self.params: dict[str, Tensor] = {}

@@ -59,7 +59,7 @@ class PreprocessConfig:
     tv_iterations: int = bound(50, ">= 1")
     tv_step: float = bound(0.25, "(0, 0.25]")
 
-    validate = check_fields
+    __post_init__ = check_fields
 
 
 def clip_unit(x: np.ndarray) -> np.ndarray:
@@ -204,7 +204,6 @@ def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,
 def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None) -> np.ndarray:
     """Despeckle (..., H, W) backscatter intensities in (0,1)."""
     cfg = cfg or PreprocessConfig()
-    cfg.validate()
     v = clip_unit(np.asarray(values, dtype=np.float64))
     db = 10.0 * np.log10(v)
     smooth = tv_denoise(db, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step)

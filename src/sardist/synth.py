@@ -47,7 +47,7 @@ class SynthConfig:
     class_gamma0: tuple[tuple[float, float], ...] | None = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self)
         if self.class_gamma0 is not None:
             if len(self.class_gamma0) != self.num_classes:
@@ -140,7 +140,6 @@ def make_connected_mask(height: int, width: int, fraction: float,
 
 def generate_scene(cfg: SynthConfig) -> tuple[RasterStack, np.ndarray]:
     """Scene with a disturbance in the final frame; returns (stack, truth mask)."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     labels = make_mosaic(cfg, rng)                       # (H, W)
     levels = _class_levels(cfg, rng)                     # (C, K)
@@ -166,7 +165,6 @@ def generate_training_corpus(cfg: SynthConfig, count: int, out_dir: str) -> str:
     (its last frame is left as drawn), so any subset can be regenerated
     independently.
     """
-    cfg.validate()
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValidationError(f"corpus size must be an integer >= 1, got {count!r}")
     os.makedirs(out_dir, exist_ok=True)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ValidationError, bound, check_fields, check_seed
-from .model import Model
+from .model import Model, ModelConfig
 from .native import flush_subnormals, one_blas_thread, pin_malloc, trim_malloc
 from .synth import splitmix64
 
@@ -63,11 +63,18 @@ class TrainConfig:
     seed: int = 0
     steps_per_epoch: int | None = bound(None, ">= 1")  # None -> ceil(corpus / batch)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self)
         if self.t_min > self.t_max:
             raise ValidationError(f"need t_min <= t_max, got [{self.t_min}, {self.t_max}]")
         check_seed(self.seed)
+
+
+def _check_t_max(model_cfg: ModelConfig, cfg: TrainConfig) -> None:
+    """ValidationError if a transformer of `model_cfg` cannot take cfg.t_max frames."""
+    if model_cfg.kind == "transformer" and cfg.t_max > model_cfg.max_t:
+        raise ValidationError(f"t_max {cfg.t_max} exceeds the transformer's max_t "
+                              f"{model_cfg.max_t}")
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -186,7 +193,7 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
     `stats`, if given, receives the run's facts: `malloc_pinned`, `subnormals_flushed`,
     `blas_capped`, `cpu_s` (the loop's process CPU seconds) and `epoch_step_seconds`,
     the mean wall time of a step in each finished epoch."""
-    cfg.validate()
+    _check_t_max(model.cfg, cfg)
     if sequences.ndim != 5:
         raise ValidationError(f"corpus must be (N,steps,C,H,W), got {sequences.shape}")
     batch_rng = np.random.default_rng(splitmix64(cfg.seed, 1))

@@ -251,7 +251,22 @@ VALUE_CASES = [
     ("argv", "range", ABLATE + ["--scene-size", "16", "--threads", "0"], None, "threads"),
     ("argv", "range", ABLATE + ["--scene-size", "16", "--epochs", "0"], None, "epochs"),
     ("argv", "range", ABLATE + ["--scene-size", "16", "--batch-size", "0"], None, "batch_size"),
+    # argparse would read a negative number in exponent form, or -inf, as a flag
+    ("argv", "range", SCENE + ["--fraction", "-1e-3"], None, "disturbance_fraction"),
+    ("argv", "float", SCENE + ["--delta-db", "-inf"], None, "disturbance_delta_db"),
 ]
+# a bad setting next to a missing input, and its message: the setting fails first
+BAD_SETTING_MISSING_INPUT = {
+    "train-epochs": (["train", "--epochs", "0", "--corpus", "{o}/missing/corpus.json",
+                      "--out", "{o}/ckpt"], "epochs must be >= 1, got 0"),
+    "train-heads": (["train", "--d-model", "30", "--corpus", "{o}/missing/corpus.json",
+                     "--out", "{o}/ckpt"], "num_heads 4 must divide d_model 30"),
+    "estimate-stride": (["estimate", "--stride", "0", "--checkpoint", "{o}/missing",
+                         "--input", "{o}/missing.rts", "--out-mu", "{o}/mu.rts",
+                         "--out-sigma", "{o}/sigma.rts"], "stride must be >= 1, got 0"),
+    "despeckle-tv-step": (["despeckle", "--input", "{o}/missing.rts", "--tv-step", "0.3",
+                           "--out", "{o}/den.rts"], "tv_step must be in (0, 0.25], got 0.3"),
+}
 # every command that reads --seed, with tiny sizes and outputs under {o}
 SEED_COMMANDS = {
     "synth-scene": SCENE,
@@ -294,6 +309,24 @@ class TestFlagValues:
         err = capsys.readouterr().err
         assert err == f"error: --seed must be an integer in [0, 2**64), got {seed!r}\n", err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("case", sorted(BAD_SETTING_MISSING_INPUT))
+    def test_bad_setting_fails_before_any_file(self, tmp_path, capsys, case):
+        # each config is built, and so checked, before an input is read: a missing
+        # input used to win with exit 2
+        argv, message = BAD_SETTING_MISSING_INPUT[case]
+        capsys.readouterr()
+        assert run(*(a.format(o=tmp_path) for a in argv)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_negative_number_in_exponent_form_is_a_value(self, tmp_path):
+        # argparse reads -1e1 as a flag unless the CLI joins it to its own
+        for value in ("-10", "-1e1"):
+            (tmp_path / value).mkdir()
+            assert run(*(a.format(o=tmp_path / value) for a in SCENE), "--delta-db", value) == 0
+        for name in ("s.rts", "m.rts"):
+            assert (tmp_path / "-1e1" / name).read_bytes() == (tmp_path / "-10" / name).read_bytes()
 
     def test_unknown_config_key_is_one_error_line(self, scored, tmp_path, capsys):
         # a misspelt key must not be ignored: "fram" would leave --frame at -1

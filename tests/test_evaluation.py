@@ -18,7 +18,6 @@ from sardist.evaluation import (
     LabeledScores,
     build_labeled_set,
     emit_report,
-    f1_vs_threshold,
     pr_curve,
     run_experiment,
     two_image_scores,
@@ -298,6 +297,12 @@ class TestPRCurve:
 # explicit-threshold F1 table
 # ---------------------------------------------------------------------------
 
+def f1_rows(ls, taus):
+    """emit_report's F1 rows (tau, tau/max_score, f1) of `ls` at explicit thresholds."""
+    return evaluation._f1_rows(ls, evaluation._operating_points(ls),
+                               np.asarray(taus, dtype=np.float64))
+
+
 class TestF1VsThreshold:
     def test_matches_direct_computation(self):
         rng = np.random.default_rng(5)
@@ -308,7 +313,7 @@ class TestF1VsThreshold:
                  (tied, np.concatenate([np.unique(tied.scores), np.arange(-9.5, 9.0),
                                         [tied.scores.min() - 1.5, -100.0]]))]
         for ls, taus in cases:
-            rows = f1_vs_threshold(ls, taus)
+            rows = f1_rows(ls, taus)
             positives = int(ls.labels.sum())
             max_score = float(ls.scores.max())
             for (tau, tau_norm, f1), tau_in in zip(rows, taus):
@@ -322,16 +327,9 @@ class TestF1VsThreshold:
 
     def test_thresholds_outside_score_range(self):
         ls = LabeledScores([0.2, 0.8], [False, True])
-        rows = f1_vs_threshold(ls, [-1.0, 10.0])
+        rows = f1_rows(ls, [-1.0, 10.0])
         assert rows[0][2] == pytest.approx(2 / 3)  # everything predicted
         assert rows[1][2] == 0.0                   # nothing predicted
-
-    def test_bad_threshold_lists_rejected(self):
-        ls = LabeledScores([0.2, 0.8], [False, True])
-        with pytest.raises(ValidationError):
-            f1_vs_threshold(ls, [])
-        with pytest.raises(ValidationError):
-            f1_vs_threshold(ls, [0.1, np.inf])
 
     def test_default_grid(self, tmp_path):
         # emit_report tabulates F1 at 256 evenly spaced thresholds from 0 to the max
@@ -377,7 +375,7 @@ class TestEmission:
         lines = (tmp_path / "f1_vs_tau.csv").read_text().splitlines()
         assert lines[0] == "tau,tau_normalized,f1"
         assert len(lines) == 256 + 1
-        expected = f1_vs_threshold(ls, np.linspace(0.0, ls.scores.max(), 256))
+        expected = f1_rows(ls, np.linspace(0.0, ls.scores.max(), 256))
         np.testing.assert_allclose(read_csv(tmp_path / "f1_vs_tau.csv"), expected, rtol=1e-9)
 
     def test_svgs_are_well_formed_xml(self, tmp_path):
@@ -444,11 +442,14 @@ TINY_MODEL = ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8)
 EXPERIMENT = {"corpus_cfg": SynthConfig(), "corpus_size": 1, "model_cfg": TINY_MODEL,
               "train_cfg": TrainConfig(epochs=1, batch_size=1), "scene_cfg": SynthConfig(),
               "sweep": SweepConfig()}
-# one bad value per argument of run_experiment
-BAD_EXPERIMENT = {"corpus_cfg": SynthConfig(height=0), "corpus_size": 0,
-                  "model_cfg": ModelConfig(d_model=8, num_heads=3, num_layers=1, ff_dim=8),
-                  "train_cfg": TrainConfig(epochs=0), "scene_cfg": SynthConfig(num_steps=2),
-                  "sweep": SweepConfig(threads=0)}
+# one bad value per argument of run_experiment, made when the test calls it: a config
+# checks itself when it is made
+BAD_EXPERIMENT = {"corpus_cfg": lambda: SynthConfig(height=0), "corpus_size": lambda: 0,
+                  "model_cfg": lambda: ModelConfig(d_model=8, num_heads=3, num_layers=1,
+                                                   ff_dim=8),
+                  "train_cfg": lambda: TrainConfig(epochs=0),
+                  "scene_cfg": lambda: SynthConfig(num_steps=2),
+                  "sweep": lambda: SweepConfig(threads=0)}
 
 
 @pytest.mark.parametrize("name", list(BAD_EXPERIMENT))
@@ -457,5 +458,15 @@ def test_experiment_checks_every_input_before_writing(tmp_path, name):
     # or after the whole model had trained
     corpus_dir = tmp_path / "corpus"
     with pytest.raises(ValidationError):
-        run_experiment(**{**EXPERIMENT, name: BAD_EXPERIMENT[name]}, corpus_dir=str(corpus_dir))
+        run_experiment(**{**EXPERIMENT, name: BAD_EXPERIMENT[name]()}, corpus_dir=str(corpus_dir))
+    assert not os.path.exists(corpus_dir)
+
+
+def test_experiment_checks_t_max_against_max_t_before_writing(tmp_path):
+    # each config is valid alone, but the windows would outgrow the transformer's max_t
+    corpus_dir = tmp_path / "corpus"
+    with pytest.raises(ValidationError, match="^t_max 11 exceeds the transformer's max_t 10$"):
+        run_experiment(**{**EXPERIMENT, "train_cfg": TrainConfig(epochs=1, batch_size=1,
+                                                                 t_max=11)},
+                       corpus_dir=str(corpus_dir))
     assert not os.path.exists(corpus_dir)

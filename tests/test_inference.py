@@ -380,7 +380,7 @@ class TestSweepValidation:
     ])
     def test_config_rejections(self, kw):
         with pytest.raises(ValidationError):
-            SweepConfig(**kw).validate()
+            SweepConfig(**kw)
 
     def test_frames_must_be_4d(self):
         with pytest.raises(ValidationError):

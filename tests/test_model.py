@@ -134,33 +134,33 @@ class TestTokenLayout:
 class TestConfigValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            ModelConfig(kind="cnn").validate()
+            ModelConfig(kind="cnn")
 
     def test_patch_must_divide_input(self):
         with pytest.raises(ValidationError):
-            ModelConfig(input_size=16, patch_size=5).validate()
+            ModelConfig(input_size=16, patch_size=5)
 
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ValidationError):
-            ModelConfig(d_model=256, num_heads=5).validate()
+            ModelConfig(d_model=256, num_heads=5)
 
     def test_dual_pol_only(self):
         with pytest.raises(ValidationError):
-            ModelConfig(channels=1).validate()
+            ModelConfig(channels=1)
 
     def test_dropout_range(self):
         with pytest.raises(ValidationError):
-            ModelConfig(dropout=1.0).validate()
+            ModelConfig(dropout=1.0)
         with pytest.raises(ValidationError):
-            ModelConfig(dropout=-0.1).validate()
+            ModelConfig(dropout=-0.1)
 
     def test_max_t_floor(self):
         with pytest.raises(ValidationError):
-            ModelConfig(max_t=1).validate()
+            ModelConfig(max_t=1)
 
     def test_sigma_floor_positive(self):
         with pytest.raises(ValidationError):
-            ModelConfig(sigma_floor=0.0).validate()
+            ModelConfig(sigma_floor=0.0)
 
 
 def tiny_transformer_cfg():

@@ -262,21 +262,21 @@ class TestDespeckle:
 
 class TestConfig:
     def test_defaults_valid(self):
-        PreprocessConfig().validate()
+        PreprocessConfig()
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValidationError):
-            PreprocessConfig(tv_step=0.3).validate()
+            PreprocessConfig(tv_step=0.3)
         with pytest.raises(ValidationError):
-            PreprocessConfig(tv_step=0.0).validate()
+            PreprocessConfig(tv_step=0.0)
 
     def test_bad_iterations_rejected(self):
         with pytest.raises(ValidationError):
-            PreprocessConfig(tv_iterations=0).validate()
+            PreprocessConfig(tv_iterations=0)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
-            PreprocessConfig(tv_weight_db=-1.0).validate()
+            PreprocessConfig(tv_weight_db=-1.0)
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, weight):

@@ -12,9 +12,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sardist import cli
-from sardist.errors import FormatError, ValidationError, check_fields
+from sardist.errors import FormatError, ValidationError
 from sardist.inference import SweepConfig
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import PreprocessConfig
@@ -54,65 +56,65 @@ def flood_fill_components(mask):
 
 class TestConfigValidation:
     def test_defaults_valid(self):
-        SynthConfig().validate()
+        SynthConfig()
 
     def test_too_few_steps(self):
         with pytest.raises(ValidationError):
-            SynthConfig(num_steps=2).validate()
+            SynthConfig(num_steps=2)
 
     def test_bad_extent(self):
         with pytest.raises(ValidationError):
-            SynthConfig(height=0).validate()
+            SynthConfig(height=0)
 
     def test_looks_below_one(self):
         with pytest.raises(ValidationError):
-            SynthConfig(looks=0.5).validate()
+            SynthConfig(looks=0.5)
 
     def test_fraction_bounds_closed(self):
-        SynthConfig(disturbance_fraction=0.0).validate()
-        SynthConfig(disturbance_fraction=1.0).validate()
+        SynthConfig(disturbance_fraction=0.0)
+        SynthConfig(disturbance_fraction=1.0)
         with pytest.raises(ValidationError):
-            SynthConfig(disturbance_fraction=-0.01).validate()
+            SynthConfig(disturbance_fraction=-0.01)
         with pytest.raises(ValidationError):
-            SynthConfig(disturbance_fraction=1.01).validate()
+            SynthConfig(disturbance_fraction=1.01)
 
     def test_negative_seasonal_amplitude(self):
         with pytest.raises(ValidationError):
-            SynthConfig(seasonal_amplitude_db=-1.0).validate()
+            SynthConfig(seasonal_amplitude_db=-1.0)
 
     def test_gamma0_length_mismatch(self):
         with pytest.raises(ValidationError):
-            SynthConfig(num_classes=3, class_gamma0=((0.2, 0.06),)).validate()
+            SynthConfig(num_classes=3, class_gamma0=((0.2, 0.06),))
 
     def test_gamma0_outside_unit_interval(self):
         with pytest.raises(ValidationError):
-            SynthConfig(num_classes=1, class_gamma0=((1.0, 0.06),)).validate()
+            SynthConfig(num_classes=1, class_gamma0=((1.0, 0.06),))
         with pytest.raises(ValidationError):
-            SynthConfig(num_classes=1, class_gamma0=((0.2, 0.0),)).validate()
+            SynthConfig(num_classes=1, class_gamma0=((0.2, 0.0),))
 
     def test_gamma0_entry_not_a_pair(self):
         # checked before the range test, which would raise a bare TypeError
         for levels in (((0.2, 0.06, 0.01),), ((0.1, "a"),), (0.1,), ((True, 0.06),)):
             with pytest.raises(ValidationError, match="class_gamma0 entries"):
-                SynthConfig(num_classes=1, class_gamma0=levels).validate()
+                SynthConfig(num_classes=1, class_gamma0=levels)
 
     def test_seed_must_fit_uint64(self):
         with pytest.raises(ValidationError):
-            SynthConfig(seed=-1).validate()
+            SynthConfig(seed=-1)
         with pytest.raises(ValidationError):
-            SynthConfig(seed=2**64).validate()
-        SynthConfig(seed=2**64 - 1).validate()
+            SynthConfig(seed=2**64)
+        SynthConfig(seed=2**64 - 1)
 
 
 # every entry point that takes a seed, called as f(seed, directory)
 SEED_ENTRY_POINTS = {
-    "SynthConfig": lambda seed, d: SynthConfig(seed=seed).validate(),
+    "SynthConfig": lambda seed, d: SynthConfig(seed=seed),
     "generate_scene": lambda seed, d: generate_scene(SynthConfig(seed=seed)),
     "generate_training_corpus": lambda seed, d: generate_training_corpus(
         SynthConfig(seed=seed), 1, os.path.join(d, "corpus")),
     "Model": lambda seed, d: Model(ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8),
                                    seed=seed),
-    "TrainConfig": lambda seed, d: TrainConfig(seed=seed).validate(),
+    "TrainConfig": lambda seed, d: TrainConfig(seed=seed),
     "cli-seed": lambda seed, d: cli._seed(seed),
 }
 
@@ -131,25 +133,25 @@ def test_out_of_range_seed_is_a_validation_error(tmp_path, entry, seed):
 # entry point that checks each
 WRONG_FIELD_TYPES = {
     "SynthConfig": (lambda: generate_scene(SynthConfig(height=16.5)), "height"),
-    "PreprocessConfig": (lambda: PreprocessConfig(tv_iterations="50").validate(),
+    "PreprocessConfig": (lambda: PreprocessConfig(tv_iterations="50"),
                          "tv_iterations"),
     "ModelConfig": (lambda: Model(ModelConfig(dropout="0.2")), "dropout"),
-    "TrainConfig-seed": (lambda: TrainConfig(seed="abc").validate(), "seed"),
-    "TrainConfig-batch_size": (lambda: TrainConfig(batch_size=1.5).validate(), "batch_size"),
-    "SweepConfig": (lambda: SweepConfig(stride=1.5).validate(), "stride"),
+    "TrainConfig-seed": (lambda: TrainConfig(seed="abc"), "seed"),
+    "TrainConfig-batch_size": (lambda: TrainConfig(batch_size=1.5), "batch_size"),
+    "SweepConfig": (lambda: SweepConfig(stride=1.5), "stride"),
     # a NaN or an infinity in a float field
-    "SynthConfig-nan-amplitude": (lambda: SynthConfig(seasonal_amplitude_db=math.nan).validate(),
+    "SynthConfig-nan-amplitude": (lambda: SynthConfig(seasonal_amplitude_db=math.nan),
                                   "seasonal_amplitude_db"),
-    "SynthConfig-inf-delta": (lambda: SynthConfig(disturbance_delta_db=math.inf).validate(),
+    "SynthConfig-inf-delta": (lambda: SynthConfig(disturbance_delta_db=math.inf),
                               "disturbance_delta_db"),
-    "SynthConfig-neg-inf-delta": (lambda: SynthConfig(disturbance_delta_db=-math.inf).validate(),
+    "SynthConfig-neg-inf-delta": (lambda: SynthConfig(disturbance_delta_db=-math.inf),
                                   "disturbance_delta_db"),
-    "SynthConfig-nan-delta": (lambda: SynthConfig(disturbance_delta_db=math.nan).validate(),
+    "SynthConfig-nan-delta": (lambda: SynthConfig(disturbance_delta_db=math.nan),
                               "disturbance_delta_db"),
-    "SynthConfig-inf-period": (lambda: SynthConfig(seasonal_period=math.inf).validate(),
+    "SynthConfig-inf-period": (lambda: SynthConfig(seasonal_period=math.inf),
                                "seasonal_period"),
-    "SynthConfig-inf-looks": (lambda: SynthConfig(looks=math.inf).validate(), "looks"),
-    "TrainConfig-inf-lr": (lambda: TrainConfig(lr_initial=math.inf).validate(), "lr_initial"),
+    "SynthConfig-inf-looks": (lambda: SynthConfig(looks=math.inf), "looks"),
+    "TrainConfig-inf-lr": (lambda: TrainConfig(lr_initial=math.inf), "lr_initial"),
     "ModelConfig-inf-sigma-floor": (lambda: Model(ModelConfig(sigma_floor=math.inf)),
                                     "sigma_floor"),
 }
@@ -164,10 +166,10 @@ def test_wrong_field_type_is_a_validation_error(config):
         call()
 
 
+CONFIGS = (SynthConfig, PreprocessConfig, ModelConfig, TrainConfig, SweepConfig)
 # every config field that declares a bound (errors.bound)
-BOUNDED_FIELDS = [(config, f) for config in (SynthConfig, PreprocessConfig, ModelConfig,
-                                             TrainConfig, SweepConfig)
-                  for f in fields(config) if "bound" in f.metadata]
+BOUNDED_FIELDS = [(config, f) for config in CONFIGS for f in fields(config)
+                  if "bound" in f.metadata]
 
 
 def bound_cases(f) -> tuple[list, list]:
@@ -191,6 +193,10 @@ def bound_cases(f) -> tuple[list, list]:
     return outside, inside
 
 
+# the neighbouring fields that keep the cross-field rules at the lower end of a field
+NEIGHBOURS = {"input_size": {"patch_size": 1}, "d_model": {"num_heads": 1}}
+
+
 @pytest.mark.parametrize("config, f", BOUNDED_FIELDS,
                          ids=[f"{c.__name__}.{f.name}" for c, f in BOUNDED_FIELDS])
 def test_declared_bound_ends(config, f):
@@ -199,9 +205,47 @@ def test_declared_bound_ends(config, f):
     assert outside
     for value in outside:
         with pytest.raises(ValidationError, match=f"^{f.name} must be "):
-            replace(config(), **{f.name: value}).validate()
-    for value in inside:   # other fields may then break a cross-field rule of validate
-        check_fields(replace(config(), **{f.name: value}))
+            replace(config(), **{f.name: value})
+    for value in inside:
+        config(**NEIGHBOURS.get(f.name, {}), **{f.name: value})
+
+
+#: values of a wrong type, non-finite, or an int past float range, for any field
+MALFORMED = ["1", True, None, [1], math.nan, math.inf, -math.inf, 10**400, -10**400]
+
+
+def field_values(f):
+    """Values for the config field `f`: in bound, just outside a declared end or choice,
+    of a wrong type, NaN or an infinity, or an int past float range."""
+    outside, inside = bound_cases(f) if "bound" in f.metadata else ([], [])
+    drawn = {"str": st.text(max_size=12), "float": st.floats(-2.0, 40.0),
+             "tuple[tuple[float, float], ...] | None": st.lists(
+                 st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=5).map(tuple)}
+    return st.one_of(st.sampled_from([f.default, *outside, *inside, *MALFORMED]),
+                     drawn.get(f.type, st.integers(-2, 40)))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.__name__ for c in CONFIGS])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_construction_checks_every_field(config, data):
+    # a config that exists is valid: construction raises ValidationError, never another
+    # exception, or returns fields that are in bound and finite as floats
+    names = data.draw(st.sets(st.sampled_from([f.name for f in fields(config)]), max_size=3))
+    values = {f.name: data.draw(field_values(f), label=f.name)
+              for f in fields(config) if f.name in names}
+    try:
+        cfg = config(**values)
+    except ValidationError:
+        return
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        assert value is None or "within" not in f.metadata or f.metadata["within"](value)
+        numbers = [value] if isinstance(value, (int, float)) else []
+        if f.name == "class_gamma0" and value is not None:
+            numbers = [v for entry in value for v in entry]
+            assert all(0 < v < 1 for v in numbers), value
+        assert all(math.isfinite(float(v)) for v in numbers), (f.name, value)
 
 
 class TestDeterminism:

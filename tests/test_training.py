@@ -44,7 +44,7 @@ def tiny_cfg(**overrides) -> ModelConfig:
 
 class TestTrainConfig:
     def test_defaults_validate(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     @pytest.mark.parametrize("kw", [
         {"batch_size": 0},
@@ -61,7 +61,7 @@ class TestTrainConfig:
     ])
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValidationError):
-            TrainConfig(**kw).validate()
+            TrainConfig(**kw)
 
     def test_lr_schedule_boundary(self):
         cfg = TrainConfig(lr_initial=1e-4, lr_after_decay=1e-5, decay_epoch=25)
@@ -534,6 +534,22 @@ class TestTrainLoop:
         res_a = train(Model(tiny_cfg(), seed=5), cfg_none, small_corpus())
         res_b = train(Model(tiny_cfg(), seed=5), cfg_three, small_corpus())
         assert res_a.loss_rows == res_b.loss_rows
+
+    def test_transformer_t_max_past_max_t_rejected_before_a_step(self):
+        # it used to fail only once a batch drew a window past max_t, at a step that
+        # depended on the seed, naming neither setting
+        model = Model(tiny_cfg(max_t=4), seed=0)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        cfg = TrainConfig(batch_size=1, epochs=1, steps_per_epoch=64, t_max=5)
+        with pytest.raises(ValidationError, match="^t_max 5 exceeds the transformer's max_t 4$"):
+            train(model, cfg, small_corpus())
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.data, before[name])
+
+    def test_gru_takes_windows_past_max_t(self):
+        cfg = TrainConfig(batch_size=1, epochs=1, steps_per_epoch=2, t_min=6, t_max=10)
+        res = train(Model(tiny_cfg(kind="gru", max_t=4), seed=0), cfg, small_corpus())
+        assert res.completed_epochs == 1 and not res.diverged
 
     def test_corpus_rank_checked(self):
         with pytest.raises(ValidationError):
