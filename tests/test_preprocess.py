@@ -1,5 +1,6 @@
 """Clip, logit and TV despeckling tests."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -258,6 +259,28 @@ class TestDespeckle:
         a = despeckle_values(field)
         b = despeckle_values(field)
         assert np.array_equal(a, b)
+
+    # SHA-256 of the float32 output for fixed inputs, each with values outside
+    # (0, 1) for both clips; a rewrite of despeckle_values that keeps its bits
+    # keeps these
+    PINNED = {
+        "float32": "e5e24fdfca8d842552aa193b710745c3c3b98f8aa488c710d0781737ce7ebef2",
+        "float32-weight-0": "d10beb8b6c134e14839b5ae140049a75ef9b12873ff7b638d82519de515df58d",
+        "float64": "1dc26cb775e5bd8037260c0c406e383abd1f575b1641c52af89d180d95ce3661",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_output_bytes_pinned(self, case):
+        rng = np.random.default_rng(25)
+        values = (0.2 * rng.gamma(4.0, 0.25, size=(3, 2, 24, 20))).astype(np.float32)
+        values.flat[:4] = (0.0, 1.0, 1.5, -0.25)
+        cfg = PreprocessConfig(tv_weight_db=0.0) if case == "float32-weight-0" else None
+        if case == "float64":
+            values = 0.2 * rng.gamma(4.0, 0.25, size=(2, 2, 16, 24))
+            values.flat[:2] = (0.0, 2.0)
+        out = despeckle_values(values, cfg)
+        assert out.dtype == np.float32 and out.shape == values.shape
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.PINNED[case]
 
 
 class TestConfig:
