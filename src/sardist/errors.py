@@ -29,11 +29,22 @@ class ProvenanceError(ValidationError):
     """An estimate was not forecast from the frames before the one it scores."""
 
 
+def _shown(value) -> str:
+    """repr(value), or `<int of N digits>` for an int too long to print, also in a tuple."""
+    try:
+        return repr(value)
+    except ValueError:   # repr refuses an int past sys.get_int_max_str_digits()
+        if isinstance(value, (tuple, list)):
+            return "(%s)" % ", ".join(map(_shown, value))
+        n = abs(value).bit_length() * 30103 // 100000   # its digits, or one fewer
+        return f"<{'negative ' * (value < 0)}int of {n + (abs(value) >= 10 ** n)} digits>"
+
+
 def check_seed(seed: int) -> int:
     """`seed` if 0 <= seed < 2**64, else ValidationError: numpy rejects a negative
     seed, and splitmix64 would wrap a larger one onto a seed below 2**64."""
     if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {_shown(seed)}")
     return seed
 
 
@@ -59,7 +70,7 @@ def bound(default, rule: str | tuple):
 def _check_bound(name: str, value, f) -> None:
     """ValidationError `<name> must be <bound>, got <value>` unless `value` is within `f`'s."""
     if value is not None and "bound" in f.metadata and not f.metadata["within"](value):
-        raise ValidationError(f"{name} must be {f.metadata['bound']}, got {value!r}")
+        raise ValidationError(f"{name} must be {f.metadata['bound']}, got {_shown(value)}")
 
 
 def check_fields(config) -> None:
@@ -69,7 +80,7 @@ def check_fields(config) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-            raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
+            raise ValidationError(f"{f.name} must be {f.type}, got {_shown(value)}")
         if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-            raise ValidationError(f"{f.name} must be finite, got {value!r}")
+            raise ValidationError(f"{f.name} must be finite, got {_shown(value)}")
         _check_bound(f.name, value, f)

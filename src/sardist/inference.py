@@ -22,9 +22,10 @@ soon as its forward returns.
 
 The first sweep in a process pins glibc's allocator (`native.pin_malloc`):
 unpinned, a 3,249-window sweep trims freed forward buffers and faults them
-back in about 220K times. With `threads > 1` the sweep caps OpenBLAS at one
-thread while its workers run (`native.one_blas_thread`), so N workers use N
-cores; meanwhile a GEMM on any other thread runs single-threaded too.
+back in about 220K times. Pinned, the process keeps all it frees, so each sweep
+first hands the free heap back (`native.trim_malloc`). With `threads > 1` it
+caps OpenBLAS at one thread while its workers run (`native.one_blas_thread`),
+so N workers use N cores; meanwhile any other thread's GEMM runs single-threaded.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .autodiff import no_grad
 from .errors import ValidationError, bound, check_fields
 from .model import Model
-from .native import one_blas_thread, pin_malloc
+from .native import one_blas_thread, pin_malloc, trim_malloc
 from .preprocess import to_logit
 from .raster import DistributionEstimate, RasterStack
 
@@ -104,6 +105,7 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
     offsets = itertools.product(rows, cols)
     chunks = iter(lambda: list(itertools.islice(offsets, per_forward)), [])
     pinned = pin_malloc()
+    trim_malloc()   # start the pinned working set on returned pages
 
     def run_chunk(chunk: list[tuple[int, int]]):
         x = np.stack([frames_logit[:, :, r:r + size, ch:ch + size] for r, ch in chunk])

@@ -202,13 +202,15 @@ def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,
 
 
 def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None) -> np.ndarray:
-    """Despeckle (..., H, W) backscatter intensities in (0,1)."""
+    """Despeckle (..., H, W) backscatter intensities in (0,1), each step in place in one
+    float64 copy: the live peak is that copy and the TV solve's output and scratch."""
     cfg = cfg or PreprocessConfig()
-    v = clip_unit(np.asarray(values, dtype=np.float64))
-    db = 10.0 * np.log10(v)
-    smooth = tv_denoise(db, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step)
-    back = 10.0 ** (smooth / 10.0)
-    return clip_unit(back).astype(np.float32)
+    v = np.array(values, dtype=np.float64)
+    np.log10(np.clip(v, CLIP_EPS, 1.0 - CLIP_EPS, out=v), out=v)
+    v *= 10.0
+    v = tv_denoise(v, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step)
+    v /= 10.0
+    return np.clip(np.power(10.0, v, out=v), CLIP_EPS, 1.0 - CLIP_EPS, out=v).astype(np.float32)
 
 
 def despeckle_stack(stack: RasterStack, cfg: PreprocessConfig | None = None) -> RasterStack:

@@ -25,7 +25,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, bound, check_fields, check_seed
+from .errors import FormatError, ValidationError, _shown, bound, check_fields, check_seed
 from .preprocess import clip_unit
 from .raster import RasterStack, read_json, read_stack, write_json, write_stack
 
@@ -58,7 +58,7 @@ class SynthConfig:
                         isinstance(v, Real) and not isinstance(v, bool) and 0 < v < 1
                         for v in entry)):
                     raise ValidationError(f"class_gamma0 entries must be (vv, vh) pairs of "
-                                          f"numbers in (0, 1), got {entry!r}")
+                                          f"numbers in (0, 1), got {_shown(entry)}")
         check_seed(self.seed)
 
 
@@ -166,7 +166,7 @@ def generate_training_corpus(cfg: SynthConfig, count: int, out_dir: str) -> str:
     independently.
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ValidationError(f"corpus size must be an integer >= 1, got {count!r}")
+        raise ValidationError(f"corpus size must be an integer >= 1, got {_shown(count)}")
     os.makedirs(out_dir, exist_ok=True)
     nominal = replace(cfg, disturbance_fraction=0.0)
     entries = []

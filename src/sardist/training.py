@@ -28,7 +28,7 @@ only where the subnormal update would exceed half an ulp of the parameter;
 both benchmark trainings (64 and 1,024 steps) keep every bit. `train` pins
 glibc's allocator (`native.pin_malloc`) before its first step, so the
 backward's fresh gradient arrays reuse mapped memory rather than fresh pages,
-and hands the freed heap back (`native.trim_malloc`) when it returns. At
+and hands none back (its state is held until it returns; a sweep trims). At
 batch 1 the loop runs with OpenBLAS at one thread (`native.one_blas_thread`):
 its GEMMs are too small to share, and a second thread only spent CPU.
 """
@@ -45,7 +45,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ValidationError, bound, check_fields, check_seed
 from .model import Model, ModelConfig
-from .native import flush_subnormals, one_blas_thread, pin_malloc, trim_malloc
+from .native import flush_subnormals, one_blas_thread, pin_malloc
 from .synth import splitmix64
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -233,9 +233,9 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
             facts["epoch_step_seconds"].append((time.perf_counter() - start) / steps_per_epoch)
             result.loss_rows.append((epoch, total / steps_per_epoch, lr))
             result.completed_epochs = epoch
-            last_good = {k: p.data.copy() for k, p in model.params.items()}
+            for name, p in model.params.items():   # one rollback copy, kept in place
+                np.copyto(last_good[name], p.data)
     facts["cpu_s"] = time.process_time() - cpu
-    trim_malloc()   # the pinned heap keeps training's freed buffers; hand them back
     if stats is not None:
         stats.update(facts, subnormals_flushed=optimizer.subnormals_flushed)
     return result

@@ -527,10 +527,12 @@ class TestBlasCap:
 # ---------------------------------------------------------------------------
 
 class FakeLibc:
-    """`ctypes.CDLL` stand-in whose mallopt records its calls and accepts them."""
+    """`ctypes.CDLL` stand-in whose mallopt records its calls in `calls`, and malloc_trim
+    in `events`, and accepts them."""
 
     def __init__(self):
         self.calls = []
+        self.events = []
 
     def __call__(self, name):
         assert name is None
@@ -539,7 +541,11 @@ class FakeLibc:
             self.calls.append((param, value))
             return 1
 
-        return SimpleNamespace(mallopt=mallopt)
+        def malloc_trim(pad):
+            self.events.append(("malloc_trim", pad))
+            return 1
+
+        return SimpleNamespace(mallopt=mallopt, malloc_trim=malloc_trim)
 
 
 class TestMallocPin:
@@ -566,3 +572,16 @@ class TestMallocPin:
             sweep_estimate(ConstantStub(size=4), frames, SweepConfig(threads=threads), stats)
             assert stats["mallopt_pinned"] is True
         assert libc.calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_heap_handed_back_before_the_first_forward(self, monkeypatch, threads):
+        libc = FakeLibc()
+        monkeypatch.setattr(inference, "pin_malloc", cache(native.pin_malloc.__wrapped__))
+        monkeypatch.setattr(native.ctypes, "CDLL", libc)
+        stub = ConstantStub(size=4)
+        forward = stub.forward
+        stub.forward = lambda x, **kw: libc.events.append("forward") or forward(x, **kw)
+        sweep_estimate(stub, np.zeros((2, 2, 8, 8), dtype=np.float32),
+                       SweepConfig(stride=2, batch_size=2, threads=threads))
+        assert libc.events[0] == ("malloc_trim", 0)
+        assert libc.events.count("forward") == 5

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,26 @@ class TestDespeckle:
         a = despeckle_values(field)
         b = despeckle_values(field)
         assert np.array_equal(a, b)
+
+    def test_live_peak_below_three_float64_copies(self):
+        # each step writes into the array it reads: the TV solve's input and
+        # output plus its scratch, not one new array per step
+        values = np.random.default_rng(6).uniform(0.01, 0.5, size=(11, 2, 128, 128))
+        values = values.astype(np.float32)
+        despeckle_values(values[:1])   # settle lazy numpy state
+        tracemalloc.start()
+        try:
+            despeckle_values(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * values.size
+
+    def test_input_left_as_it_was(self):
+        values = np.random.default_rng(7).uniform(-0.5, 1.5, size=(2, 8, 8))
+        kept = values.copy()
+        despeckle_values(values)
+        np.testing.assert_array_equal(values, kept)
 
     # SHA-256 of the float32 output for fixed inputs, each with values outside
     # (0, 1) for both clips; a rewrite of despeckle_values that keeps its bits

@@ -8,6 +8,7 @@ means a generator bug, not an unlucky draw: every seed here is frozen.
 import json
 import math
 import os
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sardist import cli
-from sardist.errors import FormatError, ValidationError
+from sardist.errors import FormatError, ValidationError, check_seed
 from sardist.inference import SweepConfig
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import PreprocessConfig
@@ -246,6 +247,43 @@ def test_construction_checks_every_field(config, data):
             numbers = [v for entry in value for v in entry]
             assert all(0 < v < 1 for v in numbers), value
         assert all(math.isfinite(float(v)) for v in numbers), (f.name, value)
+
+
+
+#: an int that Python refuses to print at its default limit of 4,300 digits
+HUGE = 10**5000
+ALL_FIELDS = [(config, f) for config in CONFIGS for f in fields(config)]
+
+
+@pytest.fixture
+def default_int_print_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.usefixtures("default_int_print_limit")
+@pytest.mark.parametrize("config, f", ALL_FIELDS,
+                         ids=[f"{c.__name__}.{f.name}" for c, f in ALL_FIELDS])
+def test_unprintable_int_is_named_in_the_message(config, f):
+    # the message must form even where repr(value) raises ValueError
+    for value, shown in ((HUGE, "<int of 5001 digits>"),
+                         (-HUGE, "<negative int of 5001 digits>")):
+        with pytest.raises(ValidationError, match=f"^{f.name} must be .*, got {shown}$"):
+            replace(config(), **{f.name: value})
+
+
+@pytest.mark.usefixtures("default_int_print_limit")
+def test_unprintable_int_in_seed_and_entries(tmp_path):
+    with pytest.raises(ValidationError, match=r"\), got <int of 5001 digits>$"):
+        check_seed(HUGE)
+    with pytest.raises(ValidationError, match=r"got <negative int of 5001 digits>$"):
+        check_seed(-HUGE)
+    with pytest.raises(ValidationError, match=r"got \(<int of 5001 digits>, 0.1\)$"):
+        SynthConfig(num_classes=1, class_gamma0=((HUGE, 0.1),))
+    with pytest.raises(ValidationError, match=r"got <negative int of 5001 digits>$"):
+        generate_training_corpus(SynthConfig(), -HUGE, str(tmp_path / "corpus"))
 
 
 class TestDeterminism:

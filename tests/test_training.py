@@ -584,6 +584,50 @@ class TestTrainLoop:
         for name, p in after.model.params.items():
             assert_bitwise(p.data, before.model.params[name].data)
 
+    def test_epoch_end_allocates_no_parameter_sized_array(self, monkeypatch):
+        # the rollback copy is refreshed in place: from the end of each Adam step to
+        # the next batch draw, epoch ends included, nothing parameter-sized is made
+        model = Model(tiny_cfg(d_model=32, ff_dim=1024), seed=0)
+        largest = max(p.data.nbytes for p in model.params.values())
+        assert largest >= 128 << 10
+        step, sample = Adam.step, training.sample_batch
+        marks, peaks = [], []
+
+        def step_then_mark(opt, lr):
+            step(opt, lr)
+            tracemalloc.reset_peak()
+            marks.append(tracemalloc.get_traced_memory()[0])
+
+        def measure_then_sample(*args, **kwargs):
+            if marks:
+                peaks.append(tracemalloc.get_traced_memory()[1] - marks[-1])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(Adam, "step", step_then_mark)
+        monkeypatch.setattr(training, "sample_batch", measure_then_sample)
+        cfg = TrainConfig(batch_size=1, epochs=3, lr_initial=1e-3, lr_after_decay=1e-3,
+                          decay_epoch=3, steps_per_epoch=2, seed=9)
+        tracemalloc.start()
+        try:
+            res = train(model, cfg, small_corpus())
+        finally:
+            tracemalloc.stop()
+        assert res.completed_epochs == 3 and len(peaks) == 5
+        assert max(peaks) < largest // 4
+
+    def test_hands_no_heap_back(self, monkeypatch):
+        # a trim here frees little and makes the next training fault its buffers in
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append("mallopt") or 1,
+                               malloc_trim=lambda pad: calls.append("malloc_trim") or 1)
+        monkeypatch.setattr(training, "pin_malloc", cache(native.pin_malloc.__wrapped__))
+        monkeypatch.setattr(native.ctypes, "CDLL", lambda name: libc)
+        cfg = TrainConfig(batch_size=2, epochs=2, steps_per_epoch=2, seed=4)
+        stats = {}
+        train(Model(tiny_cfg(), seed=8), cfg, small_corpus(), stats)
+        assert stats["malloc_pinned"] is True
+        assert calls == ["mallopt", "mallopt"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_rolls_back_to_init(self):
         # an absurd learning rate blows up inside epoch 1; the model must come
