@@ -23,7 +23,9 @@ straight from the input into the output. A run covers at most `_CHUNK_PX`
 pixels (at least one slice), so its nine float64 buffers stay in a core's
 L2 cache. The scratch is allocated once per call and updated in place by
 every run and iteration, with f / weight computed once and the x and y
-duals held in one (2, n) array.
+duals held in one (2, n) array. The output and the scratch start on a
+64-byte (cache-line) boundary: where the heap happened to place them
+otherwise moved a solve's time by up to 25 %.
 
 Zero-edge invariant. The x dual is 0 on every slice's last column and the y
 dual on its last row, as are the forward differences there. The
@@ -144,6 +146,13 @@ def tv_objective(u: np.ndarray, f: np.ndarray, weight: float) -> float:
     return float(np.sum(rows))
 
 
+def _aligned_empty(n: int) -> np.ndarray:
+    """n uninitialised float64s starting on a 64-byte (cache-line) boundary."""
+    raw = np.empty(n + 8)
+    lead = -raw.ctypes.data % 64 // 8
+    return raw[lead:lead + n]
+
+
 def _tv_solve(f: np.ndarray, u: np.ndarray, weight: float, iterations: int, step: float,
               width: int, plane: int, work: np.ndarray) -> None:
     """Dual-projection solve of every flat slice of f into u, in place.
@@ -191,10 +200,10 @@ def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,
     if height == 0 or width == 0:
         raise ValidationError(f"need non-empty slices, got shape {f.shape}")
     flat = np.ascontiguousarray(f).reshape(-1)
-    out = np.empty(flat.size)
+    out = _aligned_empty(flat.size)
     plane = height * width
     solve_px = min(flat.size, max(1, _CHUNK_PX // plane) * plane)
-    work = np.empty(7 * solve_px + 2 * width)
+    work = _aligned_empty(7 * solve_px + 2 * width)
     for lo in range(0, flat.size, solve_px):
         run = slice(lo, lo + solve_px)
         _tv_solve(flat[run], out[run], weight, iterations, step, width, plane, work)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sardist.errors import ValidationError
-from sardist.preprocess import (PreprocessConfig, clip_unit, despeckle_stack,
+from sardist.preprocess import (_aligned_empty, PreprocessConfig, clip_unit, despeckle_stack,
                                 despeckle_values, inverse_logit, logit,
                                 tv_denoise, tv_objective)
 from sardist.raster import RasterStack
@@ -171,6 +171,21 @@ class TestTvKernel:
     def test_empty_slices_rejected(self):
         with pytest.raises(ValidationError):
             tv_denoise(np.zeros((2, 0, 4)), weight=1.5)
+
+    # 5,632 x 7 + 32 is the scratch of one 11x2x16x16 corpus sequence
+    @pytest.mark.parametrize("n", [1, 7, 8, 1000, 5632 * 7 + 32])
+    def test_aligned_buffer(self, n):
+        for _ in range(4):   # several allocations, so not one lucky placement
+            buf = _aligned_empty(n)
+            assert buf.dtype == np.float64 and buf.shape == (n,)
+            assert buf.flags.writeable and buf.flags.c_contiguous
+            assert buf.ctypes.data % 64 == 0
+            buf[:] = 1.0
+
+    @pytest.mark.parametrize("shape", [(16, 16), (11, 2, 16, 16), (1, 7)])
+    def test_result_starts_on_a_cache_line(self, shape):
+        f = np.random.default_rng(3).normal(-10.0, 3.0, size=shape)
+        assert tv_denoise(f, 1.5, iterations=2).ctypes.data % 64 == 0
 
 
 class TestTvDenoise:
