@@ -108,27 +108,39 @@ def inverse_logit(y: np.ndarray) -> np.ndarray:
 _CHUNK_PX = 1 << 14
 
 
-def _forward_diff(u: np.ndarray, width: int, plane: int, out: np.ndarray) -> None:
-    """x and y forward differences of flat stacked slices into out[0], out[1],
-    reset to 0 on each slice's trailing column (x) and row (y)."""
-    np.subtract(u[1:], u[:-1], out=out[0, :-1])
-    out[0, width - 1::width] = 0.0
-    np.subtract(u[width:], u[:-width], out=out[1, :-width])
-    out[1].reshape(-1, plane)[:, plane - width:] = 0.0
+def _forward_diff(u: np.ndarray, width: int, plane: int, out: np.ndarray):
+    """A call that writes the x and y forward differences of flat stacked slices
+    u into out[0], out[1], reset to 0 on each slice's trailing column (x) and
+    row (y). Its views are built once, here, so a solve's loop slices nothing."""
+    xa, xb, x_out, x_edge = u[1:], u[:-1], out[0, :-1], out[0, width - 1::width]
+    ya, yb, y_out = u[width:], u[:-width], out[1, :-width]
+    y_edge = out[1].reshape(-1, plane)[:, plane - width:]
+
+    def run() -> None:
+        np.subtract(xa, xb, out=x_out)
+        x_edge.fill(0.0)
+        np.subtract(ya, yb, out=y_out)
+        y_edge.fill(0.0)
+    return run
 
 
-def _dual_div(p: np.ndarray, width: int, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Divergence, adjoint to `_forward_diff`, of p = (2, width + n): `width`
-    leading zeros, then px and py, which are 0 on the trailing edges."""
-    np.subtract(p[0, width:], p[0, width - 1:-1], out=out)
-    np.subtract(p[1, width:], p[1, :-width], out=scratch)
-    np.add(out, scratch, out=out)
+def _dual_div(p: np.ndarray, width: int, out: np.ndarray, scratch: np.ndarray):
+    """A call that writes into out the divergence, adjoint to `_forward_diff`,
+    of p = (2, width + n): `width` leading zeros, then px and py, which are 0 on
+    the trailing edges. Its views are built once, here."""
+    xa, xb, ya, yb = p[0, width:], p[0, width - 1:-1], p[1, width:], p[1, :-width]
+
+    def run() -> None:
+        np.subtract(xa, xb, out=out)
+        np.subtract(ya, yb, out=scratch)
+        np.add(out, scratch, out=out)
+    return run
 
 
 def _objectives(u: np.ndarray, f: np.ndarray, weight: float, width: int, plane: int,
                 scratch: np.ndarray) -> np.ndarray:
     """Per-slice 0.5*||u-f||^2 + weight*TV(u) of flat stacked slices."""
-    _forward_diff(u, width, plane, scratch)
+    _forward_diff(u, width, plane, scratch)()
     np.abs(scratch, out=scratch)
     tv = scratch.reshape(2, -1, plane).sum(axis=2)
     np.subtract(u, f, out=scratch[0])
@@ -171,17 +183,18 @@ def _tv_solve(f: np.ndarray, u: np.ndarray, weight: float, iterations: int, step
     np.divide(f, weight, out=fw)
     p.fill(0.0)
     pxy = p[:, width:]
+    div, diff = _dual_div(p, width, u, t[0]), _forward_diff(u, width, plane, g)
     for _ in range(iterations):
-        _dual_div(p, width, u, t[0])
+        div()
         np.subtract(u, fw, out=u)
-        _forward_diff(u, width, plane, g)
+        diff()
         np.abs(g, out=t)
         np.multiply(t, step, out=t)
         np.add(t, 1.0, out=t)
         np.multiply(g, step, out=g)
         np.add(pxy, g, out=pxy)
         np.divide(pxy, t, out=pxy)
-    _dual_div(p, width, u, t[0])
+    div()
     np.multiply(u, weight, out=u)
     np.subtract(f, u, out=u)
     worse = ~(_objectives(u, f, weight, width, plane, g)
