@@ -83,14 +83,17 @@ def _coverage(extent: int, positions: list[int], window: int) -> np.ndarray:
 
 def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | None = None,
                    stats: dict | None = None) -> DistributionEstimate:
-    """Forecast the next frame per pixel from a (T, C, H, W) logit stack.
+    """Forecast the next frame per pixel from a finite (T, C, H, W) logit stack.
 
     `stats`, if given, receives the sweep's deterministic facts: `windows`,
     `windows_per_forward`, `max_chunks_in_flight` and `mallopt_pinned`."""
     cfg = cfg or SweepConfig()
-    frames_logit = np.asarray(frames_logit, dtype=np.float32)
+    with np.errstate(over="ignore"):   # past float32's range is inf, rejected below
+        frames_logit = np.asarray(frames_logit, dtype=np.float32)
     if frames_logit.ndim != 4:
         raise ValidationError(f"expected (T,C,H,W), got {frames_logit.shape}")
+    if not np.isfinite(frames_logit).all():
+        raise ValidationError("frames contain non-finite values")
     t, c, height, width = frames_logit.shape
     size = model.cfg.input_size
     if cfg.stride > size:

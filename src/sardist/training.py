@@ -188,7 +188,7 @@ class TrainResult:
 
 def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
           stats: dict | None = None) -> TrainResult:
-    """Run the training loop on logit-space sequences (N, steps, C, H, W).
+    """Run the training loop on finite logit-space sequences (N, steps, C, H, W).
 
     `stats`, if given, receives the run's facts: `malloc_pinned`, `subnormals_flushed`,
     `blas_capped`, `cpu_s` (the loop's process CPU seconds) and `epoch_step_seconds`,
@@ -196,6 +196,8 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
     _check_t_max(model.cfg, cfg)
     if sequences.ndim != 5:
         raise ValidationError(f"corpus must be (N,steps,C,H,W), got {sequences.shape}")
+    if not np.isfinite(sequences).all():
+        raise ValidationError("corpus contains non-finite values")
     batch_rng = np.random.default_rng(splitmix64(cfg.seed, 1))
     drop_rng = np.random.default_rng(splitmix64(cfg.seed, 2))
     steps_per_epoch = cfg.steps_per_epoch

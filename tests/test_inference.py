@@ -1,8 +1,12 @@
 """Tests for the sliding-window scene sweep."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from functools import cache
@@ -20,6 +24,8 @@ from sardist.inference import SweepConfig, forecast, sweep_estimate, window_posi
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import clip_unit, logit, to_logit
 from sardist.raster import RasterStack
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(inference.__file__)))
 
 
 class ConstantStub:
@@ -385,6 +391,40 @@ class TestSweepValidation:
     def test_frames_must_be_4d(self):
         with pytest.raises(ValidationError):
             sweep_estimate(tiny_model(), np.zeros((5, 2, 8), dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_non_finite_frames_rejected_before_a_forward(self, bad):
+        # they used to warn in the forward, then fail on the estimate; 1e300 is
+        # finite in float64 but not in the float32 the sweep runs in
+        frames = logit_frames(np.random.default_rng(2)).astype(np.float64)
+        frames[2, 1, 3, 4] = bad
+        stub = ConstantStub(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^frames contain non-finite values$"):
+                sweep_estimate(stub, frames)
+        assert stub.windows_seen == 0
+
+    def test_non_finite_frames_rejected_under_optimize(self):
+        # python -O strips asserts and -W error makes any warning an exception
+        code = ("import numpy as np\n"
+                "from sardist.errors import ValidationError\n"
+                "from sardist.inference import sweep_estimate\n"
+                "from sardist.model import Model, ModelConfig\n"
+                "frames = np.zeros((5, 2, 8, 8), np.float32)\n"
+                "frames[1, 0, 2, 2] = np.inf\n"
+                "model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,"
+                " num_layers=1, ff_dim=8), seed=0)\n"
+                "try:\n"
+                "    sweep_estimate(model, frames)\n"
+                "except ValidationError as exc:\n"
+                "    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "frames contain non-finite values\n", "")
 
     def test_scene_smaller_than_window_rejected(self):
         with pytest.raises(ValidationError):

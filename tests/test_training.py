@@ -1,7 +1,11 @@
 """Tests for the training loop: objective, optimizer, batching, gradient checks."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import cache
 from types import SimpleNamespace
@@ -482,6 +486,9 @@ class TestSampleBatch:
 # training loop
 # ---------------------------------------------------------------------------
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(model_module.__file__)))
+
+
 def small_corpus(seed=0, n=8, steps=11, c=2, side=4, scale=0.1) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, scale, size=(n, steps, c, side, side)).astype(np.float32)
@@ -550,6 +557,40 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=1, epochs=1, steps_per_epoch=2, t_min=6, t_max=10)
         res = train(Model(tiny_cfg(kind="gru", max_t=4), seed=0), cfg, small_corpus())
         assert res.completed_epochs == 1 and not res.diverged
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_corpus_rejected_before_a_forward(self, bad, monkeypatch):
+        # one bad value used to warn and then diverge, or pass unnoticed when the
+        # sampler never drew its sequence
+        model = Model(tiny_cfg(), seed=0)
+        monkeypatch.setattr(model, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        corpus = small_corpus()
+        corpus[5, 10, 1, 3, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^corpus contains non-finite values$"):
+                train(model, TrainConfig(batch_size=2, epochs=1, steps_per_epoch=1), corpus)
+
+    def test_non_finite_corpus_rejected_under_optimize(self):
+        # python -O strips asserts and -W error makes any warning an exception
+        code = ("import numpy as np\n"
+                "from sardist.errors import ValidationError\n"
+                "from sardist.model import Model, ModelConfig\n"
+                "from sardist.training import TrainConfig, train\n"
+                "corpus = np.zeros((4, 11, 2, 4, 4), np.float32)\n"
+                "corpus[2, 3, 1, 0, 0] = np.nan\n"
+                "model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,"
+                " num_layers=1, ff_dim=8), seed=0)\n"
+                "try:\n"
+                "    train(model, TrainConfig(batch_size=2, epochs=1), corpus)\n"
+                "except ValidationError as exc:\n"
+                "    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "corpus contains non-finite values\n", "")
 
     def test_corpus_rank_checked(self):
         with pytest.raises(ValidationError):
@@ -667,7 +708,8 @@ class TestTrainLoop:
                 break
         assert seed is not None
         corpus = small_corpus(n=n)
-        corpus[poison] = np.nan
+        # finite, so train takes the corpus, but the forward overflows on it
+        corpus[poison] = np.finfo(np.float32).max
         cfg = TrainConfig(batch_size=batch, epochs=3, lr_initial=1e-3,
                           lr_after_decay=1e-3, decay_epoch=3,
                           steps_per_epoch=1, seed=seed)
