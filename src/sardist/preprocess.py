@@ -21,17 +21,13 @@ that `clip_unit` allows; so each slice is solved once.
 Layout of the solve. `tv_denoise` solves runs of whole contiguous slices
 straight from the input into the output. A run covers at most `_CHUNK_PX`
 pixels (at least one slice), so its nine float64 buffers stay in a core's
-L2 cache. The scratch is allocated once per call and updated in place by
-every run and iteration, with f / weight computed once and the x and y
-duals held in one (2, n) array. The output and the scratch start on a
-64-byte (cache-line) boundary: where the heap happened to place them
-otherwise moved a solve's time by up to 25 %. The stencil's shifted views
-are built once per run, and an iteration is eleven array passes over 16n
-floats in all: the divergence (3n), minus f / weight (n), the forward
-differences (2n), then g *= step, t = |g|, t += 1, p += g and p /= t (2n
-each). Scaling g before taking |g| saves the pass that scaled |g|, and
-keeps every bit for step > 0: abs only clears the sign bit and IEEE
-rounding is symmetric in sign, so |g*step| == |g|*step.
+L2 cache. The scratch is allocated once per call, its views once per run;
+f / weight is computed once and the x and y duals share one (2, n) array.
+Output and scratch start on a 64-byte boundary: where the heap put them
+moved a solve's time by up to 25 %. An iteration makes 11 passes over 16n
+floats. It scales g by step before t = 1 + |g|, a 2n pass fewer than
+scaling |g|, with the same bits for step > 0: abs only clears the sign bit
+and IEEE rounding is symmetric in sign, so |g*step| == |g|*step.
 
 Zero-edge invariant. The x dual is 0 on every slice's last column and the y
 dual on its last row, as are the forward differences there. The
@@ -115,32 +111,23 @@ _CHUNK_PX = 1 << 14
 
 
 def _forward_diff(u: np.ndarray, width: int, plane: int, out: np.ndarray):
-    """A call that writes the x and y forward differences of flat stacked slices
-    u into out[0], out[1], reset to 0 on each slice's trailing column (x) and
-    row (y). Its views are built once, here, so a solve's loop slices nothing."""
-    xa, xb, x_out, x_edge = u[1:], u[:-1], out[0, :-1], out[0, width - 1::width]
-    ya, yb, y_out = u[width:], u[:-width], out[1, :-width]
-    y_edge = out[1].reshape(-1, plane)[:, plane - width:]
+    """A call writing the x and y forward differences of flat stacked slices u into
+    out[0], out[1], 0 on each slice's trailing column (x) and row (y); views built once."""
+    parts = ((u[1:], u[:-1], out[0, :-1], out[0, width - 1::width]),
+             (u[width:], u[:-width], out[1, :-width], out[1].reshape(-1, plane)[:, -width:]))
 
     def run() -> None:
-        np.subtract(xa, xb, out=x_out)
-        x_edge.fill(0.0)
-        np.subtract(ya, yb, out=y_out)
-        y_edge.fill(0.0)
+        for a, b, diff, edge in parts:
+            np.subtract(a, b, out=diff)
+            edge.fill(0.0)
     return run
 
 
 def _dual_div(p: np.ndarray, width: int, out: np.ndarray, scratch: np.ndarray):
-    """A call that writes into out the divergence, adjoint to `_forward_diff`,
-    of p = (2, width + n): `width` leading zeros, then px and py, which are 0 on
-    the trailing edges. Its views are built once, here."""
+    """A call writing into out the divergence, adjoint to `_forward_diff`, of
+    p = (2, width + n): `width` leading zeros, then px and py, 0 on the trailing edges."""
     xa, xb, ya, yb = p[0, width:], p[0, width - 1:-1], p[1, width:], p[1, :-width]
-
-    def run() -> None:
-        np.subtract(xa, xb, out=out)
-        np.subtract(ya, yb, out=scratch)
-        np.add(out, scratch, out=out)
-    return run
+    return lambda: np.add(np.subtract(xa, xb, out=out), np.subtract(ya, yb, out=scratch), out=out)
 
 
 def _objectives(u: np.ndarray, f: np.ndarray, weight: float, width: int, plane: int,
@@ -176,16 +163,13 @@ def _tv_solve(f: np.ndarray, u: np.ndarray, weight: float, iterations: int, step
     """Dual-projection solve of every flat slice of f into u, in place.
 
     work is flat scratch of at least 7 * f.size + 2 * width floats. A slice
-    whose objective did not drop (a NaN in it, say) comes back as its input.
-    """
+    whose objective did not drop (a NaN in it, say) comes back as its input."""
     if weight == 0.0:
         np.copyto(u, f)
         return
     n = f.size
-    fw = work[:n]
-    p = work[n:3 * n + 2 * width].reshape(2, -1)
-    g = work[3 * n + 2 * width:5 * n + 2 * width].reshape(2, n)
-    t = work[5 * n + 2 * width:7 * n + 2 * width].reshape(2, n)
+    fw, p, g, t = np.split(work[:7 * n + 2 * width], np.cumsum((n, 2 * n + 2 * width, 2 * n)))
+    p, g, t = p.reshape(2, -1), g.reshape(2, n), t.reshape(2, n)
     np.divide(f, weight, out=fw)
     p.fill(0.0)
     pxy = p[:, width:]
@@ -204,8 +188,7 @@ def _tv_solve(f: np.ndarray, u: np.ndarray, weight: float, iterations: int, step
     np.subtract(f, u, out=u)
     worse = ~(_objectives(u, f, weight, width, plane, g)
               <= _objectives(f, f, weight, width, plane, g))
-    if worse.any():
-        u.reshape(-1, plane)[worse] = f.reshape(-1, plane)[worse]
+    np.copyto(u.reshape(-1, plane), f.reshape(-1, plane), where=worse[:, None])
 
 
 def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,
