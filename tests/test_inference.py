@@ -1,5 +1,6 @@
 """Tests for the sliding-window scene sweep."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from sardist.inference import SweepConfig, forecast, sweep_estimate, window_posi
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import clip_unit, logit, to_logit
 from sardist.raster import RasterStack
+from sardist.training import nll_loss
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(inference.__file__)))
 
@@ -293,6 +295,57 @@ class TestSweepAveraging:
         coarse = sweep_estimate(model, frames[:9], SweepConfig(stride=4))
         in_sd_units = np.abs(coarse.mu - dense.mu) / dense.sigma
         assert float(np.percentile(in_sd_units, 95)) < 0.5
+
+
+class TestForecastBytesPinned:
+    """SHA-256 of the float32 forecast bytes of fixed tiny models: a rewrite of
+    the forward (or of the engine under it) that keeps its bits keeps these."""
+
+    CFGS = {
+        "transformer": ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,
+                                   num_layers=2, ff_dim=8, max_t=10, dropout=0.2),
+        "gru": ModelConfig(kind="gru", input_size=4, d_model=6, num_layers=2,
+                           head_hidden=5, max_t=10, dropout=0.2),
+    }
+    # mu and sigma of a stride-2 sweep over a clamped 10x9 scene
+    SWEPT = {
+        "transformer": "343fce020e8160869bfad3808cffd3bf0c7f332a2304808c396758829e3ca3a1",
+        "gru": "36aecf018f091bb230ea0919db1de5993308748dc0fffe86a551b348a380ce81",
+    }
+    # mu, sigma and every parameter gradient of one training-mode forward and
+    # backward (dropout on)
+    GRAPH = {
+        "transformer": "46aa9cb804d274dc6414cc0e60c12fbcb58a538e9a58dc53df741365bd5a832c",
+        "gru": "f5d5be972fe82dbb0839baa45fe2bc49450b0840af22f91e647b0655c889fdaa",
+    }
+
+    @staticmethod
+    def digest(*arrays) -> str:
+        h = hashlib.sha256()
+        for a in arrays:
+            assert a.dtype == np.float32
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(CFGS))
+    def test_sweep_bytes_pinned(self, kind, threads):
+        model = Model(self.CFGS[kind], seed=28)
+        frames = np.random.default_rng(28).normal(-2.0, 0.7, size=(6, 2, 10, 9))
+        est = sweep_estimate(model, frames.astype(np.float32),
+                             SweepConfig(stride=2, batch_size=3, threads=threads))
+        assert self.digest(est.mu, est.sigma) == self.SWEPT[kind]
+
+    @pytest.mark.parametrize("kind", sorted(CFGS))
+    def test_graph_bytes_pinned(self, kind):
+        model = Model(self.CFGS[kind], seed=28)
+        rng = np.random.default_rng(29)
+        x = rng.normal(-2.0, 0.7, size=(3, 5, 2, 4, 4)).astype(np.float32)
+        y = rng.normal(-2.0, 0.7, size=(3, 2, 4, 4)).astype(np.float32)
+        mu, sigma = model.forward(x, train=True, rng=np.random.default_rng(30))
+        nll_loss(mu, sigma, y).backward()
+        grads = (model.params[name].grad for name in sorted(model.params))
+        assert self.digest(mu.data, sigma.data, *grads) == self.GRAPH[kind]
 
 
 # ---------------------------------------------------------------------------
