@@ -27,10 +27,9 @@ the final hidden state feeds the same kind of two-headed readout for the
 whole frame.
 
 One forward serves training and inference: `forward` builds the graph when
-gradients are on and, under `autodiff.no_grad`, the same code writes ReLU,
-the attention scale, the positional and residual adds and the sigma floor
-into arrays the forward itself just allocated (see `autodiff`'s in-place
-rule). Parameters and the caller's window are never written.
+gradients are on and, under `autodiff.no_grad`, the same code writes each
+ReLU into the GEMM result it reads (see `autodiff`'s in-place rule).
+Parameters and the caller's window are never written.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, dropout, layer_norm, linear, relu, scale, softplus
+from .autodiff import Tensor, dropout, layer_norm, linear, relu, softplus
 from .errors import FormatError, ShapeError, ValidationError, bound, check_fields, check_seed
 from .raster import read_json, write_file, write_json
 
@@ -213,9 +212,7 @@ class Model:
             z = relu(linear(h, p[f"{name}.l1.w"], p[f"{name}.l1.b"]), overwrite_x=True)
             return linear(z, p[f"{name}.l2.w"], p[f"{name}.l2.b"])
 
-        mu = head("mu_head")
-        sigma = softplus(head("sigma_head"), overwrite_x=True)
-        return mu, add(sigma, self.cfg.sigma_floor, overwrite_x=True)
+        return head("mu_head"), softplus(head("sigma_head")) + self.cfg.sigma_floor
 
     def _forward_transformer(self, x, train, rng):
         cfg, p = self.cfg, self.params
@@ -224,8 +221,8 @@ class Model:
 
         tokens = patch_split(x, cfg.patch_size)           # (B, T, Np, patch_dim); may view x
         h = linear(Tensor(tokens), p["embed.w"], p["embed.b"])  # (B, T, Np, D)
-        h = add(h, p["pos_spatial"].reshape(1, 1, npf, d), overwrite_x=True)
-        h = add(h, p["pos_temporal"][:t].reshape(1, t, 1, d), overwrite_x=True)
+        h = h + p["pos_spatial"].reshape(1, 1, npf, d)
+        h = h + p["pos_temporal"][:t].reshape(1, t, 1, d)
         h = h.reshape(b * t * npf, d)                     # one row per token
 
         for i in range(cfg.num_layers):
@@ -264,14 +261,13 @@ class Model:
             pre = pre.reshape(b, t, npf, d)[:, t - 1]
             rows = npf
         q = split_heads(dense(pre, "attn.wq"), rows)
-        scores = scale(q @ k.transpose((0, 1, 3, 2)), 1.0 / np.sqrt(dk), overwrite_x=True)
+        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dk))
         ctx = (scores.softmax() @ v).transpose((0, 2, 1, 3)).reshape(h.shape)
-        # each residual sum goes into the sublayer output: h was handed in, not made here
-        h = add(h, dropout(dense(ctx, "attn.wo"), cfg.dropout, rng, train), overwrite_y=True)
+        h = h + dropout(dense(ctx, "attn.wo"), cfg.dropout, rng, train)
 
         pre = layer_norm(h, p[f"enc{i}.ln2.g"], p[f"enc{i}.ln2.b"])
         ff = dense(relu(dense(pre, "ff1"), overwrite_x=True), "ff2")
-        return add(h, dropout(ff, cfg.dropout, rng, train), overwrite_y=True)
+        return h + dropout(ff, cfg.dropout, rng, train)
 
     def _merge_patches(self, patches: Tensor) -> Tensor:
         cfg = self.cfg
