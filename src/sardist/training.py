@@ -188,12 +188,14 @@ class TrainResult:
 
 def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
           stats: dict | None = None) -> TrainResult:
-    """Run the training loop on finite logit-space sequences (N, steps, C, H, W).
+    """Run the training loop on logit sequences (N, steps, C, H, W), finite in model.dtype.
 
     `stats`, if given, receives the run's facts: `malloc_pinned`, `subnormals_flushed`,
     `blas_capped`, `cpu_s` (the loop's process CPU seconds) and `epoch_step_seconds`,
     the mean wall time of a step in each finished epoch."""
     _check_t_max(model.cfg, cfg)
+    with np.errstate(over="ignore"):   # past the model dtype's range is inf, rejected below
+        sequences = np.asarray(sequences, dtype=model.dtype)
     if sequences.ndim != 5:
         raise ValidationError(f"corpus must be (N,steps,C,H,W), got {sequences.shape}")
     if not np.isfinite(sequences).all():

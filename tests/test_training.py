@@ -592,6 +592,54 @@ class TestTrainLoop:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, "corpus contains non-finite values\n", "")
 
+    @pytest.mark.parametrize("big", [1e300, -1e300])
+    def test_float64_corpus_past_float32_range_rejected(self, big, monkeypatch):
+        # finite as float64 but inf in the model's float32: it used to warn in the
+        # model's cast and then report a divergence
+        model = Model(tiny_cfg(), seed=0)
+        monkeypatch.setattr(model, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        corpus = small_corpus().astype(np.float64)
+        corpus[5, 10, 1, 3, 2] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^corpus contains non-finite values$"):
+                train(model, TrainConfig(batch_size=2, epochs=1, steps_per_epoch=1), corpus)
+
+    def test_float64_corpus_past_float32_range_rejected_under_optimize(self):
+        code = ("import numpy as np\n"
+                "from sardist.errors import ValidationError\n"
+                "from sardist.model import Model, ModelConfig\n"
+                "from sardist.training import TrainConfig, train\n"
+                "corpus = np.zeros((2, 11, 2, 4, 4))\n"
+                "corpus[1, 3, 1, 0, 0] = 1e300\n"
+                "model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,"
+                " num_layers=1, ff_dim=8), seed=0)\n"
+                "try:\n"
+                "    train(model, TrainConfig(batch_size=2, epochs=1), corpus)\n"
+                "except ValidationError as exc:\n"
+                "    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "corpus contains non-finite values\n", "")
+
+    def test_float32_corpus_not_copied(self, monkeypatch):
+        # the cast to the model's dtype draws batches from the caller's own array
+        class Drawn(Exception):
+            pass
+
+        def record(sequences, *args, **kwargs):
+            seen.append(sequences)
+            raise Drawn
+
+        seen, corpus = [], small_corpus()
+        monkeypatch.setattr(training, "sample_batch", record)
+        with pytest.raises(Drawn):
+            train(Model(tiny_cfg(), seed=0), TrainConfig(batch_size=2, epochs=1), corpus)
+        assert seen[0] is corpus
+
     def test_corpus_rank_checked(self):
         with pytest.raises(ValidationError):
             train(Model(tiny_cfg(), seed=0), TrainConfig(),
