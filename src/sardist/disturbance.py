@@ -81,18 +81,24 @@ def log_ratio_map(pre_frames: np.ndarray, post: np.ndarray) -> DisturbanceMap:
 
 def score_frame(stack: RasterStack, frame: int, est: DistributionEstimate | None = None,
                 baseline: int | None = None) -> DisturbanceMap:
-    """Metric map of frame `frame` of `stack` (negative counts from the end): against
-    `est`, which must be stamped with an earlier frame, or else by the log ratio
-    against the first `baseline` frames (default: all before `frame`; at least 2)."""
+    """Metric map of frame `frame` of `stack` (negative counts from the end): against `est`,
+    stamped with an earlier frame (the last of the first `baseline`, if given), or else by
+    the log ratio against the first `baseline` frames (default: all before `frame`; >= 2)."""
     count = stack.num_steps
     frame = frame if frame >= 0 else count + frame
     if not 0 <= frame < count:
         raise ValidationError(f"frame {frame} outside stack of {count} frames")
     if est is not None:
-        if est.timestamp not in stack.timestamps[:frame]:
+        if baseline is None:
+            seen, wanted = stack.timestamps[:frame], (f"frames before frame {frame} "
+                                                      f"({stack.timestamps[frame]!r})")
+        else:
+            # the baseline's last stamp, if the baseline ends before `frame`
+            seen = stack.timestamps[baseline - 1:baseline] if 1 <= baseline <= frame else ()
+            wanted = f"the first {baseline} frames (a forecast with drop_last={count - baseline})"
+        if est.timestamp not in seen:
             raise ProvenanceError(f"estimate forecasts from frames up to {est.timestamp!r}, "
-                                  f"not from frames before frame {frame} "
-                                  f"({stack.timestamps[frame]!r})")
+                                  f"not from {wanted}")
         return mahalanobis_map(est, to_logit(stack.values[frame]))
     baseline = frame if baseline is None else baseline
     if baseline < 2:

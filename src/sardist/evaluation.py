@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disturbance import score_frame
-from .errors import ProvenanceError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .inference import SweepConfig, forecast
 from .model import Model, ModelConfig
 from .preprocess import despeckle_stack, despeckle_values, to_logit
@@ -97,10 +97,6 @@ def two_image_scores(stack: RasterStack, truth: np.ndarray,
     count = stack.num_steps
     if count < 4:
         raise ValidationError(f"evaluation needs >= 4 frames, got {count}")
-    if est is not None and est.timestamp != stack.timestamps[-3]:
-        raise ProvenanceError(f"estimate forecasts from frames up to {est.timestamp!r}, "
-                              f"two-image scoring needs {stack.timestamps[-3]!r} "
-                              f"(a forecast with drop_last=2)")
     pre, post = (score_frame(stack, frame, est, count - 2) for frame in (-2, -1))
     return build_labeled_set(pre, post, truth)
 

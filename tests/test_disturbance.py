@@ -269,6 +269,28 @@ class TestScoreFrame:
             with pytest.raises(ProvenanceError):
                 score_frame(self.stack, frame - 6, est)
 
+    def test_estimate_with_baseline_scores_any_later_frame(self):
+        for baseline in range(1, 6):
+            est = self.estimate_after(baseline - 1)
+            for frame in range(baseline, 6):
+                expected = mahalanobis_map(est, to_logit(self.stack.values[frame]))
+                np.testing.assert_array_equal(
+                    score_frame(self.stack, frame, est, baseline).values, expected.values)
+
+    @pytest.mark.parametrize("seen, frame, baseline", [
+        (1, 5, 3),    # an earlier stamp than the baseline's last: fine without a baseline
+        (0, -1, 3),
+        (3, 5, 3),    # saw a frame past the baseline
+        (4, 4, 5),    # the baseline holds the scored frame
+        (5, 5, 7),
+        (5, 5, 0),
+        (4, 5, -1),
+    ])
+    def test_estimate_not_of_exactly_the_baseline_rejected(self, seen, frame, baseline):
+        with pytest.raises(ProvenanceError, match=f"not from the first {baseline} frames "
+                                                  rf"\(a forecast with drop_last={6 - baseline}\)$"):
+            score_frame(self.stack, frame, self.estimate_after(seen), baseline)
+
     def test_unstamped_estimate_rejected(self):
         est = random_estimate(np.random.default_rng(0), h=4, w=4)
         with pytest.raises(ProvenanceError):

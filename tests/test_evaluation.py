@@ -175,7 +175,8 @@ class TestTwoImageScores:
         # one that saw the pre frame, and an unstamped sweep of exactly the baseline
         for est in (forecast(model, self.stack, sweep, 1),
                     sweep_estimate(model, to_logit(self.values[:-2]), sweep)):
-            with pytest.raises(ProvenanceError, match="two-image scoring needs"):
+            with pytest.raises(ProvenanceError, match=r"not from the first 3 frames "
+                                                      r"\(a forecast with drop_last=2\)$"):
                 two_image_scores(self.stack, self.truth, est)
 
 
