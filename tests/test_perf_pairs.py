@@ -1,0 +1,47 @@
+"""Smoke tests of scripts/perf_pairs.py, the alternating perfbench pair runner."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "scripts", "perf_pairs.py")
+TOY = ["--workload", "prepare-corpus", "--seed", "0", "--pairs", "1", "--toy", "--seconds", "1"]
+
+
+def run(parent: str, change: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, SCRIPT, parent, change, *TOY],
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_repo_against_itself():
+    proc = run(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:3] for line in lines[:2]] == [["pair", "1", "parent"],
+                                                        ["pair", "1", "change"]]
+    # both sides ran the same code, so the same first op digest
+    assert lines[0].split()[-1] == lines[1].split()[-1]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[3:]}
+    assert set(rows) == {"setup_s", "op_s", "peak_rss_mb"}
+    assert all(len(row) == 4 and row[3] in ("0/1", "1/1") for row in rows.values())
+
+
+def test_failed_run_exits_one_and_says_why(tmp_path):
+    proc = run(str(tmp_path), ROOT)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("pair 1 parent FAILED exit 2: ")
+    assert proc.stdout.splitlines()[-1] == "1 run(s) not correct"
+
+
+def test_digest_mismatch_named():
+    spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPT)
+    perf_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf_pairs)
+    same = {"digests": {"setup": ["s"], "ops": ["a", "b"]}}
+    assert perf_pairs.digest_mismatches([same, same]) == []
+    # a longer run adds ops the shorter one lacks, which is no mismatch
+    other = {"digests": {"setup": ["s", "t"], "ops": ["a", "c", "d"]}}
+    assert perf_pairs.digest_mismatches([same, other]) == [
+        "set-up: 2 distinct digests", "op 1: 2 distinct digests"]
