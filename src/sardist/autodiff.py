@@ -339,8 +339,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def relu(x: Tensor, overwrite_x: bool = False) -> Tensor:
     """max(x, 0); under no_grad `overwrite_x` writes the result into x."""
-    in_place = overwrite_x and not _grad_mode.enabled
-    out_data = np.maximum(x.data, 0, out=x.data if in_place else None)
+    out_data = np.maximum(x.data, 0,
+                          out=x.data if overwrite_x and not _grad_mode.enabled else None)
 
     def back(g):
         if x.requires_grad:

@@ -571,14 +571,15 @@ class TestTrainLoop:
             with pytest.raises(ValidationError, match="^corpus contains non-finite values$"):
                 train(model, TrainConfig(batch_size=2, epochs=1, steps_per_epoch=1), corpus)
 
-    def test_non_finite_corpus_rejected_under_optimize(self):
-        # python -O strips asserts and -W error makes any warning an exception
+    @staticmethod
+    def train_under_optimize(corpus: str) -> tuple:
+        """(exit code, stdout, stderr) of `train` on the corpus that the code `corpus`
+        builds, run by python -O (no asserts) -W error (any warning raises)."""
         code = ("import numpy as np\n"
                 "from sardist.errors import ValidationError\n"
                 "from sardist.model import Model, ModelConfig\n"
                 "from sardist.training import TrainConfig, train\n"
-                "corpus = np.zeros((4, 11, 2, 4, 4), np.float32)\n"
-                "corpus[2, 3, 1, 0, 0] = np.nan\n"
+                f"{corpus}\n"
                 "model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,"
                 " num_layers=1, ff_dim=8), seed=0)\n"
                 "try:\n"
@@ -589,8 +590,12 @@ class TestTrainLoop:
             [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, "corpus contains non-finite values\n", "")
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_non_finite_corpus_rejected_under_optimize(self):
+        assert self.train_under_optimize(
+            "corpus = np.zeros((4, 11, 2, 4, 4), np.float32)\n"
+            "corpus[2, 3, 1, 0, 0] = np.nan") == (0, "corpus contains non-finite values\n", "")
 
     @pytest.mark.parametrize("big", [1e300, -1e300])
     def test_float64_corpus_past_float32_range_rejected(self, big, monkeypatch):
@@ -606,24 +611,9 @@ class TestTrainLoop:
                 train(model, TrainConfig(batch_size=2, epochs=1, steps_per_epoch=1), corpus)
 
     def test_float64_corpus_past_float32_range_rejected_under_optimize(self):
-        code = ("import numpy as np\n"
-                "from sardist.errors import ValidationError\n"
-                "from sardist.model import Model, ModelConfig\n"
-                "from sardist.training import TrainConfig, train\n"
-                "corpus = np.zeros((2, 11, 2, 4, 4))\n"
-                "corpus[1, 3, 1, 0, 0] = 1e300\n"
-                "model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,"
-                " num_layers=1, ff_dim=8), seed=0)\n"
-                "try:\n"
-                "    train(model, TrainConfig(batch_size=2, epochs=1), corpus)\n"
-                "except ValidationError as exc:\n"
-                "    print(exc)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, "corpus contains non-finite values\n", "")
+        assert self.train_under_optimize(
+            "corpus = np.zeros((2, 11, 2, 4, 4))\n"
+            "corpus[1, 3, 1, 0, 0] = 1e300") == (0, "corpus contains non-finite values\n", "")
 
     def test_float32_corpus_not_copied(self, monkeypatch):
         # the cast to the model's dtype draws batches from the caller's own array
