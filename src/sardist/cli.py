@@ -28,6 +28,7 @@ An unknown flag is a usage error (exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -42,7 +43,7 @@ from .evaluation import REPORT_FILES, emit_report, run_experiment, two_image_sco
 from .disturbance import score_frame, threshold_map
 from .inference import _FORWARD_WINDOWS, SweepConfig, forecast
 from .model import KINDS, Model, ModelConfig, load_checkpoint, save_checkpoint
-from .preprocess import PreprocessConfig, despeckle_stack, to_logit
+from .preprocess import PreprocessConfig, despeckle_stack, despeckle_stacks, to_logit
 from .raster import (read_estimate, read_json, read_mask, read_metric_map, read_stack,
                      write_delineation, write_estimate, write_json, write_mask,
                      write_metric_map, write_stack, write_text)
@@ -271,6 +272,7 @@ def _cmd_synth(r: _Resolver) -> int:
 
 def _cmd_despeckle(r: _Resolver) -> int:
     cfg = r.config(PreprocessConfig(), PREPROCESS_FLAGS)
+    stats = dict.fromkeys(("workers", "runs", "groups"), 0)
     allow_raw = r.get("allow-raw")
     manifest_in = r.get("manifest")
     if manifest_in is not None:
@@ -278,20 +280,19 @@ def _cmd_despeckle(r: _Resolver) -> int:
         corpus = read_corpus_manifest(manifest_in)
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.dirname(manifest_in)
-        outputs = []
-        for entry in corpus["entries"]:
-            stack = read_stack(os.path.join(base, entry["path"]), allow_raw=allow_raw)
-            out_path = os.path.join(out_dir, entry["path"])
-            write_stack(despeckle_stack(stack, cfg), out_path)
-            outputs.append(out_path)
+        paths = [entry["path"] for entry in corpus["entries"]]
+        stacks = (read_stack(os.path.join(base, path), allow_raw=allow_raw) for path in paths)
+        outputs = [os.path.join(out_dir, path) for path in paths]
+        for stack, out_path in zip(despeckle_stacks(stacks, cfg, stats), outputs):
+            write_stack(stack, out_path)
         write_json(os.path.join(out_dir, "corpus.json"), corpus)
-        _write_manifest(r, out_dir, [manifest_in], outputs)
+        _write_manifest(r, out_dir, [manifest_in], outputs, extra={"despeckle": stats})
         print(f"despeckled {len(outputs)} sequences into {out_dir}")
         return 0
     inp, out = r.require("despeckle without --manifest", "input", "out")
     stack = read_stack(inp, allow_raw=allow_raw)
-    write_stack(despeckle_stack(stack, cfg), out)
-    _write_manifest(r, out, [inp], [out])
+    write_stack(despeckle_stack(stack, cfg, stats), out)
+    _write_manifest(r, out, [inp], [out], extra={"despeckle": stats})
     print(f"despeckled {inp} -> {out}")
     return 0
 
@@ -471,8 +472,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Value flags reach the resolver as raw text, switches as True; unset is None."""
+    """Built once per process; value flags reach the resolver as raw text, switches
+    as True; unset is None."""
     parser = argparse.ArgumentParser(
         prog="sardist",
         description="Self-supervised disturbance mapping from dual-pol "

@@ -18,16 +18,20 @@ scale by a quarter, which returns a exactly (both scalings are powers of
 two) unless 4a overflows, i.e. |a| > 4.49e307, far outside the [-40, 0] dB
 that `clip_unit` allows; so each slice is solved once.
 
-Layout of the solve. `tv_denoise` solves runs of whole contiguous slices
-straight from the input into the output. A run covers at most `_CHUNK_PX`
-pixels (at least one slice), so its nine float64 buffers stay in a core's
-L2 cache. The scratch is allocated once per call, its views once per run;
-f / weight is computed once and the x and y duals share one (2, n) array.
-Output and scratch start on a 64-byte boundary: where the heap put them
-moved a solve's time by up to 25 %. An iteration makes 11 passes over 16n
-floats. It scales g by step before t = 1 + |g|, a 2n pass fewer than
-scaling |g|, with the same bits for step > 0: abs only clears the sign bit
-and IEEE rounding is symmetric in sign, so |g*step| == |g|*step.
+Layout of the solve. A run of whole slices (at most `_CHUNK_PX` pixels, at
+least one slice) takes the whole chain alone: float64 cast, in dB for
+`despeckle_values`, solve, back, cast into the output; no whole-stack
+float64 array exists. Runs are dealt round-robin to min(runs, usable
+cores) workers, the calling thread one, each with its own L2-sized buffers
+on a 64-byte boundary (where the heap put them moved a solve's time by up
+to 25 %); numpy drops the GIL inside each pass. `despeckle_stacks` solves
+consecutive stacks of one frame shape in one call. Every step is
+elementwise or stays within one slice, so the bits depend neither on the
+worker count nor on which slices share a run or a call. An iteration makes
+11 passes over 16n floats. It scales g by step before t = 1 + |g|, a 2n
+pass fewer than scaling |g|, with the same bits for step > 0: abs only
+clears the sign bit and IEEE rounding is symmetric in sign, so |g*step|
+== |g|*step.
 
 Zero-edge invariant. The x dual is 0 on every slice's last column and the y
 dual on its last row, as are the forward differences there. The
@@ -45,7 +49,11 @@ drop (in practice only when it holds a NaN).
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -108,6 +116,9 @@ def inverse_logit(y: np.ndarray) -> np.ndarray:
 #: most pixels one solve covers (at least one slice): its nine float64
 #: buffers (about 1.2 MB at this size) then stay in a core's L2 cache
 _CHUNK_PX = 1 << 14
+
+#: most pixels `despeckle_stacks` solves in one call, so its memory does not grow
+_GROUP_PX = 1 << 16
 
 
 def _forward_diff(u: np.ndarray, width: int, plane: int, out: np.ndarray):
@@ -191,39 +202,83 @@ def _tv_solve(f: np.ndarray, u: np.ndarray, weight: float, iterations: int, step
     np.copyto(u.reshape(-1, plane), f.reshape(-1, plane), where=worse[:, None])
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (all of them where affinity is not exposed)."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _solve_runs(src: np.ndarray, dst: np.ndarray, weight: float, iterations: int,
+                step: float, in_db: bool, stats: dict | None = None) -> None:
+    """Solve the (..., H, W) slices of src into dst one run at a time (see Layout),
+    in dB if in_db; `stats`, if given, counts the most workers, runs and calls."""
+    if src.ndim < 2 or src.size == 0:
+        raise ValidationError(f"need a non-empty stack of 2-d slices, got shape {src.shape}")
+    width, plane = src.shape[-1], src.shape[-2] * src.shape[-1]
+    src, dst = src.reshape(-1), dst.reshape(-1)
+    solve_px = min(src.size, max(1, _CHUNK_PX // plane) * plane)
+    runs = [slice(lo, min(lo + solve_px, src.size)) for lo in range(0, src.size, solve_px)]
+    workers = min(len(runs), _usable_cores())
+    if stats is not None:
+        stats.update(workers=max(workers, stats.get("workers", 0)),
+                     runs=stats.get("runs", 0) + len(runs), groups=stats.get("groups", 0) + 1)
+
+    def work(first: int) -> None:
+        f, u, scratch = map(_aligned_empty, (solve_px, solve_px, 7 * solve_px + 2 * width))
+        for run in runs[first::workers]:
+            fr, ur = f[:run.stop - run.start], u[:run.stop - run.start]
+            fr[...] = src[run]
+            if in_db:
+                np.log10(np.clip(fr, CLIP_EPS, 1.0 - CLIP_EPS, out=fr), out=fr)
+                fr *= 10.0
+            _tv_solve(fr, ur, weight, iterations, step, width, plane, scratch)
+            if in_db:
+                ur /= 10.0
+                np.clip(np.power(10.0, ur, out=ur), CLIP_EPS, 1.0 - CLIP_EPS, out=ur)
+            dst[run] = ur
+
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:   # starts no thread for 1 worker
+        others = pool.map(work, range(1, workers))
+        work(0)
+        list(others)
+
+
 def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,
                step: float = 0.25) -> np.ndarray:
     """Flip-equivariant anisotropic TV denoise of (..., H, W) slices; step > 0."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim < 2:
-        raise ValidationError(f"need at least 2 dims, got shape {f.shape}")
-    height, width = f.shape[-2:]
-    if height == 0 or width == 0:
-        raise ValidationError(f"need non-empty slices, got shape {f.shape}")
-    flat = np.ascontiguousarray(f).reshape(-1)
-    out = _aligned_empty(flat.size)
-    plane = height * width
-    solve_px = min(flat.size, max(1, _CHUNK_PX // plane) * plane)
-    work = _aligned_empty(7 * solve_px + 2 * width)
-    for lo in range(0, flat.size, solve_px):
-        run = slice(lo, lo + solve_px)
-        _tv_solve(flat[run], out[run], weight, iterations, step, width, plane, work)
-    return out.reshape(f.shape)
+    out = _aligned_empty(np.size(f)).reshape(np.shape(f))
+    _solve_runs(np.asarray(f), out, weight, iterations, step, in_db=False)
+    return out
 
 
-def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None) -> np.ndarray:
-    """Despeckle (..., H, W) backscatter intensities in (0,1), each step in place in one
-    float64 copy: the live peak is that copy and the TV solve's output and scratch."""
+def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None,
+                     stats: dict | None = None) -> np.ndarray:
+    """Despeckle (..., H, W) backscatter intensities in (0,1) into float32."""
     cfg = cfg or PreprocessConfig()
-    v = np.array(values, dtype=np.float64)
-    np.log10(np.clip(v, CLIP_EPS, 1.0 - CLIP_EPS, out=v), out=v)
-    v *= 10.0
-    v = tv_denoise(v, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step)
-    v /= 10.0
-    return np.clip(np.power(10.0, v, out=v), CLIP_EPS, 1.0 - CLIP_EPS, out=v).astype(np.float32)
+    out = np.empty(np.shape(values), np.float32)
+    _solve_runs(np.asarray(values), out, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step,
+                True, stats)
+    return out
 
 
-def despeckle_stack(stack: RasterStack, cfg: PreprocessConfig | None = None) -> RasterStack:
+def despeckle_stack(stack: RasterStack, cfg: PreprocessConfig | None = None,
+                    stats: dict | None = None) -> RasterStack:
     """Despeckle every frame/polarization of a stack independently."""
-    out = despeckle_values(stack.values, cfg)
+    out = despeckle_values(stack.values, cfg, stats)
     return RasterStack(out, list(stack.timestamps), stack.pol_names)
+
+
+def despeckle_stacks(stacks: Iterable[RasterStack], cfg: PreprocessConfig | None = None,
+                     stats: dict | None = None) -> Iterator[RasterStack]:
+    """`despeckle_stack` of each stack in order; consecutive stacks of one frame shape
+    share a call of at most `_GROUP_PX` pixels (or one stack), taken from `stacks` lazily."""
+    group: list[RasterStack] = []
+    for stack in chain(stacks, [None]):
+        if group and (stack is None or stack.values.shape[1:] != group[0].values.shape[1:]
+                      or sum(s.values.size for s in group) + stack.values.size > _GROUP_PX):
+            out = despeckle_values(np.concatenate([s.values for s in group]), cfg, stats)
+            ends = np.cumsum([s.num_steps for s in group])[:-1]
+            yield from (RasterStack(v, s.timestamps, s.pol_names)
+                        for s, v in zip(group, np.split(out, ends)))
+            group = []
+        group.append(stack)

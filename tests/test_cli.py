@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sardist
-from sardist import native
-from sardist.cli import main
+from sardist import cli, native, preprocess
+from sardist.cli import _build_parser, main
 from sardist.disturbance import lower_median
 from sardist.evaluation import run_experiment
 from sardist.inference import SweepConfig
@@ -74,6 +75,34 @@ def trained(tmp_path_factory):
 class TestPlumbing:
     def test_no_command_exits_1(self):
         assert run() == 1
+
+    def test_repeated_calls_in_one_process(self, tmp_path, capsys):
+        # the parser is built once per process: a usage error (exit 2) or a
+        # validation error (exit 1) between good calls leaves nothing behind
+        raw, den = str(tmp_path / "raw.rts"), str(tmp_path / "den.rts")
+        calls = [
+            ["synth", "--kind", "scene", "--seed", "9", "--height", "8", "--width", "8",
+             "--steps", "3", "--out", raw, "--mask", str(tmp_path / "m.rts")],
+            ["despeckle", "--input", raw, "--bogus"],
+            ["despeckle", "--input", raw, "--out", den],
+            ["despeckle", "--input", raw, "--out", den, "--tv-step", "0.3"],
+            ["synth", "--kind", "cube"],
+            ["despeckle", "--input", raw, "--out", den, "--tv-iterations", "3"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr().err
+
+        alone = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            alone.append(call(argv))
+        assert [code for code, _ in alone] == [0, 2, 0, 1, 1, 0]
+        assert [call(argv) for argv in calls] == alone
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -452,6 +481,58 @@ class TestProcessingCommands:
                    "--out-dir", str(tmp_path / "den")) == 1
         assert capsys.readouterr().err == "error: tv_step must be in (0, 0.25], got 0.3\n"
         assert not os.path.exists(tmp_path / "den")
+
+    @staticmethod
+    def _corpus(root, shapes):
+        """A corpus.json listing one random (T, 2, H, W) sequence per shape."""
+        rng = np.random.default_rng(len(shapes))
+        os.makedirs(root, exist_ok=True)
+        names = [f"seq_{i:03d}.rts" for i in range(len(shapes))]
+        for name, shape in zip(names, shapes):
+            write_stack(RasterStack(rng.uniform(0.01, 0.6, size=shape).astype(np.float32),
+                                    [f"2024-01-{d:02d}" for d in range(1, shape[0] + 1)]),
+                        os.path.join(root, name))
+        with open(os.path.join(root, "corpus.json"), "w", encoding="utf-8") as fh:
+            json.dump({"entries": [{"path": name} for name in names]}, fh)
+        return os.path.join(root, "corpus.json"), names
+
+    def test_despeckle_manifest_groups_keep_bytes_and_order(self, tmp_path, monkeypatch):
+        # two frame shapes interleaved, one sequence shorter: 12 sequences fill
+        # the first group (64,512 px), then one group per change of shape
+        a, b = (11, 2, 16, 16), (11, 2, 12, 20)
+        shapes = [a] * 13 + [b, a, b, b]
+        shapes[3] = (5, 2, 16, 16)
+        manifest, names = self._corpus(str(tmp_path / "raw"), shapes)
+        written = []
+
+        def recording_write(stack, path):
+            written.append(path)
+            write_stack(stack, path)
+        monkeypatch.setattr(cli, "write_stack", recording_write)
+        den = str(tmp_path / "den")
+        assert run("despeckle", "--manifest", manifest, "--out-dir", den) == 0
+        assert written == [os.path.join(den, name) for name in names]
+        for name in names:
+            alone = str(tmp_path / f"alone_{name}")
+            assert run("despeckle", "--input", str(tmp_path / "raw" / name), "--out", alone) == 0
+            with open(alone, "rb") as fh_a, open(os.path.join(den, name), "rb") as fh_b:
+                assert fh_a.read() == fh_b.read(), name
+        with open(os.path.join(den, "run.manifest.json"), encoding="utf-8") as fh:
+            counts = json.load(fh)["despeckle"]
+        assert counts == {"workers": min(4, preprocess._usable_cores()), "runs": 8, "groups": 5}
+
+    def test_despeckle_manifest_peak_does_not_grow_with_corpus(self, tmp_path):
+        peaks = {}
+        for count in (16, 64):
+            manifest, _ = self._corpus(str(tmp_path / f"raw{count}"), [(11, 2, 16, 16)] * count)
+            tracemalloc.start()
+            try:
+                assert run("despeckle", "--manifest", manifest,
+                           "--out-dir", str(tmp_path / f"den{count}")) == 0
+                _, peaks[count] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.1 * peaks[16]
 
     def test_logratio_of_median_frame_is_zero(self, tmp_path):
         # post frame equal to the per-pixel lower median of the baseline

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sardist import preprocess
 from sardist.errors import ValidationError
-from sardist.preprocess import (_aligned_empty, PreprocessConfig, clip_unit, despeckle_stack,
+from sardist.preprocess import (_aligned_empty, CLIP_EPS, PreprocessConfig, clip_unit,
+                                despeckle_stack,
                                 despeckle_values, inverse_logit, logit,
                                 tv_denoise, tv_objective)
 from sardist.raster import RasterStack
@@ -172,6 +174,12 @@ class TestTvKernel:
         with pytest.raises(ValidationError):
             tv_denoise(np.zeros((2, 0, 4)), weight=1.5)
 
+    @pytest.mark.parametrize("solve", [despeckle_values, lambda v: tv_denoise(v, 1.5)],
+                             ids=["despeckle_values", "tv_denoise"])
+    def test_empty_stack_rejected(self, solve):
+        with pytest.raises(ValidationError, match=r"got shape \(0, 2, 16, 16\)$"):
+            solve(np.zeros((0, 2, 16, 16), np.float32))
+
     # 5,632 x 7 + 32 is the scratch of one 11x2x16x16 corpus sequence
     @pytest.mark.parametrize("n", [1, 7, 8, 1000, 5632 * 7 + 32])
     def test_aligned_buffer(self, n):
@@ -186,6 +194,47 @@ class TestTvKernel:
     def test_result_starts_on_a_cache_line(self, shape):
         f = np.random.default_rng(3).normal(-10.0, 3.0, size=shape)
         assert tv_denoise(f, 1.5, iterations=2).ctypes.data % 64 == 0
+
+
+def whole_stack_despeckle(values):
+    """despeckle_values as one float64 chain over the whole stack around tv_denoise."""
+    db = 10.0 * np.log10(np.clip(np.array(values, dtype=np.float64), CLIP_EPS, 1.0 - CLIP_EPS))
+    back = 10.0 ** (tv_denoise(db, 1.5) / 10.0)
+    return np.clip(back, CLIP_EPS, 1.0 - CLIP_EPS).astype(np.float32)
+
+
+class TestWorkers:
+    # 3 runs (a short last one), 4, 5, 4 and 3 runs against 1, 2 and 3 workers;
+    # 131x129 slices are larger than _CHUNK_PX, one per run, and 1x9 slices
+    # make every row an edge
+    @pytest.mark.parametrize("shape, runs", [((5, 2, 64, 64), 3), ((7, 2, 64, 64), 4),
+                                             ((5, 131, 129), 5), ((2, 3000, 1, 9), 4),
+                                             ((9, 2, 37, 53), 3)])
+    def test_bytes_do_not_depend_on_workers(self, shape, runs, monkeypatch):
+        values = np.random.default_rng(sum(shape)).uniform(-0.1, 1.1, size=shape)
+        values = values.astype(np.float32)
+        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 1)
+        expected = whole_stack_despeckle(values).tobytes()
+        denoised = tv_denoise(values, 1.5).tobytes()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(preprocess, "_usable_cores", lambda: workers)
+            stats = {}
+            assert despeckle_values(values, stats=stats).tobytes() == expected
+            assert stats == {"workers": min(workers, runs), "runs": runs, "groups": 1}
+            assert tv_denoise(values, 1.5).tobytes() == denoised
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 2)
+        calls = []
+
+        def failing_solve(f, *args):
+            calls.append(f.size)
+            if len(calls) == 2:
+                raise MemoryError("solve")
+        monkeypatch.setattr(preprocess, "_tv_solve", failing_solve)
+        with pytest.raises(MemoryError, match="solve"):
+            despeckle_values(np.full((4, 2, 64, 64), 0.2, np.float32))
+        assert len(calls) == 2
 
 
 class TestTvDenoise:
@@ -276,19 +325,22 @@ class TestDespeckle:
         b = despeckle_values(field)
         assert np.array_equal(a, b)
 
-    def test_live_peak_below_three_float64_copies(self):
-        # each step writes into the array it reads: the TV solve's input and
-        # output plus its scratch, not one new array per step
-        values = np.random.default_rng(6).uniform(0.01, 0.5, size=(11, 2, 128, 128))
-        values = values.astype(np.float32)
-        despeckle_values(values[:1])   # settle lazy numpy state
-        tracemalloc.start()
-        try:
-            despeckle_values(values)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 8 * values.size
+    def test_live_peak_below_three_float64_copies(self, monkeypatch):
+        # the float32 output and, per worker, one run's float64 buffers: at most
+        # three float32 stacks with two workers, also where a slice is larger
+        # than a run's pixel budget and each run holds one slice
+        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 2)
+        for size in (128, 160):
+            values = np.random.default_rng(6).uniform(0.01, 0.5, size=(11, 2, size, size))
+            values = values.astype(np.float32)
+            despeckle_values(values[:1])   # settle lazy numpy state
+            tracemalloc.start()
+            try:
+                despeckle_values(values)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * values.nbytes
 
     def test_input_left_as_it_was(self):
         values = np.random.default_rng(7).uniform(-0.5, 1.5, size=(2, 8, 8))
