@@ -253,7 +253,8 @@ def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,
 
 def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None,
                      stats: dict | None = None) -> np.ndarray:
-    """Despeckle (..., H, W) backscatter intensities in (0,1) into float32."""
+    """Despeckle (..., H, W) backscatter intensities in (0,1) into float32; `stats`, if
+    given, receives the most `workers` of a call and the `runs` and `groups` (calls) summed."""
     cfg = cfg or PreprocessConfig()
     out = np.empty(np.shape(values), np.float32)
     _solve_runs(np.asarray(values), out, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step,

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -216,12 +217,17 @@ class TestWorkers:
         monkeypatch.setattr(preprocess, "_usable_cores", lambda: 1)
         expected = whole_stack_despeckle(values).tobytes()
         denoised = tv_denoise(values, 1.5).tobytes()
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(preprocess, "_usable_cores", lambda: workers)
-            stats = {}
-            assert despeckle_values(values, stats=stats).tobytes() == expected
-            assert stats == {"workers": min(workers, runs), "runs": runs, "groups": 1}
-            assert tv_denoise(values, 1.5).tobytes() == denoised
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # hand the GIL between workers as often as possible
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(preprocess, "_usable_cores", lambda: workers)
+                stats = {}
+                assert despeckle_values(values, stats=stats).tobytes() == expected
+                assert stats == {"workers": min(workers, runs), "runs": runs, "groups": 1}
+                assert tv_denoise(values, 1.5).tobytes() == denoised
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(preprocess, "_usable_cores", lambda: 2)
