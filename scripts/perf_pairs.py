@@ -2,12 +2,13 @@
 """Run alternating perfbench pairs of two source trees and compare them.
 
     python scripts/perf_pairs.py PARENT CHANGE --workload W --seed S --pairs N
-        [--seconds S] [--toy]
+        [--seconds S] [--toy] [--keep DIR]
 
 Each pair runs `perfbench/run.py --trace 0` once in each tree, each in a new
 process with its own `--out-dir`. Odd pairs run PARENT first and even pairs
 CHANGE first: the second run of a pair can read slower whichever side it is.
-`--seconds` defaults to BENCHMARK.json's `run_seconds`.
+`--seconds` defaults to BENCHMARK.json's `run_seconds`. The out-dirs are
+temporary unless `--keep DIR` puts them, as DIR/<side>-<pair>, where they stay.
 
 Prints one line per run (setup_s, op_s, peak_rss_mb and the first op digest),
 then for each metric both medians, PARENT's interquartile range and how many
@@ -20,6 +21,7 @@ are printed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -78,6 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--toy", action="store_true", help="perfbench's minimal op sizes")
+    parser.add_argument("--keep", metavar="DIR", help="keep each run's out-dir under DIR")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -87,7 +90,8 @@ def main(argv=None) -> int:
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="perf_pairs-") as tmp:
+    with (contextlib.nullcontext(args.keep) if args.keep
+          else tempfile.TemporaryDirectory(prefix="perf_pairs-")) as tmp:
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:

@@ -272,7 +272,6 @@ def _cmd_synth(r: _Resolver) -> int:
 
 def _cmd_despeckle(r: _Resolver) -> int:
     cfg = r.config(PreprocessConfig(), PREPROCESS_FLAGS)
-    stats = dict.fromkeys(("workers", "runs", "groups"), 0)
     allow_raw = r.get("allow-raw")
     manifest_in = r.get("manifest")
     if manifest_in is not None:
@@ -283,16 +282,16 @@ def _cmd_despeckle(r: _Resolver) -> int:
         paths = [entry["path"] for entry in corpus["entries"]]
         stacks = (read_stack(os.path.join(base, path), allow_raw=allow_raw) for path in paths)
         outputs = [os.path.join(out_dir, path) for path in paths]
-        for stack, out_path in zip(despeckle_stacks(stacks, cfg, stats), outputs):
+        for stack, out_path in zip(despeckle_stacks(stacks, cfg), outputs):
             write_stack(stack, out_path)
         write_json(os.path.join(out_dir, "corpus.json"), corpus)
-        _write_manifest(r, out_dir, [manifest_in], outputs, extra={"despeckle": stats})
+        _write_manifest(r, out_dir, [manifest_in], outputs)
         print(f"despeckled {len(outputs)} sequences into {out_dir}")
         return 0
     inp, out = r.require("despeckle without --manifest", "input", "out")
     stack = read_stack(inp, allow_raw=allow_raw)
-    write_stack(despeckle_stack(stack, cfg, stats), out)
-    _write_manifest(r, out, [inp], [out], extra={"despeckle": stats})
+    write_stack(despeckle_stack(stack, cfg), out)
+    _write_manifest(r, out, [inp], [out])
     print(f"despeckled {inp} -> {out}")
     return 0
 
@@ -474,8 +473,7 @@ COMMANDS = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Built once per process; value flags reach the resolver as raw text, switches
-    as True; unset is None."""
+    """Value flags reach the resolver as raw text, switches as True; unset is None."""
     parser = argparse.ArgumentParser(
         prog="sardist",
         description="Self-supervised disturbance mapping from dual-pol "

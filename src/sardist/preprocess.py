@@ -19,19 +19,19 @@ two) unless 4a overflows, i.e. |a| > 4.49e307, far outside the [-40, 0] dB
 that `clip_unit` allows; so each slice is solved once.
 
 Layout of the solve. A run of whole slices (at most `_CHUNK_PX` pixels, at
-least one slice) takes the whole chain alone: float64 cast, in dB for
-`despeckle_values`, solve, back, cast into the output; no whole-stack
-float64 array exists. Runs are dealt round-robin to min(runs, usable
-cores) workers, the calling thread one, each with its own L2-sized buffers
-on a 64-byte boundary (where the heap put them moved a solve's time by up
-to 25 %); numpy drops the GIL inside each pass. `despeckle_stacks` solves
-consecutive stacks of one frame shape in one call. Every step is
-elementwise or stays within one slice, so the bits depend neither on the
-worker count nor on which slices share a run or a call. An iteration makes
-11 passes over 16n floats. It scales g by step before t = 1 + |g|, a 2n
-pass fewer than scaling |g|, with the same bits for step > 0: abs only
-clears the sign bit and IEEE rounding is symmetric in sign, so |g*step|
-== |g|*step.
+least one slice) takes the whole chain alone: float64 cast, dB (despeckling
+only), solve, back, cast into the output. Runs are dealt round-robin to
+workers, the calling thread one, each with its own L2-sized buffers on a
+64-byte boundary (where the heap put them moved a solve's time by up to
+25 %); numpy drops the GIL inside each pass. Workers are at most the runs,
+the usable cores and as many as fit their buffers in two float32 copies of
+the stack. `despeckle_stacks` solves consecutive stacks of one frame shape
+in one call. Every step is elementwise or stays within one slice, so the
+bits depend on neither the worker count nor the runs and calls. An
+iteration makes 11 passes over 16n floats. It scales g by step before
+t = 1 + |g|, a 2n pass fewer than scaling |g|, with the same bits for
+step > 0: abs only clears the sign bit and IEEE rounding is symmetric in
+sign, so |g*step| == |g|*step.
 
 Zero-edge invariant. The x dual is 0 on every slice's last column and the y
 dual on its last row, as are the forward differences there. The
@@ -204,27 +204,23 @@ def _tv_solve(f: np.ndarray, u: np.ndarray, weight: float, iterations: int, step
 
 def _usable_cores() -> int:
     """Cores this process may run on (all of them where affinity is not exposed)."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def _solve_runs(src: np.ndarray, dst: np.ndarray, weight: float, iterations: int,
-                step: float, in_db: bool, stats: dict | None = None) -> None:
-    """Solve the (..., H, W) slices of src into dst one run at a time (see Layout),
-    in dB if in_db; `stats`, if given, counts the most workers, runs and calls."""
+                step: float, in_db: bool) -> None:
+    """Solve the (..., H, W) slices of src into dst, in dB if in_db (see Layout)."""
     if src.ndim < 2 or src.size == 0:
         raise ValidationError(f"need a non-empty stack of 2-d slices, got shape {src.shape}")
     width, plane = src.shape[-1], src.shape[-2] * src.shape[-1]
     src, dst = src.reshape(-1), dst.reshape(-1)
     solve_px = min(src.size, max(1, _CHUNK_PX // plane) * plane)
     runs = [slice(lo, min(lo + solve_px, src.size)) for lo in range(0, src.size, solve_px)]
-    workers = min(len(runs), _usable_cores())
-    if stats is not None:
-        stats.update(workers=max(workers, stats.get("workers", 0)),
-                     runs=stats.get("runs", 0) + len(runs), groups=stats.get("groups", 0) + 1)
+    sizes = (solve_px, solve_px, 7 * solve_px + 2 * width)   # a worker's f, u and scratch
+    workers = min(len(runs), _usable_cores() or 1, max(1, src.size // (sum(sizes) + 24)))
 
     def work(first: int) -> None:
-        f, u, scratch = map(_aligned_empty, (solve_px, solve_px, 7 * solve_px + 2 * width))
+        f, u, scratch = map(_aligned_empty, sizes)
         for run in runs[first::workers]:
             fr, ur = f[:run.stop - run.start], u[:run.stop - run.start]
             fr[...] = src[run]
@@ -251,35 +247,32 @@ def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,
     return out
 
 
-def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None,
-                     stats: dict | None = None) -> np.ndarray:
-    """Despeckle (..., H, W) backscatter intensities in (0,1) into float32; `stats`, if
-    given, receives the most `workers` of a call and the `runs` and `groups` (calls) summed."""
+def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None) -> np.ndarray:
+    """Despeckle (..., H, W) backscatter intensities in (0,1) into float32."""
     cfg = cfg or PreprocessConfig()
     out = np.empty(np.shape(values), np.float32)
-    _solve_runs(np.asarray(values), out, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step,
-                True, stats)
+    _solve_runs(np.asarray(values), out, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step, True)
     return out
 
 
-def despeckle_stack(stack: RasterStack, cfg: PreprocessConfig | None = None,
-                    stats: dict | None = None) -> RasterStack:
+def despeckle_stack(stack: RasterStack, cfg: PreprocessConfig | None = None) -> RasterStack:
     """Despeckle every frame/polarization of a stack independently."""
-    out = despeckle_values(stack.values, cfg, stats)
+    out = despeckle_values(stack.values, cfg)
     return RasterStack(out, list(stack.timestamps), stack.pol_names)
 
 
-def despeckle_stacks(stacks: Iterable[RasterStack], cfg: PreprocessConfig | None = None,
-                     stats: dict | None = None) -> Iterator[RasterStack]:
+def despeckle_stacks(stacks: Iterable[RasterStack],
+                     cfg: PreprocessConfig | None = None) -> Iterator[RasterStack]:
     """`despeckle_stack` of each stack in order; consecutive stacks of one frame shape
     share a call of at most `_GROUP_PX` pixels (or one stack), taken from `stacks` lazily."""
     group: list[RasterStack] = []
     for stack in chain(stacks, [None]):
         if group and (stack is None or stack.values.shape[1:] != group[0].values.shape[1:]
                       or sum(s.values.size for s in group) + stack.values.size > _GROUP_PX):
-            out = despeckle_values(np.concatenate([s.values for s in group]), cfg, stats)
+            out = despeckle_values(np.concatenate([s.values for s in group]), cfg)
             ends = np.cumsum([s.num_steps for s in group])[:-1]
-            yield from (RasterStack(v, s.timestamps, s.pol_names)
+            # copies, so a stack the caller still holds does not keep its group alive
+            yield from (RasterStack(v.copy(), s.timestamps, s.pol_names)
                         for s, v in zip(group, np.split(out, ends)))
-            group = []
+            group, out = [], None
         group.append(stack)

@@ -498,7 +498,7 @@ class TestProcessingCommands:
 
     def test_despeckle_manifest_groups_keep_bytes_and_order(self, tmp_path, monkeypatch):
         # two frame shapes interleaved, one sequence shorter: 12 sequences fill
-        # the first group (64,512 px), then one group per change of shape
+        # the first call (64,512 px), then one call per change of shape
         a, b = (11, 2, 16, 16), (11, 2, 12, 20)
         shapes = [a] * 13 + [b, a, b, b]
         shapes[3] = (5, 2, 16, 16)
@@ -509,17 +509,21 @@ class TestProcessingCommands:
             written.append(path)
             write_stack(stack, path)
         monkeypatch.setattr(cli, "write_stack", recording_write)
+        solve, frames = preprocess.despeckle_values, []
+
+        def recording_solve(values, cfg):
+            frames.append(len(values))
+            return solve(values, cfg)
+        monkeypatch.setattr(preprocess, "despeckle_values", recording_solve)
         den = str(tmp_path / "den")
         assert run("despeckle", "--manifest", manifest, "--out-dir", den) == 0
         assert written == [os.path.join(den, name) for name in names]
+        assert frames == [11 * 11 + 5, 11, 11, 11, 22]
         for name in names:
             alone = str(tmp_path / f"alone_{name}")
             assert run("despeckle", "--input", str(tmp_path / "raw" / name), "--out", alone) == 0
             with open(alone, "rb") as fh_a, open(os.path.join(den, name), "rb") as fh_b:
                 assert fh_a.read() == fh_b.read(), name
-        with open(os.path.join(den, "run.manifest.json"), encoding="utf-8") as fh:
-            counts = json.load(fh)["despeckle"]
-        assert counts == {"workers": min(4, preprocess._usable_cores()), "runs": 8, "groups": 5}
 
     def test_despeckle_manifest_peak_does_not_grow_with_corpus(self, tmp_path):
         peaks = {}

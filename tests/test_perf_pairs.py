@@ -10,13 +10,13 @@ SCRIPT = os.path.join(ROOT, "scripts", "perf_pairs.py")
 TOY = ["--workload", "prepare-corpus", "--seed", "0", "--pairs", "1", "--toy", "--seconds", "1"]
 
 
-def run(parent: str, change: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, SCRIPT, parent, change, *TOY],
+def run(parent: str, change: str, *extra: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, SCRIPT, parent, change, *TOY, *extra],
                           capture_output=True, text=True, timeout=600)
 
 
-def test_repo_against_itself():
-    proc = run(ROOT, ROOT)
+def test_repo_against_itself(tmp_path):
+    proc = run(ROOT, ROOT, "--keep", str(tmp_path / "runs"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split()[:3] for line in lines[:2]] == [["pair", "1", "parent"],
@@ -26,6 +26,8 @@ def test_repo_against_itself():
     rows = {line.split()[0]: line.split()[1:] for line in lines[3:]}
     assert set(rows) == {"setup_s", "op_s", "peak_rss_mb"}
     assert all(len(row) == 4 and row[3] in ("0/1", "1/1") for row in rows.values())
+    for side in ("parent", "change"):
+        assert os.path.isfile(tmp_path / "runs" / f"{side}-1" / "result-prepare-corpus-trace0.json")
 
 
 def test_failed_run_exits_one_and_says_why(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -205,29 +206,54 @@ def whole_stack_despeckle(values):
 
 
 class TestWorkers:
-    # 3 runs (a short last one), 4, 5, 4 and 3 runs against 1, 2 and 3 workers;
-    # 131x129 slices are larger than _CHUNK_PX, one per run, and 1x9 slices
-    # make every row an edge
-    @pytest.mark.parametrize("shape, runs", [((5, 2, 64, 64), 3), ((7, 2, 64, 64), 4),
-                                             ((5, 131, 129), 5), ((2, 3000, 1, 9), 4),
-                                             ((9, 2, 37, 53), 3)])
-    def test_bytes_do_not_depend_on_workers(self, shape, runs, monkeypatch):
+    # with runs of at most 1,024 pixels: 30 runs (a short last one) on 3
+    # workers, slices larger than a run (one per run) on 3, 1x9 slices, which
+    # make every row an edge, on 3, and 37x53 slices on 3; workers forced to
+    # 1, 2 and 3 and capped by the runs and by their buffers' memory
+    @pytest.mark.parametrize("shape", [(59, 2, 16, 16), (29, 33, 37), (2, 3000, 1, 9),
+                                       (30, 2, 37, 53)])
+    def test_bytes_do_not_depend_on_workers(self, shape, monkeypatch):
         values = np.random.default_rng(sum(shape)).uniform(-0.1, 1.1, size=shape)
         values = values.astype(np.float32)
+        monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
         monkeypatch.setattr(preprocess, "_usable_cores", lambda: 1)
         expected = whole_stack_despeckle(values).tobytes()
         denoised = tv_denoise(values, 1.5).tobytes()
+        solve, threads = preprocess._tv_solve, set()
+
+        def recording_solve(*args):
+            threads.add(threading.get_ident())
+            solve(*args)
+        monkeypatch.setattr(preprocess, "_tv_solve", recording_solve)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)   # hand the GIL between workers as often as possible
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(preprocess, "_usable_cores", lambda: workers)
-                stats = {}
-                assert despeckle_values(values, stats=stats).tobytes() == expected
-                assert stats == {"workers": min(workers, runs), "runs": runs, "groups": 1}
+                threads.clear()
+                assert despeckle_values(values).tobytes() == expected
+                assert len(threads) == workers
                 assert tv_denoise(values, 1.5).tobytes() == denoised
         finally:
             sys.setswitchinterval(switch)
+
+    def test_workers_capped_by_memory(self, monkeypatch):
+        # with 1,024-pixel runs a worker's f, u, scratch and slack take 9,304
+        # float64s, as many bytes as two float32 copies of 9,304 pixels: 17
+        # slices of 32x32 run 1 worker, 19 run 2, 37 run 4 and 80 all 8 cores
+        monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
+        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 8)
+        solve, threads = preprocess._tv_solve, set()
+
+        def recording_solve(*args):
+            threads.add(threading.get_ident())
+            solve(*args)
+        monkeypatch.setattr(preprocess, "_tv_solve", recording_solve)
+        for slices, workers in ((17, 1), (19, 2), (37, 4), (80, 8)):
+            threads.clear()
+            despeckle_values(np.full((slices, 32, 32), 0.2, np.float32), PreprocessConfig(
+                tv_iterations=1))
+            assert len(threads) == workers
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(preprocess, "_usable_cores", lambda: 2)
@@ -333,20 +359,21 @@ class TestDespeckle:
 
     def test_live_peak_below_three_float64_copies(self, monkeypatch):
         # the float32 output and, per worker, one run's float64 buffers: at most
-        # three float32 stacks with two workers, also where a slice is larger
-        # than a run's pixel budget and each run holds one slice
-        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 2)
-        for size in (128, 160):
+        # three float32 stacks however many cores there are, also where a slice
+        # is larger than a run's pixel budget and each run holds one slice
+        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 8)
+        cfg = PreprocessConfig(tv_iterations=1)   # the buffers do not depend on it
+        for size in (128, 160, 512):
             values = np.random.default_rng(6).uniform(0.01, 0.5, size=(11, 2, size, size))
             values = values.astype(np.float32)
-            despeckle_values(values[:1])   # settle lazy numpy state
+            despeckle_values(values[:1], cfg)   # settle lazy numpy state
             tracemalloc.start()
             try:
-                despeckle_values(values)
+                despeckle_values(values, cfg)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 3 * values.nbytes
+            assert peak <= 3 * values.nbytes, size
 
     def test_input_left_as_it_was(self):
         values = np.random.default_rng(7).uniform(-0.5, 1.5, size=(2, 8, 8))
