@@ -18,20 +18,18 @@ scale by a quarter, which returns a exactly (both scalings are powers of
 two) unless 4a overflows, i.e. |a| > 4.49e307, far outside the [-40, 0] dB
 that `clip_unit` allows; so each slice is solved once.
 
-Layout of the solve. A run of whole slices (at most `_CHUNK_PX` pixels, at
-least one slice) takes the whole chain alone: float64 cast, dB (despeckling
-only), solve, back, cast into the output. Runs are dealt round-robin to
-workers, the calling thread one, each with its own L2-sized buffers on a
-64-byte boundary (where the heap put them moved a solve's time by up to
-25 %); numpy drops the GIL inside each pass. Workers are at most the runs,
-the usable cores and as many as fit their buffers in two float32 copies of
-the stack. `despeckle_stacks` solves consecutive stacks of one frame shape
-in one call. Every step is elementwise or stays within one slice, so the
-bits depend on neither the worker count nor the runs and calls. An
-iteration makes 11 passes over 16n floats. It scales g by step before
-t = 1 + |g|, a 2n pass fewer than scaling |g|, with the same bits for
-step > 0: abs only clears the sign bit and IEEE rounding is symmetric in
-sign, so |g*step| == |g|*step.
+Layout of the solve. Each run of whole slices (at most `_CHUNK_PX` pixels,
+at least one slice) goes through the whole chain alone: float64 cast, dB
+(despeckling only), solve, back, cast into the output. Runs are dealt
+round-robin to workers, the calling thread one: at most the runs, the
+usable cores and as many as fit their buffers in two float32 copies of the
+stack. Each worker's buffers start on a 64-byte boundary (where the heap
+put them moved a solve's time by up to 25 %); numpy drops the GIL inside
+each pass. `despeckle_stacks` solves consecutive stacks of one frame shape
+in one call. An iteration makes 11 passes over 16n floats. It scales g by
+step before t = 1 + |g|, a 2n pass fewer than scaling |g|, with the same
+bits for step > 0: abs only clears the sign bit and IEEE rounding is
+symmetric in sign, so |g*step| == |g|*step.
 
 Zero-edge invariant. The x dual is 0 on every slice's last column and the y
 dual on its last row, as are the forward differences there. The
@@ -39,8 +37,9 @@ differences and the divergence therefore run over the flat buffer with unit
 (x) or row (y) shift: an x difference that wraps from a row end into the
 next row, or a y difference that crosses into the next slice, lands on such
 an edge and is reset to 0, and a backward difference at a row or slice
-start subtracts the previous edge's 0. Slices never exchange values, so a
-slice's result does not depend on how the input was batched.
+start subtracts the previous edge's 0. Slices never exchange values, and
+every other step is elementwise, so no bit depends on the runs, the
+workers or which stacks share a call.
 
 Descent safeguard, per slice. After the iterations each slice compares its
 objective with that of its input and comes back unchanged if it did not
@@ -217,6 +216,7 @@ def _solve_runs(src: np.ndarray, dst: np.ndarray, weight: float, iterations: int
     solve_px = min(src.size, max(1, _CHUNK_PX // plane) * plane)
     runs = [slice(lo, min(lo + solve_px, src.size)) for lo in range(0, src.size, solve_px)]
     sizes = (solve_px, solve_px, 7 * solve_px + 2 * width)   # a worker's f, u and scratch
+    # a float64 per pixel is two float32 stacks; `_aligned_empty` adds 8 to each buffer
     workers = min(len(runs), _usable_cores() or 1, max(1, src.size // (sum(sizes) + 24)))
 
     def work(first: int) -> None:

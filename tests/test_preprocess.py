@@ -205,6 +205,18 @@ def whole_stack_despeckle(values):
     return np.clip(back, CLIP_EPS, 1.0 - CLIP_EPS).astype(np.float32)
 
 
+@pytest.fixture
+def solve_threads(monkeypatch):
+    """The ids of the threads that call `_tv_solve`, from now on."""
+    solve, threads = preprocess._tv_solve, set()
+
+    def recording_solve(*args):
+        threads.add(threading.get_ident())
+        solve(*args)
+    monkeypatch.setattr(preprocess, "_tv_solve", recording_solve)
+    return threads
+
+
 class TestWorkers:
     # with runs of at most 1,024 pixels: 30 runs (a short last one) on 3
     # workers, slices larger than a run (one per run) on 3, 1x9 slices, which
@@ -212,61 +224,50 @@ class TestWorkers:
     # 1, 2 and 3 and capped by the runs and by their buffers' memory
     @pytest.mark.parametrize("shape", [(59, 2, 16, 16), (29, 33, 37), (2, 3000, 1, 9),
                                        (30, 2, 37, 53)])
-    def test_bytes_do_not_depend_on_workers(self, shape, monkeypatch):
+    def test_bytes_do_not_depend_on_workers(self, shape, monkeypatch, solve_threads):
         values = np.random.default_rng(sum(shape)).uniform(-0.1, 1.1, size=shape)
         values = values.astype(np.float32)
         monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
         monkeypatch.setattr(preprocess, "_usable_cores", lambda: 1)
         expected = whole_stack_despeckle(values).tobytes()
         denoised = tv_denoise(values, 1.5).tobytes()
-        solve, threads = preprocess._tv_solve, set()
-
-        def recording_solve(*args):
-            threads.add(threading.get_ident())
-            solve(*args)
-        monkeypatch.setattr(preprocess, "_tv_solve", recording_solve)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)   # hand the GIL between workers as often as possible
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(preprocess, "_usable_cores", lambda: workers)
-                threads.clear()
+                solve_threads.clear()
                 assert despeckle_values(values).tobytes() == expected
-                assert len(threads) == workers
+                assert len(solve_threads) == workers
                 assert tv_denoise(values, 1.5).tobytes() == denoised
         finally:
             sys.setswitchinterval(switch)
 
-    def test_workers_capped_by_memory(self, monkeypatch):
+    def test_workers_capped_by_memory(self, monkeypatch, solve_threads):
         # with 1,024-pixel runs a worker's f, u, scratch and slack take 9,304
         # float64s, as many bytes as two float32 copies of 9,304 pixels: 17
         # slices of 32x32 run 1 worker, 19 run 2, 37 run 4 and 80 all 8 cores
         monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
         monkeypatch.setattr(preprocess, "_usable_cores", lambda: 8)
-        solve, threads = preprocess._tv_solve, set()
-
-        def recording_solve(*args):
-            threads.add(threading.get_ident())
-            solve(*args)
-        monkeypatch.setattr(preprocess, "_tv_solve", recording_solve)
         for slices, workers in ((17, 1), (19, 2), (37, 4), (80, 8)):
-            threads.clear()
+            solve_threads.clear()
             despeckle_values(np.full((slices, 32, 32), 0.2, np.float32), PreprocessConfig(
                 tv_iterations=1))
-            assert len(threads) == workers
+            assert len(solve_threads) == workers
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # 20 runs of 1,024 pixels fit two workers' buffers
+        monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
         monkeypatch.setattr(preprocess, "_usable_cores", lambda: 2)
-        calls = []
+        caller = threading.get_ident()
 
-        def failing_solve(f, *args):
-            calls.append(f.size)
-            if len(calls) == 2:
+        def failing_solve(f, u, *args):
+            if threading.get_ident() != caller:
                 raise MemoryError("solve")
+            np.copyto(u, f)
         monkeypatch.setattr(preprocess, "_tv_solve", failing_solve)
         with pytest.raises(MemoryError, match="solve"):
-            despeckle_values(np.full((4, 2, 64, 64), 0.2, np.float32))
-        assert len(calls) == 2
+            despeckle_values(np.full((20, 32, 32), 0.2, np.float32))
 
 
 class TestTvDenoise:
