@@ -3,7 +3,8 @@ numpy's OpenBLAS at one thread for a block, `pin_malloc` pins glibc's
 allocator thresholds for good, `trim_malloc` returns its free heap memory,
 and `flush_subnormals` flushes subnormals to zero in one thread for a block.
 Each is a no-op where its library or platform is missing, and none changes
-an output bit.
+an output bit. `usable_cores` counts the cores that the despeckle and Adam
+workers may spread over.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (all of them where affinity is not exposed)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _functions(path, *names):

@@ -48,7 +48,6 @@ drop (in practice only when it holds a NaN).
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -56,6 +55,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import native
 from .errors import ValidationError, bound, check_fields
 from .raster import RasterStack
 
@@ -201,11 +201,6 @@ def _tv_solve(f: np.ndarray, u: np.ndarray, weight: float, iterations: int, step
     np.copyto(u.reshape(-1, plane), f.reshape(-1, plane), where=worse[:, None])
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on (all of them where affinity is not exposed)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
 def _solve_runs(src: np.ndarray, dst: np.ndarray, weight: float, iterations: int,
                 step: float, in_db: bool) -> None:
     """Solve the (..., H, W) slices of src into dst, in dB if in_db (see Layout)."""
@@ -217,7 +212,7 @@ def _solve_runs(src: np.ndarray, dst: np.ndarray, weight: float, iterations: int
     runs = [slice(lo, min(lo + solve_px, src.size)) for lo in range(0, src.size, solve_px)]
     sizes = (solve_px, solve_px, 7 * solve_px + 2 * width)   # a worker's f, u and scratch
     # a float64 per pixel is two float32 stacks; `_aligned_empty` adds 8 to each buffer
-    workers = min(len(runs), _usable_cores() or 1, max(1, src.size // (sum(sizes) + 24)))
+    workers = min(len(runs), native.usable_cores(), max(1, src.size // (sum(sizes) + 24)))
 
     def work(first: int) -> None:
         f, u, scratch = map(_aligned_empty, sizes)

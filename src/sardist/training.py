@@ -13,35 +13,45 @@ initial rate through `decay_epoch`, the decayed rate afterwards.
 
 A training run is fully determined by (model seed, train seed, corpus):
 batch sampling and dropout draw from generators derived from the train seed
-with fixed stream indices, and every array op is single-threaded numpy, so
-rerunning reproduces the loss curve bit for bit. If the loss ever goes
-non-finite the run aborts and reports the last finished epoch's weights.
+with fixed stream indices, and no array op's result depends on how many
+threads run it, so rerunning reproduces the loss curve bit for bit on any
+machine. If the loss ever goes non-finite the run aborts and reports the last
+finished epoch's weights.
 
 Adam (b1 = 0.9, b2 = 0.999 and e = 1e-8, Kingma & Ba's defaults, fixed) keeps
 the scaled moments m/(1-b1) and v/(1-b2), so both bias corrections fold into
 two scalars (the last bits differ from the textbook order's) and a step is ten
-in-place passes, allocating nothing, with subnormals flushed to
-zero in the calling thread (`native.flush_subnormals`): where a gradient
-stays zero, `m` decays into float32 subnormals after about 700 steps, which
-x86 computes with about 19 times slower. Flushing changes a parameter bit
-only where the subnormal update would exceed half an ulp of the parameter;
-both benchmark trainings (64 and 1,024 steps) keep every bit. `train` pins
-glibc's allocator (`native.pin_malloc`) before its first step, so the
-backward's fresh gradient arrays reuse mapped memory rather than fresh pages,
-and hands none back (its state is held until it returns; a sweep trims). At
-batch 1 the loop runs with OpenBLAS at one thread (`native.one_blas_thread`):
-its GEMMs are too small to share, and a second thread only spent CPU.
+in-place passes over each parameter, allocating nothing, with subnormals
+flushed to zero in each thread that runs them (`native.flush_subnormals`):
+where a gradient stays zero, `m` decays into float32 subnormals after about
+700 steps, which x86 computes with about 19 times slower. Flushing changes a
+parameter bit only where the subnormal update would exceed half an ulp of the
+parameter; both benchmark trainings (64 and 1,024 steps) keep every bit.
+`train` pins glibc's allocator (`native.pin_malloc`) before its first step,
+so the backward's fresh gradient arrays reuse mapped memory rather than fresh
+pages, and hands none back (its state is held until it returns; a sweep
+trims). At batch 1 the loop runs with OpenBLAS at one thread
+(`native.one_blas_thread`): its GEMMs are too small to share, and a second
+thread only spent CPU. The cores that cap leaves idle run the Adam step
+instead: one worker per `_ADAM_FLOATS_PER_WORKER` parameter floats, at most
+one per usable core, each parameter's ten passes on one of them, so no bit
+depends on the worker count. `train` owns the workers' threads and joins
+them before it returns; smaller models, larger batches and one-core machines
+step on the calling thread alone.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import native
 from .autodiff import Tensor
 from .errors import ValidationError, bound, check_fields, check_seed
 from .model import Model, ModelConfig
@@ -49,6 +59,8 @@ from .native import flush_subnormals, one_blas_thread, pin_malloc
 from .synth import splitmix64
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
+#: parameter floats per Adam worker at batch 1; a second one lost time below about 680K
+_ADAM_FLOATS_PER_WORKER = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -99,11 +111,20 @@ class Adam:
     `m` and `v` hold the scaled moments M = m/(1-b1) and V = v/(1-b2): a step
     is `M = b1*M + g`, `V = b2*V + g*g`, `p -= s*M / (sqrt(V) + e)` with both
     bias corrections folded into s and e (Kingma & Ba 2015, section 2), ten
-    passes through one scratch buffer per dtype sized to its largest parameter."""
+    passes through one scratch buffer per dtype sized to its largest parameter.
+
+    With a `pool`, a step runs on `workers` threads: the calling one and
+    `workers - 1` of the pool's, each with its own scratch and its own subnormal
+    flush (MXCSR is per thread). They take the parameters, largest first, from
+    one shared iterator, and each parameter gets all ten passes from one of
+    them, so no bit depends on the worker count. Without one, no thread starts."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor]):
+    def __init__(self, params: dict[str, Tensor], workers: int = 1,
+                 pool: Executor | None = None):
+        if workers > 1 and pool is None:
+            raise ValidationError(f"{workers} Adam workers need a pool")
         self.params = params
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -111,7 +132,10 @@ class Adam:
         largest = {}
         for p in params.values():
             largest[p.data.dtype] = max(largest.get(p.data.dtype, 0), p.data.size)
-        self._scratch = {dt: np.empty(n, dt) for dt, n in largest.items()}
+        self._scratch = [{dt: np.empty(n, dt) for dt, n in largest.items()}
+                         for _ in range(workers)]
+        self._order = sorted(params, key=lambda k: -params[k].data.size)   # ties: dict order
+        self._pool, self._taking = pool, threading.Lock()
         self.subnormals_flushed = False
 
     def step(self, lr: float) -> None:
@@ -121,22 +145,37 @@ class Adam:
         # Python floats: an np.float64 scalar would run the float32 passes in float64
         root = math.sqrt(c2 / (1.0 - b2))
         size, eps = lr * (1.0 - b1) / c1 * root, self.eps * root
-        with flush_subnormals() as flushed:
-            self.subnormals_flushed = flushed
-            for name, p in self.params.items():
-                if p.grad is None:
-                    continue
-                g, m, v, w = p.grad, self.m[name], self.v[name], p.data
-                b = self._scratch[w.dtype][:w.size].reshape(w.shape)
-                m *= b1
-                m += g
-                v *= b2
-                v += np.square(g, out=b)
-                np.sqrt(v, out=b)
-                b += eps
-                np.divide(m, b, out=b)
-                b *= size
-                w -= b
+        names = iter(self._order)
+
+        def work(scratch: dict) -> bool:
+            with flush_subnormals() as flushed:
+                while True:
+                    with self._taking:
+                        name = next(names, None)
+                    if name is None:
+                        return flushed
+                    p = self.params[name]
+                    if p.grad is None:
+                        continue
+                    g, m, v, w = p.grad, self.m[name], self.v[name], p.data
+                    b = scratch[w.dtype][:w.size].reshape(w.shape)
+                    m *= b1
+                    m += g
+                    v *= b2
+                    v += np.square(g, out=b)
+                    np.sqrt(v, out=b)
+                    b += eps
+                    np.divide(m, b, out=b)
+                    b *= size
+                    w -= b
+
+        others = [self._pool.submit(work, s) for s in self._scratch[1:]]
+        try:
+            self.subnormals_flushed = work(self._scratch[0])
+        finally:
+            wait(others)   # no worker still writes once the step returns or raises
+        for other in others:
+            other.result()
 
 
 def sample_batch(sequences: np.ndarray, rng: np.random.Generator,
@@ -194,10 +233,15 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
     `blas_capped`, `cpu_s` (the loop's process CPU seconds) and `epoch_step_seconds`,
     the mean wall time of a step in each finished epoch."""
     _check_t_max(model.cfg, cfg)
+    sequences = np.asarray(sequences)
+    if sequences.dtype.kind not in "biuf":
+        raise ValidationError(f"corpus must be numeric, got dtype {sequences.dtype}")
     with np.errstate(over="ignore"):   # past the model dtype's range is inf, rejected below
-        sequences = np.asarray(sequences, dtype=model.dtype)
+        sequences = sequences.astype(model.dtype, copy=False)
     if sequences.ndim != 5:
         raise ValidationError(f"corpus must be (N,steps,C,H,W), got {sequences.shape}")
+    if sequences.size == 0:
+        raise ValidationError(f"corpus is empty, shape {sequences.shape}")
     if not np.isfinite(sequences).all():
         raise ValidationError("corpus contains non-finite values")
     batch_rng = np.random.default_rng(splitmix64(cfg.seed, 1))
@@ -206,12 +250,16 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
     if steps_per_epoch is None:
         steps_per_epoch = max(1, -(-sequences.shape[0] // cfg.batch_size))
     facts = {"malloc_pinned": pin_malloc(), "epoch_step_seconds": []}
-    optimizer = Adam(model.params)
     result = TrainResult(model=model)
     last_good = {k: p.data.copy() for k, p in model.params.items()}
+    floats = sum(p.data.size for p in model.params.values())
+    split = max(1, min(native.usable_cores(), floats // _ADAM_FLOATS_PER_WORKER))
     cap = one_blas_thread() if cfg.batch_size == 1 else nullcontext(False)
     cpu = time.process_time()
-    with cap as facts["blas_capped"]:
+    # the pool starts a thread only when Adam first submits to it
+    with cap as facts["blas_capped"], ThreadPoolExecutor(max(1, split - 1)) as pool:
+        # BLAS at one thread leaves the other cores idle: Adam spreads over them
+        optimizer = Adam(model.params, split if facts["blas_capped"] else 1, pool)
         for epoch in range(1, cfg.epochs + 1):
             lr = lr_at(epoch, cfg)
             total = 0.0

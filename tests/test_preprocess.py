@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sardist import preprocess
+from sardist import native, preprocess
 from sardist.errors import ValidationError
 from sardist.preprocess import (_aligned_empty, CLIP_EPS, PreprocessConfig, clip_unit,
                                 despeckle_stack,
@@ -228,14 +228,14 @@ class TestWorkers:
         values = np.random.default_rng(sum(shape)).uniform(-0.1, 1.1, size=shape)
         values = values.astype(np.float32)
         monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
-        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(native, "usable_cores", lambda: 1)
         expected = whole_stack_despeckle(values).tobytes()
         denoised = tv_denoise(values, 1.5).tobytes()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)   # hand the GIL between workers as often as possible
         try:
             for workers in (1, 2, 3):
-                monkeypatch.setattr(preprocess, "_usable_cores", lambda: workers)
+                monkeypatch.setattr(native, "usable_cores", lambda: workers)
                 solve_threads.clear()
                 assert despeckle_values(values).tobytes() == expected
                 assert len(solve_threads) == workers
@@ -248,7 +248,7 @@ class TestWorkers:
         # float64s, as many bytes as two float32 copies of 9,304 pixels: 17
         # slices of 32x32 run 1 worker, 19 run 2, 37 run 4 and 80 all 8 cores
         monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
-        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(native, "usable_cores", lambda: 8)
         for slices, workers in ((17, 1), (19, 2), (37, 4), (80, 8)):
             solve_threads.clear()
             despeckle_values(np.full((slices, 32, 32), 0.2, np.float32), PreprocessConfig(
@@ -258,7 +258,7 @@ class TestWorkers:
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # 20 runs of 1,024 pixels fit two workers' buffers
         monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
-        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(native, "usable_cores", lambda: 2)
         caller = threading.get_ident()
 
         def failing_solve(f, u, *args):
@@ -362,7 +362,7 @@ class TestDespeckle:
         # the float32 output and, per worker, one run's float64 buffers: at most
         # three float32 stacks however many cores there are, also where a slice
         # is larger than a run's pixel budget and each run holds one slice
-        monkeypatch.setattr(preprocess, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(native, "usable_cores", lambda: 8)
         cfg = PreprocessConfig(tv_iterations=1)   # the buffers do not depend on it
         for size in (128, 160, 512):
             values = np.random.default_rng(6).uniform(0.01, 0.5, size=(11, 2, size, size))

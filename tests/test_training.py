@@ -4,8 +4,11 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache
 from types import SimpleNamespace
@@ -19,7 +22,7 @@ from sardist import model as model_module
 from sardist import native, training
 from sardist.autodiff import Tensor
 from sardist.errors import ValidationError
-from sardist.model import Model, ModelConfig
+from sardist.model import Model, ModelConfig, save_checkpoint
 from sardist.synth import splitmix64
 from sardist.training import (
     Adam,
@@ -303,6 +306,30 @@ def subnormal_product() -> float:
     return float((np.full(4, 1e-20, np.float32) * np.float32(1e-20))[0])
 
 
+def second_step_peak(names: list[str], workers: int = 1) -> int:
+    """tracemalloc's peak over the second Adam step of 4 MiB float32 parameters."""
+    rng = np.random.default_rng(22)
+    params = {k: Tensor(rng.normal(size=1 << 20).astype(np.float32), requires_grad=True)
+              for k in names}
+    for p in params.values():
+        p.grad = rng.normal(size=p.data.size).astype(np.float32)
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        opt = Adam(params, workers, pool)
+        opt.step(1e-3)   # the first step may settle lazy state and start the threads
+        tracemalloc.start()
+        try:
+            opt.step(1e-3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.fixture
+def fenv():
+    if native._FENV is None:
+        pytest.skip("no x86-64 libm fenv calls here; the flush scope is a no-op")
+
+
 class TestAdamInPlace:
     def test_fifty_steps_bitwise_equal_to_allocating_form(self):
         rng = np.random.default_rng(21)
@@ -325,19 +352,7 @@ class TestAdamInPlace:
         assert all(a is b for a, b in zip((p.data, opt.m["p"], opt.v["p"]), held))
 
     def test_step_allocates_no_parameter_sized_array(self):
-        n = 1 << 20   # 4 MiB of float32
-        rng = np.random.default_rng(22)
-        p = Tensor(rng.normal(size=n).astype(np.float32), requires_grad=True)
-        p.grad = rng.normal(size=n).astype(np.float32)
-        opt = Adam({"p": p})
-        opt.step(1e-3)   # the first step may settle lazy state
-        tracemalloc.start()
-        try:
-            opt.step(1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 << 10
+        assert second_step_peak(["p"]) < 64 << 10
 
     def test_mixed_dtypes_match_mirror(self):
         rng = np.random.default_rng(23)
@@ -359,11 +374,6 @@ class TestAdamInPlace:
 
 
 class TestAdamFlush:
-    @pytest.fixture
-    def fenv(self):
-        if native._FENV is None:
-            pytest.skip("no x86-64 libm fenv calls here; the flush scope is a no-op")
-
     def test_zero_grad_tail_leaves_no_subnormal_and_same_weights(self, fenv):
         w0 = np.random.default_rng(24).normal(size=64).astype(np.float32)
         grads = zero_tail_grads()
@@ -635,6 +645,32 @@ class TestTrainLoop:
             train(Model(tiny_cfg(), seed=0), TrainConfig(),
                   np.zeros((4, 11, 2, 4)))
 
+    @pytest.mark.parametrize("corpus, message", [
+        (small_corpus()[:0], r"corpus is empty, shape \(0, 11, 2, 4, 4\)"),
+        (small_corpus()[:, :, :, :0], r"corpus is empty, shape \(8, 11, 2, 0, 4\)"),
+        ("abc", "corpus must be numeric, got dtype <U3"),
+        (small_corpus().astype(complex), "corpus must be numeric, got dtype complex128"),
+    ], ids=["no-sequences", "no-columns", "string", "complex"])
+    def test_empty_or_non_numeric_corpus_rejected_before_a_step(self, corpus, message,
+                                                                  monkeypatch, started):
+        # they used to raise numpy's bare ValueError (`high <= 0` from the batch
+        # draw, or `could not convert string to float`)
+        model = Model(tiny_cfg(), seed=0)
+        monkeypatch.setattr(model, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                train(model, TrainConfig(batch_size=1, epochs=1, steps_per_epoch=1), corpus)
+        assert started == []
+
+    @pytest.mark.parametrize("corpus, message", [
+        ("corpus = np.zeros((0, 11, 2, 4, 4), np.float32)",
+         "corpus is empty, shape (0, 11, 2, 4, 4)"),
+        ("corpus = 'abc'", "corpus must be numeric, got dtype <U3"),
+    ], ids=["empty", "string"])
+    def test_empty_or_non_numeric_corpus_rejected_under_optimize(self, corpus, message):
+        assert self.train_under_optimize(corpus) == (0, message + "\n", "")
+
     def test_stats_record_run_facts(self):
         cfg = TrainConfig(batch_size=2, epochs=3, lr_initial=1e-3, lr_after_decay=1e-3,
                           decay_epoch=3, steps_per_epoch=2, seed=3)
@@ -807,6 +843,216 @@ class TestTrainBlasCap:
         assert train(Model(tiny_cfg(), seed=0), cfg, small_corpus(scale=4.0), stats).diverged
         assert seen and set(seen) == {1} and stats["blas_capped"] is True
         assert get() == 2
+
+
+# ---------------------------------------------------------------------------
+# Adam workers
+# ---------------------------------------------------------------------------
+
+class JoinedPool(Executor):
+    """Runs each task to its end on a new thread before `submit` returns, so an Adam
+    step's worker, not its caller, takes every parameter."""
+
+    def __init__(self):
+        self.threads = set()
+
+    def submit(self, fn, *args):
+        future = Future()
+
+        def run():
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:
+                future.set_exception(exc)
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        self.threads.add(thread.ident)
+        return future
+
+
+@pytest.fixture
+def adam_threads(monkeypatch):
+    """The id of the thread of each flush scope that Adam opens, from now on."""
+    flush, threads = training.flush_subnormals, []
+
+    @contextmanager
+    def recording_flush():
+        threads.append(threading.get_ident())
+        with flush() as flushed:
+            yield flushed
+    monkeypatch.setattr(training, "flush_subnormals", recording_flush)
+    return threads
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Batch-1 training splits Adam at one parameter float per worker."""
+    if native._BLAS is None:
+        pytest.skip("numpy's bundled OpenBLAS thread symbols not found; Adam keeps one worker")
+    monkeypatch.setattr(training, "_ADAM_FLOATS_PER_WORKER", 1)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every `threading.Thread` started from now on."""
+    threads, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (threads.append(t), start(t))[1])
+    return threads
+
+
+class TestAdamWorkers:
+    CFG = TrainConfig(batch_size=1, epochs=3, lr_initial=1e-3, lr_after_decay=1e-4,
+                      decay_epoch=2, steps_per_epoch=3, seed=6)
+
+    @pytest.mark.parametrize("kind", ["transformer", "gru"])
+    def test_bytes_do_not_depend_on_cores(self, kind, split, adam_threads, monkeypatch,
+                                          tmp_path):
+        outputs = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # hand the GIL between workers as often as possible
+        try:
+            for cores in (1, 2, 8):
+                monkeypatch.setattr(native, "usable_cores", lambda: cores)
+                adam_threads.clear()
+                res = train(Model(tiny_cfg(kind=kind), seed=4), self.CFG, small_corpus())
+                save_checkpoint(res.model, str(tmp_path / str(cores)))
+                outputs.append((res.loss_csv(), {f.name: f.read_bytes()
+                                                 for f in (tmp_path / str(cores)).iterdir()}))
+                assert len(adam_threads) == 9 * cores   # a flush scope per worker and step
+                assert (len(set(adam_threads)) > 1) is (cores > 1)
+        finally:
+            sys.setswitchinterval(switch)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("pool_kind", ["threads", "joined"])
+    def test_mixed_dtypes_bytes_equal_at_one_and_two_workers(self, pool_kind):
+        rng = np.random.default_rng(26)
+        w0 = [rng.normal(size=shape).astype(dt) for shape, dt in
+              (((370, 11), np.float32), ((5,), np.float64), ((3000,), np.float32),
+               ((90, 9), np.float64), ((3,), np.float32), ((2000,), np.float64))]
+        grads = [[(rng.normal(size=w.shape) * 10.0 ** rng.uniform(-3, 1)).astype(w.dtype)
+                  for w in w0] for _ in range(50)]
+
+        def run(workers, pool):
+            params = {f"p{i}": Tensor(w.copy(), requires_grad=True) for i, w in enumerate(w0)}
+            opt = Adam(params, workers, pool)
+            for step_grads in grads:
+                for p, g in zip(params.values(), step_grads):
+                    p.grad = g
+                opt.step(1e-3)
+            return [(p.data.dtype, p.data.tobytes(), opt.m[k].tobytes(), opt.v[k].tobytes())
+                    for k, p in params.items()]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # hand the GIL between workers as often as possible
+        try:
+            with ThreadPoolExecutor(1) as threads:
+                pool = threads if pool_kind == "threads" else JoinedPool()
+                assert run(2, pool) == run(1, None)
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("ending", ["returns", "diverges", "raises"])
+    def test_no_thread_outlives_train(self, ending, split, adam_threads, monkeypatch):
+        monkeypatch.setattr(native, "usable_cores", lambda: 4)
+        model, cfg, corpus = Model(tiny_cfg(), seed=0), self.CFG, small_corpus()
+        if ending == "diverges":
+            cfg = replace(cfg, lr_initial=1e10, lr_after_decay=1e10)
+            corpus = small_corpus(scale=4.0)
+        if ending == "raises":
+            forward, calls = model.forward, []
+
+            def fourth_forward_fails(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 4:
+                    raise MemoryError("forward")
+                return forward(*args, **kwargs)
+            monkeypatch.setattr(model, "forward", fourth_forward_fails)
+        before = threading.active_count()
+        if ending == "raises":
+            with pytest.raises(MemoryError, match="forward"):
+                train(model, cfg, corpus)
+        else:
+            assert train(model, cfg, corpus).diverged is (ending == "diverges")
+        assert len(set(adam_threads)) > 1
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller(self, fenv, monkeypatch):
+        caller, flush = threading.get_ident(), training.flush_subnormals
+
+        @contextmanager
+        def flush_failing_in_workers():
+            with flush() as flushed:
+                yield flushed
+                if threading.get_ident() != caller:
+                    raise MemoryError("adam worker")
+        monkeypatch.setattr(training, "flush_subnormals", flush_failing_in_workers)
+        p = Tensor(np.ones(8, np.float32), requires_grad=True)
+        p.grad = np.ones(8, np.float32)
+        with ThreadPoolExecutor(1) as pool:
+            opt = Adam({"p": p}, 2, pool)
+            with pytest.raises(MemoryError, match="adam worker"):
+                opt.step(1e-3)
+            assert subnormal_product() != 0.0   # the caller's MXCSR
+            assert pool.submit(subnormal_product).result(timeout=60) != 0.0   # the worker's
+
+    def test_worker_flushes_subnormals(self, fenv):
+        w0 = np.random.default_rng(24).normal(size=64).astype(np.float32)
+        grads = zero_tail_grads()
+        p, pool = Tensor(w0.copy(), requires_grad=True), JoinedPool()
+        opt = Adam({"w": p}, 2, pool)
+        for g in grads:
+            p.grad = g
+            opt.step(1e-3)
+        assert pool.threads and threading.get_ident() not in pool.threads
+        assert subnormals(opt.m["w"]) == 0
+        assert_bitwise(p.data, allocating_adam(w0, grads, 1e-3)[0])
+
+    def test_two_worker_step_allocates_no_parameter_sized_array(self):
+        assert second_step_peak(["a", "b"], workers=2) < 64 << 10
+
+    @pytest.mark.parametrize("batch, cores, floor, threads", [
+        (2, 2, 1, 0),          # BLAS owns the cores
+        (1, 1, 1, 0),          # one core
+        (1, 2, None, 0),       # a model under two workers' floats
+        (1, 2, 1, 1),          # the split: one pool thread
+    ])
+    def test_threads_started(self, batch, cores, floor, threads, monkeypatch, started):
+        if threads and native._BLAS is None:
+            pytest.skip("numpy's bundled OpenBLAS thread symbols not found; Adam keeps one worker")
+        if floor is not None:
+            monkeypatch.setattr(training, "_ADAM_FLOATS_PER_WORKER", floor)
+        monkeypatch.setattr(native, "usable_cores", lambda: cores)
+        cfg = replace(self.CFG, batch_size=batch)
+        train(Model(tiny_cfg(), seed=0), cfg, small_corpus())
+        assert len(started) == threads
+
+    def test_adam_alone_starts_no_thread(self, started):
+        p = Tensor(np.ones((1 << 20) + 1, np.float32), requires_grad=True)
+        p.grad = np.ones_like(p.data)
+        Adam({"p": p}).step(1e-3)
+        assert started == []
+
+    def test_workers_need_a_pool(self):
+        with pytest.raises(ValidationError, match="^2 Adam workers need a pool$"):
+            Adam({"p": Tensor(np.ones(4), requires_grad=True)}, 2)
+
+
+class TestUsableCores:
+    def test_counts_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity mask on this platform")
+        assert native.usable_cores() == len(os.sched_getaffinity(0))
+
+    def test_without_affinity_counts_the_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert native.usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert native.usable_cores() == 1
 
 
 # ---------------------------------------------------------------------------
