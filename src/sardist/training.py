@@ -32,12 +32,12 @@ so the backward's fresh gradient arrays reuse mapped memory rather than fresh
 pages, and hands none back (its state is held until it returns; a sweep
 trims). At batch 1 the loop runs with OpenBLAS at one thread
 (`native.one_blas_thread`): its GEMMs are too small to share, and a second
-thread only spent CPU. The cores that cap leaves idle run the Adam step
-instead: one worker per `_ADAM_FLOATS_PER_WORKER` parameter floats, at most
-one per usable core, each parameter's ten passes on one of them, so no bit
-depends on the worker count. `train` owns the workers' threads and joins
-them before it returns; smaller models, larger batches and one-core machines
-step on the calling thread alone.
+thread only spent CPU. A second core that cap leaves idle takes half of
+the Adam step instead, for models of at least `_ADAM_SPLIT_FLOATS` parameter
+floats: two workers, each parameter's ten passes on one of them, so no bit
+depends on the worker count. `train` owns the second worker's thread and
+joins it before it returns; smaller models, larger batches and one-core
+machines step on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import math
 import threading
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +59,10 @@ from .native import flush_subnormals, one_blas_thread, pin_malloc
 from .synth import splitmix64
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
-#: parameter floats per Adam worker at batch 1; a second one lost time below about 680K
-_ADAM_FLOATS_PER_WORKER = 1 << 19
+#: parameter floats from which batch-1 Adam takes a second worker. Measured on a 2-vCPU
+#: box, a second worker lost time at 466K floats, broke even near 800K and saved 0.31 ms
+#: per step at 959K; 2^20 is a round rule above the break-even, not a tuned constant.
+_ADAM_SPLIT_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -113,18 +115,15 @@ class Adam:
     bias corrections folded into s and e (Kingma & Ba 2015, section 2), ten
     passes through one scratch buffer per dtype sized to its largest parameter.
 
-    With a `pool`, a step runs on `workers` threads: the calling one and
-    `workers - 1` of the pool's, each with its own scratch and its own subnormal
-    flush (MXCSR is per thread). They take the parameters, largest first, from
-    one shared iterator, and each parameter gets all ten passes from one of
-    them, so no bit depends on the worker count. Without one, no thread starts."""
+    With a `pool`, a step runs on two threads: the calling one and one of the
+    pool's, each with its own scratch and its own subnormal flush (MXCSR is per
+    thread). They take the parameters, largest first, from one shared
+    iterator, and each parameter gets all ten passes from one of them, so no
+    bit depends on which thread ran it. Without one, no thread starts."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], workers: int = 1,
-                 pool: Executor | None = None):
-        if workers > 1 and pool is None:
-            raise ValidationError(f"{workers} Adam workers need a pool")
+    def __init__(self, params: dict[str, Tensor], pool: Executor | None = None):
         self.params = params
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -133,7 +132,7 @@ class Adam:
         for p in params.values():
             largest[p.data.dtype] = max(largest.get(p.data.dtype, 0), p.data.size)
         self._scratch = [{dt: np.empty(n, dt) for dt, n in largest.items()}
-                         for _ in range(workers)]
+                         for _ in range(1 if pool is None else 2)]
         self._order = sorted(params, key=lambda k: -params[k].data.size)   # ties: dict order
         self._pool, self._taking = pool, threading.Lock()
         self.subnormals_flushed = False
@@ -253,13 +252,15 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
     result = TrainResult(model=model)
     last_good = {k: p.data.copy() for k, p in model.params.items()}
     floats = sum(p.data.size for p in model.params.values())
-    split = max(1, min(native.usable_cores(), floats // _ADAM_FLOATS_PER_WORKER))
-    cap = one_blas_thread() if cfg.batch_size == 1 else nullcontext(False)
     cpu = time.process_time()
-    # the pool starts a thread only when Adam first submits to it
-    with cap as facts["blas_capped"], ThreadPoolExecutor(max(1, split - 1)) as pool:
-        # BLAS at one thread leaves the other cores idle: Adam spreads over them
-        optimizer = Adam(model.params, split if facts["blas_capped"] else 1, pool)
+    with ExitStack() as stack:
+        facts["blas_capped"] = stack.enter_context(
+            one_blas_thread() if cfg.batch_size == 1 else nullcontext(False))
+        # BLAS at one thread leaves a core idle: a large model's Adam step takes it
+        split = (facts["blas_capped"] and floats >= _ADAM_SPLIT_FLOATS
+                 and native.usable_cores() > 1)
+        pool = stack.enter_context(ThreadPoolExecutor(1)) if split else None
+        optimizer = Adam(model.params, pool)
         for epoch in range(1, cfg.epochs + 1):
             lr = lr_at(epoch, cfg)
             total = 0.0

@@ -306,15 +306,15 @@ def subnormal_product() -> float:
     return float((np.full(4, 1e-20, np.float32) * np.float32(1e-20))[0])
 
 
-def second_step_peak(names: list[str], workers: int = 1) -> int:
+def second_step_peak(names: list[str], split: bool = False) -> int:
     """tracemalloc's peak over the second Adam step of 4 MiB float32 parameters."""
     rng = np.random.default_rng(22)
     params = {k: Tensor(rng.normal(size=1 << 20).astype(np.float32), requires_grad=True)
               for k in names}
     for p in params.values():
         p.grad = rng.normal(size=p.data.size).astype(np.float32)
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        opt = Adam(params, workers, pool)
+    with ThreadPoolExecutor(1) as pool:
+        opt = Adam(params, pool if split else None)
         opt.step(1e-3)   # the first step may settle lazy state and start the threads
         tracemalloc.start()
         try:
@@ -888,10 +888,10 @@ def adam_threads(monkeypatch):
 
 @pytest.fixture
 def split(monkeypatch):
-    """Batch-1 training splits Adam at one parameter float per worker."""
+    """Batch-1 training splits Adam at any model size."""
     if native._BLAS is None:
         pytest.skip("numpy's bundled OpenBLAS thread symbols not found; Adam keeps one worker")
-    monkeypatch.setattr(training, "_ADAM_FLOATS_PER_WORKER", 1)
+    monkeypatch.setattr(training, "_ADAM_SPLIT_FLOATS", 1)
 
 
 @pytest.fixture
@@ -920,7 +920,8 @@ class TestAdamWorkers:
                 save_checkpoint(res.model, str(tmp_path / str(cores)))
                 outputs.append((res.loss_csv(), {f.name: f.read_bytes()
                                                  for f in (tmp_path / str(cores)).iterdir()}))
-                assert len(adam_threads) == 9 * cores   # a flush scope per worker and step
+                # a flush scope per worker and step, two workers at most
+                assert len(adam_threads) == 9 * min(cores, 2)
                 assert (len(set(adam_threads)) > 1) is (cores > 1)
         finally:
             sys.setswitchinterval(switch)
@@ -935,9 +936,9 @@ class TestAdamWorkers:
         grads = [[(rng.normal(size=w.shape) * 10.0 ** rng.uniform(-3, 1)).astype(w.dtype)
                   for w in w0] for _ in range(50)]
 
-        def run(workers, pool):
+        def run(pool):
             params = {f"p{i}": Tensor(w.copy(), requires_grad=True) for i, w in enumerate(w0)}
-            opt = Adam(params, workers, pool)
+            opt = Adam(params, pool)
             for step_grads in grads:
                 for p, g in zip(params.values(), step_grads):
                     p.grad = g
@@ -950,7 +951,7 @@ class TestAdamWorkers:
         try:
             with ThreadPoolExecutor(1) as threads:
                 pool = threads if pool_kind == "threads" else JoinedPool()
-                assert run(2, pool) == run(1, None)
+                assert run(pool) == run(None)
         finally:
             sys.setswitchinterval(switch)
 
@@ -993,7 +994,7 @@ class TestAdamWorkers:
         p = Tensor(np.ones(8, np.float32), requires_grad=True)
         p.grad = np.ones(8, np.float32)
         with ThreadPoolExecutor(1) as pool:
-            opt = Adam({"p": p}, 2, pool)
+            opt = Adam({"p": p}, pool)
             with pytest.raises(MemoryError, match="adam worker"):
                 opt.step(1e-3)
             assert subnormal_product() != 0.0   # the caller's MXCSR
@@ -1003,7 +1004,7 @@ class TestAdamWorkers:
         w0 = np.random.default_rng(24).normal(size=64).astype(np.float32)
         grads = zero_tail_grads()
         p, pool = Tensor(w0.copy(), requires_grad=True), JoinedPool()
-        opt = Adam({"w": p}, 2, pool)
+        opt = Adam({"w": p}, pool)
         for g in grads:
             p.grad = g
             opt.step(1e-3)
@@ -1012,19 +1013,20 @@ class TestAdamWorkers:
         assert_bitwise(p.data, allocating_adam(w0, grads, 1e-3)[0])
 
     def test_two_worker_step_allocates_no_parameter_sized_array(self):
-        assert second_step_peak(["a", "b"], workers=2) < 64 << 10
+        assert second_step_peak(["a", "b"], split=True) < 64 << 10
 
     @pytest.mark.parametrize("batch, cores, floor, threads", [
         (2, 2, 1, 0),          # BLAS owns the cores
         (1, 1, 1, 0),          # one core
-        (1, 2, None, 0),       # a model under two workers' floats
+        (1, 2, None, 0),       # a model under the split floor
         (1, 2, 1, 1),          # the split: one pool thread
+        (1, 8, 1, 1),          # more cores: still one pool thread
     ])
     def test_threads_started(self, batch, cores, floor, threads, monkeypatch, started):
         if threads and native._BLAS is None:
             pytest.skip("numpy's bundled OpenBLAS thread symbols not found; Adam keeps one worker")
         if floor is not None:
-            monkeypatch.setattr(training, "_ADAM_FLOATS_PER_WORKER", floor)
+            monkeypatch.setattr(training, "_ADAM_SPLIT_FLOATS", floor)
         monkeypatch.setattr(native, "usable_cores", lambda: cores)
         cfg = replace(self.CFG, batch_size=batch)
         train(Model(tiny_cfg(), seed=0), cfg, small_corpus())
@@ -1035,10 +1037,6 @@ class TestAdamWorkers:
         p.grad = np.ones_like(p.data)
         Adam({"p": p}).step(1e-3)
         assert started == []
-
-    def test_workers_need_a_pool(self):
-        with pytest.raises(ValidationError, match="^2 Adam workers need a pool$"):
-            Adam({"p": Tensor(np.ones(4), requires_grad=True)}, 2)
 
 
 class TestUsableCores:
