@@ -17,8 +17,8 @@ for float flags, a string for paths and choices, true or false for switches and
 a list of (vv, vh) number pairs for --class-gamma0, and 0 <= seed < 2**64. A
 flag's text is read into that type, so both sources are checked by the same
 rule. A config key that is not a flag of any subcommand is a validation error.
-Threads resolve as --threads > --config > 1; one thread is the bitwise
-reference path, and N > 1 sweep workers run BLAS single-threaded.
+Threads resolve as --threads > --config > 1; every thread count runs the same
+sweep, with the same bits, and N > 1 sweep workers run BLAS single-threaded.
 
 Exit codes: 0 success (stderr empty), 1 validation error (bad values,
 malformed files, diverged training), 2 I/O error; stderr then holds one line.

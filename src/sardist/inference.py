@@ -5,20 +5,19 @@ clamped so the last window ends exactly at the image edge. Every pixel is
 covered by at least one window; per-pixel mu and sigma are the arithmetic
 means over all covering windows.
 
-Determinism: windows are enumerated row-major and accumulated in that fixed
-order, so the result is independent of batch size and of how many worker
-threads computed the forward passes (threads only parallelize the pure
-forward computations; accumulation stays serial and ordered). The forward
-passes run under `no_grad`, so no backward graph is built or kept.
+Determinism: windows are enumerated row-major and cut into chunks of at
+most `min(batch_size, _FORWARD_WINDOWS)` windows, chunk k holding windows
+[k * per_forward, (k + 1) * per_forward). Each of min(`threads`, chunks)
+workers (`native.workers`, the calling thread one) takes the next chunk in
+turn (a static deal measured a fifth slower) and forwards it under
+`no_grad`; the sums take finished chunks in chunk order. So no bit depends
+on the batch size, the thread count or which worker ran a chunk, and one
+thread is the same path. A failed forward stops every worker.
 
-Memory: the sweep holds the scene, its two float64 sums and a fixed amount
-per worker, whatever the window count. One forward covers at most
-`min(batch_size, _FORWARD_WINDOWS)` windows (a chunk), so its working set
-stays small; the forward is bitwise batch-invariant, so the chunk size
-changes no output bit. With `threads > 1` at most 2 x `threads` chunks are
-in flight: each finished chunk is added to the sums, in window order,
-before the next one is submitted. With one thread each chunk is added as
-soon as its forward returns.
+Memory: the sweep holds the scene, its two float64 sums and at most
+2 x `threads` chunks taken and not yet summed (a bound of `threads`
+measured a fifth slower), whatever the window count. The forward is
+bitwise batch-invariant, so the chunk size changes no output bit.
 
 The first sweep in a process pins glibc's allocator (`native.pin_malloc`):
 unpinned, a 3,249-window sweep trims freed forward buffers and faults them
@@ -30,13 +29,13 @@ so N workers use N cores; meanwhile any other thread's GEMM runs single-threaded
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import native
 from .autodiff import no_grad
 from .errors import ValidationError, bound, check_fields
 from .model import Model
@@ -86,7 +85,7 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
     """Forecast the next frame per pixel from a finite (T, C, H, W) logit stack.
 
     `stats`, if given, receives the sweep's deterministic facts: `windows`,
-    `windows_per_forward`, `max_chunks_in_flight` and `mallopt_pinned`."""
+    `windows_per_forward` and `mallopt_pinned`."""
     cfg = cfg or SweepConfig()
     with np.errstate(over="ignore"):   # past float32's range is inf, rejected below
         frames_logit = np.asarray(frames_logit, dtype=np.float32)
@@ -103,45 +102,51 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
     cols = window_positions(width, size, cfg.stride)
     windows = len(rows) * len(cols)
     per_forward = min(cfg.batch_size, _FORWARD_WINDOWS, windows)
-    # fixed row-major order, cut into chunks as they are submitted, so no
-    # list grows with the window count
-    offsets = itertools.product(rows, cols)
-    chunks = iter(lambda: list(itertools.islice(offsets, per_forward)), [])
+    chunks = -(-windows // per_forward)
+    workers = min(cfg.threads, chunks)
     pinned = pin_malloc()
     trim_malloc()   # start the pinned working set on returned pages
-
-    def run_chunk(chunk: list[tuple[int, int]]):
-        x = np.stack([frames_logit[:, :, r:r + size, ch:ch + size] for r, ch in chunk])
-        with no_grad():   # per thread, so it is entered inside each worker
-            mu, sigma = model.forward(x, train=False)
-        return chunk, mu.data, sigma.data
-
     mu_sum = np.zeros((c, height, width), dtype=np.float64)
     sigma_sum = np.zeros((c, height, width), dtype=np.float64)
+    turn = threading.Condition()
+    taken, added, done = 0, 0, {}   # chunks taken, chunks summed, finished chunks not summed
 
-    def accumulate(chunk, mu_b, sigma_b) -> None:
-        for i, (r, ch) in enumerate(chunk):
-            mu_sum[:, r:r + size, ch:ch + size] += mu_b[i]
-            sigma_sum[:, r:r + size, ch:ch + size] += sigma_b[i]
+    def work(_: int) -> None:
+        nonlocal taken, added
+        try:
+            while True:
+                with turn:   # the next chunk, while fewer than 2 x workers wait for the sums
+                    turn.wait_for(lambda: taken == chunks or taken < added + 2 * workers)
+                    if taken == chunks:
+                        return
+                    k, taken = taken, taken + 1
+                # chunk k: windows [k * per_forward, (k + 1) * per_forward), row-major
+                chunk = [(rows[i // len(cols)], cols[i % len(cols)])
+                         for i in range(k * per_forward, min((k + 1) * per_forward, windows))]
+                x = np.stack([frames_logit[:, :, r:r + size, ch:ch + size] for r, ch in chunk])
+                with no_grad():   # per thread, so it is entered inside each worker
+                    mu, sigma = model.forward(x, train=False)
+                with turn:   # add every finished chunk whose turn has come, in window order
+                    done[k] = chunk, mu.data, sigma.data
+                    while added in done:
+                        chunk, mu_b, sigma_b = done.pop(added)
+                        for i, (r, ch) in enumerate(chunk):
+                            mu_sum[:, r:r + size, ch:ch + size] += mu_b[i]
+                            sigma_sum[:, r:r + size, ch:ch + size] += sigma_b[i]
+                        added += 1
+                    turn.notify_all()
+                x = mu = sigma = mu_b = sigma_b = None   # hold no chunk during the next forward
+        except BaseException:
+            with turn:   # no worker takes another chunk
+                taken = chunks
+                turn.notify_all()
+            raise
 
-    if cfg.threads == 1:
-        held = 1
-        for chunk in chunks:
-            accumulate(*run_chunk(chunk))
-    else:
-        limit, held = 2 * cfg.threads, 0
-        with one_blas_thread(), ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            in_flight = deque()
-            for chunk in chunks:
-                if len(in_flight) == limit:
-                    accumulate(*in_flight.popleft().result())
-                in_flight.append(pool.submit(run_chunk, chunk))
-                held = max(held, len(in_flight))
-            while in_flight:
-                accumulate(*in_flight.popleft().result())
+    with (one_blas_thread() if cfg.threads > 1 else nullcontext(),
+          native.workers(workers) as run):
+        run(work)
     if stats is not None:
-        stats.update(windows=windows, windows_per_forward=per_forward,
-                     max_chunks_in_flight=held, mallopt_pinned=pinned)
+        stats.update(windows=windows, windows_per_forward=per_forward, mallopt_pinned=pinned)
     # the windows are a product grid, so a pixel's cover is its row's times its column's
     count = np.outer(_coverage(height, rows, size), _coverage(width, cols, size))
     mu = (mu_sum / count).astype(np.float32)

@@ -4,7 +4,7 @@ allocator thresholds for good, `trim_malloc` returns its free heap memory,
 and `flush_subnormals` flushes subnormals to zero in one thread for a block.
 Each is a no-op where its library or platform is missing, and none changes
 an output bit. `usable_cores` counts the cores that the despeckle and Adam
-workers may spread over.
+workers may spread over; `workers` runs every worker the package starts.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import glob
 import os
 import platform
 import threading
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,6 +27,24 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextmanager
+def workers(n: int) -> Iterator[Callable[[Callable[[int], object]], None]]:
+    """Yield `run(work)`, which calls `work(i)` for every i < n: `work(0)` on the
+    calling thread, the rest on a pool of n - 1 threads that lives for the block
+    (none for n = 1). `run` returns once every worker has ended, then raises the
+    lowest-numbered worker's error."""
+    with ThreadPoolExecutor(max(1, n - 1)) as pool:   # starts no thread until a submit
+        def run(work: Callable[[int], object]) -> None:
+            others = [pool.submit(work, i) for i in range(1, n)]
+            try:
+                work(0)
+            finally:
+                wait(others)   # no worker still runs once `run` returns or raises
+            for other in others:
+                other.result()
+        yield run
 
 
 def _functions(path, *names):

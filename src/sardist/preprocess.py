@@ -49,7 +49,6 @@ drop (in practice only when it holds a NaN).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -228,10 +227,8 @@ def _solve_runs(src: np.ndarray, dst: np.ndarray, weight: float, iterations: int
                 np.clip(np.power(10.0, ur, out=ur), CLIP_EPS, 1.0 - CLIP_EPS, out=ur)
             dst[run] = ur
 
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:   # starts no thread for 1 worker
-        others = pool.map(work, range(1, workers))
-        work(0)
-        list(others)
+    with native.workers(workers) as run:
+        run(work)
 
 
 def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,

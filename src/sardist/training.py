@@ -34,19 +34,18 @@ trims). At batch 1 the loop runs with OpenBLAS at one thread
 (`native.one_blas_thread`): its GEMMs are too small to share, and a second
 thread only spent CPU. A second core that cap leaves idle takes half of
 the Adam step instead, for models of at least `_ADAM_SPLIT_FLOATS` parameter
-floats: two workers, each parameter's ten passes on one of them, so no bit
-depends on the worker count. `train` owns the second worker's thread and
-joins it before it returns; smaller models, larger batches and one-core
-machines step on the calling thread alone.
+floats: two `native.workers`, each parameter's ten passes on one of them, so
+no bit depends on the worker count. `train` holds the second worker's thread
+for the whole loop and joins it before it returns; smaller models, larger
+batches and one-core machines step on the calling thread alone.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
-from contextlib import ExitStack, nullcontext
+from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,15 +114,15 @@ class Adam:
     bias corrections folded into s and e (Kingma & Ba 2015, section 2), ten
     passes through one scratch buffer per dtype sized to its largest parameter.
 
-    With a `pool`, a step runs on two threads: the calling one and one of the
-    pool's, each with its own scratch and its own subnormal flush (MXCSR is per
-    thread). They take the parameters, largest first, from one shared
-    iterator, and each parameter gets all ten passes from one of them, so no
-    bit depends on which thread ran it. Without one, no thread starts."""
+    With `run`, a `native.workers(workers)` runner, a step runs on that many
+    threads, each with its own scratch and its own subnormal flush (MXCSR is
+    per thread). Worker i takes every workers-th parameter from the i-th,
+    largest first, and each parameter gets all ten passes from one worker, so
+    no bit depends on which thread ran it. Without one, no thread starts."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], pool: Executor | None = None):
+    def __init__(self, params: dict[str, Tensor], run: Callable | None = None, workers: int = 1):
         self.params = params
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -132,9 +131,9 @@ class Adam:
         for p in params.values():
             largest[p.data.dtype] = max(largest.get(p.data.dtype, 0), p.data.size)
         self._scratch = [{dt: np.empty(n, dt) for dt, n in largest.items()}
-                         for _ in range(1 if pool is None else 2)]
+                         for _ in range(workers)]
         self._order = sorted(params, key=lambda k: -params[k].data.size)   # ties: dict order
-        self._pool, self._taking = pool, threading.Lock()
+        self._run = run or (lambda work: work(0))
         self.subnormals_flushed = False
 
     def step(self, lr: float) -> None:
@@ -144,15 +143,11 @@ class Adam:
         # Python floats: an np.float64 scalar would run the float32 passes in float64
         root = math.sqrt(c2 / (1.0 - b2))
         size, eps = lr * (1.0 - b1) / c1 * root, self.eps * root
-        names = iter(self._order)
 
-        def work(scratch: dict) -> bool:
+        def work(worker: int) -> None:
+            scratch = self._scratch[worker]
             with flush_subnormals() as flushed:
-                while True:
-                    with self._taking:
-                        name = next(names, None)
-                    if name is None:
-                        return flushed
+                for name in self._order[worker::len(self._scratch)]:
                     p = self.params[name]
                     if p.grad is None:
                         continue
@@ -167,14 +162,9 @@ class Adam:
                     np.divide(m, b, out=b)
                     b *= size
                     w -= b
+            self.subnormals_flushed = flushed   # the same in every thread of a process
 
-        others = [self._pool.submit(work, s) for s in self._scratch[1:]]
-        try:
-            self.subnormals_flushed = work(self._scratch[0])
-        finally:
-            wait(others)   # no worker still writes once the step returns or raises
-        for other in others:
-            other.result()
+        self._run(work)
 
 
 def sample_batch(sequences: np.ndarray, rng: np.random.Generator,
@@ -253,42 +243,39 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
     last_good = {k: p.data.copy() for k, p in model.params.items()}
     floats = sum(p.data.size for p in model.params.values())
     cpu = time.process_time()
-    with ExitStack() as stack:
-        facts["blas_capped"] = stack.enter_context(
-            one_blas_thread() if cfg.batch_size == 1 else nullcontext(False))
+    with (one_blas_thread() if cfg.batch_size == 1 else nullcontext(False)) as capped:
         # BLAS at one thread leaves a core idle: a large model's Adam step takes it
-        split = (facts["blas_capped"] and floats >= _ADAM_SPLIT_FLOATS
-                 and native.usable_cores() > 1)
-        pool = stack.enter_context(ThreadPoolExecutor(1)) if split else None
-        optimizer = Adam(model.params, pool)
-        for epoch in range(1, cfg.epochs + 1):
-            lr = lr_at(epoch, cfg)
-            total = 0.0
-            start = time.perf_counter()
-            for _ in range(steps_per_epoch):
-                x, y = sample_batch(sequences, batch_rng, cfg.batch_size,
-                                    cfg.t_min, cfg.t_max, window=model.cfg.input_size)
-                model.zero_grads()
-                mu, sigma = model.forward(x, train=True, rng=drop_rng)
-                loss = nll_loss(mu, sigma, y)
-                value = float(loss.data)
-                if not math.isfinite(value):
-                    # diverged: roll back to the last finished epoch
-                    for name, p in model.params.items():
-                        p.data = last_good[name]
-                    result.diverged = True
+        workers = 2 if capped and floats >= _ADAM_SPLIT_FLOATS and native.usable_cores() > 1 else 1
+        with native.workers(workers) as run:
+            optimizer = Adam(model.params, run, workers)
+            for epoch in range(1, cfg.epochs + 1):
+                lr = lr_at(epoch, cfg)
+                total = 0.0
+                start = time.perf_counter()
+                for _ in range(steps_per_epoch):
+                    x, y = sample_batch(sequences, batch_rng, cfg.batch_size,
+                                        cfg.t_min, cfg.t_max, window=model.cfg.input_size)
+                    model.zero_grads()
+                    mu, sigma = model.forward(x, train=True, rng=drop_rng)
+                    loss = nll_loss(mu, sigma, y)
+                    value = float(loss.data)
+                    if not math.isfinite(value):
+                        # diverged: roll back to the last finished epoch
+                        for name, p in model.params.items():
+                            p.data = last_good[name]
+                        result.diverged = True
+                        break
+                    loss.backward()
+                    optimizer.step(lr)
+                    total += value
+                if result.diverged:
                     break
-                loss.backward()
-                optimizer.step(lr)
-                total += value
-            if result.diverged:
-                break
-            facts["epoch_step_seconds"].append((time.perf_counter() - start) / steps_per_epoch)
-            result.loss_rows.append((epoch, total / steps_per_epoch, lr))
-            result.completed_epochs = epoch
-            for name, p in model.params.items():   # one rollback copy, kept in place
-                np.copyto(last_good[name], p.data)
+                facts["epoch_step_seconds"].append((time.perf_counter() - start) / steps_per_epoch)
+                result.loss_rows.append((epoch, total / steps_per_epoch, lr))
+                result.completed_epochs = epoch
+                for name, p in model.params.items():   # one rollback copy, kept in place
+                    np.copyto(last_good[name], p.data)
     facts["cpu_s"] = time.process_time() - cpu
     if stats is not None:
-        stats.update(facts, subnormals_flushed=optimizer.subnormals_flushed)
+        stats.update(facts, blas_capped=capped, subnormals_flushed=optimizer.subnormals_flushed)
     return result

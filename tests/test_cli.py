@@ -643,7 +643,7 @@ class TestModelCommands:
         for mu in (single[0], multi[0]):   # one 16-px window covers the scene
             sweep = json.loads(open(mu + ".manifest.json").read())["sweep"]
             assert {k: v for k, v in sweep.items() if k != "mallopt_pinned"} == {
-                "windows": 1, "windows_per_forward": 1, "max_chunks_in_flight": 1}
+                "windows": 1, "windows_per_forward": 1}
             assert isinstance(sweep["mallopt_pinned"], bool)
 
     def test_eval_logratio(self, tmp_path):
@@ -887,3 +887,48 @@ class TestPipelineDeterminism:
         b_tree = tree_bytes(b_root)
         assert set(a_tree) == set(b_tree)
         assert all(a_tree[k] == b_tree[k] for k in a_tree)
+
+    def test_artifacts_equal_pinned_to_one_and_two_cores(self, tmp_path):
+        # Real affinity, not a patched core count: numpy's OpenBLAS, the despeckle
+        # workers, the Adam split (1.49 M parameter floats at --ff 512 --layers 2, batch
+        # 1) and the sweep all see the pinned cores.
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("fewer than two usable cores: one-core and two-core runs are the same")
+        chain = [
+            ["synth", "--kind", "corpus", "--count", "8", "--seed", "3", "--out-dir", "corpus"],
+            ["despeckle", "--manifest", os.path.join("corpus", "corpus.json"),
+             "--out-dir", "den"],
+            ["train", "--corpus", os.path.join("den", "corpus.json"), "--out", "ckpt",
+             "--ff", "512", "--layers", "2", "--batch-size", "1", "--epochs", "1",
+             "--steps-per-epoch", "6", "--lr", "5e-4"],
+            ["synth", "--kind", "scene", "--seed", "4", "--height", "32", "--width", "32",
+             "--fraction", "0.1", "--out", "scene.rts", "--mask", "mask.rts"],
+            ["despeckle", "--input", "scene.rts", "--out", "den.rts"],
+            ["estimate", "--checkpoint", "ckpt", "--input", "den.rts", "--out-mu", "mu.rts",
+             "--out-sigma", "sigma.rts", "--stride", "4", "--threads", "2",
+             "--drop-last", "2"],
+            ["metric", "--kind", "mahalanobis", "--stack", "den.rts", "--frame", "-1",
+             "--mu", "mu.rts", "--sigma", "sigma.rts", "--out", "d.rts"],
+        ]
+        code = ("import json, os, sys\n"
+                "os.sched_setaffinity(0, json.loads(sys.argv[1]))   # before numpy loads\n"
+                "from sardist import native\n"
+                "from sardist.cli import main\n"
+                "print(native.usable_cores())\n"
+                "for argv in json.loads(sys.argv[2]):\n"
+                "    if main(argv) != 0:\n"
+                "        sys.exit(f'{argv[0]} failed')\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sardist.__file__)))
+        trees = []
+        for cores in sorted(os.sched_getaffinity(0))[:1], sorted(os.sched_getaffinity(0))[:2]:
+            root = tmp_path / str(len(cores))
+            root.mkdir()
+            proc = subprocess.run([sys.executable, "-c", code, json.dumps(cores),
+                                   json.dumps(chain)], env=env, cwd=root,
+                                  capture_output=True, text=True, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert proc.stdout.startswith(f"{len(cores)}\n")   # the cores the chain saw
+            trees.append({k: v for k, v in tree_bytes(str(root)).items()
+                          if not k.endswith(".json")})
+        assert "d.rts" in trees[0] and os.path.join("ckpt", "weights.bin") in trees[0]
+        assert trees[1] == trees[0]

@@ -207,14 +207,24 @@ def whole_stack_despeckle(values):
 
 @pytest.fixture
 def solve_threads(monkeypatch):
-    """The ids of the threads that call `_tv_solve`, from now on."""
-    solve, threads = preprocess._tv_solve, set()
+    """`expect(workers)`: the set of ids of the threads that call `_tv_solve` from then
+    on. Each thread's first call waits at a barrier until `workers` threads have made
+    one, so no worker can finish, and its idle thread take another's task, before
+    every worker has started; too few threads break the barrier after 60 s."""
+    solve, state = preprocess._tv_solve, {}
 
     def recording_solve(*args):
-        threads.add(threading.get_ident())
+        if threading.get_ident() not in state["threads"]:
+            state["threads"].add(threading.get_ident())
+            state["barrier"].wait()
         solve(*args)
     monkeypatch.setattr(preprocess, "_tv_solve", recording_solve)
-    return threads
+
+    def expect(workers: int) -> set:
+        state.update(threads=set(), barrier=threading.Barrier(workers, timeout=60))
+        return state["threads"]
+    expect(1)
+    return expect
 
 
 class TestWorkers:
@@ -236,10 +246,12 @@ class TestWorkers:
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(native, "usable_cores", lambda: workers)
-                solve_threads.clear()
+                threads = solve_threads(workers)
                 assert despeckle_values(values).tobytes() == expected
-                assert len(solve_threads) == workers
+                assert len(threads) == workers
+                threads = solve_threads(workers)
                 assert tv_denoise(values, 1.5).tobytes() == denoised
+                assert len(threads) == workers
         finally:
             sys.setswitchinterval(switch)
 
@@ -250,10 +262,10 @@ class TestWorkers:
         monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
         monkeypatch.setattr(native, "usable_cores", lambda: 8)
         for slices, workers in ((17, 1), (19, 2), (37, 4), (80, 8)):
-            solve_threads.clear()
+            threads = solve_threads(workers)
             despeckle_values(np.full((slices, 32, 32), 0.2, np.float32), PreprocessConfig(
                 tv_iterations=1))
-            assert len(solve_threads) == workers
+            assert len(threads) == workers
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # 20 runs of 1,024 pixels fit two workers' buffers

@@ -7,7 +7,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache
@@ -313,8 +312,8 @@ def second_step_peak(names: list[str], split: bool = False) -> int:
               for k in names}
     for p in params.values():
         p.grad = rng.normal(size=p.data.size).astype(np.float32)
-    with ThreadPoolExecutor(1) as pool:
-        opt = Adam(params, pool if split else None)
+    with native.workers(2 if split else 1) as run:
+        opt = Adam(params, run, 2 if split else 1)
         opt.step(1e-3)   # the first step may settle lazy state and start the threads
         tracemalloc.start()
         try:
@@ -849,29 +848,6 @@ class TestTrainBlasCap:
 # Adam workers
 # ---------------------------------------------------------------------------
 
-class JoinedPool(Executor):
-    """Runs each task to its end on a new thread before `submit` returns, so an Adam
-    step's worker, not its caller, takes every parameter."""
-
-    def __init__(self):
-        self.threads = set()
-
-    def submit(self, fn, *args):
-        future = Future()
-
-        def run():
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:
-                future.set_exception(exc)
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        self.threads.add(thread.ident)
-        return future
-
-
 @pytest.fixture
 def adam_threads(monkeypatch):
     """The id of the thread of each flush scope that Adam opens, from now on."""
@@ -927,8 +903,8 @@ class TestAdamWorkers:
             sys.setswitchinterval(switch)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-    @pytest.mark.parametrize("pool_kind", ["threads", "joined"])
-    def test_mixed_dtypes_bytes_equal_at_one_and_two_workers(self, pool_kind):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_mixed_dtypes_bytes_equal_at_one_and_more_workers(self, workers):
         rng = np.random.default_rng(26)
         w0 = [rng.normal(size=shape).astype(dt) for shape, dt in
               (((370, 11), np.float32), ((5,), np.float64), ((3000,), np.float32),
@@ -936,9 +912,9 @@ class TestAdamWorkers:
         grads = [[(rng.normal(size=w.shape) * 10.0 ** rng.uniform(-3, 1)).astype(w.dtype)
                   for w in w0] for _ in range(50)]
 
-        def run(pool):
+        def steps(run=None, n=1):
             params = {f"p{i}": Tensor(w.copy(), requires_grad=True) for i, w in enumerate(w0)}
-            opt = Adam(params, pool)
+            opt = Adam(params, run, n)
             for step_grads in grads:
                 for p, g in zip(params.values(), step_grads):
                     p.grad = g
@@ -949,9 +925,8 @@ class TestAdamWorkers:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)   # hand the GIL between workers as often as possible
         try:
-            with ThreadPoolExecutor(1) as threads:
-                pool = threads if pool_kind == "threads" else JoinedPool()
-                assert run(pool) == run(None)
+            with native.workers(workers) as run:
+                assert steps(run, workers) == steps()
         finally:
             sys.setswitchinterval(switch)
 
@@ -991,26 +966,30 @@ class TestAdamWorkers:
                 if threading.get_ident() != caller:
                     raise MemoryError("adam worker")
         monkeypatch.setattr(training, "flush_subnormals", flush_failing_in_workers)
-        p = Tensor(np.ones(8, np.float32), requires_grad=True)
-        p.grad = np.ones(8, np.float32)
-        with ThreadPoolExecutor(1) as pool:
-            opt = Adam({"p": p}, pool)
+        params = {k: Tensor(np.ones(8, np.float32), requires_grad=True) for k in "pq"}
+        for p in params.values():
+            p.grad = np.ones(8, np.float32)
+        with native.workers(2) as run:
+            opt = Adam(params, run, 2)
             with pytest.raises(MemoryError, match="adam worker"):
                 opt.step(1e-3)
-            assert subnormal_product() != 0.0   # the caller's MXCSR
-            assert pool.submit(subnormal_product).result(timeout=60) != 0.0   # the worker's
+            products = {}
+            run(lambda worker: products.update({worker: subnormal_product()}))
+            assert products[0] != 0.0 and products[1] != 0.0   # the caller's and the worker's
 
-    def test_worker_flushes_subnormals(self, fenv):
+    def test_worker_flushes_subnormals(self, fenv, adam_threads):
+        # two equal parameters: worker 0 (the caller) steps "a", worker 1 steps "w"
         w0 = np.random.default_rng(24).normal(size=64).astype(np.float32)
         grads = zero_tail_grads()
-        p, pool = Tensor(w0.copy(), requires_grad=True), JoinedPool()
-        opt = Adam({"w": p}, pool)
-        for g in grads:
-            p.grad = g
-            opt.step(1e-3)
-        assert pool.threads and threading.get_ident() not in pool.threads
+        params = {k: Tensor(w0.copy(), requires_grad=True) for k in ("a", "w")}
+        with native.workers(2) as run:
+            opt = Adam(params, run, 2)
+            for g in grads:
+                params["a"].grad, params["w"].grad = np.zeros_like(g), g
+                opt.step(1e-3)
+        assert len(set(adam_threads)) == 2 and threading.get_ident() in adam_threads
         assert subnormals(opt.m["w"]) == 0
-        assert_bitwise(p.data, allocating_adam(w0, grads, 1e-3)[0])
+        assert_bitwise(params["w"].data, allocating_adam(w0, grads, 1e-3)[0])
 
     def test_two_worker_step_allocates_no_parameter_sized_array(self):
         assert second_step_peak(["a", "b"], split=True) < 64 << 10
