@@ -18,7 +18,7 @@ units; multiply by 10 only when displaying as dB. Thresholding is strict
 (score > tau) for both metrics.
 
 `score_frame` picks the scored frame and checks that its reference, estimate
-or baseline, saw only earlier frames.
+or baseline, saw only earlier frames of this stack (an estimate's `source`).
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ def score_frame(stack: RasterStack, frame: int, est: DistributionEstimate | None
         if est.timestamp not in seen:
             raise ProvenanceError(f"estimate forecasts from frames up to {est.timestamp!r}, "
                                   f"not from {wanted}")
+        if est.source != stack.digest(stack.timestamps.index(est.timestamp) + 1):
+            raise ProvenanceError(f"estimate was not forecast from this stack's frames up to "
+                                  f"{est.timestamp!r}: its source digest differs")
         return mahalanobis_map(est, to_logit(stack.values[frame]))
     baseline = frame if baseline is None else baseline
     if baseline < 2:

@@ -157,11 +157,11 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
 def forecast(model: Model, stack: RasterStack, sweep: SweepConfig | None = None,
              drop_last: int = 0, stats: dict | None = None) -> DistributionEstimate:
     """Forecast the frame after the first T - `drop_last` frames of `stack`, stamped
-    with the last of them so a scorer can tell which frames it saw."""
+    with the last of them and their digest, so a scorer can tell which frames it saw."""
     if drop_last < 0:
         raise ValidationError(f"drop-last must be >= 0, got {drop_last}")
     seen = max(stack.num_steps - drop_last, 0)
     if seen < 2:
         raise ValidationError(f"only {seen} frames left after --drop-last")
     est = sweep_estimate(model, to_logit(stack.values[:seen]), sweep, stats)
-    return replace(est, timestamp=stack.timestamps[seen - 1])
+    return replace(est, timestamp=stack.timestamps[seen - 1], source=stack.digest(seen))

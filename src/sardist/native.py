@@ -4,7 +4,8 @@ allocator thresholds for good, `trim_malloc` returns its free heap memory,
 and `flush_subnormals` flushes subnormals to zero in one thread for a block.
 Each is a no-op where its library or platform is missing, and none changes
 an output bit. `usable_cores` counts the cores that the despeckle and Adam
-workers may spread over; `workers` runs every worker the package starts.
+workers may spread over, within any cgroup CPU quota; `workers` runs every
+worker the package starts.
 """
 
 from __future__ import annotations
@@ -18,15 +19,29 @@ import threading
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 
+_CGROUP = "/sys/fs/cgroup"   # where `usable_cores` reads the CPU quota
+
+
 def usable_cores() -> int:
-    """Cores this process may run on (all of them where affinity is not exposed)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The affinity count (every core where affinity is not exposed), capped by
+    ceil(quota / period) of the cgroup v2 `cpu.max`, or else of v1 `cpu/cpu.cfs_quota_us`
+    and `cpu/cpu.cfs_period_us`; a missing or unreadable file, `max` or -1 is no quota."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+        os.cpu_count() or 1)
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:   # the first readable version decides
+            quota = [w for name in names for w in Path(_CGROUP, name).read_text("ascii").split()]
+        except (OSError, ValueError):
+            continue
+        if len(quota) == 2 and all(w.isdigit() and int(w) > 0 for w in quota):
+            cores = min(cores, -(-int(quota[0]) // int(quota[1])))
+        break
+    return cores
 
 
 @contextmanager

@@ -18,18 +18,21 @@ scale by a quarter, which returns a exactly (both scalings are powers of
 two) unless 4a overflows, i.e. |a| > 4.49e307, far outside the [-40, 0] dB
 that `clip_unit` allows; so each slice is solved once.
 
-Layout of the solve. Each run of whole slices (at most `_CHUNK_PX` pixels,
-at least one slice) goes through the whole chain alone: float64 cast, dB
-(despeckling only), solve, back, cast into the output. Runs are dealt
-round-robin to workers, the calling thread one: at most the runs, the
-usable cores and as many as fit their buffers in two float32 copies of the
-stack. Each worker's buffers start on a 64-byte boundary (where the heap
-put them moved a solve's time by up to 25 %); numpy drops the GIL inside
-each pass. `despeckle_stacks` solves consecutive stacks of one frame shape
-in one call. An iteration makes 11 passes over 16n floats. It scales g by
-step before t = 1 + |g|, a 2n pass fewer than scaling |g|, with the same
-bits for step > 0: abs only clears the sign bit and IEEE rounding is
-symmetric in sign, so |g*step| == |g|*step.
+`clip_unit` holds the CLIP_EPS bounds of both transforms: `to_logit` clips a
+copy and takes its logit in place, and despeckling clips before dB and after.
+
+Layout of the solve. `despeckle_values` is the one entry to the solver. Each
+run of whole slices (at most `_CHUNK_PX` pixels, at least one slice) goes
+through the whole chain alone: float64 cast, clip, dB, solve, back, clip,
+cast into the output. Runs are dealt round-robin to workers, the calling
+thread one: at most the runs, the usable cores and as many as fit their
+buffers in two float32 copies of the stack. Each worker's buffers start on a
+64-byte boundary (where the heap put them moved a solve's time by up to
+25 %); numpy drops the GIL inside each pass. `despeckle_stacks` solves
+consecutive stacks of one frame shape in one call. An iteration makes 11
+passes over 16n floats. It scales g by step before t = 1 + |g|, a 2n pass
+fewer than scaling |g|, with the same bits for step > 0: abs only clears the
+sign bit and IEEE rounding is symmetric in sign, so |g*step| == |g|*step.
 
 Zero-edge invariant. The x dual is 0 on every slice's last column and the y
 dual on its last row, as are the forward differences there. The
@@ -72,39 +75,25 @@ class PreprocessConfig:
     __post_init__ = check_fields
 
 
-def clip_unit(x: np.ndarray) -> np.ndarray:
-    """Clip into [CLIP_EPS, 1 - CLIP_EPS] so logit and log10 stay finite."""
-    return np.clip(x, CLIP_EPS, 1.0 - CLIP_EPS)
+def clip_unit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Clip into [CLIP_EPS, 1 - CLIP_EPS] (into `out` if given) so logit and log10 stay finite."""
+    return np.clip(x, CLIP_EPS, 1.0 - CLIP_EPS, out=out)
 
 
-def logit(x: np.ndarray) -> np.ndarray:
-    """log(x / (1-x)) for x strictly inside (0, 1)."""
+def logit(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """log(x) - log1p(-x) for x strictly inside (0, 1), in a new array; x is scratch
+    if `overwrite_x`, so the call allocates one array, else two."""
     x = np.asarray(x)
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise ValidationError("logit input must lie strictly inside (0,1); clip first")
-    return np.log(x) - np.log1p(-x)
+    tail = np.negative(x, out=np.empty_like(x))   # an array also for a 0-d x
+    np.log1p(tail, out=tail)
+    return np.subtract(np.log(x, out=x if overwrite_x else None), tail, out=tail)
 
 
 def to_logit(values: np.ndarray) -> np.ndarray:
-    """Backscatter in (0, 1) to the model's logit space, clipped by CLIP_EPS."""
-    return logit(clip_unit(values))
-
-
-def inverse_logit(y: np.ndarray) -> np.ndarray:
-    """Numerically stable 1 / (1 + exp(-y)), saturating strictly inside (0,1).
-
-    Beyond |y| ~ 37 the exact value rounds to 0.0 or 1.0 in float64; the
-    result is clamped to the nearest representable interior values so logit
-    stays applicable to anything this returns.
-    """
-    y = np.asarray(y)
-    out = np.empty_like(y, dtype=np.result_type(y.dtype, np.float32))
-    pos = y >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-    ey = np.exp(y[~pos])
-    out[~pos] = ey / (1.0 + ey)
-    tiny = np.finfo(out.dtype).smallest_subnormal
-    return np.clip(out, tiny, np.nextafter(out.dtype.type(1.0), out.dtype.type(0.0)))
+    """Backscatter to the model's logit space, clipped by CLIP_EPS; peaks at two stacks."""
+    return logit(clip_unit(values), overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +139,6 @@ def _objectives(u: np.ndarray, f: np.ndarray, weight: float, width: int, plane: 
     return 0.5 * scratch[0].reshape(-1, plane).sum(axis=1) + weight * (tv[0] + tv[1])
 
 
-def tv_objective(u: np.ndarray, f: np.ndarray, weight: float) -> float:
-    """0.5*||u-f||^2 + weight * anisotropic TV, summed over all slices."""
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    f = np.ascontiguousarray(f, dtype=np.float64)
-    height, width = u.shape[-2:]
-    rows = _objectives(u.reshape(-1), f.reshape(-1), weight, width, height * width,
-                       np.empty((2, u.size)))
-    return float(np.sum(rows))
-
-
 def _aligned_empty(n: int) -> np.ndarray:
     """n uninitialised float64s starting on a 64-byte (cache-line) boundary."""
     raw = np.empty(n + 8)
@@ -200,13 +179,15 @@ def _tv_solve(f: np.ndarray, u: np.ndarray, weight: float, iterations: int, step
     np.copyto(u.reshape(-1, plane), f.reshape(-1, plane), where=worse[:, None])
 
 
-def _solve_runs(src: np.ndarray, dst: np.ndarray, weight: float, iterations: int,
-                step: float, in_db: bool) -> None:
-    """Solve the (..., H, W) slices of src into dst, in dB if in_db (see Layout)."""
+def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None) -> np.ndarray:
+    """Despeckle (..., H, W) backscatter intensities in (0,1) into float32 (see Layout)."""
+    cfg = cfg or PreprocessConfig()
+    src = np.asarray(values)
     if src.ndim < 2 or src.size == 0:
         raise ValidationError(f"need a non-empty stack of 2-d slices, got shape {src.shape}")
+    out = np.empty(src.shape, np.float32)
     width, plane = src.shape[-1], src.shape[-2] * src.shape[-1]
-    src, dst = src.reshape(-1), dst.reshape(-1)
+    src, dst = src.reshape(-1), out.reshape(-1)
     solve_px = min(src.size, max(1, _CHUNK_PX // plane) * plane)
     runs = [slice(lo, min(lo + solve_px, src.size)) for lo in range(0, src.size, solve_px)]
     sizes = (solve_px, solve_px, 7 * solve_px + 2 * width)   # a worker's f, u and scratch
@@ -218,32 +199,16 @@ def _solve_runs(src: np.ndarray, dst: np.ndarray, weight: float, iterations: int
         for run in runs[first::workers]:
             fr, ur = f[:run.stop - run.start], u[:run.stop - run.start]
             fr[...] = src[run]
-            if in_db:
-                np.log10(np.clip(fr, CLIP_EPS, 1.0 - CLIP_EPS, out=fr), out=fr)
-                fr *= 10.0
-            _tv_solve(fr, ur, weight, iterations, step, width, plane, scratch)
-            if in_db:
-                ur /= 10.0
-                np.clip(np.power(10.0, ur, out=ur), CLIP_EPS, 1.0 - CLIP_EPS, out=ur)
+            np.log10(clip_unit(fr, out=fr), out=fr)
+            fr *= 10.0
+            _tv_solve(fr, ur, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step, width, plane,
+                      scratch)
+            ur /= 10.0
+            clip_unit(np.power(10.0, ur, out=ur), out=ur)
             dst[run] = ur
 
     with native.workers(workers) as run:
         run(work)
-
-
-def tv_denoise(f: np.ndarray, weight: float, iterations: int = 50,
-               step: float = 0.25) -> np.ndarray:
-    """Flip-equivariant anisotropic TV denoise of (..., H, W) slices; step > 0."""
-    out = _aligned_empty(np.size(f)).reshape(np.shape(f))
-    _solve_runs(np.asarray(f), out, weight, iterations, step, in_db=False)
-    return out
-
-
-def despeckle_values(values: np.ndarray, cfg: PreprocessConfig | None = None) -> np.ndarray:
-    """Despeckle (..., H, W) backscatter intensities in (0,1) into float32."""
-    cfg = cfg or PreprocessConfig()
-    out = np.empty(np.shape(values), np.float32)
-    _solve_runs(np.asarray(values), out, cfg.tv_weight_db, cfg.tv_iterations, cfg.tv_step, True)
     return out
 
 

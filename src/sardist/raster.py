@@ -95,19 +95,28 @@ class RasterStack:
     def num_steps(self) -> int:
         return self.values.shape[0]
 
+    def digest(self, frames: int) -> str:
+        """SHA-256 of the first `frames` frames: float32 bytes, then timestamps and pol names."""
+        import hashlib   # here, as it loads OpenSSL: 3 MB of RSS that only scoring needs
+        sha = hashlib.sha256(np.ascontiguousarray(self.values[:frames]))   # no bytes copy
+        sha.update(json.dumps([self.timestamps[:frames], self.pol_names]).encode("utf-8"))
+        return sha.hexdigest()
+
 
 @dataclass
 class DistributionEstimate:
     """Per-pixel forecast of the next frame: mean and standard deviation.
 
     Both arrays have shape (C, H, W) and live in logit space. sigma is
-    strictly positive. timestamp names the last frame the forecast saw.
+    strictly positive. timestamp names the last frame the forecast saw and
+    source the digest of every frame it saw (`RasterStack.digest`).
     """
 
     mu: np.ndarray
     sigma: np.ndarray
     pol_names: tuple[str, str] = ("VV", "VH")
     timestamp: str = "forecast"
+    source: str = ""
 
     def __post_init__(self) -> None:
         self.mu = np.asarray(self.mu, dtype=np.float32)
@@ -353,14 +362,18 @@ def read_delineation(path: str) -> BinaryDelineation:
 
 def write_estimate(est: DistributionEstimate, mu_path: str, sigma_path: str) -> None:
     for path, frame in ((mu_path, est.mu), (sigma_path, est.sigma)):
-        _write_frame(path, frame, est.timestamp, est.pol_names, {"units": "logit"})
+        _write_frame(path, frame, est.timestamp, est.pol_names,
+                     {"units": "logit", "source": est.source})
 
 
 def read_estimate(mu_path: str, sigma_path: str) -> DistributionEstimate:
-    mu, mu_hdr = _read_frame(mu_path, "estimate", one_channel=False)
-    sigma, sigma_hdr = _read_frame(sigma_path, "estimate", one_channel=False)
+    mu, mu_hdr = _read_frame(mu_path, "estimate", key="source", one_channel=False)
+    sigma, sigma_hdr = _read_frame(sigma_path, "estimate", key="source", one_channel=False)
     (mu_time,), (sigma_time,) = mu_hdr["timestamps"], sigma_hdr["timestamps"]
-    if mu.shape != sigma.shape or mu_time != sigma_time:
+    sources = mu_hdr["source"], sigma_hdr["source"]
+    if mu.shape != sigma.shape or mu_time != sigma_time or sources[0] != sources[1]:
         raise FormatError(f"estimate containers disagree: mu {mu.shape} from {mu_time!r} "
-                          f"vs sigma {sigma.shape} from {sigma_time!r}")
-    return DistributionEstimate(mu, sigma, tuple(mu_hdr["pol_names"]), mu_time)
+                          f"vs sigma {sigma.shape} from {sigma_time!r}, sources {sources}")
+    if not isinstance(sources[0], str):
+        raise FormatError(f"{mu_path}: estimate header 'source' is not a string")
+    return DistributionEstimate(mu, sigma, tuple(mu_hdr["pol_names"]), mu_time, sources[0])

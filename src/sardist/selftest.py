@@ -16,7 +16,7 @@ from .disturbance import lower_median, mahalanobis_map, log_ratio_map
 from .evaluation import LabeledScores, pr_curve
 from .inference import SweepConfig, sweep_estimate, window_positions
 from .model import Model, ModelConfig
-from .preprocess import inverse_logit, logit, tv_denoise, tv_objective
+from .preprocess import PreprocessConfig, despeckle_values, to_logit
 from .raster import DistributionEstimate
 from .synth import SynthConfig, generate_scene
 from .training import Adam, nll_loss
@@ -31,7 +31,7 @@ def _require(ok, condition: str) -> None:
 def _check_logit_roundtrip() -> None:
     rng = np.random.default_rng(7)
     x = rng.uniform(1e-4, 1 - 1e-4, size=4096)
-    back = inverse_logit(logit(x))
+    back = 1.0 / (1.0 + np.exp(-to_logit(x)))
     _require(np.max(np.abs(back - x)) < 1e-6, "roundtrip error < 1e-6")
 
 
@@ -83,16 +83,19 @@ def _check_window_positions() -> None:
 
 
 def _check_tv_constant() -> None:
-    u = np.full((16, 16), 3.7)
-    out = tv_denoise(u, weight=1.5, iterations=20, step=0.25)
-    _require(np.max(np.abs(out - u)) < 1e-12, "constant unchanged")
+    u = np.full((16, 16), 0.2, dtype=np.float32)
+    out = despeckle_values(u, PreprocessConfig(tv_iterations=20))
+    _require(np.max(np.abs(out - u)) < 1e-6, "constant unchanged")
 
 
 def _check_tv_descends() -> None:
-    rng = np.random.default_rng(11)
-    f = rng.normal(size=(16, 16))
-    out = tv_denoise(f, weight=1.5, iterations=30, step=0.25)
-    _require(tv_objective(out, f, 1.5) <= tv_objective(f, f, 1.5), "objective does not rise")
+    # 0.5*||x-f||^2 + weight*TV(x) in dB, of the despeckled u and of the input f
+    cfg = PreprocessConfig(tv_iterations=30)
+    values = np.random.default_rng(11).uniform(0.05, 0.5, size=(16, 16)).astype(np.float32)
+    f, u = (10.0 * np.log10(v.astype(np.float64)) for v in (values, despeckle_values(values, cfg)))
+    after, before = (0.5 * np.sum((x - f) ** 2) + cfg.tv_weight_db * sum(
+        np.abs(np.diff(x, axis=a)).sum() for a in (0, 1)) for x in (u, f))
+    _require(after < before, "objective drops")
 
 
 def _check_forward_shapes() -> None:

@@ -722,6 +722,32 @@ class TestModelCommands:
         for frame in ("4", "-1"):
             assert run(*argv, "--frame", frame, "--out", str(tmp_path / "d.rts")) == 0
 
+    @pytest.mark.parametrize("other", ["another scene", "despeckled"])
+    def test_metric_rejects_estimate_of_other_content(self, scored, tmp_path, capsys, other):
+        # scenes of one length share their timestamps, and despeckling keeps
+        # them, so only the frames' content tells these estimates apart
+        if other == "another scene":
+            assert run("synth", "--kind", "scene", "--seed", "2", "--height", "16", "--width",
+                       "16", "--steps", "6", "--out", f"{tmp_path}/s.rts",
+                       "--mask", f"{tmp_path}/m.rts") == 0
+            scored_stack, estimated = f"{tmp_path}/s.rts", f"{scored}/s.rts"
+        else:
+            assert run("despeckle", "--input", f"{scored}/s.rts",
+                       "--out", f"{tmp_path}/den.rts") == 0
+            scored_stack, estimated = f"{scored}/s.rts", f"{tmp_path}/den.rts"
+        assert run("estimate", "--checkpoint", f"{scored}/ckpt", "--input", estimated,
+                   "--drop-last", "2", "--out-mu", f"{tmp_path}/mu.rts",
+                   "--out-sigma", f"{tmp_path}/sigma.rts") == 0
+        argv = ["metric", "--kind", "mahalanobis", "--frame", "-1", "--mu", f"{tmp_path}/mu.rts",
+                "--sigma", f"{tmp_path}/sigma.rts", "--out", f"{tmp_path}/d.rts"]
+        capsys.readouterr()
+        assert run(*argv, "--stack", scored_stack) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}/mu.rts: estimate was not forecast from this "
+                              "stack's frames") and err.count("\n") == 1, err
+        assert not os.path.exists(tmp_path / "d.rts")
+        assert run(*argv, "--stack", estimated) == 0
+
     @pytest.mark.parametrize("baseline, code", [("3", 0), ("4", 1)])
     def test_logratio_baseline_excludes_the_scored_frame(self, scored, tmp_path, capsys,
                                                          baseline, code):

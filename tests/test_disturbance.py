@@ -13,8 +13,11 @@ from sardist.disturbance import (
     threshold_map,
 )
 from sardist.errors import ProvenanceError, ShapeError, ValidationError
+from sardist.inference import SweepConfig, forecast
+from sardist.model import Model, ModelConfig
 from sardist.preprocess import to_logit
 from sardist.raster import DistributionEstimate, RasterStack
+from sardist.synth import SynthConfig, generate_scene
 
 
 def scalar_mahalanobis(est: DistributionEstimate, post: np.ndarray) -> np.ndarray:
@@ -251,7 +254,8 @@ class TestScoreFrame:
     def estimate_after(self, frame: int) -> DistributionEstimate:
         """An estimate stamped as forecast from frames 0..frame."""
         est = random_estimate(np.random.default_rng(frame), h=4, w=4)
-        return DistributionEstimate(est.mu, est.sigma, timestamp=self.stack.timestamps[frame])
+        return DistributionEstimate(est.mu, est.sigma, timestamp=self.stack.timestamps[frame],
+                                    source=self.stack.digest(frame + 1))
 
     def test_estimate_scores_any_later_frame(self):
         est = self.estimate_after(2)
@@ -295,6 +299,39 @@ class TestScoreFrame:
         est = random_estimate(np.random.default_rng(0), h=4, w=4)
         with pytest.raises(ProvenanceError):
             score_frame(self.stack, -1, est)
+
+    @pytest.mark.parametrize("change", ["values", "timestamps", "pol_names", "no source"])
+    def test_estimate_of_other_frames_with_the_same_stamp_rejected(self, change):
+        # the stamp names frame 2, but the frames up to it differ in one value,
+        # a timestamp or a pol name, or the estimate carries no source at all
+        values, stamps, pols = self.stack.values.copy(), list(self.stack.timestamps), ("VV", "VH")
+        if change == "values":
+            values[1, 0, 2, 3] = np.nextafter(values[1, 0, 2, 3], np.float32(1.0))
+        if change == "timestamps":
+            stamps[0] = "2024-02-29"
+        if change == "pol_names":
+            pols = ("HH", "HV")
+        other = RasterStack(values, stamps, pols)
+        est = self.estimate_after(2)
+        if change == "no source":
+            est = DistributionEstimate(est.mu, est.sigma, timestamp=est.timestamp)
+        score_frame(self.stack, 3, self.estimate_after(2))
+        with pytest.raises(ProvenanceError, match=r"^estimate was not forecast from this "
+                                                  r"stack's frames up to '2024-03-03'"):
+            score_frame(other, 3, est)
+
+    def test_estimate_of_another_scene_rejected(self):
+        # synthetic scenes of one length share their timestamps, so only the
+        # content tells scene A's forecast from scene B's
+        model = Model(ModelConfig(input_size=16, patch_size=8, d_model=8, num_heads=2,
+                                  num_layers=1, ff_dim=8), seed=0)
+        (a, _), (b, _) = (generate_scene(SynthConfig(seed=s, height=32, width=32))
+                          for s in (11, 12))
+        assert a.timestamps == b.timestamps
+        est = forecast(model, a, SweepConfig(stride=8), drop_last=2)
+        score_frame(a, -1, est)
+        with pytest.raises(ProvenanceError, match="source digest differs"):
+            score_frame(b, -1, est)
 
     def test_log_ratio_defaults_to_every_earlier_frame(self):
         for frame, baseline, n in ((5, None, 5), (5, 3, 3), (-1, 2, 2), (2, None, 2)):

@@ -147,7 +147,8 @@ class TestTwoImageScores:
         # sigma 1 and mu equal to the pre frame's logits: the pre frame scores
         # 0 and the post frame its largest logit deviation
         pre, post = to_logit(self.values[-2]), to_logit(self.values[-1])
-        est = DistributionEstimate(pre, np.ones_like(pre), timestamp=self.stack.timestamps[-3])
+        est = DistributionEstimate(pre, np.ones_like(pre), timestamp=self.stack.timestamps[-3],
+                                   source=self.stack.digest(3))
         ls = two_image_scores(self.stack, self.truth, est)
         np.testing.assert_array_equal(ls.scores[:16], 0.0)
         expected = np.abs(post - est.mu).max(axis=0).astype(np.float32)

@@ -1,11 +1,14 @@
-"""Tests for `native.workers`, the one way the package spreads work over threads."""
+"""Tests for `native.workers`, the one way the package spreads work over threads, and
+for `native.usable_cores`, which caps how many it starts."""
 
+import os
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from sardist import native
 from sardist.inference import SweepConfig, sweep_estimate
 from sardist.native import workers
 
@@ -113,3 +116,53 @@ class TestWorkers:
         assert [str(e) for e in errors] == ["third forward"]
         assert stub.started <= 7
         assert threading.active_count() == before
+
+
+class TestUsableCores:
+    @pytest.fixture
+    def cgroup(self, tmp_path, monkeypatch):
+        """`write(name, text)`: a file of a fake cgroup directory on 4 affinity cores."""
+        monkeypatch.setattr(native, "_CGROUP", str(tmp_path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        (tmp_path / "cpu").mkdir()
+
+        def write(name: str, text: str) -> None:
+            (tmp_path / name).write_text(text)
+        return write
+
+    @pytest.mark.parametrize("quota, cores", [("100000 100000", 1), ("150000 100000", 2),
+                                              ("50000 100000", 1), ("400000 100000", 4),
+                                              ("900000 100000", 4), ("max 100000", 4)])
+    def test_v2_cpu_max(self, cgroup, quota, cores):
+        cgroup("cpu.max", quota + "\n")
+        assert native.usable_cores() == cores
+
+    @pytest.mark.parametrize("quota, cores", [("100000", 1), ("150000", 2), ("-1", 4)])
+    def test_v1_quota_and_period(self, cgroup, quota, cores):
+        cgroup("cpu/cpu.cfs_quota_us", quota + "\n")
+        cgroup("cpu/cpu.cfs_period_us", "100000\n")
+        assert native.usable_cores() == cores
+
+    def test_v2_read_before_v1(self, cgroup):
+        cgroup("cpu.max", "200000 100000\n")
+        cgroup("cpu/cpu.cfs_quota_us", "100000\n")
+        cgroup("cpu/cpu.cfs_period_us", "100000\n")
+        assert native.usable_cores() == 2
+
+    @pytest.mark.parametrize("files", [{}, {"cpu/cpu.cfs_quota_us": "100000"},
+                                       {"cpu.max": "abc"}, {"cpu.max": "100000"},
+                                       {"cpu.max": "0 100000"}, {"cpu.max": "100000 0"},
+                                       {"cpu.max": b"\xff 100000"}],
+                             ids=["none", "quota without period", "garbage", "one word",
+                                  "zero quota", "zero period", "not ascii"])
+    def test_missing_or_unreadable_quota_is_no_quota(self, cgroup, tmp_path, files):
+        for name, text in files.items():
+            if isinstance(text, bytes):
+                (tmp_path / name).write_bytes(text)
+            else:
+                cgroup(name, text)
+        assert native.usable_cores() == 4
+
+    def test_a_directory_in_place_of_a_file_is_no_quota(self, cgroup, tmp_path):
+        (tmp_path / "cpu.max").mkdir()
+        assert native.usable_cores() == 4

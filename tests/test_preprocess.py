@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 from sardist import native, preprocess
 from sardist.errors import ValidationError
-from sardist.preprocess import (_aligned_empty, CLIP_EPS, PreprocessConfig, clip_unit,
-                                despeckle_stack,
-                                despeckle_values, inverse_logit, logit,
-                                tv_denoise, tv_objective)
+from sardist.preprocess import (_aligned_empty, _tv_solve, CLIP_EPS, PreprocessConfig,
+                                clip_unit, despeckle_stack, despeckle_values, logit, to_logit)
 from sardist.raster import RasterStack
 
 
@@ -27,6 +25,13 @@ class TestClip:
         assert clip_unit(np.float64(0.5)) == 0.5
 
 
+def logistic(y):
+    """1 / (1 + exp(-y)) in float64, the inverse the logit tests check against."""
+    y = np.asarray(y, dtype=np.float64)
+    e = np.exp(-np.abs(y))
+    return np.where(y >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 class TestLogit:
     def test_symmetry_point(self):
         assert logit(np.float64(0.5)) == 0.0
@@ -34,37 +39,35 @@ class TestLogit:
     def test_ln_nine(self):
         assert abs(logit(np.float64(0.9)) - math.log(9.0)) < 1e-12
 
-    def test_inverse_of_ln_nine(self):
-        assert abs(inverse_logit(np.float64(math.log(9.0))) - 0.9) < 1e-12
-
-    def test_inverse_at_zero(self):
-        assert inverse_logit(np.float64(0.0)) == 0.5
-
     def test_roundtrip_specific_points(self):
         for x in (0.01, 0.3, 0.99):
-            assert abs(inverse_logit(logit(np.float64(x))) - x) < 1e-12
+            assert abs(logistic(logit(np.float64(x))) - x) < 1e-12
 
     def test_roundtrip_on_reals(self):
         # beyond |y| ~ 9.1 the float64 quantization of 1-x near 1.0 caps the
         # achievable accuracy, so tight bounds only hold inside that range
         y = np.linspace(-8.0, 8.0, 2001)
-        back = logit(inverse_logit(y))
+        back = logit(logistic(y))
         assert np.max(np.abs(back - y)) < 1e-12
         y = np.linspace(-9.22, 9.22, 2001)   # the clipped pipeline's range
-        back = logit(inverse_logit(y))
+        back = logit(logistic(y))
         assert np.max(np.abs(back - y)) < 3e-12
 
     def test_roundtrip_saturates_gracefully(self):
+        # past y ~ 37 the logistic rounds to 1.0, where logit is undefined;
+        # to_logit clips both tails onto the ends of the pipeline's range
         y = np.linspace(-37.5, 37.5, 101)
-        x = inverse_logit(y)
-        assert np.all(x > 0.0) and np.all(x < 1.0)
-        back = logit(x)   # must not raise
-        assert np.all(np.isfinite(back))
+        x = logistic(y)
+        assert x[0] < CLIP_EPS and x[-1] == 1.0
+        back = to_logit(x)
+        assert np.all(np.isfinite(back)) and np.all(np.diff(back) >= 0)
+        assert back[0] == logit(np.float64(CLIP_EPS))
+        assert back[-1] == logit(np.float64(1.0 - CLIP_EPS))
 
     def test_roundtrip_from_unit_interval(self):
         x = np.concatenate([np.linspace(1e-4, 1.0 - 1e-4, 4001),
                             [1e-9, 1.0 - 1e-9]])
-        back = inverse_logit(logit(x))
+        back = logistic(logit(x))
         assert np.max(np.abs(back - x)) < 1e-12
 
     def test_domain_violation_rejected(self):
@@ -73,23 +76,56 @@ class TestLogit:
         with pytest.raises(ValidationError):
             logit(np.array([0.5, 1.0]))
 
-    @given(st.floats(min_value=-40.0, max_value=40.0),
-           st.floats(min_value=-40.0, max_value=40.0))
-    def test_inverse_monotone(self, y1, y2):
-        lo, hi = sorted((y1, y2))
-        a, b = float(inverse_logit(np.float64(lo))), float(inverse_logit(np.float64(hi)))
-        assert a <= b
-        assert 0.0 < a and b < 1.0
-
     @given(st.floats(min_value=1e-4, max_value=1.0 - 1e-4))
     @settings(max_examples=200)
     def test_roundtrip_property(self, x):
-        assert abs(float(inverse_logit(logit(np.float64(x)))) - x) < 1e-9
+        assert abs(float(logistic(logit(np.float64(x)))) - x) < 1e-9
+
+
+class TestToLogit:
+    # SHA-256 of to_logit of fixed stacks holding exact 0.0 and 1.0 and values
+    # past both ends of (0, 1), recorded when it still clipped and transformed
+    # through temporaries; an in-place rewrite keeps these
+    PINNED = {
+        "float32": "e81c5b8fa0eec7e262aca531fd2487c74317bb37149fce6602dc48cb5b2c3c9a",
+        "float64": "e9ee869d276004addd841bd92c27c2e5bb674d9f902682f9bbb8d934ef12f726",
+    }
+
+    @staticmethod
+    def _values(dtype):
+        rng = np.random.default_rng(32)
+        values = rng.uniform(-0.25, 1.25, size=(3, 2, 24, 20)).astype(np.float32)
+        if dtype == "float64":
+            values = rng.uniform(-0.25, 1.25, size=(3, 2, 24, 20))
+        values.flat[:4] = (0.0, 1.0, 0.5, 1e-5)
+        return values
+
+    @pytest.mark.parametrize("dtype", sorted(PINNED))
+    def test_output_bytes_pinned(self, dtype):
+        values = self._values(dtype)
+        kept = values.copy()
+        out = to_logit(values)
+        assert out.dtype == values.dtype and out.shape == values.shape
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.PINNED[dtype]
+        np.testing.assert_array_equal(values, kept)
+
+    def test_peak_two_stacks(self):
+        # the clipped copy, which log overwrites, and log1p(-x)'s buffer, which takes the result
+        values = np.random.default_rng(6).uniform(0.01, 0.99, size=(9, 2, 128, 128))
+        values = values.astype(np.float32)
+        to_logit(values[:1])   # settle lazy numpy state
+        tracemalloc.start()
+        try:
+            to_logit(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * values.nbytes
 
 
 # ---------------------------------------------------------------------------
 # reference TV solver: one allocating solve per flip orientation, written as
-# plainly as the math; tv_denoise must match it byte for byte
+# plainly as the math; the kernel, `_tv_solve`, must match it byte for byte
 # ---------------------------------------------------------------------------
 
 def _grad(u):
@@ -122,7 +158,7 @@ def _objective(u, f, weight):
     return 0.5 * float(np.sum((u - f) ** 2)) + weight * float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
 
 
-def _tv_solve(f, weight, iterations, step):
+def _solve_once(f, weight, iterations, step):
     """One dual-projection solve on (..., H, W); descent-safeguarded over the whole call."""
     if weight == 0.0:
         return f.copy()
@@ -141,24 +177,32 @@ def _tv_solve(f, weight, iterations, step):
 
 def reference_tv_denoise(f, weight, iterations=50, step=0.25):
     f = np.asarray(f, dtype=np.float64)
-    a = _tv_solve(f, weight, iterations, step)
-    b = _tv_solve(f[..., :, ::-1], weight, iterations, step)[..., :, ::-1]
-    c = _tv_solve(f[..., ::-1, :], weight, iterations, step)[..., ::-1, :]
-    d = _tv_solve(f[..., ::-1, ::-1], weight, iterations, step)[..., ::-1, ::-1]
+    a = _solve_once(f, weight, iterations, step)
+    b = _solve_once(f[..., :, ::-1], weight, iterations, step)[..., :, ::-1]
+    c = _solve_once(f[..., ::-1, :], weight, iterations, step)[..., ::-1, :]
+    d = _solve_once(f[..., ::-1, ::-1], weight, iterations, step)[..., ::-1, ::-1]
     return 0.25 * ((a + b) + (c + d))
 
 
+def tv_kernel(f, weight, iterations=50, step=0.25):
+    """`_tv_solve` of every (..., H, W) slice of f in one call, in the linear domain."""
+    f = np.array(f, dtype=np.float64)   # a contiguous copy
+    height, width = f.shape[-2:]
+    u = np.empty_like(f)
+    _tv_solve(f.reshape(-1), u.reshape(-1), weight, iterations, step, width, height * width,
+              np.empty(7 * f.size + 2 * width))
+    return u
+
+
 class TestTvKernel:
-    # runs of whole slices up to _CHUNK_PX pixels: (3, 2, 64, 64) is solved as
-    # 4 + 2 slices, a short last run; (11, 2, 16, 16) and (2, 50, 99) share one
-    # run; (2, 131, 129) has slices larger than _CHUNK_PX, one per run; 1xN,
-    # Nx1 and 1x1 make whole rows or columns edges
+    # single slices, stacks of many small slices and of slices larger than
+    # _CHUNK_PX; 1xN, Nx1 and 1x1 make whole rows or columns edges
     @pytest.mark.parametrize("shape", [(16, 16), (11, 2, 16, 16), (3, 2, 64, 64), (2, 50, 99),
                                        (2, 131, 129), (1, 9), (9, 1), (1, 1), (7, 5)])
     @pytest.mark.parametrize("kwargs", [{}, {"iterations": 1}, {"iterations": 7, "step": 0.1}])
     def test_bytes_equal_reference(self, shape, kwargs):
         f = np.random.default_rng(sum(shape)).normal(-10.0, 3.0, size=shape)
-        out = tv_denoise(f, 1.5, **kwargs)
+        out = tv_kernel(f, 1.5, **kwargs)
         assert out.shape == f.shape
         assert out.tobytes() == reference_tv_denoise(f, 1.5, **kwargs).tobytes()
 
@@ -167,17 +211,16 @@ class TestTvKernel:
         # objective NaN, and only that slice may come back undenoised
         f = np.random.default_rng(6).normal(-10.0, 3.0, size=(2, 12, 12))
         f[1, 3, 4] = np.nan
-        out = tv_denoise(f, weight=1.5)
-        assert out[0].tobytes() == tv_denoise(f[0], weight=1.5).tobytes()
+        out = tv_kernel(f, weight=1.5)
+        assert out[0].tobytes() == tv_kernel(f[0], weight=1.5).tobytes()
         assert not np.array_equal(out[0], f[0])
         assert np.array_equal(out[1], f[1], equal_nan=True)
 
     def test_empty_slices_rejected(self):
         with pytest.raises(ValidationError):
-            tv_denoise(np.zeros((2, 0, 4)), weight=1.5)
+            despeckle_values(np.zeros((2, 0, 4)))
 
-    @pytest.mark.parametrize("solve", [despeckle_values, lambda v: tv_denoise(v, 1.5)],
-                             ids=["despeckle_values", "tv_denoise"])
+    @pytest.mark.parametrize("solve", [despeckle_values], ids=["despeckle_values"])
     def test_empty_stack_rejected(self, solve):
         with pytest.raises(ValidationError, match=r"got shape \(0, 2, 16, 16\)$"):
             solve(np.zeros((0, 2, 16, 16), np.float32))
@@ -192,16 +235,11 @@ class TestTvKernel:
             assert buf.ctypes.data % 64 == 0
             buf[:] = 1.0
 
-    @pytest.mark.parametrize("shape", [(16, 16), (11, 2, 16, 16), (1, 7)])
-    def test_result_starts_on_a_cache_line(self, shape):
-        f = np.random.default_rng(3).normal(-10.0, 3.0, size=shape)
-        assert tv_denoise(f, 1.5, iterations=2).ctypes.data % 64 == 0
-
 
 def whole_stack_despeckle(values):
-    """despeckle_values as one float64 chain over the whole stack around tv_denoise."""
+    """despeckle_values as one float64 chain over the whole stack around one kernel call."""
     db = 10.0 * np.log10(np.clip(np.array(values, dtype=np.float64), CLIP_EPS, 1.0 - CLIP_EPS))
-    back = 10.0 ** (tv_denoise(db, 1.5) / 10.0)
+    back = 10.0 ** (tv_kernel(db, 1.5) / 10.0)
     return np.clip(back, CLIP_EPS, 1.0 - CLIP_EPS).astype(np.float32)
 
 
@@ -240,7 +278,6 @@ class TestWorkers:
         monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
         monkeypatch.setattr(native, "usable_cores", lambda: 1)
         expected = whole_stack_despeckle(values).tobytes()
-        denoised = tv_denoise(values, 1.5).tobytes()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)   # hand the GIL between workers as often as possible
         try:
@@ -248,9 +285,6 @@ class TestWorkers:
                 monkeypatch.setattr(native, "usable_cores", lambda: workers)
                 threads = solve_threads(workers)
                 assert despeckle_values(values).tobytes() == expected
-                assert len(threads) == workers
-                threads = solve_threads(workers)
-                assert tv_denoise(values, 1.5).tobytes() == denoised
                 assert len(threads) == workers
         finally:
             sys.setswitchinterval(switch)
@@ -285,37 +319,37 @@ class TestWorkers:
 class TestTvDenoise:
     def test_constant_unchanged(self):
         u = np.full((16, 16), -12.5)
-        out = tv_denoise(u, weight=1.5)
+        out = tv_kernel(u, weight=1.5)
         assert np.max(np.abs(out - u)) < 1e-6
 
     def test_objective_descends_on_noise(self):
         rng = np.random.default_rng(0)
         for trial in range(5):
             f = rng.normal(scale=2.0, size=(24, 24))
-            out = tv_denoise(f, weight=1.5)
-            assert tv_objective(out, f, 1.5) <= tv_objective(f, f, 1.5)
+            out = tv_kernel(f, weight=1.5)
+            assert _objective(out, f, 1.5) <= _objective(f, f, 1.5)
 
     @pytest.mark.parametrize("shape", [(20, 20), (3, 2, 20, 20)], ids=["slice", "stack"])
     @pytest.mark.parametrize("axes", [(-1,), (-2,), (-2, -1)], ids=["x", "y", "xy"])
     def test_flip_equivariance_exact(self, shape, axes):
         # each slice is solved once, so equivariance must hold in the solver
         f = np.random.default_rng(1).normal(size=shape)
-        out = tv_denoise(f, weight=1.5)
-        flipped = np.flip(tv_denoise(np.flip(f, axes), weight=1.5), axes)
+        out = tv_kernel(f, weight=1.5)
+        flipped = np.flip(tv_kernel(np.flip(f, axes), weight=1.5), axes)
         assert out.tobytes() == flipped.tobytes()
 
     def test_zero_weight_is_identity(self):
         rng = np.random.default_rng(2)
         f = rng.normal(size=(8, 8))
-        assert np.array_equal(tv_denoise(f, weight=0.0), f)
+        assert np.array_equal(tv_kernel(f, weight=0.0), f)
 
     def test_stacked_slices_match_individual(self):
         rng = np.random.default_rng(3)
         f = rng.normal(size=(3, 2, 12, 12))
-        out = tv_denoise(f, weight=1.0)
+        out = tv_kernel(f, weight=1.0)
         for i in range(3):
             for j in range(2):
-                single = tv_denoise(f[i, j], weight=1.0)
+                single = tv_kernel(f[i, j], weight=1.0)
                 assert np.array_equal(out[i, j], single)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -323,8 +357,8 @@ class TestTvDenoise:
     def test_descent_property(self, seed):
         rng = np.random.default_rng(seed)
         f = rng.normal(scale=3.0, size=(10, 10))
-        out = tv_denoise(f, weight=1.5, iterations=30)
-        assert tv_objective(out, f, 1.5) <= tv_objective(f, f, 1.5) + 1e-9
+        out = tv_kernel(f, weight=1.5, iterations=30)
+        assert _objective(out, f, 1.5) <= _objective(f, f, 1.5) + 1e-9
 
 
 class TestDespeckle:

@@ -283,11 +283,14 @@ class TestTypedWrappers:
 
     def test_estimate_roundtrip_keeps_timestamp(self, tmp_path):
         est = DistributionEstimate(np.zeros((2, 4, 4)), np.ones((2, 4, 4)),
-                                   timestamp="2024-01-25")
+                                   timestamp="2024-01-25", source="ab" * 32)
         mu, sigma = str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")
         write_estimate(est, mu, sigma)
         back = read_estimate(mu, sigma)
         assert back.timestamp == "2024-01-25"
+        assert back.source == "ab" * 32
+        for path in (mu, sigma):
+            assert read_array(path)[1]["source"] == "ab" * 32
         np.testing.assert_array_equal(back.mu, est.mu)
         np.testing.assert_array_equal(back.sigma, est.sigma)
 
@@ -299,6 +302,32 @@ class TestTypedWrappers:
                                                 timestamp=timestamp), mu, sigma)
         with pytest.raises(FormatError, match="2024-01-13"):
             read_estimate(paths[0], paths[3])
+
+    def test_estimate_pair_with_different_sources_rejected(self, tmp_path):
+        paths = [str(tmp_path / n) for n in ("mu_a", "sigma_a", "mu_b", "sigma_b")]
+        for (mu, sigma), source in ((paths[:2], "a" * 64), (paths[2:], "b" * 64)):
+            write_estimate(DistributionEstimate(np.zeros((2, 4, 4)), np.ones((2, 4, 4)),
+                                                timestamp="2024-01-25", source=source), mu, sigma)
+        with pytest.raises(FormatError, match="disagree.*'aaaa.*'bbbb"):
+            read_estimate(paths[0], paths[3])
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_estimate_header_without_source_rejected(self, tmp_path, which):
+        # an estimate written before the source key must be made again
+        paths = [str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")]
+        for i, path in enumerate(paths):
+            extra = {"units": "logit"} if i == which else {"units": "logit", "source": ""}
+            write_array(path, np.ones((1, 2, 4, 4)), ["2024-01-25"], extra=extra)
+        with pytest.raises(FormatError, match=r"estimate header missing 'source'$"):
+            read_estimate(*paths)
+
+    def test_estimate_source_must_be_a_string(self, tmp_path):
+        paths = [str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")]
+        for path in paths:
+            write_array(path, np.ones((1, 2, 4, 4)), ["2024-01-25"],
+                        extra={"units": "logit", "source": 7})
+        with pytest.raises(FormatError, match="'source' is not a string"):
+            read_estimate(*paths)
 
 
 def _tiny_model(seed):

@@ -10,6 +10,16 @@ import sardist
 from sardist.selftest import run_selftest
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sardist.__file__)))
+ROOT = os.path.dirname(SRC)
+
+
+def _names(path: str) -> set[str]:
+    """Every name that the Python file at `path` uses, imports or reads as an attribute."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    return {getattr(node, attr) for node in ast.walk(tree)
+            for attr in ("id", "attr", "name") if isinstance(getattr(node, attr, None), str)
+            and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
 
 
 def test_no_assert_statements_in_the_package():
@@ -21,6 +31,25 @@ def test_no_assert_statements_in_the_package():
         found += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_module_level_def_has_a_caller_outside_selftest_and_tests():
+    # a function or class that only the self-checks and tests name is code
+    # without a production caller; src/ (its own module too), scripts/ and
+    # perfbench/ are callers, a definition does not name itself
+    modules = sorted(glob.glob(os.path.join(SRC, "sardist", "*.py")))
+    callers = [p for p in modules if os.path.basename(p) != "selftest.py"]
+    callers += sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py")))
+    callers += sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+    named = set().union(*map(_names, callers))
+    uncalled = []
+    for path in modules:
+        with open(path, encoding="utf-8") as fh:
+            body = ast.parse(fh.read(), filename=path).body
+        uncalled += [f"{os.path.basename(path)}:{node.name}" for node in body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     and node.name not in named | _names(path)]
+    assert uncalled == []
 
 
 def test_all_checks_pass(capsys):
