@@ -1,12 +1,17 @@
-"""Error taxonomy shared across the package.
+"""Error taxonomy shared across the package, and one rule per kind of input.
 
 Validation failures (bad values, malformed files, contract violations) are
 distinct from storage failures, which are plain OSError, so the CLI can map
-them to separate exit codes.
+them to separate exit codes. `check_seed` takes seeds, `check_fields` config
+fields and `finite_array` the float arrays of `sweep_estimate`, `train`,
+`RasterStack`, `DistributionEstimate` and `DisturbanceMap`: a malformed one is
+a SardistError there, never a numpy error or warning.
 """
 
 import sys
 from dataclasses import field, fields
+
+import numpy as np
 
 
 class SardistError(Exception):
@@ -84,3 +89,21 @@ def check_fields(config) -> None:
         if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
             raise ValidationError(f"{f.name} must be finite, got {_shown(value)}")
         _check_bound(f.name, value, f)
+
+
+def finite_array(values, what: str, axes: str, dtype=np.float32, plural: bool = False):
+    """`values` as a `dtype` array (no copy if it is one) with an axis per letter of `axes`, all
+    finite in `dtype`; else a ShapeError or ValidationError naming `what`, plural if `plural`."""
+    try:
+        values = np.asarray(values)
+    except ValueError:   # numpy's "inhomogeneous shape" of a ragged nested sequence
+        raise ShapeError(f"{what} must be ({','.join(axes)}), got a ragged sequence") from None
+    if values.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must be numeric, got dtype {values.dtype}")
+    with np.errstate(over="ignore"):   # past the dtype's range is inf, rejected below
+        values = values.astype(dtype, copy=False)
+    if values.ndim != len(axes):
+        raise ShapeError(f"{what} must be ({','.join(axes)}), got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what} contain{'' if plural else 's'} non-finite values")
+    return values

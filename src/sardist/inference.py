@@ -37,7 +37,7 @@ import numpy as np
 
 from . import native
 from .autodiff import no_grad
-from .errors import ValidationError, bound, check_fields
+from .errors import ValidationError, bound, check_fields, finite_array
 from .model import Model
 from .native import one_blas_thread, pin_malloc, trim_malloc
 from .preprocess import to_logit
@@ -87,12 +87,7 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
     `stats`, if given, receives the sweep's deterministic facts: `windows`,
     `windows_per_forward` and `mallopt_pinned`."""
     cfg = cfg or SweepConfig()
-    with np.errstate(over="ignore"):   # past float32's range is inf, rejected below
-        frames_logit = np.asarray(frames_logit, dtype=np.float32)
-    if frames_logit.ndim != 4:
-        raise ValidationError(f"expected (T,C,H,W), got {frames_logit.shape}")
-    if not np.isfinite(frames_logit).all():
-        raise ValidationError("frames contain non-finite values")
+    frames_logit = finite_array(frames_logit, "frames", "TCHW", plural=True)
     t, c, height, width = frames_logit.shape
     size = model.cfg.input_size
     if cfg.stride > size:
@@ -149,9 +144,7 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
         stats.update(windows=windows, windows_per_forward=per_forward, mallopt_pinned=pinned)
     # the windows are a product grid, so a pixel's cover is its row's times its column's
     count = np.outer(_coverage(height, rows, size), _coverage(width, cols, size))
-    mu = (mu_sum / count).astype(np.float32)
-    sigma = (sigma_sum / count).astype(np.float32)
-    return DistributionEstimate(mu, sigma)
+    return DistributionEstimate(mu_sum / count, sigma_sum / count)   # it casts to float32
 
 
 def forecast(model: Model, stack: RasterStack, sweep: SweepConfig | None = None,

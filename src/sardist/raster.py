@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, ValidationError
+from .errors import FormatError, ShapeError, ValidationError, finite_array
 
 MAGIC = b"RTS0"
 DTYPE_TAG = "f32le"
@@ -57,16 +57,13 @@ class RasterStack:
     unit_range: InitVar[bool] = True
 
     def __post_init__(self, unit_range: bool) -> None:
-        self.values = np.asarray(self.values, dtype=np.float32)
         self.timestamps = list(self.timestamps)
         self.pol_names = tuple(self.pol_names)
         self.validate(unit_range)
 
     def validate(self, unit_range: bool = True) -> None:
-        """Check every invariant; `unit_range=False` skips only the (0,1) check."""
-        v = self.values
-        if v.ndim != 4:
-            raise ShapeError(f"stack must be 4-d (T,C,H,W), got shape {v.shape}")
+        """Check every invariant, casting values to float32; `unit_range=False` skips (0,1)."""
+        self.values = v = finite_array(self.values, "stack", "TCHW")
         t, c, h, w = v.shape
         if t < 2:
             raise ValidationError(f"stack needs at least 2 frames, got {t}")
@@ -75,21 +72,15 @@ class RasterStack:
         if h < 1 or w < 1:
             raise ShapeError(f"empty spatial extent {h}x{w}")
         if len(self.timestamps) != t:
-            raise ValidationError(
-                f"{len(self.timestamps)} timestamps for {t} frames"
-            )
+            raise ValidationError(f"{len(self.timestamps)} timestamps for {t} frames")
         for a, b in zip(self.timestamps, self.timestamps[1:]):
             if not a < b:
                 raise ValidationError(f"timestamps not strictly increasing: {a!r} >= {b!r}")
         if len(self.pol_names) != 2:
             raise ValidationError(f"expected 2 pol names, got {self.pol_names!r}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("values contain NaN or Inf")
         if unit_range and (np.any(v <= 0.0) or np.any(v >= 1.0)):
-            lo, hi = float(v.min()), float(v.max())
-            raise ValidationError(
-                f"backscatter values must lie strictly inside (0,1); found range [{lo}, {hi}]"
-            )
+            raise ValidationError("backscatter values must lie strictly inside (0,1); "
+                                  f"found range [{float(v.min())}, {float(v.max())}]")
 
     @property
     def num_steps(self) -> int:
@@ -119,16 +110,12 @@ class DistributionEstimate:
     source: str = ""
 
     def __post_init__(self) -> None:
-        self.mu = np.asarray(self.mu, dtype=np.float32)
-        self.sigma = np.asarray(self.sigma, dtype=np.float32)
-        if self.mu.ndim != 3 or self.mu.shape[0] != 2:
+        self.mu = finite_array(self.mu, "mu", "CHW")
+        self.sigma = finite_array(self.sigma, "sigma", "CHW")
+        if self.mu.shape[0] != 2:
             raise ShapeError(f"mu must be (2,H,W), got {self.mu.shape}")
         if self.sigma.shape != self.mu.shape:
-            raise ShapeError(
-                f"sigma shape {self.sigma.shape} != mu shape {self.mu.shape}"
-            )
-        if not np.all(np.isfinite(self.mu)) or not np.all(np.isfinite(self.sigma)):
-            raise ValidationError("estimate contains non-finite values")
+            raise ShapeError(f"sigma shape {self.sigma.shape} != mu shape {self.mu.shape}")
         if not np.all(self.sigma > 0):
             raise ValidationError("sigma must be strictly positive")
 
@@ -141,13 +128,9 @@ class DisturbanceMap:
     units: str
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 2:
-            raise ShapeError(f"metric map must be 2-d, got {self.values.shape}")
+        self.values = finite_array(self.values, "metric map", "HW")
         if self.units not in METRIC_UNITS:
             raise ValidationError(f"unknown units {self.units!r}, expected one of {METRIC_UNITS}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("metric map contains non-finite values")
         if np.any(self.values < 0):
             raise ValidationError("metric map values must be >= 0")
 
@@ -285,6 +268,15 @@ def read_array(path: str) -> tuple[np.ndarray, dict]:
 # typed wrappers
 # ---------------------------------------------------------------------------
 
+def _typed(paths: list[str], make, *args, **kwargs):
+    """make(*args, **kwargs), the type a reader returns; a ValidationError from its checks,
+    which know no file, gets `paths` before its message."""
+    try:
+        return make(*args, **kwargs)
+    except ValidationError as exc:
+        raise type(exc)(f"{', '.join(paths)}: {exc}") from None
+
+
 def write_stack(stack: RasterStack, path: str) -> None:
     stack.validate()
     write_array(path, stack.values, stack.timestamps, stack.pol_names)
@@ -297,11 +289,8 @@ def read_stack(path: str, allow_raw: bool = False) -> RasterStack:
     that has not been clipped yet).
     """
     values, header = read_array(path)
-    try:
-        return RasterStack(values, header["timestamps"], header["pol_names"],
-                           unit_range=not allow_raw)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return _typed([path], RasterStack, values, header["timestamps"], header["pol_names"],
+                  unit_range=not allow_raw)
 
 
 def _write_frame(path: str, frame: np.ndarray, timestamp: str,
@@ -344,7 +333,7 @@ def write_metric_map(dmap: DisturbanceMap, path: str) -> None:
 def read_metric_map(path: str) -> DisturbanceMap:
     frame, header = _read_frame(path, "metric map", key="units")
     units = header["units"]
-    return DisturbanceMap(frame[0], "log10_ratio" if units == "decibels" else units)
+    return _typed([path], DisturbanceMap, frame[0], "log10_ratio" if units == "decibels" else units)
 
 
 def write_delineation(delineation: BinaryDelineation, path: str) -> None:
@@ -357,7 +346,7 @@ def read_delineation(path: str) -> BinaryDelineation:
     threshold = header["threshold"]
     if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
         raise FormatError(f"{path}: delineation threshold must be a number, got {threshold!r}")
-    return BinaryDelineation(frame[0] > 0.5, float(threshold))
+    return _typed([path], BinaryDelineation, frame[0] > 0.5, float(threshold))
 
 
 def write_estimate(est: DistributionEstimate, mu_path: str, sigma_path: str) -> None:
@@ -376,4 +365,5 @@ def read_estimate(mu_path: str, sigma_path: str) -> DistributionEstimate:
                           f"vs sigma {sigma.shape} from {sigma_time!r}, sources {sources}")
     if not isinstance(sources[0], str):
         raise FormatError(f"{mu_path}: estimate header 'source' is not a string")
-    return DistributionEstimate(mu, sigma, tuple(mu_hdr["pol_names"]), mu_time, sources[0])
+    return _typed([mu_path, sigma_path], DistributionEstimate, mu, sigma,
+                  tuple(mu_hdr["pol_names"]), mu_time, sources[0])

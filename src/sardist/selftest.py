@@ -64,8 +64,7 @@ def _check_metric_shapes() -> None:
     rng = np.random.default_rng(3)
     mu = rng.normal(size=(2, 8, 8))
     sigma = np.abs(rng.normal(size=(2, 8, 8))) + 0.5
-    est = DistributionEstimate(mu=mu.astype(np.float32),
-                               sigma=sigma.astype(np.float32))
+    est = DistributionEstimate(mu=mu, sigma=sigma)
     post = rng.normal(size=(2, 8, 8)).astype(np.float32)
     dmap = mahalanobis_map(est, post)
     _require(dmap.values.shape == (8, 8), "mahalanobis map shape (8, 8)")

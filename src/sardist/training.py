@@ -52,7 +52,7 @@ import numpy as np
 
 from . import native
 from .autodiff import Tensor
-from .errors import ValidationError, bound, check_fields, check_seed
+from .errors import ValidationError, bound, check_fields, check_seed, finite_array
 from .model import Model, ModelConfig
 from .native import flush_subnormals, one_blas_thread, pin_malloc
 from .synth import splitmix64
@@ -222,17 +222,9 @@ def train(model: Model, cfg: TrainConfig, sequences: np.ndarray,
     `blas_capped`, `cpu_s` (the loop's process CPU seconds) and `epoch_step_seconds`,
     the mean wall time of a step in each finished epoch."""
     _check_t_max(model.cfg, cfg)
-    sequences = np.asarray(sequences)
-    if sequences.dtype.kind not in "biuf":
-        raise ValidationError(f"corpus must be numeric, got dtype {sequences.dtype}")
-    with np.errstate(over="ignore"):   # past the model dtype's range is inf, rejected below
-        sequences = sequences.astype(model.dtype, copy=False)
-    if sequences.ndim != 5:
-        raise ValidationError(f"corpus must be (N,steps,C,H,W), got {sequences.shape}")
+    sequences = finite_array(sequences, "corpus", "NTCHW", model.dtype)
     if sequences.size == 0:
         raise ValidationError(f"corpus is empty, shape {sequences.shape}")
-    if not np.isfinite(sequences).all():
-        raise ValidationError("corpus contains non-finite values")
     batch_rng = np.random.default_rng(splitmix64(cfg.seed, 1))
     drop_rng = np.random.default_rng(splitmix64(cfg.seed, 2))
     steps_per_epoch = cfg.steps_per_epoch

@@ -18,6 +18,7 @@ from sardist.inference import SweepConfig
 from sardist.model import Model, ModelConfig, save_checkpoint
 from sardist.raster import (
     RasterStack,
+    read_array,
     read_delineation,
     read_estimate,
     read_mask,
@@ -747,6 +748,20 @@ class TestModelCommands:
                               "stack's frames") and err.count("\n") == 1, err
         assert not os.path.exists(tmp_path / "d.rts")
         assert run(*argv, "--stack", estimated) == 0
+
+    def test_metric_names_the_estimate_file_that_holds_a_nan(self, scored, tmp_path, capsys):
+        # it used to print "error: estimate contains non-finite values", naming no file
+        values, header = read_array(str(scored / "mu.rts"))
+        values[0, 1, 2, 3] = np.nan
+        mu, sigma = str(tmp_path / "mu.rts"), str(scored / "sigma.rts")
+        write_array(mu, values, header["timestamps"], header["pol_names"],
+                    {"units": header["units"], "source": header["source"]})
+        capsys.readouterr()
+        assert run("metric", "--kind", "mahalanobis", "--stack", str(scored / "s.rts"),
+                   "--mu", mu, "--sigma", sigma, "--out", str(tmp_path / "d.rts")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {mu}, {sigma}: mu contains non-finite values\n", err
+        assert not os.path.exists(tmp_path / "d.rts")
 
     @pytest.mark.parametrize("baseline, code", [("3", 0), ("4", 1)])
     def test_logratio_baseline_excludes_the_scored_frame(self, scored, tmp_path, capsys,

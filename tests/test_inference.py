@@ -1,8 +1,6 @@
 """Tests for the sliding-window scene sweep."""
 
 import hashlib
-import os
-import subprocess
 import sys
 import threading
 import time
@@ -27,26 +25,7 @@ from sardist.preprocess import clip_unit, logit, to_logit
 from sardist.raster import RasterStack
 from sardist.training import nll_loss
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(inference.__file__)))
-
-
-class ConstantStub:
-    """Model stand-in that forecasts a constant everywhere."""
-
-    def __init__(self, size: int, mu_value: float = 1.0, sigma_value: float = 1.0):
-        self.cfg = SimpleNamespace(input_size=size)
-        self.mu_value = mu_value
-        self.sigma_value = sigma_value
-        self.windows_seen = 0
-        self.forward_sizes = []
-
-    def forward(self, x, train=False, rng=None):
-        b, t, c, h, w = x.shape
-        self.windows_seen += b
-        self.forward_sizes.append(b)
-        mu = Tensor(np.full((b, c, h, w), self.mu_value, dtype=np.float32))
-        sigma = Tensor(np.full((b, c, h, w), self.sigma_value, dtype=np.float32))
-        return mu, sigma
+from conftest import ConstantStub, run_under_optimize
 
 
 def tiny_model(seed=0) -> Model:
@@ -463,25 +442,19 @@ class TestSweepValidation:
         assert stub.windows_seen == 0
 
     def test_non_finite_frames_rejected_under_optimize(self):
-        # python -O strips asserts and -W error makes any warning an exception
-        code = ("import numpy as np\n"
-                "from sardist.errors import ValidationError\n"
-                "from sardist.inference import sweep_estimate\n"
-                "from sardist.model import Model, ModelConfig\n"
-                "frames = np.zeros((5, 2, 8, 8), np.float32)\n"
-                "frames[1, 0, 2, 2] = np.inf\n"
-                "model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,"
-                " num_layers=1, ff_dim=8), seed=0)\n"
-                "try:\n"
-                "    sweep_estimate(model, frames)\n"
-                "except ValidationError as exc:\n"
-                "    print(exc)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, "frames contain non-finite values\n", "")
+        assert run_under_optimize(
+            "import numpy as np\n"
+            "from sardist.errors import ValidationError\n"
+            "from sardist.inference import sweep_estimate\n"
+            "from sardist.model import Model, ModelConfig\n"
+            "frames = np.zeros((5, 2, 8, 8), np.float32)\n"
+            "frames[1, 0, 2, 2] = np.inf\n"
+            "model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,"
+            " num_layers=1, ff_dim=8), seed=0)\n"
+            "try:\n"
+            "    sweep_estimate(model, frames)\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n") == (0, "frames contain non-finite values\n", "")
 
     def test_scene_smaller_than_window_rejected(self):
         with pytest.raises(ValidationError):

@@ -12,15 +12,7 @@ from sardist import native
 from sardist.inference import SweepConfig, sweep_estimate
 from sardist.native import workers
 
-from test_inference import ConstantStub
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """Every `threading.Thread` started from now on."""
-    threads, start = [], threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda t: (threads.append(t), start(t))[1])
-    return threads
+from conftest import ConstantStub
 
 
 class TestWorkers:
@@ -119,6 +111,18 @@ class TestWorkers:
 
 
 class TestUsableCores:
+    def test_counts_the_affinity_mask(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity mask on this platform")
+        assert native.usable_cores() == len(os.sched_getaffinity(0))
+
+    def test_without_affinity_counts_the_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert native.usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert native.usable_cores() == 1
+
     @pytest.fixture
     def cgroup(self, tmp_path, monkeypatch):
         """`write(name, text)`: a file of a fake cgroup directory on 4 affinity cores."""

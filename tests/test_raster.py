@@ -272,6 +272,33 @@ class TestTypedWrappers:
         with pytest.raises(FormatError, match="del.rts"):
             read_delineation(str(path))
 
+    @pytest.mark.parametrize("kind, content, message", [
+        ("metric map", -1.0, "metric map values must be >= 0"),
+        ("delineation", 0.0, "threshold must be finite and > 0, got 0.0"),
+        ("estimate", np.nan, "mu contains non-finite values"),
+    ])
+    def test_content_error_names_the_file(self, tmp_path, kind, content, message):
+        # the types' own checks do not know the file; only read_stack used to name it
+        path = str(tmp_path / "bad.rts")
+        if kind == "metric map":
+            write_array(path, np.full((1, 1, 4, 4), content), ["metric"], ("metric",),
+                        extra={"units": "standard_deviations"})
+            read, paths = read_metric_map, (path,)
+        elif kind == "delineation":
+            write_array(path, np.zeros((1, 1, 4, 4)), ["mask"], ("mask",),
+                        extra={"threshold": content})
+            read, paths = read_delineation, (path,)
+        else:
+            write_array(path, np.full((1, 2, 4, 4), content), ["2024-01-25"],
+                        extra={"units": "logit", "source": ""})
+            sigma = str(tmp_path / "sigma.rts")
+            write_array(sigma, np.ones((1, 2, 4, 4)), ["2024-01-25"],
+                        extra={"units": "logit", "source": ""})
+            read, paths = read_estimate, (path, sigma)
+        with pytest.raises(ValidationError) as info:
+            read(*paths)
+        assert str(info.value) == f"{', '.join(paths)}: {message}"
+
     def test_estimate_validation(self):
         mu = np.zeros((2, 4, 4), np.float32)
         sigma = np.ones((2, 4, 4), np.float32)

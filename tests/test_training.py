@@ -1,8 +1,6 @@
 """Tests for the training loop: objective, optimizer, batching, gradient checks."""
 
 import math
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -32,6 +30,7 @@ from sardist.training import (
     train,
 )
 
+from conftest import run_under_optimize
 from gradcheck import gradient_check, relative_error
 
 HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -495,9 +494,6 @@ class TestSampleBatch:
 # training loop
 # ---------------------------------------------------------------------------
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(model_module.__file__)))
-
-
 def small_corpus(seed=0, n=8, steps=11, c=2, side=4, scale=0.1) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, scale, size=(n, steps, c, side, side)).astype(np.float32)
@@ -584,27 +580,18 @@ class TestTrainLoop:
     def train_under_optimize(corpus: str) -> tuple:
         """(exit code, stdout, stderr) of `train` on the corpus that the code `corpus`
         builds, run by python -O (no asserts) -W error (any warning raises)."""
-        code = ("import numpy as np\n"
-                "from sardist.errors import ValidationError\n"
-                "from sardist.model import Model, ModelConfig\n"
-                "from sardist.training import TrainConfig, train\n"
-                f"{corpus}\n"
-                "model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,"
-                " num_layers=1, ff_dim=8), seed=0)\n"
-                "try:\n"
-                "    train(model, TrainConfig(batch_size=2, epochs=1), corpus)\n"
-                "except ValidationError as exc:\n"
-                "    print(exc)\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        return proc.returncode, proc.stdout, proc.stderr
-
-    def test_non_finite_corpus_rejected_under_optimize(self):
-        assert self.train_under_optimize(
-            "corpus = np.zeros((4, 11, 2, 4, 4), np.float32)\n"
-            "corpus[2, 3, 1, 0, 0] = np.nan") == (0, "corpus contains non-finite values\n", "")
+        return run_under_optimize(
+            "import numpy as np\n"
+            "from sardist.errors import ValidationError\n"
+            "from sardist.model import Model, ModelConfig\n"
+            "from sardist.training import TrainConfig, train\n"
+            f"{corpus}\n"
+            "model = Model(ModelConfig(input_size=4, patch_size=2, d_model=8, num_heads=2,"
+            " num_layers=1, ff_dim=8), seed=0)\n"
+            "try:\n"
+            "    train(model, TrainConfig(batch_size=2, epochs=1), corpus)\n"
+            "except ValidationError as exc:\n"
+            "    print(exc)\n")
 
     @pytest.mark.parametrize("big", [1e300, -1e300])
     def test_float64_corpus_past_float32_range_rejected(self, big, monkeypatch):
@@ -618,11 +605,6 @@ class TestTrainLoop:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="^corpus contains non-finite values$"):
                 train(model, TrainConfig(batch_size=2, epochs=1, steps_per_epoch=1), corpus)
-
-    def test_float64_corpus_past_float32_range_rejected_under_optimize(self):
-        assert self.train_under_optimize(
-            "corpus = np.zeros((2, 11, 2, 4, 4))\n"
-            "corpus[1, 3, 1, 0, 0] = 1e300") == (0, "corpus contains non-finite values\n", "")
 
     def test_float32_corpus_not_copied(self, monkeypatch):
         # the cast to the model's dtype draws batches from the caller's own array
@@ -870,14 +852,6 @@ def split(monkeypatch):
     monkeypatch.setattr(training, "_ADAM_SPLIT_FLOATS", 1)
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """Every `threading.Thread` started from now on."""
-    threads, start = [], threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda t: (threads.append(t), start(t))[1])
-    return threads
-
-
 class TestAdamWorkers:
     CFG = TrainConfig(batch_size=1, epochs=3, lr_initial=1e-3, lr_after_decay=1e-4,
                       decay_epoch=2, steps_per_epoch=3, seed=6)
@@ -1016,20 +990,6 @@ class TestAdamWorkers:
         p.grad = np.ones_like(p.data)
         Adam({"p": p}).step(1e-3)
         assert started == []
-
-
-class TestUsableCores:
-    def test_counts_the_affinity_mask(self):
-        if not hasattr(os, "sched_getaffinity"):
-            pytest.skip("no affinity mask on this platform")
-        assert native.usable_cores() == len(os.sched_getaffinity(0))
-
-    def test_without_affinity_counts_the_cpus(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert native.usable_cores() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert native.usable_cores() == 1
 
 
 # ---------------------------------------------------------------------------
