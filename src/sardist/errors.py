@@ -4,8 +4,9 @@ Validation failures (bad values, malformed files, contract violations) are
 distinct from storage failures, which are plain OSError, so the CLI can map
 them to separate exit codes. `check_seed` takes seeds, `check_fields` config
 fields and `finite_array` the float arrays of `sweep_estimate`, `train`,
-`RasterStack`, `DistributionEstimate` and `DisturbanceMap`: a malformed one is
-a SardistError there, never a numpy error or warning.
+`RasterStack`, `DistributionEstimate` and `DisturbanceMap`, and `float_array`
+(its dtype rule alone) that of `despeckle_values`: a malformed one is a
+SardistError there, never a numpy error or warning.
 """
 
 import sys
@@ -91,17 +92,22 @@ def check_fields(config) -> None:
         _check_bound(f.name, value, f)
 
 
-def finite_array(values, what: str, axes: str, dtype=np.float32, plural: bool = False):
-    """`values` as a `dtype` array (no copy if it is one) with an axis per letter of `axes`, all
-    finite in `dtype`; else a ShapeError or ValidationError naming `what`, plural if `plural`."""
+def float_array(values, what: str, layout: str, dtype=np.float32) -> np.ndarray:
+    """`values` as a `dtype` array (no copy if it is one), inf past its range and with no
+    warning; a ragged or non-numeric one is a ShapeError or ValidationError naming `what`."""
     try:
         values = np.asarray(values)
     except ValueError:   # numpy's "inhomogeneous shape" of a ragged nested sequence
-        raise ShapeError(f"{what} must be ({','.join(axes)}), got a ragged sequence") from None
+        raise ShapeError(f"{what} must be ({layout}), got a ragged sequence") from None
     if values.dtype.kind not in "biuf":
         raise ValidationError(f"{what} must be numeric, got dtype {values.dtype}")
-    with np.errstate(over="ignore"):   # past the dtype's range is inf, rejected below
-        values = values.astype(dtype, copy=False)
+    with np.errstate(over="ignore"):
+        return values.astype(dtype, copy=False)
+
+
+def finite_array(values, what: str, axes: str, dtype=np.float32, plural: bool = False):
+    """`float_array`, then an axis per letter of `axes`, all finite; else errors naming `what`."""
+    values = float_array(values, what, ",".join(axes), dtype)
     if values.ndim != len(axes):
         raise ShapeError(f"{what} must be ({','.join(axes)}), got shape {values.shape}")
     if not np.isfinite(values).all():

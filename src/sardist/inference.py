@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,4 +157,5 @@ def forecast(model: Model, stack: RasterStack, sweep: SweepConfig | None = None,
     if seen < 2:
         raise ValidationError(f"only {seen} frames left after --drop-last")
     est = sweep_estimate(model, to_logit(stack.values[:seen]), sweep, stats)
-    return replace(est, timestamp=stack.timestamps[seen - 1], source=stack.digest(seen))
+    est.timestamp, est.source = stack.timestamps[seen - 1], stack.digest(seen)
+    return est

@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, ValidationError, finite_array
+from .errors import FormatError, ShapeError, ValidationError, _shown, finite_array
 
 MAGIC = b"RTS0"
 DTYPE_TAG = "f32le"
@@ -344,8 +344,9 @@ def write_delineation(delineation: BinaryDelineation, path: str) -> None:
 def read_delineation(path: str) -> BinaryDelineation:
     frame, header = _read_frame(path, "delineation", key="threshold", binary=True)
     threshold = header["threshold"]
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-        raise FormatError(f"{path}: delineation threshold must be a number, got {threshold!r}")
+    if type(threshold) not in (int, float) or abs(threshold) >= 2 ** 1024:   # float() overflows
+        raise FormatError(f"{path}: delineation threshold must be a number in float range, "
+                          f"got {_shown(threshold)}")
     return _typed([path], BinaryDelineation, frame[0] > 0.5, float(threshold))
 
 

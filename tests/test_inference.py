@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sardist import inference, native
+from sardist import inference, native, raster
 from sardist.autodiff import Tensor
-from sardist.errors import ValidationError
+from sardist.errors import ValidationError, finite_array
 from sardist.inference import SweepConfig, forecast, sweep_estimate, window_positions
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import clip_unit, logit, to_logit
@@ -494,6 +494,20 @@ class TestEstimateFromStack:
         np.testing.assert_array_equal(est.mu, direct.mu)
         assert est.timestamp == stack.timestamps[4 - drop_last]
         assert direct.timestamp not in stack.timestamps   # the sweep alone stamps nothing
+
+    def test_validates_frames_mu_and_sigma_once(self, monkeypatch):
+        # stamping the estimate through `dataclasses.replace` reran its checks, so
+        # mu and sigma went through finite_array twice
+        stack, calls = five_frame_stack(), []
+
+        def counting(values, what, *args, **kwargs):
+            calls.append(what)
+            return finite_array(values, what, *args, **kwargs)
+        monkeypatch.setattr(inference, "finite_array", counting)
+        monkeypatch.setattr(raster, "finite_array", counting)
+        est = forecast(ConstantStub(size=8), stack)
+        assert calls == ["frames", "mu", "sigma"]
+        assert (est.timestamp, est.source) == (stack.timestamps[-1], stack.digest(5))
 
     @pytest.mark.parametrize("drop_last, message", [
         (-1, "drop-last must be >= 0, got -1"),

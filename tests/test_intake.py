@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from sardist.errors import SardistError
+from sardist.errors import SardistError, ValidationError
 from sardist.inference import sweep_estimate
 from sardist.model import Model, ModelConfig
+from sardist.preprocess import despeckle_values
 from sardist.raster import DistributionEstimate, DisturbanceMap, RasterStack
 from sardist.training import TrainConfig, train
 
@@ -92,3 +93,30 @@ def test_non_finite_value_rejected_under_optimize(entry, value):
         "    print(exc)\n")
     assert (code, err) == (0, "")
     assert re.fullmatch(r"[a-z ]+ contains? non-finite values\n", out), out
+
+
+# despeckle_values clips NaN and infinity rather than refusing them, so it takes only
+# the dtype rule (`errors.float_array`): its stack is (..., H, W) backscatter
+DESPECKLE_INPUT = np.full((2, 2, 4, 4), 0.5, np.float32)
+
+
+@pytest.mark.parametrize("malformed", ["string", "ragged", "complex", "object"])
+def test_despeckle_refuses_a_non_numeric_array(malformed):
+    # a string array used to leak numpy's ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^backscatter must be "):
+            despeckle_values(MALFORMED[malformed](DESPECKLE_INPUT))
+
+
+def test_despeckle_clips_non_finite_and_past_float32_values_without_warning():
+    values = DESPECKLE_INPUT.astype(np.float64)
+    values[0, 0, 0, :3] = (1e39, np.inf, -np.inf)
+    values[1, 0, 0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = despeckle_values(values)
+    # past float32 and infinite values are clipped like any other; a slice holding a NaN
+    # fails the descent check and comes back as its input, but for the dB round trip
+    assert out[0].tobytes() == despeckle_values(np.clip(values[0], 1e-4, 1 - 1e-4)).tobytes()
+    np.testing.assert_allclose(out[1, 0], values[1, 0], rtol=1e-6)   # NaN where it was

@@ -30,6 +30,12 @@ def test_repo_against_itself(tmp_path):
         assert os.path.isfile(tmp_path / "runs" / f"{side}-1" / "result-prepare-corpus-trace0.json")
 
 
+def test_outputs_differ_compares_within_each_side():
+    proc = run(ROOT, ROOT, "--outputs-differ")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "digests that differ between sides: none"
+
+
 def test_failed_run_exits_one_and_says_why(tmp_path):
     proc = run(str(tmp_path), ROOT)
     assert proc.returncode == 1
@@ -37,13 +43,37 @@ def test_failed_run_exits_one_and_says_why(tmp_path):
     assert proc.stdout.splitlines()[-1] == "1 run(s) not correct"
 
 
-def test_digest_mismatch_named():
+def load_script():
     spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPT)
     perf_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(perf_pairs)
+    return perf_pairs
+
+
+def test_digest_mismatch_named():
+    perf_pairs = load_script()
     same = {"digests": {"setup": ["s"], "ops": ["a", "b"]}}
     assert perf_pairs.digest_mismatches([same, same]) == []
     # a longer run adds ops the shorter one lacks, which is no mismatch
     other = {"digests": {"setup": ["s", "t"], "ops": ["a", "c", "d"]}}
     assert perf_pairs.digest_mismatches([same, other]) == [
         "set-up: 2 distinct digests", "op 1: 2 distinct digests"]
+
+
+def test_digests_that_differ_between_sides_fail_only_without_the_flag():
+    report = load_script().digest_report
+    parent = {"digests": {"setup": ["s"], "ops": ["a", "b", "x", "y"]}}
+    change = {"digests": {"setup": ["s"], "ops": ["a", "c", "x", "y"]}}
+    good = {"parent": [parent, parent], "change": [change, change]}
+    assert report(good, False) == (["digest mismatch: op 1: 2 distinct digests"], True)
+    assert report(good, True) == (["digests that differ between sides: op 1: 2 distinct digests"],
+                                  False)
+    # under the flag the runs of one side must still agree; past three, the
+    # digests that differ between the sides are counted
+    good["change"].append({"digests": {"setup": ["t"], "ops": ["a", "c", "e", "f"]}})
+    assert report(good, True) == (
+        ["digest mismatch in change: set-up: 2 distinct digests",
+         "digest mismatch in change: op 2: 2 distinct digests",
+         "digest mismatch in change: op 3: 2 distinct digests",
+         "digests that differ between sides: set-up: 2 distinct digests; "
+         "op 1: 2 distinct digests; op 2: 2 distinct digests; 1 more"], True)

@@ -16,6 +16,7 @@ from sardist.errors import ValidationError
 from sardist.preprocess import (_aligned_empty, _tv_solve, CLIP_EPS, PreprocessConfig,
                                 clip_unit, despeckle_stack, despeckle_values, logit, to_logit)
 from sardist.raster import RasterStack
+from sardist.synth import SynthConfig, generate_scene
 
 
 class TestClip:
@@ -176,7 +177,8 @@ def _solve_once(f, weight, iterations, step):
 
 
 def reference_tv_denoise(f, weight, iterations=50, step=0.25):
-    f = np.asarray(f, dtype=np.float64)
+    """The mean of the four flip orientations' solves, in f's float dtype."""
+    f = np.asarray(f)
     a = _solve_once(f, weight, iterations, step)
     b = _solve_once(f[..., :, ::-1], weight, iterations, step)[..., :, ::-1]
     c = _solve_once(f[..., ::-1, :], weight, iterations, step)[..., ::-1, :]
@@ -185,26 +187,36 @@ def reference_tv_denoise(f, weight, iterations=50, step=0.25):
 
 
 def tv_kernel(f, weight, iterations=50, step=0.25):
-    """`_tv_solve` of every (..., H, W) slice of f in one call, in the linear domain."""
-    f = np.array(f, dtype=np.float64)   # a contiguous copy
+    """`_tv_solve` of every (..., H, W) slice of f in one call, in the linear domain and
+    f's float dtype."""
+    f = np.array(f, order="C")   # a contiguous copy, also of a strided f
     height, width = f.shape[-2:]
     u = np.empty_like(f)
     _tv_solve(f.reshape(-1), u.reshape(-1), weight, iterations, step, width, height * width,
-              np.empty(7 * f.size + 2 * width))
+              np.empty(7 * f.size + 2 * width, f.dtype))
     return u
 
 
 class TestTvKernel:
-    # single slices, stacks of many small slices and of slices larger than
-    # _CHUNK_PX; 1xN, Nx1 and 1x1 make whole rows or columns edges
-    @pytest.mark.parametrize("shape", [(16, 16), (11, 2, 16, 16), (3, 2, 64, 64), (2, 50, 99),
-                                       (2, 131, 129), (1, 9), (9, 1), (1, 1), (7, 5)])
-    @pytest.mark.parametrize("kwargs", [{}, {"iterations": 1}, {"iterations": 7, "step": 0.1}])
-    def test_bytes_equal_reference(self, shape, kwargs):
-        f = np.random.default_rng(sum(shape)).normal(-10.0, 3.0, size=shape)
+    # single slices, stacks of many small slices and of slices of over 2^14
+    # pixels; 1xN, Nx1 and 1x1 make whole rows or columns edges
+    SHAPES = [(16, 16), (11, 2, 16, 16), (3, 2, 64, 64), (2, 50, 99), (2, 131, 129), (1, 9),
+              (9, 1), (1, 1), (7, 5)]
+    SOLVES = [{}, {"iterations": 1}, {"iterations": 7, "step": 0.1}]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kwargs", SOLVES)
+    def test_bytes_equal_reference(self, shape, kwargs, dtype=np.float64):
+        f = np.random.default_rng(sum(shape)).normal(-10.0, 3.0, size=shape).astype(dtype)
         out = tv_kernel(f, 1.5, **kwargs)
-        assert out.shape == f.shape
+        assert out.shape == f.shape and out.dtype == dtype
         assert out.tobytes() == reference_tv_denoise(f, 1.5, **kwargs).tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kwargs", SOLVES)
+    def test_bytes_equal_reference_in_float32(self, shape, kwargs):
+        # the dtype `despeckle_values` solves in
+        self.test_bytes_equal_reference(shape, kwargs, np.float32)
 
     def test_safeguard_decides_per_slice(self):
         # finite input never trips the safeguard; a NaN makes its slice's
@@ -225,22 +237,24 @@ class TestTvKernel:
         with pytest.raises(ValidationError, match=r"got shape \(0, 2, 16, 16\)$"):
             solve(np.zeros((0, 2, 16, 16), np.float32))
 
-    # 5,632 x 7 + 32 is the scratch of one 11x2x16x16 corpus sequence
-    @pytest.mark.parametrize("n", [1, 7, 8, 1000, 5632 * 7 + 32])
+    # 16 float32s are one cache line; 5,632 x 7 + 32 is the scratch of one
+    # 11x2x16x16 corpus sequence
+    @pytest.mark.parametrize("n", [1, 7, 8, 15, 16, 1000, 5632 * 7 + 32])
     def test_aligned_buffer(self, n):
         for _ in range(4):   # several allocations, so not one lucky placement
             buf = _aligned_empty(n)
-            assert buf.dtype == np.float64 and buf.shape == (n,)
+            assert buf.dtype == np.float32 and buf.shape == (n,)
             assert buf.flags.writeable and buf.flags.c_contiguous
             assert buf.ctypes.data % 64 == 0
             buf[:] = 1.0
 
 
-def whole_stack_despeckle(values):
-    """despeckle_values as one float64 chain over the whole stack around one kernel call."""
-    db = 10.0 * np.log10(np.clip(np.array(values, dtype=np.float64), CLIP_EPS, 1.0 - CLIP_EPS))
+def whole_stack_despeckle(values, dtype=np.float32):
+    """despeckle_values as one chain in `dtype` over the whole stack around one kernel call;
+    at float32, the default, the same bits, at float64 the chain float32 approximates."""
+    db = 10.0 * np.log10(np.clip(np.array(values, dtype=dtype), CLIP_EPS, 1.0 - CLIP_EPS))
     back = 10.0 ** (tv_kernel(db, 1.5) / 10.0)
-    return np.clip(back, CLIP_EPS, 1.0 - CLIP_EPS).astype(np.float32)
+    return np.clip(back, CLIP_EPS, 1.0 - CLIP_EPS)
 
 
 @pytest.fixture
@@ -290,12 +304,13 @@ class TestWorkers:
             sys.setswitchinterval(switch)
 
     def test_workers_capped_by_memory(self, monkeypatch, solve_threads):
-        # with 1,024-pixel runs a worker's f, u, scratch and slack take 9,304
-        # float64s, as many bytes as two float32 copies of 9,304 pixels: 17
-        # slices of 32x32 run 1 worker, 19 run 2, 37 run 4 and 80 all 8 cores
+        # with 1,024-pixel runs a worker's f, u, scratch and slack take 9,328
+        # float32s, and two float32 copies of the stack hold the workers'
+        # buffers: 9 slices of 32x32 run 1 worker, 10 run 2, 19 run 4 and 37
+        # all 8 cores
         monkeypatch.setattr(preprocess, "_CHUNK_PX", 1024)
         monkeypatch.setattr(native, "usable_cores", lambda: 8)
-        for slices, workers in ((17, 1), (19, 2), (37, 4), (80, 8)):
+        for slices, workers in ((9, 1), (10, 2), (19, 4), (37, 8)):
             threads = solve_threads(workers)
             despeckle_values(np.full((slices, 32, 32), 0.2, np.float32), PreprocessConfig(
                 tv_iterations=1))
@@ -405,7 +420,7 @@ class TestDespeckle:
         assert np.array_equal(a, b)
 
     def test_live_peak_below_three_float64_copies(self, monkeypatch):
-        # the float32 output and, per worker, one run's float64 buffers: at most
+        # the float32 output and, per worker, one run's float32 buffers: at most
         # three float32 stacks however many cores there are, also where a slice
         # is larger than a run's pixel budget and each run holds one slice
         monkeypatch.setattr(native, "usable_cores", lambda: 8)
@@ -422,6 +437,15 @@ class TestDespeckle:
                 tracemalloc.stop()
             assert peak <= 3 * values.nbytes, size
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_within_2e3_db_of_a_float64_chain(self, seed):
+        # float32 resolves the [-40, 0] dB of a clipped slice to about 4e-6 dB,
+        # and 50 iterations of its rounding keep the output this close
+        scene, _ = generate_scene(SynthConfig(height=64, width=64, seed=seed))
+        out = despeckle_values(scene.values)
+        exact = whole_stack_despeckle(scene.values, np.float64)
+        assert np.max(np.abs(10.0 * np.log10(out / exact))) <= 2e-3
+
     def test_input_left_as_it_was(self):
         values = np.random.default_rng(7).uniform(-0.5, 1.5, size=(2, 8, 8))
         kept = values.copy()
@@ -429,12 +453,12 @@ class TestDespeckle:
         np.testing.assert_array_equal(values, kept)
 
     # SHA-256 of the float32 output for fixed inputs, each with values outside
-    # (0, 1) for both clips; a rewrite of despeckle_values that keeps its bits
-    # keeps these
+    # (0, 1) for both clips, from the float32 chain; a rewrite of
+    # despeckle_values that keeps its bits keeps these
     PINNED = {
-        "float32": "e5e24fdfca8d842552aa193b710745c3c3b98f8aa488c710d0781737ce7ebef2",
-        "float32-weight-0": "d10beb8b6c134e14839b5ae140049a75ef9b12873ff7b638d82519de515df58d",
-        "float64": "1dc26cb775e5bd8037260c0c406e383abd1f575b1641c52af89d180d95ce3661",
+        "float32": "30acffb7a0635ad349149cb0f83fad5326fa9bc41a2f80ca7165bad5712d6978",
+        "float32-weight-0": "b4a844d2670f9681902cc64ff2c73eebdb30abc3d832ec9717b2c8cc4e41d4f0",
+        "float64": "0ace0a510c187a7224519d28529397015cec9c3700823d7c628a5bc808ae49dc",
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))

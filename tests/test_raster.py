@@ -272,6 +272,18 @@ class TestTypedWrappers:
         with pytest.raises(FormatError, match="del.rts"):
             read_delineation(str(path))
 
+    def test_delineation_threshold_past_float_range_rejected(self, tmp_path):
+        # a JSON integer past float range passed the number check, then float()
+        # raised a bare OverflowError
+        blob = _hand_container((1, 1, 4, 4), ["mask"], ["mask"], bytes(64),
+                               {"threshold": 10 ** 400})
+        assert b'"threshold":1' + b"0" * 400 + b"," in blob
+        path = tmp_path / "del.rts"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError,
+                           match=r"del\.rts: delineation threshold must be a number in float"):
+            read_delineation(str(path))
+
     @pytest.mark.parametrize("kind, content, message", [
         ("metric map", -1.0, "metric map values must be >= 0"),
         ("delineation", 0.0, "threshold must be finite and > 0, got 0.0"),
