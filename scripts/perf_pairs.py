@@ -10,12 +10,18 @@ CHANGE first: the second run of a pair can read slower whichever side it is.
 `--seconds` defaults to BENCHMARK.json's `run_seconds`. The out-dirs are
 temporary unless `--keep DIR` puts them, as DIR/<side>-<pair>, where they stay.
 
-Prints one line per run (setup_s, op_s, peak_rss_mb and the first op digest),
-then for each metric both medians, PARENT's interquartile range and how many
-pairs CHANGE won (lower is better; a tie counts for neither side). Exits 1
-when a run is not `correct`, or when a set-up or op digest differs between
-runs, so between the two sides; a failed run's exit code and last stderr lines
-are printed. With `--outputs-differ`, for a change that moves output bits,
+Before each run it times a fixed numpy probe in this process: a loop of
+256x256 float32 sgemms and a streaming copy of 32 MB, each about 0.2 s on a
+2-vCPU Xeon. Sessions on a shared machine run at different speeds; the probe
+shows a pair whose sides did, and lets BENCH files of different sessions be
+read as ratios to it. `--keep` keeps it as DIR/<side>-<pair>/probe.json.
+
+Prints one line per run (the two probe times in seconds, setup_s, op_s,
+peak_rss_mb and the first op digest), then for each metric both medians,
+PARENT's interquartile range and how many pairs CHANGE won (lower is better;
+a tie counts for neither side). Exits 1 when a run is not `correct`, or when
+a set-up or op digest differs between runs, so between the two sides; a
+failed run's exit code and last stderr lines are printed. With `--outputs-differ`, for a change that moves output bits,
 digests need only agree between the runs of each side, and the first three
 that differ between the sides are printed, not failed.
 """
@@ -29,11 +35,32 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("setup_s", "op_s", "peak_rss_mb")
+PROBE_GEMM = 256, 800          # square float32 sgemm size, loops
+PROBE_STREAM = 1 << 23, 25     # float32 values copied (32 MB, past the caches), passes
+
+
+def probe() -> dict:
+    """Seconds this machine takes now for a fixed sgemm loop and a fixed streaming copy."""
+    n, loops = PROBE_GEMM
+    a = np.full((n, n), 0.5, dtype=np.float32)
+    product = np.empty_like(a)
+    start = time.perf_counter()
+    for _ in range(loops):
+        np.matmul(a, a, out=product)
+    sgemm_s = time.perf_counter() - start
+    size, passes = PROBE_STREAM
+    src = np.ones(size, dtype=np.float32)
+    dst = np.empty_like(src)
+    start = time.perf_counter()
+    for _ in range(passes):
+        np.copyto(dst, src)
+    return {"sgemm_s": sgemm_s, "stream_s": time.perf_counter() - start}
 
 
 def run_once(tree: str, out_dir: str, args) -> dict:
@@ -56,9 +83,10 @@ def describe(pair: int, side: str, r: dict) -> str:
     if not r["correct"]:
         tail = " | ".join(r["stderr"].strip().splitlines()[-5:])
         return f"pair {pair} {side:<6} FAILED exit {r['exit_code']}: {tail}"
+    speed = f"sgemm {r['probe']['sgemm_s']:.3f} stream {r['probe']['stream_s']:.3f}"
     values = "  ".join(f"{m} {r['metrics'][m]['value']:.6g}" for m in METRICS)
     ops = r["digests"]["ops"]
-    return f"pair {pair} {side:<6} {values}  op digest {ops[0][:16] if ops else '-'}"
+    return f"pair {pair} {side:<6} {speed}  {values}  op digest {ops[0][:16] if ops else '-'}"
 
 
 def digest_mismatches(runs: list[dict]) -> list[str]:
@@ -111,7 +139,14 @@ def main(argv=None) -> int:
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                r = run_once(trees[side], os.path.join(tmp, f"{side}-{pair}"), args)
+                out_dir = os.path.join(tmp, f"{side}-{pair}")
+                speed = probe()
+                r = run_once(trees[side], out_dir, args)
+                r["probe"] = speed
+                if args.keep:
+                    os.makedirs(out_dir, exist_ok=True)
+                    with open(os.path.join(out_dir, "probe.json"), "w", encoding="utf-8") as fh:
+                        json.dump(speed, fh)
                 runs[side].append(r)
                 print(describe(pair, side, r), flush=True)
 

@@ -46,7 +46,7 @@ from .model import KINDS, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .preprocess import PreprocessConfig, despeckle_stack, despeckle_stacks, to_logit
 from .raster import (read_estimate, read_json, read_mask, read_metric_map, read_stack,
                      write_delineation, write_estimate, write_json, write_mask,
-                     write_metric_map, write_stack, write_text)
+                     write_file, write_metric_map, write_stack)
 from .synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus, \
     read_corpus_manifest, splitmix64
 from .training import TrainConfig, train
@@ -309,7 +309,7 @@ def _cmd_train(r: _Resolver) -> int:
     result = train(model, train_cfg, frames, stats)
     save_checkpoint(result.model, out_dir)
     loss_path = os.path.join(out_dir, "loss.csv")
-    write_text(loss_path, result.loss_csv())
+    write_file(loss_path, [result.loss_csv().encode("utf-8")])
     _write_manifest(r, out_dir, [corpus_path], [out_dir, loss_path], seed,
                     extra={"diverged": result.diverged,
                            "completed_epochs": result.completed_epochs,
@@ -405,8 +405,8 @@ def _cmd_ablate(r: _Resolver) -> int:
             rows.append((g, label, *runs[model_cfg, lr]))
             print(f"{g} {label}: params={rows[-1][2]} pr_auc={rows[-1][3]:.4f}")
     csv_path = os.path.join(out_dir, "ablation_summary.csv")
-    write_text(csv_path, "grid,preset,parameters,pr_auc,best_f1\n" + "".join(
-        f"{g},{label},{params},{auc:.6g},{f1:.6g}\n" for g, label, params, auc, f1 in rows))
+    write_file(csv_path, [b"grid,preset,parameters,pr_auc,best_f1\n", *(
+        f"{g},{label},{n},{auc:.6g},{f1:.6g}\n".encode() for g, label, n, auc, f1 in rows)])
     _write_manifest(r, out_dir, [], [csv_path], seed)
     print(f"wrote {csv_path}")
     return 0

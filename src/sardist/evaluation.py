@@ -34,7 +34,7 @@ from .errors import ShapeError, ValidationError
 from .inference import SweepConfig, forecast
 from .model import Model, ModelConfig
 from .preprocess import despeckle_stack, despeckle_values, to_logit
-from .raster import DistributionEstimate, DisturbanceMap, RasterStack, write_json, write_text
+from .raster import DistributionEstimate, DisturbanceMap, RasterStack, write_file, write_json
 from .synth import SynthConfig, generate_scene, generate_training_corpus, load_corpus
 from .training import TrainConfig, TrainResult, _check_t_max, train
 
@@ -310,6 +310,6 @@ def emit_report(out_dir: str, ls: LabeledScores, max_points: int | None = 512) -
     )
     os.makedirs(out_dir, exist_ok=True)
     for name, text in zip(REPORT_FILES[:-1], texts):
-        write_text(os.path.join(out_dir, name), text)
+        write_file(os.path.join(out_dir, name), [text.encode("utf-8")])
     write_json(os.path.join(out_dir, REPORT_FILES[-1]), summary)
     return summary

@@ -149,8 +149,8 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
 
 def forecast(model: Model, stack: RasterStack, sweep: SweepConfig | None = None,
              drop_last: int = 0, stats: dict | None = None) -> DistributionEstimate:
-    """Forecast the frame after the first T - `drop_last` frames of `stack`, stamped
-    with the last of them and their digest, so a scorer can tell which frames it saw."""
+    """Forecast the frame after the first T - `drop_last` frames of `stack`, stamped with
+    the last of them, their digest and the stack's pol names: what a scorer checks."""
     if drop_last < 0:
         raise ValidationError(f"drop-last must be >= 0, got {drop_last}")
     seen = max(stack.num_steps - drop_last, 0)
@@ -158,4 +158,5 @@ def forecast(model: Model, stack: RasterStack, sweep: SweepConfig | None = None,
         raise ValidationError(f"only {seen} frames left after --drop-last")
     est = sweep_estimate(model, to_logit(stack.values[:seen]), sweep, stats)
     est.timestamp, est.source = stack.timestamps[seen - 1], stack.digest(seen)
+    est.pol_names = stack.pol_names
     return est

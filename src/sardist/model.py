@@ -41,7 +41,7 @@ import numpy as np
 
 from .autodiff import Tensor, dropout, layer_norm, linear, relu, softplus
 from .errors import FormatError, ShapeError, ValidationError, bound, check_fields, check_seed
-from .raster import read_json, write_file, write_json
+from .raster import read_container, write_container
 
 KINDS = ("transformer", "gru")
 
@@ -305,60 +305,44 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one weights blob + a json index + the full config
+# checkpoints: one container file, weights.bin
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
-
-
-def parameter_layout(model: Model) -> list[dict]:
-    """(name, shape, offset) of every parameter in name order: index.json's entries."""
-    layout, offset = [], 0
-    for name in sorted(model.params):
-        shape = model.params[name].data.shape
-        layout.append({"name": name, "shape": list(shape), "offset": offset})
-        offset += 4 * int(np.prod(shape))
-    return layout
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(model: Model, directory: str) -> None:
+    """Write weights.bin: a container of the version and config, then each parameter by name."""
     os.makedirs(directory, exist_ok=True)
-    layout = parameter_layout(model)
     # one bytes copy per parameter: passing the numpy buffers themselves measured
     # about 8 MB more peak RSS on the map-scene benchmark (malloc heap reuse)
-    write_file(os.path.join(directory, "weights.bin"),
-               (np.ascontiguousarray(model.params[e["name"]].data, dtype="<f4").tobytes()
-                for e in layout))
-    write_json(os.path.join(directory, "index.json"), layout)
-    write_json(os.path.join(directory, "model.json"),
-               {"version": CHECKPOINT_VERSION, "config": asdict(model.cfg)})
+    write_container(os.path.join(directory, "weights.bin"),
+                    {"version": CHECKPOINT_VERSION, "config": asdict(model.cfg)},
+                    (np.ascontiguousarray(model.params[name].data, dtype="<f4").tobytes()
+                     for name in sorted(model.params)))
 
 
 def load_checkpoint(directory: str) -> Model:
-    """Rebuild the model from model.json; index.json must equal its layout,
-    and weights.bin must hold exactly that many finite float32 values."""
-    meta = read_json(os.path.join(directory, "model.json"))
-    if not isinstance(meta, dict) or meta.get("version") != CHECKPOINT_VERSION:
-        raise FormatError(f"{directory}: model.json is not a version "
-                          f"{CHECKPOINT_VERSION} checkpoint object")
-    try:
-        model = Model(ModelConfig(**meta.get("config")), seed=0)
-    except (TypeError, ValidationError) as exc:  # not a mapping, an unknown key, a bad value
-        raise FormatError(f"{directory}: model.json config: {exc}") from None
-    layout = parameter_layout(model)
-    if read_json(os.path.join(directory, "index.json")) != layout:
-        raise FormatError(f"{directory}: index.json does not match the parameter "
-                          f"layout of the {model.cfg.kind} in model.json")
-    with open(os.path.join(directory, "weights.bin"), "rb") as fh:
-        blob = fh.read()
-    expected = sum(4 * int(np.prod(e["shape"])) for e in layout)
-    if len(blob) != expected:
-        raise FormatError(f"{directory}: weights.bin is {len(blob)} bytes, expected {expected}")
-    values = np.frombuffer(blob, dtype="<f4")
-    for entry in layout:
-        start, shape = entry["offset"] // 4, tuple(entry["shape"])
-        data = values[start:start + int(np.prod(shape))].reshape(shape).astype(np.float32)
-        if not np.all(np.isfinite(data)):
-            raise FormatError(f"{directory}: weights.bin holds non-finite {entry['name']}")
-        model.params[entry["name"]] = Tensor(data, requires_grad=True)
+    """The model of weights.bin's config, if the payload holds its parameters, all finite."""
+    path = os.path.join(directory, "weights.bin")
+    model = None
+
+    def count(header: dict) -> int:
+        nonlocal model
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: not a version {CHECKPOINT_VERSION} checkpoint")
+        try:
+            model = Model(ModelConfig(**header.get("config")), seed=0)
+        except (TypeError, ValidationError) as exc:  # not a mapping, an unknown key, a bad value
+            raise FormatError(f"{path}: config: {exc}") from None
+        return model.parameter_count()
+
+    _, values = read_container(path, count)
+    start = 0
+    for name, p in sorted(model.params.items()):
+        # a copy each, as `Model` allocates them, so no GEMM reads an offset view
+        p.data = values[start:start + p.data.size].reshape(p.data.shape).astype(np.float32)
+        start += p.data.size
+        if not np.all(np.isfinite(p.data)):
+            raise FormatError(f"{path}: holds non-finite {name}")
     return model

@@ -1,16 +1,15 @@
-"""In-memory raster types and the RTS binary container.
+"""In-memory raster types and the binary container.
 
-The RTS container is a little-endian binary layout:
+A container is little-endian: bytes 0..3 the magic ``RTS0``, 4..7 the uint32
+length N of a UTF-8 JSON header (sorted keys, no whitespace) at 8..8+N, then
+float32 values. `write_container` and `read_container` frame RTS stacks and
+checkpoints (`model.save_checkpoint`) alike; the reader checks the payload
+length against the file size, then reads the payload into one array.
 
-    bytes 0..3   magic ``RTS0``
-    bytes 4..7   uint32 length N of the JSON header
-    bytes 8..8+N UTF-8 JSON header
-    remainder    exactly T*C*H*W float32 values, C-contiguous, TCHW order
-
-The JSON header always carries ``shape`` ([T, C, H, W]), ``dtype``
-("f32le"), ``order`` ("TCHW"), ``timestamps`` and ``pol_names``; writers may
-add extra keys (metric maps add ``units``). Header bytes are produced with
-sorted keys and no whitespace so identical content yields identical files.
+An RTS header always carries ``shape`` ([T, C, H, W]), ``dtype`` ("f32le"),
+``order`` ("TCHW"), ``timestamps`` and ``pol_names``, and its payload is
+T*C*H*W values in C order; writers may add extra keys (metric maps add
+``units``). Identical content yields identical files.
 
 Every artifact the package writes goes through `write_file`, which writes a
 temporary sibling and then replaces the target, so a failed write leaves the
@@ -23,6 +22,7 @@ import contextlib
 import json
 import os
 from dataclasses import InitVar, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,8 +36,6 @@ ORDER_TAG = "TCHW"
 #: values (multiply by 10 only when displaying as dB). Maps written before the
 #: tag had its name read their legacy "decibels" tag as "log10_ratio".
 METRIC_UNITS = ("standard_deviations", "log10_ratio")
-
-_REQUIRED_KEYS = ("shape", "dtype", "order", "timestamps", "pol_names")
 
 
 @dataclass
@@ -88,10 +86,8 @@ class RasterStack:
 
     def digest(self, frames: int) -> str:
         """SHA-256 of the first `frames` frames: float32 bytes, then timestamps and pol names."""
-        import hashlib   # here, as it loads OpenSSL: 3 MB of RSS that only scoring needs
-        sha = hashlib.sha256(np.ascontiguousarray(self.values[:frames]))   # no bytes copy
-        sha.update(json.dumps([self.timestamps[:frames], self.pol_names]).encode("utf-8"))
-        return sha.hexdigest()
+        return _sha256(np.ascontiguousarray(self.values[:frames]),   # no bytes copy
+                       json.dumps([self.timestamps[:frames], self.pol_names]).encode("utf-8"))
 
 
 @dataclass
@@ -151,7 +147,7 @@ class BinaryDelineation:
 
 
 # ---------------------------------------------------------------------------
-# whole-file writes and JSON sidecars
+# whole-file writes, digests and JSON sidecars
 # ---------------------------------------------------------------------------
 
 def write_file(path: str, chunks) -> None:
@@ -173,13 +169,18 @@ def write_file(path: str, chunks) -> None:
         raise
 
 
-def write_text(path: str, text: str) -> None:
-    write_file(path, [text.encode("utf-8")])
+def _sha256(*buffers) -> str:
+    """Hex SHA-256 of the contiguous `buffers`, one after another."""
+    import hashlib   # here, as it loads OpenSSL: 3 MB of RSS that only scoring needs
+    sha = hashlib.sha256()
+    for buffer in buffers:
+        sha.update(buffer)
+    return sha.hexdigest()
 
 
 def write_json(path: str, obj) -> None:
     """The one sidecar format: 2-space indent, sorted keys, trailing newline."""
-    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_file(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def read_json(path: str):
@@ -188,13 +189,67 @@ def read_json(path: str):
         raw = fh.read()
     try:
         return json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+    except (ValueError, RecursionError) as exc:  # decode errors alike; nesting too deep
         raise FormatError(f"{path}: not valid UTF-8 JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
-# low-level container I/O (any float payload; shape [T, C, H, W])
+# the container framing, shared by RTS stacks and checkpoints
 # ---------------------------------------------------------------------------
+
+def write_container(path: str, header: dict, payload) -> None:
+    """Write `header` (sorted compact JSON) and the float32 `payload` chunks, atomically."""
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    write_file(path, chain([MAGIC, np.uint32(len(raw)).tobytes(), raw], payload))
+
+
+def read_container(path: str, count) -> tuple[dict, np.ndarray]:
+    """(header, flat float32 payload) of a container; `count(header)` checks the header
+    and returns how many values the payload must hold, which the file size must match."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 8:
+            raise FormatError(f"{path}: truncated container ({size} bytes)")
+        head = fh.read(8)
+        if head[:4] != MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}")
+        length = int(np.frombuffer(head[4:], dtype="<u4")[0])
+        if size < 8 + length:
+            raise FormatError(f"{path}: header extends past end of file")
+        try:
+            header = json.loads(fh.read(length).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
+            raise FormatError(f"{path}: unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header is not a JSON object")
+        n = count(header)
+        if size - 8 - length != 4 * n:
+            raise FormatError(f"{path}: payload is {size - 8 - length} bytes, expected {4 * n}")
+        values = np.empty(n, dtype="<f4")
+        if fh.readinto(values) != 4 * n:
+            raise FormatError(f"{path}: payload shrank while it was read")
+    return header, values
+
+
+def _stack_count(path: str, header: dict) -> int:
+    """Values in an RTS payload, once its header holds every key in valid form."""
+    for key in ("shape", "dtype", "order", "timestamps", "pol_names"):
+        if key not in header:
+            raise FormatError(f"{path}: header missing key {key!r}")
+    for key, tag in (("dtype", DTYPE_TAG), ("order", ORDER_TAG)):
+        if header[key] != tag:
+            raise FormatError(f"{path}: unsupported {key} {header[key]!r}")
+    shape = header["shape"]
+    if not (isinstance(shape, list) and len(shape) == 4
+            and all(type(s) is int and s >= 1 for s in shape)):
+        raise FormatError(f"{path}: bad shape {shape!r}")
+    for key in ("timestamps", "pol_names"):
+        if not (isinstance(header[key], list) and all(isinstance(n, str) for n in header[key])):
+            raise FormatError(f"{path}: header {key!r} is not a list of strings")
+    if len(header["timestamps"]) != shape[0]:
+        raise FormatError(f"{path}: {len(header['timestamps'])} timestamps for {shape[0]} frames")
+    return int(np.prod(shape, dtype=object))   # exact: an int64 product can wrap to 0
+
 
 def write_array(path: str, values: np.ndarray, timestamps: list[str],
                 pol_names: tuple[str, ...] = ("VV", "VH"),
@@ -214,54 +269,13 @@ def write_array(path: str, values: np.ndarray, timestamps: list[str],
         if k in header:
             raise ValidationError(f"extra header key {k!r} collides with a required key")
         header[k] = v
-    header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_file(path, [MAGIC, np.uint32(len(header)).tobytes(), header,
-                      np.ascontiguousarray(values, dtype="<f4")])
+    write_container(path, header, [np.ascontiguousarray(values, dtype="<f4")])
 
 
 def read_array(path: str) -> tuple[np.ndarray, dict]:
     """Read an RTS container; returns (values, header). Structural checks only."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise FormatError(f"{path}: truncated container ({len(raw)} bytes)")
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    if len(raw) < 8 + header_len:
-        raise FormatError(f"{path}: header extends past end of file")
-    try:
-        header = json.loads(raw[8:8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-    for key in _REQUIRED_KEYS:
-        if key not in header:
-            raise FormatError(f"{path}: header missing key {key!r}")
-    if header["dtype"] != DTYPE_TAG:
-        raise FormatError(f"{path}: unsupported dtype {header['dtype']!r}")
-    if header["order"] != ORDER_TAG:
-        raise FormatError(f"{path}: unsupported order {header['order']!r}")
-    shape = header["shape"]
-    if not (isinstance(shape, list) and len(shape) == 4
-            and all(type(s) is int and s >= 1 for s in shape)):
-        raise FormatError(f"{path}: bad shape {shape!r}")
-    for key in ("timestamps", "pol_names"):
-        if not (isinstance(header[key], list) and all(isinstance(n, str) for n in header[key])):
-            raise FormatError(f"{path}: header {key!r} is not a list of strings")
-    expected = int(np.prod(shape)) * 4
-    payload = raw[8 + header_len:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-    if len(header["timestamps"]) != shape[0]:
-        raise FormatError(
-            f"{path}: {len(header['timestamps'])} timestamps for {shape[0]} frames"
-        )
-    return values, header
+    header, values = read_container(path, lambda header: _stack_count(path, header))
+    return values.reshape(header["shape"]), header
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +307,17 @@ def read_stack(path: str, allow_raw: bool = False) -> RasterStack:
                   unit_range=not allow_raw)
 
 
-def _write_frame(path: str, frame: np.ndarray, timestamp: str,
-                 pol_names: tuple[str, ...], extra: dict | None = None) -> None:
-    """Write one (C, H, W) frame as a [1, C, H, W] container."""
-    write_array(path, frame[None], [timestamp], pol_names, extra)
-
-
-def _read_frame(path: str, what: str, key: str | None = None,
+def _read_frame(path: str, what: str, keys: tuple[str, ...] = (),
                 one_channel: bool = True, binary: bool = False) -> tuple[np.ndarray, dict]:
     """(C, H, W) frame and header of a [1, C, H, W] container of kind `what`;
-    C must be 1 if `one_channel`, header `key` must exist, values must be 0/1 if `binary`."""
+    C must be 1 if `one_channel`, header `keys` must exist, values must be 0/1 if `binary`."""
     values, header = read_array(path)
     if values.shape[0] != 1 or (one_channel and values.shape[1] != 1):
         layout = "[1,1,H,W]" if one_channel else "[1,C,H,W]"
         raise FormatError(f"{path}: {what} container must be {layout}, got {values.shape}")
-    if key is not None and key not in header:
-        raise FormatError(f"{path}: {what} header missing {key!r}")
+    for key in keys:
+        if key not in header:
+            raise FormatError(f"{path}: {what} header missing {key!r}")
     if binary and not np.all((values == 0.0) | (values == 1.0)):
         raise ValidationError(f"{path}: mask values must be exactly 0.0 or 1.0")
     return values[0], header
@@ -318,7 +327,7 @@ def write_mask(mask: np.ndarray, path: str) -> None:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ShapeError(f"mask must be 2-d, got {mask.shape}")
-    _write_frame(path, mask[None], "mask", ("mask",))
+    write_array(path, mask[None, None], ["mask"], ("mask",))
 
 
 def read_mask(path: str) -> np.ndarray:
@@ -327,22 +336,22 @@ def read_mask(path: str) -> np.ndarray:
 
 
 def write_metric_map(dmap: DisturbanceMap, path: str) -> None:
-    _write_frame(path, dmap.values[None], "metric", ("metric",), {"units": dmap.units})
+    write_array(path, dmap.values[None, None], ["metric"], ("metric",), {"units": dmap.units})
 
 
 def read_metric_map(path: str) -> DisturbanceMap:
-    frame, header = _read_frame(path, "metric map", key="units")
+    frame, header = _read_frame(path, "metric map", ("units",))
     units = header["units"]
     return _typed([path], DisturbanceMap, frame[0], "log10_ratio" if units == "decibels" else units)
 
 
 def write_delineation(delineation: BinaryDelineation, path: str) -> None:
-    _write_frame(path, delineation.mask[None], "mask", ("mask",),
-                 {"threshold": float(delineation.threshold)})
+    write_array(path, delineation.mask[None, None], ["mask"], ("mask",),
+                {"threshold": float(delineation.threshold)})
 
 
 def read_delineation(path: str) -> BinaryDelineation:
-    frame, header = _read_frame(path, "delineation", key="threshold", binary=True)
+    frame, header = _read_frame(path, "delineation", ("threshold",), binary=True)
     threshold = header["threshold"]
     if type(threshold) not in (int, float) or abs(threshold) >= 2 ** 1024:   # float() overflows
         raise FormatError(f"{path}: delineation threshold must be a number in float range, "
@@ -351,14 +360,16 @@ def read_delineation(path: str) -> BinaryDelineation:
 
 
 def write_estimate(est: DistributionEstimate, mu_path: str, sigma_path: str) -> None:
+    """Write mu and sigma; both headers hold `pair`, the SHA-256 of the two payloads."""
+    pair = _sha256(*(np.ascontiguousarray(a, dtype="<f4") for a in (est.mu, est.sigma)))
+    extra = {"units": "logit", "source": est.source, "pair": pair}
     for path, frame in ((mu_path, est.mu), (sigma_path, est.sigma)):
-        _write_frame(path, frame, est.timestamp, est.pol_names,
-                     {"units": "logit", "source": est.source})
+        write_array(path, frame[None], [est.timestamp], est.pol_names, extra)
 
 
 def read_estimate(mu_path: str, sigma_path: str) -> DistributionEstimate:
-    mu, mu_hdr = _read_frame(mu_path, "estimate", key="source", one_channel=False)
-    sigma, sigma_hdr = _read_frame(sigma_path, "estimate", key="source", one_channel=False)
+    mu, mu_hdr = _read_frame(mu_path, "estimate", ("source", "pair"), one_channel=False)
+    sigma, sigma_hdr = _read_frame(sigma_path, "estimate", ("source", "pair"), one_channel=False)
     (mu_time,), (sigma_time,) = mu_hdr["timestamps"], sigma_hdr["timestamps"]
     sources = mu_hdr["source"], sigma_hdr["source"]
     if mu.shape != sigma.shape or mu_time != sigma_time or sources[0] != sources[1]:
@@ -366,5 +377,8 @@ def read_estimate(mu_path: str, sigma_path: str) -> DistributionEstimate:
                           f"vs sigma {sigma.shape} from {sigma_time!r}, sources {sources}")
     if not isinstance(sources[0], str):
         raise FormatError(f"{mu_path}: estimate header 'source' is not a string")
-    return _typed([mu_path, sigma_path], DistributionEstimate, mu, sigma,
-                  tuple(mu_hdr["pol_names"]), mu_time, sources[0])
+    est = _typed([mu_path, sigma_path], DistributionEstimate, mu, sigma,
+                 tuple(mu_hdr["pol_names"]), mu_time, sources[0])
+    if not mu_hdr["pair"] == sigma_hdr["pair"] == _sha256(mu, sigma):
+        raise FormatError(f"{mu_path}, {sigma_path}: mu and sigma are not one estimate's pair")
+    return est

@@ -155,7 +155,7 @@ def generate_scene(cfg: SynthConfig) -> tuple[RasterStack, np.ndarray]:
                           values[-1])
     dates = [(date(2024, 1, 3) + timedelta(days=12 * i)).isoformat()
              for i in range(cfg.num_steps)]
-    return RasterStack(clip_unit(values).astype(np.float32), dates), mask
+    return RasterStack(clip_unit(values).astype(np.float32, order="C"), dates), mask
 
 
 def generate_training_corpus(cfg: SynthConfig, count: int, out_dir: str) -> str:

@@ -51,3 +51,17 @@ def run_under_optimize(code: str) -> tuple[int, str, str]:
     proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def payload_offset(blob: bytes) -> int:
+    """Where the payload of container bytes `blob` starts: past magic, length and header."""
+    return 8 + int.from_bytes(blob[4:8], "little")
+
+
+def edit_header(path, edit) -> None:
+    """Replace the JSON header of the container file `path` (a pathlib.Path) by
+    `edit(header bytes)`, with the length field to match; the payload stays."""
+    blob = path.read_bytes()
+    start = payload_offset(blob)
+    header = edit(blob[8:start])
+    path.write_bytes(blob[:4] + len(header).to_bytes(4, "little") + header + blob[start:])

@@ -11,6 +11,7 @@ import pytest
 
 import sardist
 from sardist import cli, native, preprocess
+from sardist.errors import FormatError
 from sardist.cli import _build_parser, main
 from sardist.disturbance import lower_median
 from sardist.evaluation import run_experiment
@@ -29,6 +30,8 @@ from sardist.raster import (
 )
 from sardist.synth import SynthConfig, generate_training_corpus
 from sardist.training import TrainConfig
+
+from conftest import edit_header, payload_offset
 
 TINY_MODEL_FLAGS = [
     "--model", "transformer", "--input-size", "16", "--patch-size", "8",
@@ -132,13 +135,16 @@ class TestPlumbing:
             assert run(*estimate, "--config", str(config)) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err and err.count("\n") == 1
-        # a checkpoint whose model.json config carries an unknown key
+        # a checkpoint whose header config carries an unknown key
         cfg = ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8)
         save_checkpoint(Model(cfg, seed=0), str(tmp_path / "ckpt"))
-        meta_path = tmp_path / "ckpt" / "model.json"
-        meta = json.loads(meta_path.read_text())
-        meta["config"]["bogus"] = 1
-        meta_path.write_text(json.dumps(meta))
+        weights = tmp_path / "ckpt" / "weights.bin"
+
+        def add_bogus(blob):
+            meta = json.loads(blob)
+            meta["config"]["bogus"] = 1
+            return json.dumps(meta).encode()
+        edit_header(weights, add_bogus)
         assert run("synth", "--kind", "scene", "--seed", "1", "--height", "16",
                    "--width", "16", "--steps", "3", "--out", str(tmp_path / "s.rts"),
                    "--mask", str(tmp_path / "m.rts")) == 0
@@ -159,11 +165,11 @@ class TestPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "disturbance_delta_db" in err and err.count("\n") == 1
         assert not os.path.exists(tmp_path / "inf.rts")
-        # a model.json that is not UTF-8
-        meta_path.write_bytes(b'{"config": "\xff"}\n')
+        # a checkpoint header that is not UTF-8
+        edit_header(weights, lambda blob: b'{"config": "\xff"}')
         assert run(*estimate) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "model.json" in err and err.count("\n") == 1
+        assert err.startswith("error: ") and "weights.bin" in err and err.count("\n") == 1
         # a path flag whose config value is not a string, for a write and a read
         out_int = tmp_path / "out.json"
         out_int.write_text('{"out": 7}')
@@ -589,7 +595,7 @@ class TestProcessingCommands:
 class TestModelCommands:
     def test_train_outputs(self, trained):
         ckpt = trained / "ckpt"
-        for name in ("model.json", "weights.bin", "index.json", "loss.csv"):
+        for name in ("weights.bin", "loss.csv"):
             assert (ckpt / name).exists()
         loss_lines = (ckpt / "loss.csv").read_text().splitlines()
         assert loss_lines[0] == "epoch,mean_nll,lr"
@@ -710,6 +716,72 @@ class TestModelCommands:
         assert err.startswith("error: ") and "disagree" in err and err.count("\n") == 1
         assert not os.path.exists(tmp_path / "r")
 
+    @pytest.mark.parametrize("command", ["metric", "eval"])
+    def test_estimate_files_of_two_models_rejected(self, tmp_path, capsys, command):
+        # two models forecast one scene: the files agree in shape, timestamp and
+        # source, and the mixed pair used to score with exit 0
+        r = str(tmp_path)
+        assert run("synth", "--kind", "scene", "--seed", "11", "--height", "32", "--width",
+                   "32", "--steps", "6", "--fraction", "0.1", "--out", f"{r}/s.rts",
+                   "--mask", f"{r}/m.rts") == 0
+        for seed in (0, 1):
+            save_checkpoint(Model(ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8),
+                                  seed=seed), f"{r}/ckpt{seed}")
+            assert run("estimate", "--checkpoint", f"{r}/ckpt{seed}", "--input", f"{r}/s.rts",
+                       "--drop-last", "2", "--out-mu", f"{r}/mu{seed}.rts",
+                       "--out-sigma", f"{r}/sigma{seed}.rts") == 0
+        mu, sigma = f"{r}/mu1.rts", f"{r}/sigma0.rts"
+        with pytest.raises(FormatError, match="not one estimate.s pair"):
+            read_estimate(mu, sigma)
+        argv = {"metric": ["metric", "--kind", "mahalanobis", "--stack", f"{r}/s.rts",
+                           "--out", f"{r}/d.rts"],
+                "eval": ["eval", "--stack", f"{r}/s.rts", "--truth", f"{r}/m.rts",
+                         "--out-dir", f"{r}/report"]}[command]
+        capsys.readouterr()
+        assert run(*argv, "--mu", mu, "--sigma", sigma) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {mu}, {sigma}: mu and sigma are not one estimate's pair\n"
+        assert not os.path.exists(f"{r}/d.rts") and not os.path.exists(f"{r}/report")
+        assert run(*argv, "--mu", f"{r}/mu1.rts", "--sigma", f"{r}/sigma1.rts") == 0
+
+    @pytest.mark.parametrize("damage", ["truncated", "padded", "version", "unknown-key",
+                                        "mistyped-key", "nan-weight", "three-file"])
+    def test_malformed_checkpoint_is_one_error_line(self, scored, tmp_path, capsys, damage):
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(Model(ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8),
+                              seed=0), str(ckpt))
+        weights = ckpt / "weights.bin"
+        blob = weights.read_bytes()
+        start = payload_offset(blob)
+
+        def config(**change):
+            return lambda header: json.dumps(
+                {**json.loads(header), "config": {**json.loads(header)["config"], **change}}
+            ).encode()
+        if damage == "truncated":
+            weights.write_bytes(blob[:-4])
+        elif damage == "padded":
+            weights.write_bytes(blob + bytes(4))
+        elif damage == "version":
+            edit_header(weights, lambda header: header.replace(b'"version":2', b'"version":1'))
+        elif damage == "unknown-key":
+            edit_header(weights, config(bogus=1))
+        elif damage == "mistyped-key":
+            edit_header(weights, config(d_model="8"))
+        elif damage == "nan-weight":
+            weights.write_bytes(blob[:start] + np.float32(np.nan).tobytes() + blob[start + 4:])
+        else:   # the three-file layout: raw weights, index.json and model.json
+            weights.write_bytes(blob[start:])
+            (ckpt / "index.json").write_text("[]")
+            (ckpt / "model.json").write_text(json.dumps({"version": 1, "config": {}}))
+        capsys.readouterr()
+        assert run("estimate", "--checkpoint", str(ckpt), "--input", str(scored / "s.rts"),
+                   "--out-mu", str(tmp_path / "mu.rts"),
+                   "--out-sigma", str(tmp_path / "sigma.rts")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {weights}: ") and err.count("\n") == 1, err
+        assert not os.path.exists(tmp_path / "mu.rts")
+
     def test_metric_scores_only_frames_after_the_forecast(self, scored, tmp_path, capsys):
         # the --drop-last 2 estimate saw frames 0..3 of 6: it can score frames 4 and 5
         argv = ["metric", "--kind", "mahalanobis", "--stack", str(scored / "s.rts"),
@@ -755,7 +827,7 @@ class TestModelCommands:
         values[0, 1, 2, 3] = np.nan
         mu, sigma = str(tmp_path / "mu.rts"), str(scored / "sigma.rts")
         write_array(mu, values, header["timestamps"], header["pol_names"],
-                    {"units": header["units"], "source": header["source"]})
+                    {"units": header["units"], "source": header["source"], "pair": header["pair"]})
         capsys.readouterr()
         assert run("metric", "--kind", "mahalanobis", "--stack", str(scored / "s.rts"),
                    "--mu", mu, "--sigma", sigma, "--out", str(tmp_path / "d.rts")) == 1
@@ -810,7 +882,7 @@ class TestModelCommands:
         save_checkpoint(Model(ModelConfig(d_model=8, num_heads=2, num_layers=1, ff_dim=8),
                               seed=0), str(ckpt))
         weights = bytearray((ckpt / "weights.bin").read_bytes())
-        weights[3] ^= 0x40
+        weights[payload_offset(weights) + 3] ^= 0x40
         (ckpt / "weights.bin").write_bytes(bytes(weights))
         scene = str(tmp_path / "s.rts")
         assert run("synth", "--kind", "scene", "--seed", "1", "--height", "16",

@@ -25,13 +25,17 @@ from hypothesis import strategies as st
 from sardist.cli import main
 from sardist.model import Model, ModelConfig, save_checkpoint
 
+from conftest import payload_offset
+
 MAHALANOBIS = ["metric", "--kind", "mahalanobis", "--stack", "{r}/s.rts", "--mu", "{r}/mu.rts",
                "--sigma", "{r}/sigma.rts", "--out", "{r}/o.rts"]
 EVAL = ["eval", "--method", "mahalanobis", "--stack", "{r}/s.rts", "--truth", "{r}/m.rts",
         "--mu", "{r}/mu.rts", "--sigma", "{r}/sigma.rts", "--out-dir", "{r}/report"]
 ESTIMATE = ["estimate", "--checkpoint", "{r}/ckpt", "--input", "{r}/s.rts",
             "--out-mu", "{r}/a.rts", "--out-sigma", "{r}/b.rts"]
-# (target file, a command that reads it); {r} is the artifact root
+# (target file, a command that reads it); {r} is the artifact root. A target
+# ending in "#header" has its magic, length and JSON header mutated; the
+# checkpoint's weights.bin target has its payload mutated.
 CASES = [
     ("s.rts", ["metric", "--kind", "logratio", "--stack", "{r}/s.rts", "--out", "{r}/o.rts"]),
     ("m.rts", ["eval", "--method", "logratio", "--stack", "{r}/s.rts",
@@ -41,8 +45,7 @@ CASES = [
     ("sigma.rts", MAHALANOBIS),
     ("mu.rts", EVAL),
     ("sigma.rts", EVAL),
-    ("ckpt/model.json", ESTIMATE),
-    ("ckpt/index.json", ESTIMATE),
+    ("ckpt/weights.bin#header", ESTIMATE),
     ("ckpt/weights.bin", ESTIMATE),
     ("corpus/corpus.json", ["despeckle", "--manifest", "{r}/corpus/corpus.json",
                             "--out-dir", "{r}/den", "--tv-iterations", "2"]),
@@ -90,11 +93,13 @@ def artifacts(tmp_path_factory):
     return root
 
 
-def mutate(blob, mutation):
-    kind, pos = mutation[0], mutation[1] % len(blob)
+def mutate(blob, mutation, lo=0, hi=None):
+    """`blob` with `mutation` applied at a position in blob[lo:hi], the whole blob by default."""
+    hi = len(blob) if hi is None else hi
+    kind, pos = mutation[0], lo + mutation[1] % (hi - lo)
     if kind == "truncate":
         # JSON files end in a newline, so drop at least two bytes
-        return blob[:pos % (len(blob) - 1)]
+        return blob[:lo + (pos - lo) % (hi - lo - 1)]
     if kind == "flip":
         return blob[:pos] + bytes([blob[pos] ^ (1 << mutation[2])]) + blob[pos + 1:]
     return blob[:pos] + mutation[2] + blob[pos + len(mutation[2]):]
@@ -110,21 +115,28 @@ MUTATIONS = st.one_of(
 @pytest.mark.parametrize("target, argv", CASES, ids=CASE_IDS)
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(mutation=MUTATIONS)
-# byte 11 is the first "name" key of index.json and a quote of model.json:
-# a renamed index key and a byte that is not UTF-8
+# byte 11 of a checkpoint header is a letter of its first key, "config": a
+# renamed key and a byte that is not UTF-8
 @example(mutation=("flip", 11, 0))
 @example(mutation=("flip", 11, 7))
-# bit 6 of byte 3 is the top exponent bit of the first weight: a huge but
-# finite weight that overflows inside layer norm
+# bit 6 of payload byte 3 is the top exponent bit of the first weight: a huge
+# but finite weight that overflows inside layer norm
 @example(mutation=("flip", 3, 6))
 def test_malformed_artifact_is_one_error_line(artifacts, target, argv, mutation):
     with tempfile.TemporaryDirectory() as root:
         shutil.copytree(artifacts, root, dirs_exist_ok=True)
-        path = os.path.join(root, target)
+        name, _, part = target.partition("#")
+        path = os.path.join(root, name)
         with open(path, "rb") as fh:
             blob = fh.read()
+        if part == "header":
+            region = 0, payload_offset(blob)
+        elif name.endswith(".bin"):   # the checkpoint's payload
+            region = payload_offset(blob), len(blob)
+        else:
+            region = 0, len(blob)
         with open(path, "wb") as fh:
-            fh.write(mutate(blob, mutation))
+            fh.write(mutate(blob, mutation, *region))
         code, err = run_cli(root, argv)
     if mutation[0] == "truncate":
         assert code in (1, 2), err

@@ -509,6 +509,17 @@ class TestEstimateFromStack:
         assert calls == ["frames", "mu", "sigma"]
         assert (est.timestamp, est.source) == (stack.timestamps[-1], stack.digest(5))
 
+    def test_stamps_the_stack_pol_names_through_a_file_round_trip(self, tmp_path):
+        # the estimate used to carry the default ("VV", "VH") whatever the stack held
+        values = five_frame_stack().values
+        stack = RasterStack(values, [f"2024-01-{d:02d}" for d in range(1, 6)], ("HH", "HV"))
+        est = forecast(ConstantStub(size=8), stack)
+        assert est.pol_names == ("HH", "HV")
+        mu, sigma = str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")
+        raster.write_estimate(est, mu, sigma)
+        assert raster.read_array(mu)[1]["pol_names"] == ["HH", "HV"]
+        assert raster.read_estimate(mu, sigma).pol_names == ("HH", "HV")
+
     @pytest.mark.parametrize("drop_last, message", [
         (-1, "drop-last must be >= 0, got -1"),
         (4, "only 1 frames left after --drop-last"),

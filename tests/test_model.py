@@ -7,6 +7,10 @@ checked against plain-numpy mirror implementations written from the module
 docstring (explicit patch loops, no shared tensor code).
 """
 
+import json
+import os
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from sardist.errors import FormatError, ShapeError, ValidationError
 from sardist.model import (Model, ModelConfig, load_checkpoint, patch_split,
                            save_checkpoint)
 
+from conftest import edit_header, payload_offset
 from gradcheck import cast
 
 
@@ -486,16 +491,27 @@ class TestCheckpoints:
         for name, p in model.params.items():
             assert np.array_equal(p.data, loaded.params[name].data)
 
+    @pytest.mark.parametrize("cfg", [tiny_transformer_cfg(), tiny_gru_cfg()],
+                             ids=["transformer", "gru"])
+    def test_one_file_of_header_then_every_parameter_in_name_order(self, tmp_path, cfg):
+        # the payload holds the bytes of the three-file checkpoint's weights.bin
+        model = Model(cfg, seed=3)
+        save_checkpoint(model, str(tmp_path))
+        assert os.listdir(tmp_path) == ["weights.bin"]
+        blob = (tmp_path / "weights.bin").read_bytes()
+        start = payload_offset(blob)
+        assert blob[:4] == b"RTS0"
+        assert json.loads(blob[8:start]) == {"version": 2, "config": asdict(cfg)}
+        assert blob[start:] == b"".join(model.params[name].data.astype("<f4").tobytes()
+                                        for name in sorted(model.params))
+
     def test_save_deterministic_bytes(self, tmp_path):
         model = Model(tiny_transformer_cfg(), seed=7)
         save_checkpoint(model, str(tmp_path / "a"))
         save_checkpoint(model, str(tmp_path / "b"))
-        for name in ("weights.bin", "index.json", "model.json"):
-            with open(tmp_path / "a" / name, "rb") as fh:
-                blob_a = fh.read()
-            with open(tmp_path / "b" / name, "rb") as fh:
-                blob_b = fh.read()
-            assert blob_a == blob_b, name
+        assert os.listdir(tmp_path / "a") == os.listdir(tmp_path / "b") == ["weights.bin"]
+        assert (tmp_path / "a" / "weights.bin").read_bytes() == \
+            (tmp_path / "b" / "weights.bin").read_bytes()
 
     def test_truncated_weights_rejected(self, tmp_path):
         model = Model(tiny_transformer_cfg(), seed=0)
@@ -509,30 +525,30 @@ class TestCheckpoints:
             load_checkpoint(str(tmp_path))
 
     def test_unknown_version_rejected(self, tmp_path):
-        import json
-
         model = Model(tiny_transformer_cfg(), seed=0)
         save_checkpoint(model, str(tmp_path))
-        meta_path = tmp_path / "model.json"
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        meta["version"] = 99
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh)
-        with pytest.raises(FormatError):
+        edit_header(tmp_path / "weights.bin", _json_edit(lambda meta: meta | {"version": 99}))
+        with pytest.raises(FormatError, match="weights.bin: not a version 2 checkpoint"):
             load_checkpoint(str(tmp_path))
 
     def test_missing_parameter_rejected(self, tmp_path):
-        import json
-
+        # a config with one more layer asks for parameters the payload lacks
         model = Model(tiny_transformer_cfg(), seed=0)
         save_checkpoint(model, str(tmp_path))
-        index_path = tmp_path / "index.json"
-        with open(index_path, encoding="utf-8") as fh:
-            index = json.load(fh)
-        with open(index_path, "w", encoding="utf-8") as fh:
-            json.dump(index[:-1], fh)
-        with pytest.raises(FormatError):
+        edit_header(tmp_path / "weights.bin", _json_edit(
+            lambda meta: meta | {"config": meta["config"] | {"num_layers": 3}}))
+        with pytest.raises(FormatError, match="weights.bin: payload is"):
+            load_checkpoint(str(tmp_path))
+
+    def test_three_file_checkpoint_rejected(self, tmp_path):
+        # a checkpoint from before version 2: raw weights, index.json and model.json
+        model = Model(tiny_transformer_cfg(), seed=0)
+        (tmp_path / "weights.bin").write_bytes(b"".join(
+            model.params[name].data.astype("<f4").tobytes() for name in sorted(model.params)))
+        (tmp_path / "index.json").write_text("[]")
+        (tmp_path / "model.json").write_text(
+            json.dumps({"version": 1, "config": asdict(model.cfg)}))
+        with pytest.raises(FormatError, match="weights.bin: bad magic"):
             load_checkpoint(str(tmp_path))
 
     @pytest.mark.parametrize("edit, named", [
@@ -542,46 +558,43 @@ class TestCheckpoints:
         (lambda meta: meta.update(config="transformer"), "config"),
     ])
     def test_bad_config_rejected(self, tmp_path, edit, named):
-        import json
-
         save_checkpoint(Model(tiny_transformer_cfg(), seed=0), str(tmp_path))
-        meta_path = tmp_path / "model.json"
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        edit(meta)
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+        def change(meta):
+            edit(meta)
+            return meta
+
+        edit_header(tmp_path / "weights.bin", _json_edit(change))
         with pytest.raises(FormatError, match=named):
             load_checkpoint(str(tmp_path))
 
-    @pytest.mark.parametrize("name, edit", [
-        ("model.json", _json_edit(lambda m: m | {"config": m["config"] | {"d_model": "abc"}})),
-        ("model.json", lambda blob: blob.replace(b'"transformer"', b'"transf\xffrmer"')),
-        ("index.json", _json_edit(lambda idx: [{"shape": idx[0]["shape"], "offset": 0}]
-                                  + idx[1:])),
-        ("index.json", _json_edit(lambda idx: {"entries": idx})),
-        ("index.json", _json_edit(lambda idx: idx[:-1] + [idx[-1] | {"offset": -4}])),
-        ("index.json", _json_edit(lambda idx: idx + idx[:1])),
-        ("weights.bin", lambda blob: blob + bytes(16)),
-        ("weights.bin", lambda blob: np.float32(np.nan).tobytes() + blob[4:]),
-    ], ids=["wrong-type", "non-utf8", "no-name", "object-index", "negative-offset",
-            "duplicate-entry", "trailing-bytes", "nan-weight"])
-    def test_malformed_checkpoint_rejected(self, tmp_path, name, edit):
+    @pytest.mark.parametrize("part, edit", [
+        ("header", _json_edit(lambda m: m | {"config": m["config"] | {"d_model": "abc"}})),
+        ("header", lambda blob: blob.replace(b'"transformer"', b'"transf\xffrmer"')),
+        ("payload", lambda blob: blob + bytes(16)),
+        ("payload", lambda blob: np.float32(np.nan).tobytes() + blob[4:]),
+    ], ids=["wrong-type", "non-utf8", "trailing-bytes", "nan-weight"])
+    def test_malformed_checkpoint_rejected(self, tmp_path, part, edit):
         save_checkpoint(Model(tiny_transformer_cfg(), seed=0), str(tmp_path))
-        path = tmp_path / name
-        path.write_bytes(edit(path.read_bytes()))
-        with pytest.raises(FormatError, match=name):
+        path = tmp_path / "weights.bin"
+        if part == "header":
+            edit_header(path, edit)
+        else:
+            blob = path.read_bytes()
+            path.write_bytes(blob[:payload_offset(blob)] + edit(blob[payload_offset(blob):]))
+        with pytest.raises(FormatError, match="weights.bin"):
             load_checkpoint(str(tmp_path))
 
     def test_non_object_metadata_rejected(self, tmp_path):
         save_checkpoint(Model(tiny_transformer_cfg(), seed=0), str(tmp_path))
-        (tmp_path / "model.json").write_text("[1]", encoding="utf-8")
+        edit_header(tmp_path / "weights.bin", lambda blob: b"[1]")
         with pytest.raises(FormatError):
             load_checkpoint(str(tmp_path))
 
     def test_corrupt_json_rejected(self, tmp_path):
         model = Model(tiny_transformer_cfg(), seed=0)
         save_checkpoint(model, str(tmp_path))
-        with open(tmp_path / "model.json", "w", encoding="utf-8") as fh:
-            fh.write("{not json")
+        edit_header(tmp_path / "weights.bin", lambda blob: b"{not json")
         with pytest.raises(FormatError):
             load_checkpoint(str(tmp_path))
 

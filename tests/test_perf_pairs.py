@@ -1,6 +1,7 @@
 """Smoke tests of scripts/perf_pairs.py, the alternating perfbench pair runner."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -77,3 +78,31 @@ def test_digests_that_differ_between_sides_fail_only_without_the_flag():
          "digest mismatch in change: op 3: 2 distinct digests",
          "digests that differ between sides: set-up: 2 distinct digests; "
          "op 1: 2 distinct digests; op 2: 2 distinct digests; 1 more"], True)
+
+
+def test_probe_times_print_next_to_each_run_and_stay_with_keep(tmp_path, monkeypatch, capsys):
+    perf_pairs = load_script()
+    calls = []
+
+    def fake_run_once(tree, out_dir, args):
+        calls.append(out_dir)
+        return {"correct": True, "digests": {"setup": ["s"], "ops": ["0123456789abcdef00"]},
+                "metrics": {m: {"value": 1.0} for m in perf_pairs.METRICS}}
+
+    monkeypatch.setattr(perf_pairs, "run_once", fake_run_once)
+    keep = tmp_path / "runs"
+    assert perf_pairs.main(["parent", "change", "--workload", "train-b1", "--seed", "0",
+                            "--pairs", "2", "--seconds", "1", "--keep", str(keep)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines[:4]] == [
+        ["pair", "1", "parent"], ["pair", "1", "change"],
+        ["pair", "2", "change"], ["pair", "2", "parent"]]
+    for line, out_dir in zip(lines[:4], calls):
+        words = line.split()
+        assert words[3] == "sgemm" and words[5] == "stream" and words[-1] == "0123456789abcdef"
+        with open(os.path.join(out_dir, "probe.json"), encoding="utf-8") as fh:
+            probe = json.load(fh)
+        # the printed times are the kept ones, each a real (positive) timing
+        assert [f"{probe['sgemm_s']:.3f}", f"{probe['stream_s']:.3f}"] == [words[4], words[6]]
+        assert probe["sgemm_s"] > 0 and probe["stream_s"] > 0
+    assert sorted(os.listdir(keep)) == ["change-1", "change-2", "parent-1", "parent-2"]

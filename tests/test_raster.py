@@ -15,10 +15,10 @@ import pytest
 from sardist.errors import FormatError, ShapeError, ValidationError
 from sardist.model import Model, ModelConfig, save_checkpoint
 from sardist.raster import (BinaryDelineation, DistributionEstimate,
-                            DisturbanceMap, RasterStack, read_array,
-                            read_delineation, read_estimate, read_mask,
-                            read_metric_map, read_stack, write_delineation,
-                            write_array, write_estimate, write_file, write_json,
+                            DisturbanceMap, RasterStack, read_array, read_container,
+                            read_delineation, read_estimate, read_json, read_mask,
+                            read_metric_map, read_stack, write_array, write_container,
+                            write_delineation, write_estimate, write_file, write_json,
                             write_mask, write_metric_map, write_stack)
 
 
@@ -103,6 +103,16 @@ class TestHandBuiltContainer:
         with pytest.raises(FormatError):
             read_array(str(path))
 
+    def test_deeply_nested_header_rejected(self, tmp_path):
+        # json.loads raised a bare RecursionError, which escaped the CLI as a traceback
+        path = tmp_path / "deep.rts"
+        path.write_bytes(b"RTS0" + struct.pack("<I", 200_000) + b"[" * 200_000)
+        with pytest.raises(FormatError, match="unreadable header"):
+            read_array(str(path))
+        (tmp_path / "deep.json").write_bytes(b"[" * 200_000)
+        with pytest.raises(FormatError, match="not valid UTF-8 JSON"):
+            read_json(str(tmp_path / "deep.json"))
+
     def test_wrong_dtype_tag_rejected(self, tmp_path):
         values = np.zeros((1, 1, 2, 2), dtype="<f4")
         blob = _hand_container((1, 1, 2, 2), ["a"], ["m"], values.tobytes())
@@ -119,6 +129,52 @@ class TestHandBuiltContainer:
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             read_array(str(path))
+
+
+class TestContainerReader:
+    def test_read_stack_peaks_near_one_stack(self, tmp_path):
+        # the reader used to hold the file's bytes, a payload slice and a copy: 3.0 stacks
+        import tracemalloc
+
+        stack = _stack(t=11, h=128, w=128)
+        path = str(tmp_path / "s.rts")
+        write_stack(stack, path)
+        tracemalloc.start()
+        try:
+            back = read_stack(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, stack.values)
+        assert peak <= 1.5 * stack.values.nbytes, peak / stack.values.nbytes
+
+    def test_payload_size_checked_before_the_read(self, tmp_path):
+        # a header that declares a huge payload fails on the file size, allocating nothing
+        blob = _hand_container((1 << 14, 2, 1 << 12, 1 << 12), ["a"] * (1 << 14),
+                               ["VV", "VH"], bytes(64))
+        path = tmp_path / "huge.rts"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=r"payload is 64 bytes, expected 2199023255552$"):
+            read_array(str(path))
+
+    def test_shape_whose_int64_product_wraps_rejected(self, tmp_path):
+        # 2**62 * 4 wrapped to 0 values, so an empty payload passed the size check
+        # and the reshape raised a bare ValueError
+        path = tmp_path / "wrap.rts"
+        path.write_bytes(_hand_container((1, 1 << 62, 4, 1), ["a"], ["VV", "VH"], b""))
+        with pytest.raises(FormatError, match=r"payload is 0 bytes, expected 7378697629483820646"):
+            read_array(str(path))
+
+    def test_stacks_and_checkpoints_share_the_framing(self, tmp_path):
+        save_checkpoint(_tiny_model(0), str(tmp_path))
+        path = str(tmp_path / "weights.bin")
+        header, values = read_container(path, lambda header: _tiny_model(0).parameter_count())
+        assert header["version"] == 2 and values.dtype == np.dtype("<f4")
+        with pytest.raises(FormatError, match=r"weights\.bin: header missing key 'shape'$"):
+            read_array(path)
+        write_container(str(tmp_path / "x.rts"), {"kind": "test"}, [np.zeros(2, "<f4")])
+        with pytest.raises(FormatError, match=r"x\.rts: payload is 8 bytes, expected 12$"):
+            read_container(str(tmp_path / "x.rts"), lambda header: 3)
 
 
 class TestStackRoundtrip:
@@ -302,10 +358,10 @@ class TestTypedWrappers:
             read, paths = read_delineation, (path,)
         else:
             write_array(path, np.full((1, 2, 4, 4), content), ["2024-01-25"],
-                        extra={"units": "logit", "source": ""})
+                        extra={"units": "logit", "source": "", "pair": ""})
             sigma = str(tmp_path / "sigma.rts")
             write_array(sigma, np.ones((1, 2, 4, 4)), ["2024-01-25"],
-                        extra={"units": "logit", "source": ""})
+                        extra={"units": "logit", "source": "", "pair": ""})
             read, paths = read_estimate, (path, sigma)
         with pytest.raises(ValidationError) as info:
             read(*paths)
@@ -355,18 +411,55 @@ class TestTypedWrappers:
         # an estimate written before the source key must be made again
         paths = [str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")]
         for i, path in enumerate(paths):
-            extra = {"units": "logit"} if i == which else {"units": "logit", "source": ""}
+            extra = {"units": "logit", "pair": ""} | ({} if i == which else {"source": ""})
             write_array(path, np.ones((1, 2, 4, 4)), ["2024-01-25"], extra=extra)
         with pytest.raises(FormatError, match=r"estimate header missing 'source'$"):
+            read_estimate(*paths)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_estimate_header_without_pair_rejected(self, tmp_path, which):
+        # an estimate written before the pair key must be made again
+        paths = [str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")]
+        for i, path in enumerate(paths):
+            extra = {"units": "logit", "source": ""} | ({} if i == which else {"pair": ""})
+            write_array(path, np.ones((1, 2, 4, 4)), ["2024-01-25"], extra=extra)
+        with pytest.raises(FormatError, match=r"estimate header missing 'pair'$"):
             read_estimate(*paths)
 
     def test_estimate_source_must_be_a_string(self, tmp_path):
         paths = [str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")]
         for path in paths:
             write_array(path, np.ones((1, 2, 4, 4)), ["2024-01-25"],
-                        extra={"units": "logit", "source": 7})
+                        extra={"units": "logit", "source": 7, "pair": ""})
         with pytest.raises(FormatError, match="'source' is not a string"):
             read_estimate(*paths)
+
+    def test_estimate_pair_is_the_digest_of_both_payloads(self, tmp_path):
+        import hashlib
+
+        est = DistributionEstimate(np.zeros((2, 4, 4)), np.full((2, 4, 4), 0.5))
+        mu, sigma = str(tmp_path / "mu.rts"), str(tmp_path / "sigma.rts")
+        write_estimate(est, mu, sigma)
+        expect = hashlib.sha256(np.zeros(32, "<f4").tobytes()
+                                + np.full(32, 0.5, "<f4").tobytes()).hexdigest()
+        assert read_array(mu)[1]["pair"] == read_array(sigma)[1]["pair"] == expect
+
+    @pytest.mark.parametrize("swap", ["mu", "sigma"])
+    def test_estimate_files_of_two_forecasts_of_one_stack_rejected(self, tmp_path, swap):
+        # same frames, same timestamp and source: only the pair tells the files apart
+        paths = {}
+        for run, scale in (("a", 1.0), ("b", 2.0)):
+            paths[run] = str(tmp_path / f"mu_{run}.rts"), str(tmp_path / f"sigma_{run}.rts")
+            values = np.full((2, 4, 4), scale)
+            write_estimate(DistributionEstimate(values, values, timestamp="2024-01-25",
+                                                source="c" * 64), *paths[run])
+        mu, sigma = (paths["b"][0], paths["a"][1]) if swap == "mu" else \
+            (paths["a"][0], paths["b"][1])
+        with pytest.raises(FormatError) as info:
+            read_estimate(mu, sigma)
+        assert str(info.value) == f"{mu}, {sigma}: mu and sigma are not one estimate's pair"
+        read_estimate(*paths["a"])
+        read_estimate(*paths["b"])
 
 
 def _tiny_model(seed):
@@ -382,7 +475,7 @@ def _snapshot(directory):
 ARTIFACT_WRITES = [
     ("stack", ["s.rts"], lambda d, seed: write_stack(_stack(seed=seed), str(d / "s.rts"))),
     ("json", ["x.json"], lambda d, seed: write_json(str(d / "x.json"), {"seed": seed})),
-    ("checkpoint", ["index.json", "model.json", "weights.bin"],
+    ("checkpoint", ["weights.bin"],
      lambda d, seed: save_checkpoint(_tiny_model(seed), str(d))),
 ]
 

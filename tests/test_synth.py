@@ -296,6 +296,27 @@ class TestDeterminism:
         assert np.array_equal(mask_a, mask_b)
         assert stack_a.timestamps == stack_b.timestamps
 
+    @pytest.mark.parametrize("cfg, expect", [
+        (SynthConfig(height=128, width=128, seed=0),
+         "5c9b36355c0e3d08b1aff0e30e90ae4f931716f92aafaac81f59c4e389c516c4"),
+        (SynthConfig(height=24, width=40, num_steps=5, seasonal_amplitude_db=1.5, seed=3),
+         "9271f152222eb445f71459c5f43fab38ee7e32cb5a98395f735e2d08e1d45f3c"),
+    ], ids=["128x128", "24x40-seasonal"])
+    def test_scene_bytes_pinned(self, cfg, expect):
+        # SHA-256 of the float32 values in TCHW order, then the packed truth mask
+        import hashlib
+
+        stack, mask = generate_scene(cfg)
+        sha = hashlib.sha256(stack.values.tobytes())
+        sha.update(np.packbits(mask).tobytes())
+        assert sha.hexdigest() == expect
+
+    def test_scene_is_c_contiguous(self):
+        # time was the fastest axis (strides (8, 4, 11264, 88)), so despeckle
+        # and digest copied the stack
+        stack, _ = generate_scene(SynthConfig(height=128, width=128, seed=0))
+        assert stack.values.flags.c_contiguous
+
     def test_explicit_seed_overrides_config(self):
         # the seed lives in the config alone; an explicit one is set by replace
         stack_a, _ = generate_scene(replace(SynthConfig(), seed=1))
