@@ -4,6 +4,8 @@
     python scripts/counts.py
 
 - `src_lines`: lines of Python under src/;
+- `code_lines`: those lines less blanks, comments and docstrings, so that
+  deleting a comment does not read as a smaller program;
 - `cli_options`: settable command-line options, from `cli.COMMANDS`: each
   subcommand's flags plus its one `--config` (`--help` and `--version` are
   not settings);
@@ -16,9 +18,11 @@
 
 import ast
 import dataclasses
+import io
 import os
 import re
 import sys
+import tokenize
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 sys.path.insert(0, SRC)
@@ -31,6 +35,8 @@ from sardist.synth import SynthConfig  # noqa: E402
 from sardist.training import TrainConfig  # noqa: E402
 
 CONFIGS = (SynthConfig, PreprocessConfig, ModelConfig, TrainConfig, SweepConfig)
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
 ENV_READ = re.compile(r"""(?:environ(?:\.get)?\s*[\[(]|getenv\s*\()\s*["']([^"']+)["']""")
 
 
@@ -39,6 +45,23 @@ def sources() -> list[str]:
     for root, _, names in os.walk(SRC):
         paths += [os.path.join(root, n) for n in sorted(names) if n.endswith(".py")]
     return sorted(paths)
+
+
+def code_lines(text: str) -> int:
+    """Lines of the Python source `text` that hold a token other than a comment or a
+    docstring (a module's, class's or function's leading string)."""
+    docstrings = {(node.body[0].lineno, node.body[0].col_offset)
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)
+                  and isinstance(node.body[0].value.value, str)}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in NOT_CODE and tok.start not in docstrings:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
 
 
 def counts() -> dict[str, int]:
@@ -53,6 +76,7 @@ def counts() -> dict[str, int]:
     fields = {f"config_fields.{c.__name__}": len(dataclasses.fields(c)) for c in CONFIGS}
     return {
         "src_lines": sum(text.count("\n") for text in texts),
+        "code_lines": sum(map(code_lines, texts)),
         "cli_options": options,
         "env_vars_read": len({name for text in texts for name in ENV_READ.findall(text)}),
         **fields,

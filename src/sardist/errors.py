@@ -5,8 +5,8 @@ distinct from storage failures, which are plain OSError, so the CLI can map
 them to separate exit codes. `check_seed` takes seeds, `check_fields` config
 fields and `finite_array` the float arrays of `sweep_estimate`, `train`,
 `RasterStack`, `DistributionEstimate` and `DisturbanceMap`, and `float_array`
-(its dtype rule alone) that of `despeckle_values`: a malformed one is a
-SardistError there, never a numpy error or warning.
+(its dtype rule alone) those of `despeckle_values` and `LabeledScores`: a
+malformed one is a SardistError there, never a numpy error or warning.
 """
 
 import sys

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disturbance import score_frame
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, float_array
 from .inference import SweepConfig, forecast
 from .model import Model, ModelConfig
 from .preprocess import despeckle_stack, despeckle_values, to_logit
@@ -49,12 +49,17 @@ class LabeledScores:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        self.scores = np.asarray(self.scores, dtype=np.float64).ravel()
-        self.labels = np.asarray(self.labels, dtype=bool).ravel()
+        self.scores = float_array(self.scores, "scores", "...", np.float64).ravel()
+        try:
+            labels = np.asarray(self.labels)
+        except ValueError:   # numpy's "inhomogeneous shape" of a ragged nested sequence
+            raise ShapeError("labels must be (...), got a ragged sequence") from None
+        if labels.size and labels.dtype != bool and not (
+                labels.dtype.kind in "iu" and np.isin(labels, (0, 1)).all()):
+            raise ValidationError(f"labels must be bool or 0/1 integers, got dtype {labels.dtype}")
+        self.labels = labels.astype(bool, copy=False).ravel()
         if self.scores.shape != self.labels.shape:
-            raise ShapeError(
-                f"{self.scores.size} scores vs {self.labels.size} labels"
-            )
+            raise ShapeError(f"{self.scores.size} scores vs {self.labels.size} labels")
         if self.scores.size == 0:
             raise ValidationError("empty score set")
         if not np.all(np.isfinite(self.scores)):
@@ -78,11 +83,9 @@ def build_labeled_set(pre_map: DisturbanceMap, post_map: DisturbanceMap,
             f"shape mismatch: pre {pre_map.values.shape}, post "
             f"{post_map.values.shape}, truth {truth.shape}"
         )
-    if not truth.any():
-        raise ValidationError("truth mask has no positive pixels")
     scores = np.concatenate([pre_map.values.ravel(), post_map.values.ravel()])
     labels = np.concatenate([np.zeros(truth.size, dtype=bool), truth.ravel()])
-    return LabeledScores(scores.astype(np.float64), labels)
+    return LabeledScores(scores, labels)
 
 
 def two_image_scores(stack: RasterStack, truth: np.ndarray,

@@ -26,6 +26,9 @@ gru: frames are flattened to C*S^2 vectors and run through a stacked GRU
 the final hidden state feeds the same kind of two-headed readout for the
 whole frame.
 
+A model is its config plus its parameters, which `_layout(cfg)` declares once:
+`Model(cfg, seed)` draws them; `load_checkpoint` reads them and draws nothing.
+
 One forward serves training and inference: `forward` builds the graph when
 gradients are on and, under `autodiff.no_grad`, the same code writes each
 ReLU into the GEMM result it reads (see `autodiff`'s in-place rule).
@@ -108,69 +111,64 @@ def patch_split(frames: np.ndarray, patch: int) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(*lead, n * n, c * patch * patch)
 
 
-class Model:
-    """Parameter container plus forward pass for either model kind."""
+def _layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], object]]:
+    """(name, shape, init) of each parameter of `cfg`'s model, in the order the seed's
+    stream draws them: init(rng) gives its float64 values; a layer norm draws none."""
+    d, hidden = cfg.d_model, cfg.resolved_head_hidden
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
-        self.cfg = cfg
-        self.dtype = np.dtype(np.float32)
-        self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(check_seed(seed))
-        if cfg.kind == "transformer":
-            self._init_transformer(rng)
-        else:
-            self._init_gru(rng)
-
-    # -- initialization -----------------------------------------------------
-
-    def _linear(self, rng, name: str, fan_in: int, fan_out: int) -> None:
+    def uniform(name, shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)
-        self.params[f"{name}.w"] = self._param(rng.uniform(-bound, bound, (fan_in, fan_out)))
-        self.params[f"{name}.b"] = self._param(rng.uniform(-bound, bound, (fan_out,)))
+        return name, shape, lambda rng: rng.uniform(-bound, bound, shape)
 
-    def _param(self, values) -> Tensor:
-        return Tensor(np.asarray(values, dtype=self.dtype), requires_grad=True)
+    def linear(name, n_in, n_out):
+        return [uniform(f"{name}.w", (n_in, n_out), n_in), uniform(f"{name}.b", (n_out,), n_in)]
 
-    def _init_transformer(self, rng) -> None:
-        cfg = self.cfg
-        self._linear(rng, "embed", cfg.patch_dim, cfg.d_model)
-        self.params["pos_spatial"] = self._param(
-            rng.normal(0.0, 0.02, (cfg.patches_per_frame, cfg.d_model)))
-        self.params["pos_temporal"] = self._param(
-            rng.normal(0.0, 0.02, (cfg.max_t, cfg.d_model)))
+    def norm(name):
+        return [(f"{name}.{part}", (d,), lambda rng, v=v: np.full(d, v))
+                for part, v in (("g", 1.0), ("b", 0.0))]
+
+    if cfg.kind == "transformer":
+        rows = linear("embed", cfg.patch_dim, d) + [
+            (name, (n, d), lambda rng, n=n: rng.normal(0.0, 0.02, (n, d)))
+            for name, n in (("pos_spatial", cfg.patches_per_frame), ("pos_temporal", cfg.max_t))]
         for i in range(cfg.num_layers):
-            self._layer_norm_init(f"enc{i}.ln1", cfg.d_model)
+            rows += norm(f"enc{i}.ln1")
             for proj in ("wq", "wk", "wv", "wo"):
-                self._linear(rng, f"enc{i}.attn.{proj}", cfg.d_model, cfg.d_model)
-            self._layer_norm_init(f"enc{i}.ln2", cfg.d_model)
-            self._linear(rng, f"enc{i}.ff1", cfg.d_model, cfg.ff_dim)
-            self._linear(rng, f"enc{i}.ff2", cfg.ff_dim, cfg.d_model)
-        self._layer_norm_init("final_ln", cfg.d_model)
-        hidden = cfg.resolved_head_hidden
-        for head in ("mu_head", "sigma_head"):
-            self._linear(rng, f"{head}.l1", cfg.d_model, hidden)
-            self._linear(rng, f"{head}.l2", hidden, cfg.patch_dim)
+                rows += linear(f"enc{i}.attn.{proj}", d, d)
+            rows += [*norm(f"enc{i}.ln2"), *linear(f"enc{i}.ff1", d, cfg.ff_dim),
+                     *linear(f"enc{i}.ff2", cfg.ff_dim, d)]
+        rows, out = rows + norm("final_ln"), cfg.patch_dim
+    else:
+        rows = [uniform(f"gru{layer}.{name}", shape, d) for layer in range(cfg.num_layers)
+                for name, shape in (("w_ih", (cfg.frame_dim if layer == 0 else d, 3 * d)),
+                                    ("w_hh", (d, 3 * d)), ("b_ih", (3 * d,)), ("b_hh", (3 * d,)))]
+        out = cfg.frame_dim
+    for head in ("mu_head", "sigma_head"):
+        rows += [*linear(f"{head}.l1", d, hidden), *linear(f"{head}.l2", hidden, out)]
+    return rows
 
-    def _init_gru(self, rng) -> None:
-        cfg = self.cfg
-        h = cfg.d_model
-        for layer in range(cfg.num_layers):
-            fan_in = cfg.frame_dim if layer == 0 else h
-            bound = 1.0 / np.sqrt(h)
-            self.params[f"gru{layer}.w_ih"] = self._param(
-                rng.uniform(-bound, bound, (fan_in, 3 * h)))
-            self.params[f"gru{layer}.w_hh"] = self._param(
-                rng.uniform(-bound, bound, (h, 3 * h)))
-            self.params[f"gru{layer}.b_ih"] = self._param(rng.uniform(-bound, bound, (3 * h,)))
-            self.params[f"gru{layer}.b_hh"] = self._param(rng.uniform(-bound, bound, (3 * h,)))
-        hidden = cfg.resolved_head_hidden
-        for head in ("mu_head", "sigma_head"):
-            self._linear(rng, f"{head}.l1", h, hidden)
-            self._linear(rng, f"{head}.l2", hidden, cfg.frame_dim)
 
-    def _layer_norm_init(self, name: str, dim: int) -> None:
-        self.params[f"{name}.g"] = self._param(np.ones(dim))
-        self.params[f"{name}.b"] = self._param(np.zeros(dim))
+class Model:
+    """A config and its parameters, plus the forward pass for either model kind.
+
+    `Model(cfg, seed)` draws the parameters of `_layout(cfg)` as float32, and
+    `Model(cfg, params=arrays)` wraps numpy arrays of the layout's names and
+    shapes that share one float dtype, the model's `dtype`.
+    """
+
+    def __init__(self, cfg: ModelConfig, seed: int = 0,
+                 params: dict[str, np.ndarray] | None = None):
+        self.cfg = cfg
+        layout = _layout(cfg)
+        if params is None:
+            rng = np.random.default_rng(check_seed(seed))
+            params = {name: init(rng).astype(np.float32) for name, _, init in layout}
+        got = {n: (getattr(a, "shape", None), getattr(a, "dtype", None)) for n, a in params.items()}
+        self.dtype = np.dtype(getattr(params.get(layout[0][0]), "dtype", object))
+        if self.dtype.kind != "f" or got != {n: (shape, self.dtype) for n, shape, _ in layout}:
+            raise ValidationError(f"parameters must have the names and shapes of the {cfg.kind} "
+                                  f"layout and share one float dtype")
+        self.params = {name: Tensor(params[name], requires_grad=True) for name, _, _ in layout}
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -292,14 +290,10 @@ class Model:
                 r = (gi[:, :hdim] + gh[:, :hdim]).sigmoid()
                 z = (gi[:, hdim:2 * hdim] + gh[:, hdim:2 * hdim]).sigmoid()
                 n = (gi[:, 2 * hdim:] + r * gh[:, 2 * hdim:]).tanh()
-                hnew = (1.0 - z) * n + z * hprev
-                states[layer] = hnew
-                out = hnew
-                if layer < cfg.num_layers - 1:
-                    out = dropout(hnew, cfg.dropout, rng, train)
-                inp = out
-        final = states[-1]                                # (B, H)
-        mu, sig = self._heads(final)
+                states[layer] = (1.0 - z) * n + z * hprev
+                if layer < cfg.num_layers - 1:                # the top layer feeds the heads
+                    inp = dropout(states[layer], cfg.dropout, rng, train)
+        mu, sig = self._heads(states[-1])                 # from (B, H)
         shape = (b, cfg.channels, cfg.input_size, cfg.input_size)
         return mu.reshape(shape), sig.reshape(shape)
 
@@ -325,24 +319,22 @@ def save_checkpoint(model: Model, directory: str) -> None:
 def load_checkpoint(directory: str) -> Model:
     """The model of weights.bin's config, if the payload holds its parameters, all finite."""
     path = os.path.join(directory, "weights.bin")
-    model = None
 
     def count(header: dict) -> int:
-        nonlocal model
         if header.get("version") != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: not a version {CHECKPOINT_VERSION} checkpoint")
         try:
-            model = Model(ModelConfig(**header.get("config")), seed=0)
+            cfg = ModelConfig(**header.get("config"))
         except (TypeError, ValidationError) as exc:  # not a mapping, an unknown key, a bad value
             raise FormatError(f"{path}: config: {exc}") from None
-        return model.parameter_count()
+        return sum(int(np.prod(shape)) for _, shape, _ in _layout(cfg))
 
-    _, values = read_container(path, count)
-    start = 0
-    for name, p in sorted(model.params.items()):
-        # a copy each, as `Model` allocates them, so no GEMM reads an offset view
-        p.data = values[start:start + p.data.size].reshape(p.data.shape).astype(np.float32)
-        start += p.data.size
-        if not np.all(np.isfinite(p.data)):
+    header, values = read_container(path, count)
+    cfg, params, start = ModelConfig(**header["config"]), {}, 0
+    for name, shape, _ in sorted(_layout(cfg)):
+        # a copy each, as `Model` draws them, so no GEMM reads an offset view
+        params[name] = values[start:start + int(np.prod(shape))].reshape(shape).astype(np.float32)
+        start += params[name].size
+        if not np.all(np.isfinite(params[name])):
             raise FormatError(f"{path}: holds non-finite {name}")
-    return model
+    return Model(cfg, params=params)

@@ -202,13 +202,17 @@ def read_corpus_manifest(manifest_path: str) -> dict:
 
 
 def load_corpus(manifest_path: str) -> np.ndarray:
-    """Load every corpus sequence into one (N, T, C, H, W) float32 array."""
-    manifest = read_corpus_manifest(manifest_path)
-    base = os.path.dirname(manifest_path)
-    stacks = [read_stack(os.path.join(base, e["path"])) for e in manifest["entries"]]
-    if not stacks:
+    """Load every corpus sequence into one (N, T, C, H, W) float32 array, stack by stack."""
+    paths = [os.path.join(os.path.dirname(manifest_path), e["path"])
+             for e in read_corpus_manifest(manifest_path)["entries"]]
+    if not paths:
         raise ValidationError(f"{manifest_path}: empty corpus")
-    shapes = {s.values.shape for s in stacks}
-    if len(shapes) != 1:
-        raise ValidationError(f"{manifest_path}: mixed sequence shapes {shapes}")
-    return np.stack([s.values for s in stacks], axis=0)
+    for i, path in enumerate(paths):
+        values = read_stack(path).values
+        if i == 0:
+            corpus = np.empty((len(paths), *values.shape), dtype=np.float32)
+        elif values.shape != corpus.shape[1:]:
+            raise ValidationError(f"{manifest_path}: mixed sequence shapes {corpus.shape[1:]}, "
+                                  f"{values.shape}")
+        corpus[i] = values
+    return corpus

@@ -12,21 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sardist.autodiff import Tensor, no_grad
+from sardist.autodiff import no_grad
 from sardist.model import Model
 from sardist.training import nll_loss
 
 
 def cast(model: Model, dtype) -> Model:
     """Copy of `model` with parameters cast to `dtype`."""
-    clone = Model.__new__(Model)
-    clone.cfg = model.cfg
-    clone.dtype = np.dtype(dtype)
-    clone.params = {
-        name: Tensor(p.data.astype(dtype), requires_grad=True)
-        for name, p in model.params.items()
-    }
-    return clone
+    return Model(model.cfg, params={name: p.data.astype(dtype) for name, p in model.params.items()})
 
 
 def relative_error(a: float, b: float, floor: float = 1e-8) -> float:

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sardist.errors import SardistError, ValidationError
+from sardist.errors import SardistError, ShapeError, ValidationError
+from sardist.evaluation import LabeledScores
 from sardist.inference import sweep_estimate
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import despeckle_values
@@ -120,3 +121,55 @@ def test_despeckle_clips_non_finite_and_past_float32_values_without_warning():
     # fails the descent check and comes back as its input, but for the dB round trip
     assert out[0].tobytes() == despeckle_values(np.clip(values[0], 1e-4, 1 - 1e-4)).tobytes()
     np.testing.assert_allclose(out[1, 0], values[1, 0], rtol=1e-6)   # NaN where it was
+
+
+# LabeledScores takes its scores through the dtype rule (`errors.float_array`, float64),
+# since any finite float64 is a score, and its labels as bools or 0/1 integers
+LABELS = np.array([[False, True, False], [True, False, False]])
+SCORES = np.array([[0.1, 0.9, 0.2], [0.7, 0.3, 0.4]], np.float32)
+
+
+@pytest.mark.parametrize("malformed", ["string", "ragged", "complex", "object"])
+def test_labeled_scores_refuse_non_numeric_scores(malformed):
+    # a string array used to be parsed as numbers, a complex one to warn and drop its
+    # imaginary part, a ragged one to leak numpy's ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^scores must be "):
+            LabeledScores(MALFORMED[malformed](SCORES), LABELS)
+
+
+@pytest.mark.parametrize("labels", [LABELS.astype(str), LABELS.astype(float),
+                                    np.where(LABELS, 2, 0), LABELS.astype(object),
+                                    [[0, 1, 0], [1, 0]]],
+                         ids=["string", "float", "two", "object", "ragged"])
+def test_labeled_scores_refuse_labels_other_than_bool_or_0_1(labels):
+    # 'False' used to read as True, as did any non-zero number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^labels must be "):
+            LabeledScores(SCORES, labels)
+
+
+@pytest.mark.parametrize("scores", [SCORES, SCORES.astype(np.float64), SCORES.astype(np.int64)],
+                         ids=["float32", "float64", "int64"])
+def test_labeled_scores_keep_the_bits_of_numeric_scores(scores):
+    ls = LabeledScores(scores, LABELS.astype(np.uint8))
+    assert ls.scores.tobytes() == np.asarray(scores, np.float64).ravel().tobytes()
+    assert ls.labels.tobytes() == LABELS.ravel().tobytes()
+
+
+def test_labeled_scores_refusals_hold_under_optimize():
+    code, out, err = run_under_optimize(
+        "from sardist.errors import SardistError\n"
+        "from sardist.evaluation import LabeledScores\n"
+        "for scores, labels in [(['0.1', '0.2'], [True, False]),\n"
+        "                       ([0.1j, 0.2], [True, False]),\n"
+        "                       ([[0.1], [0.2, 0.3]], [True, False]),\n"
+        "                       ([0.1, 0.2], ['False', 'True'])]:\n"
+        "    try:\n"
+        "        LabeledScores(scores, labels)\n"
+        "    except SardistError as exc:\n"
+        "        print(type(exc).__name__)\n")
+    assert (code, err) == (0, "")
+    assert out.split() == ["ValidationError", "ValidationError", "ShapeError", "ValidationError"]

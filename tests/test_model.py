@@ -505,6 +505,25 @@ class TestCheckpoints:
         assert blob[start:] == b"".join(model.params[name].data.astype("<f4").tobytes()
                                         for name in sorted(model.params))
 
+    @pytest.mark.parametrize("cfg", [tiny_transformer_cfg(), tiny_gru_cfg()],
+                             ids=["transformer", "gru"])
+    def test_loads_without_drawing(self, tmp_path, monkeypatch, cfg):
+        # the config's layout gives every shape; the loader used to draw a whole model
+        model = Model(cfg, seed=4)
+        save_checkpoint(model, str(tmp_path))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr("sardist.model.np.random.default_rng", no_draw)
+        loaded = load_checkpoint(str(tmp_path))
+        assert list(loaded.params) == list(model.params)   # Adam breaks size ties by order
+        assert loaded.dtype == np.float32
+        for name, p in model.params.items():
+            data = loaded.params[name].data
+            assert data.dtype == np.float32 and data.flags.c_contiguous and data.flags.owndata
+            assert np.array_equal(data, p.data), name
+
     def test_save_deterministic_bytes(self, tmp_path):
         model = Model(tiny_transformer_cfg(), seed=7)
         save_checkpoint(model, str(tmp_path / "a"))
@@ -597,6 +616,47 @@ class TestCheckpoints:
         edit_header(tmp_path / "weights.bin", lambda blob: b"{not json")
         with pytest.raises(FormatError):
             load_checkpoint(str(tmp_path))
+
+
+def arrays_of(model: Model) -> dict[str, np.ndarray]:
+    return {name: p.data for name, p in model.params.items()}
+
+
+class TestGivenParameters:
+    @pytest.mark.parametrize("cfg", [tiny_transformer_cfg(), tiny_gru_cfg()],
+                             ids=["transformer", "gru"])
+    def test_wraps_the_arrays_in_layout_order(self, cfg):
+        drawn = Model(cfg, seed=8)
+        given = dict(reversed(arrays_of(drawn).items()))
+        model = Model(cfg, params=given)
+        assert list(model.params) == list(drawn.params)
+        assert all(model.params[name].data is a for name, a in given.items())
+        assert all(p.requires_grad for p in model.params.values())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_follows_the_parameters(self, dtype):
+        drawn = Model(tiny_gru_cfg(), seed=1)
+        model = Model(drawn.cfg, params={n: a.astype(dtype) for n, a in arrays_of(drawn).items()})
+        assert model.dtype == dtype
+        x = np.random.default_rng(2).normal(size=(1, 3, 2, 4, 4))
+        assert model.forward(x)[0].data.dtype == dtype
+
+    @pytest.mark.parametrize("change", [
+        lambda a: a.pop("embed.w"),
+        lambda a: a.update(extra=np.zeros(3, np.float32)),
+        lambda a: a.update({"embed.w": a["embed.w"].T}),
+        lambda a: a.update({"embed.b": a["embed.b"].astype(np.float64)}),
+        lambda a: a.update({name: v.astype(np.int32) for name, v in a.items()}),
+        lambda a: a.clear(),
+        lambda a: a.update({"embed.w": a["embed.w"].tolist()}),
+        lambda a: a.update({"embed.w": [[1.0], [1.0, 2.0]]}),
+    ], ids=["missing", "extra", "misshapen", "mixed-dtypes", "integer", "empty", "list",
+            "ragged"])
+    def test_arrays_off_the_layout_are_a_validation_error(self, change):
+        arrays = arrays_of(Model(tiny_transformer_cfg(), seed=0))
+        change(arrays)
+        with pytest.raises(ValidationError, match="transformer layout"):
+            Model(tiny_transformer_cfg(), params=arrays)
 
 
 class TestInitialization:

@@ -21,7 +21,7 @@ from sardist.errors import FormatError, ValidationError, check_seed
 from sardist.inference import SweepConfig
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import PreprocessConfig
-from sardist.raster import read_stack
+from sardist.raster import read_stack, write_stack
 from sardist.synth import (SynthConfig, generate_scene, generate_training_corpus,
                            load_corpus, make_connected_mask, splitmix64)
 from sardist.training import TrainConfig
@@ -511,6 +511,36 @@ class TestCorpus:
         corpus = load_corpus(manifest_path)
         assert corpus.shape == (5, 11, 2, 16, 16)
         assert corpus.dtype == np.float32
+
+    def test_load_corpus_peaks_near_the_corpus(self, tmp_path):
+        # every stack used to be held and then copied by np.stack: 2.08 corpora
+        import tracemalloc
+
+        cfg = SynthConfig(height=16, width=16, num_steps=11, seed=2)
+        manifest_path = generate_training_corpus(cfg, 64, str(tmp_path))
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(manifest_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corpus.shape == (64, 11, 2, 16, 16)
+        assert np.array_equal(corpus[63], read_stack(str(tmp_path / "seq_00063.rts")).values)
+        assert peak <= 1.3 * corpus.nbytes, peak / corpus.nbytes
+
+    @pytest.mark.parametrize("widths, message", [
+        ([], "empty corpus"),
+        ([16, 16, 8], r"mixed sequence shapes \(11, 2, 16, 16\), \(11, 2, 16, 8\)"),
+    ], ids=["empty", "mixed-shapes"])
+    def test_corpus_of_no_or_mixed_stacks_rejected(self, tmp_path, widths, message):
+        entries = []
+        for i, width in enumerate(widths):
+            cfg = SynthConfig(height=16, width=width, num_steps=11, seed=i)
+            write_stack(generate_scene(cfg)[0], str(tmp_path / f"{i}.rts"))
+            entries.append({"path": f"{i}.rts"})
+        (tmp_path / "corpus.json").write_text(json.dumps({"entries": entries}))
+        with pytest.raises(ValidationError, match=f"corpus.json: {message}"):
+            load_corpus(str(tmp_path / "corpus.json"))
 
     @pytest.mark.parametrize("text", ['{"master_seed": 1}', '{"entries": [{"seed": 3}]}',
                                       '[]', '{"entries": ',
