@@ -43,6 +43,18 @@ REPORT_FILES = ("pr_curve.csv", "f1_vs_tau.csv", "pr_curve.svg", "f1_vs_tau.svg"
                 "summary.json")
 
 
+def _bool_labels(labels, name: str) -> np.ndarray:
+    """`labels` as a bool array of its own shape; only bool or 0/1 integers are labels."""
+    try:
+        labels = np.asarray(labels)
+    except ValueError:   # numpy's "inhomogeneous shape" of a ragged nested sequence
+        raise ShapeError(f"{name} must be (...), got a ragged sequence") from None
+    if labels.size and labels.dtype != bool and not (
+            labels.dtype.kind in "iu" and np.isin(labels, (0, 1)).all()):
+        raise ValidationError(f"{name} must be bool or 0/1 integers, got dtype {labels.dtype}")
+    return labels.astype(bool, copy=False)
+
+
 @dataclass
 class LabeledScores:
     scores: np.ndarray
@@ -50,14 +62,7 @@ class LabeledScores:
 
     def __post_init__(self) -> None:
         self.scores = float_array(self.scores, "scores", "...", np.float64).ravel()
-        try:
-            labels = np.asarray(self.labels)
-        except ValueError:   # numpy's "inhomogeneous shape" of a ragged nested sequence
-            raise ShapeError("labels must be (...), got a ragged sequence") from None
-        if labels.size and labels.dtype != bool and not (
-                labels.dtype.kind in "iu" and np.isin(labels, (0, 1)).all()):
-            raise ValidationError(f"labels must be bool or 0/1 integers, got dtype {labels.dtype}")
-        self.labels = labels.astype(bool, copy=False).ravel()
+        self.labels = _bool_labels(self.labels, "labels").ravel()
         if self.scores.shape != self.labels.shape:
             raise ShapeError(f"{self.scores.size} scores vs {self.labels.size} labels")
         if self.scores.size == 0:
@@ -73,7 +78,7 @@ class LabeledScores:
 def build_labeled_set(pre_map: DisturbanceMap, post_map: DisturbanceMap,
                       truth: np.ndarray) -> LabeledScores:
     """Concatenate (pre frame: all negative) + (post frame: truth labels)."""
-    truth = np.asarray(truth, dtype=bool)
+    truth = _bool_labels(truth, "truth")
     if pre_map.units != post_map.units:
         raise ValidationError(
             f"mixing metric units {pre_map.units!r} and {post_map.units!r}"

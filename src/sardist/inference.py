@@ -7,15 +7,15 @@ means over all covering windows.
 
 Determinism: windows are enumerated row-major and cut into chunks of at
 most `min(batch_size, _FORWARD_WINDOWS)` windows, chunk k holding windows
-[k * per_forward, (k + 1) * per_forward). Each of min(`threads`, chunks)
-workers (`native.workers`, the calling thread one) takes the next chunk in
-turn (a static deal measured a fifth slower) and forwards it under
-`no_grad`; the sums take finished chunks in chunk order. So no bit depends
-on the batch size, the thread count or which worker ran a chunk, and one
-thread is the same path. A failed forward stops every worker.
+[k * per_forward, (k + 1) * per_forward). `native.in_order` forwards the
+chunks under `no_grad` on min(`threads`, chunks) threads (one thread: the
+calling thread, one chunk at a time) and hands them back to the calling
+thread in chunk order, which adds them into the sums. So no bit depends on
+the batch size, the thread count or which thread ran a chunk, and one thread
+is the same path. A failed forward stops every thread.
 
 Memory: the sweep holds the scene, its two float64 sums and at most
-2 x `threads` chunks taken and not yet summed (a bound of `threads`
+2 x `threads` chunks forwarded and not yet summed (a bound of `threads`
 measured a fifth slower), whatever the window count. The forward is
 bitwise batch-invariant, so the chunk size changes no output bit.
 
@@ -29,8 +29,7 @@ so N workers use N cores; meanwhile any other thread's GEMM runs single-threaded
 
 from __future__ import annotations
 
-import threading
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,48 +97,28 @@ def sweep_estimate(model: Model, frames_logit: np.ndarray, cfg: SweepConfig | No
     windows = len(rows) * len(cols)
     per_forward = min(cfg.batch_size, _FORWARD_WINDOWS, windows)
     chunks = -(-windows // per_forward)
-    workers = min(cfg.threads, chunks)
     pinned = pin_malloc()
     trim_malloc()   # start the pinned working set on returned pages
     mu_sum = np.zeros((c, height, width), dtype=np.float64)
     sigma_sum = np.zeros((c, height, width), dtype=np.float64)
-    turn = threading.Condition()
-    taken, added, done = 0, 0, {}   # chunks taken, chunks summed, finished chunks not summed
 
-    def work(_: int) -> None:
-        nonlocal taken, added
-        try:
-            while True:
-                with turn:   # the next chunk, while fewer than 2 x workers wait for the sums
-                    turn.wait_for(lambda: taken == chunks or taken < added + 2 * workers)
-                    if taken == chunks:
-                        return
-                    k, taken = taken, taken + 1
-                # chunk k: windows [k * per_forward, (k + 1) * per_forward), row-major
-                chunk = [(rows[i // len(cols)], cols[i % len(cols)])
-                         for i in range(k * per_forward, min((k + 1) * per_forward, windows))]
-                x = np.stack([frames_logit[:, :, r:r + size, ch:ch + size] for r, ch in chunk])
-                with no_grad():   # per thread, so it is entered inside each worker
-                    mu, sigma = model.forward(x, train=False)
-                with turn:   # add every finished chunk whose turn has come, in window order
-                    done[k] = chunk, mu.data, sigma.data
-                    while added in done:
-                        chunk, mu_b, sigma_b = done.pop(added)
-                        for i, (r, ch) in enumerate(chunk):
-                            mu_sum[:, r:r + size, ch:ch + size] += mu_b[i]
-                            sigma_sum[:, r:r + size, ch:ch + size] += sigma_b[i]
-                        added += 1
-                    turn.notify_all()
-                x = mu = sigma = mu_b = sigma_b = None   # hold no chunk during the next forward
-        except BaseException:
-            with turn:   # no worker takes another chunk
-                taken = chunks
-                turn.notify_all()
-            raise
+    def forward(k: int) -> tuple:
+        """Chunk k, windows [k * per_forward, (k + 1) * per_forward) row-major, and
+        its mu and sigma."""
+        chunk = [(rows[i // len(cols)], cols[i % len(cols)])
+                 for i in range(k * per_forward, min((k + 1) * per_forward, windows))]
+        x = np.stack([frames_logit[:, :, r:r + size, ch:ch + size] for r, ch in chunk])
+        with no_grad():   # per thread, so it is entered on the thread that forwards
+            mu, sigma = model.forward(x, train=False)
+        return chunk, mu.data, sigma.data
 
     with (one_blas_thread() if cfg.threads > 1 else nullcontext(),
-          native.workers(workers) as run):
-        run(work)
+          closing(native.in_order(forward, chunks, cfg.threads)) as forwarded):
+        for chunk, mu, sigma in forwarded:   # in window order, on this thread
+            for i, (r, ch) in enumerate(chunk):
+                mu_sum[:, r:r + size, ch:ch + size] += mu[i]
+                sigma_sum[:, r:r + size, ch:ch + size] += sigma[i]
+            mu = sigma = None   # hold no chunk during the next forward
     if stats is not None:
         stats.update(windows=windows, windows_per_forward=per_forward, mallopt_pinned=pinned)
     # the windows are a product grid, so a pixel's cover is its row's times its column's

@@ -4,8 +4,8 @@ allocator thresholds for good, `trim_malloc` returns its free heap memory,
 and `flush_subnormals` flushes subnormals to zero in one thread for a block.
 Each is a no-op where its library or platform is missing, and none changes
 an output bit. `usable_cores` counts the cores that the despeckle and Adam
-workers may spread over, within any cgroup CPU quota; `workers` runs every
-worker the package starts.
+workers may spread over, within any cgroup CPU quota; `workers` and
+`in_order` run every worker the package starts.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import glob
 import os
 import platform
 import threading
+from collections import deque
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,39 @@ def workers(n: int) -> Iterator[Callable[[Callable[[int], object]], None]]:
             for other in others:
                 other.result()
         yield run
+
+
+def in_order(fn: Callable[[int], object], count: int, n: int) -> Iterator:
+    """Yield `fn(k)` for every k < `count`, in k order.
+
+    n = 1: each item runs on the calling thread when it is asked for; no thread
+    starts. n > 1: items run on a pool of n threads, at most 2n past the last one
+    yielded. After an error no further item starts, and an item's error is raised
+    once no item still runs. Closing the iterator early cancels the items not started.
+    """
+    if n == 1:
+        yield from map(fn, range(count))
+        return
+    failed = []   # the first error: once it is set, no item starts
+
+    def call(k: int) -> object:
+        if failed:
+            raise failed[0]
+        try:
+            return fn(k)
+        except BaseException as exc:
+            failed.append(exc)
+            raise
+
+    pool = ThreadPoolExecutor(n)   # starts its threads as items are submitted
+    futures = (pool.submit(call, k) for k in range(count))
+    ahead = deque(islice(futures, 2 * n))
+    try:
+        while ahead:
+            yield ahead.popleft().result()   # holds no yielded item while the next is awaited
+            ahead.extend(islice(futures, 1))
+    finally:   # after an error or an early close: start no other item, wait for the running
+        pool.shutdown(cancel_futures=True)
 
 
 def _functions(path, *names):

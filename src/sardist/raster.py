@@ -33,8 +33,7 @@ DTYPE_TAG = "f32le"
 ORDER_TAG = "TCHW"
 
 #: units accepted on DisturbanceMap; "log10_ratio" maps carry raw log10-ratio
-#: values (multiply by 10 only when displaying as dB). Maps written before the
-#: tag had its name read their legacy "decibels" tag as "log10_ratio".
+#: values (multiply by 10 only when displaying as dB)
 METRIC_UNITS = ("standard_deviations", "log10_ratio")
 
 
@@ -341,8 +340,7 @@ def write_metric_map(dmap: DisturbanceMap, path: str) -> None:
 
 def read_metric_map(path: str) -> DisturbanceMap:
     frame, header = _read_frame(path, "metric map", ("units",))
-    units = header["units"]
-    return _typed([path], DisturbanceMap, frame[0], "log10_ratio" if units == "decibels" else units)
+    return _typed([path], DisturbanceMap, frame[0], header["units"])
 
 
 def write_delineation(delineation: BinaryDelineation, path: str) -> None:

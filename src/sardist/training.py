@@ -173,31 +173,26 @@ def sample_batch(sequences: np.ndarray, rng: np.random.Generator,
     """Draw a training batch; returns (x (B,T,C,S,S), target (B,C,S,S)).
 
     Sequences are drawn with replacement; T is drawn once for the whole
-    batch; the first T frames are the window, frame T+1 the target. When
-    `window` is smaller than the stored frames, a random square crop is
-    drawn per item (the small-input model variants train on crops).
+    batch; the first T frames are the window, frame T+1 the target. Each item
+    is a random square crop of side `window` (the small-input model variants
+    train on crops); without `window` it is the whole frame, the crop at
+    offset 0, whose offsets draw nothing from `rng`.
     """
-    n, steps, c, h, w = sequences.shape
+    n, steps, _, h, w = sequences.shape
     if t_max + 1 > steps:
         raise ValidationError(
             f"sequences of {steps} steps are too short for t_max={t_max} (+1 target)"
         )
+    side_h, side_w = (h, w) if window is None else (window, window)
+    if side_h > h or side_w > w:
+        raise ValidationError(f"crop {window} exceeds stored frames {h}x{w}")
     t = int(rng.integers(t_min, t_max + 1))
     idx = rng.integers(0, n, size=batch_size)
-    x = sequences[idx, :t]
-    y = sequences[idx, t]
-    if window is not None and window != h:
-        if window > h or window > w:
-            raise ValidationError(f"crop {window} exceeds stored frames {h}x{w}")
-        rows = rng.integers(0, h - window + 1, size=batch_size)
-        cols = rng.integers(0, w - window + 1, size=batch_size)
-        xc = np.empty((batch_size, t, c, window, window), dtype=sequences.dtype)
-        yc = np.empty((batch_size, c, window, window), dtype=sequences.dtype)
-        for i, (r, cl) in enumerate(zip(rows, cols)):
-            xc[i] = x[i, :, :, r:r + window, cl:cl + window]
-            yc[i] = y[i, :, r:r + window, cl:cl + window]
-        return xc, yc
-    return np.ascontiguousarray(x), np.ascontiguousarray(y)
+    rows = rng.integers(0, h - side_h + 1, size=batch_size)
+    cols = rng.integers(0, w - side_w + 1, size=batch_size)
+    crops = list(zip(idx, rows, cols))
+    return (np.stack([sequences[s, :t, :, r:r + side_h, cl:cl + side_w] for s, r, cl in crops]),
+            np.stack([sequences[s, t, :, r:r + side_h, cl:cl + side_w] for s, r, cl in crops]))
 
 
 @dataclass

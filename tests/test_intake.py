@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sardist.errors import SardistError, ShapeError, ValidationError
-from sardist.evaluation import LabeledScores
+from sardist.evaluation import LabeledScores, build_labeled_set
 from sardist.inference import sweep_estimate
 from sardist.model import Model, ModelConfig
 from sardist.preprocess import despeckle_values
@@ -157,6 +157,20 @@ def test_labeled_scores_keep_the_bits_of_numeric_scores(scores):
     ls = LabeledScores(scores, LABELS.astype(np.uint8))
     assert ls.scores.tobytes() == np.asarray(scores, np.float64).ravel().tobytes()
     assert ls.labels.tobytes() == LABELS.ravel().tobytes()
+
+
+@pytest.mark.parametrize("truth, error", [([["False", "False"], ["False", "True"]], ValidationError),
+                                          ([[0.0, 1.0], [0.0, 0.0]], ValidationError),
+                                          ([[False, True], [False]], ShapeError)],
+                         ids=["string", "float", "ragged"])
+def test_build_labeled_set_takes_the_truth_mask_through_the_label_rule(truth, error):
+    # a string mask used to read as all True, a ragged one to leak numpy's ValueError
+    maps = [DisturbanceMap(np.full((2, 2), v, np.float32), "log10_ratio") for v in (0.1, 0.2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="^truth must be "):
+            build_labeled_set(*maps, truth)
+    assert build_labeled_set(*maps, [[0, 0], [0, 1]]).labels.sum() == 1
 
 
 def test_labeled_scores_refusals_hold_under_optimize():

@@ -1,6 +1,8 @@
-"""Tests for `native.workers`, the one way the package spreads work over threads, and
-for `native.usable_cores`, which caps how many it starts."""
+"""Tests for `native.workers` and `native.in_order`, the two ways the package spreads
+work over threads, and for `native.usable_cores`, which caps how many it starts."""
 
+import ast
+import glob
 import os
 import threading
 import time
@@ -10,7 +12,7 @@ import pytest
 
 from sardist import native
 from sardist.inference import SweepConfig, sweep_estimate
-from sardist.native import workers
+from sardist.native import in_order, workers
 
 from conftest import ConstantStub
 
@@ -108,6 +110,127 @@ class TestWorkers:
         assert [str(e) for e in errors] == ["third forward"]
         assert stub.started <= 7
         assert threading.active_count() == before
+
+
+class TestInOrder:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_items_come_back_in_order_each_run_once(self, n):
+        # later items finish first, so completion order is not k order
+        ran, lock = [], threading.Lock()
+
+        def fn(k):
+            time.sleep(0.002 * (k % 4 == 0))
+            with lock:
+                ran.append(k)
+            return k * k
+        assert list(in_order(fn, 30, n)) == [k * k for k in range(30)]
+        assert sorted(ran) == list(range(30))
+
+    def test_one_worker_is_lazy_and_starts_no_thread(self, started):
+        ran = []
+
+        def fn(k):
+            ran.append((k, threading.get_ident()))
+            return k
+        items = in_order(fn, 5, 1)
+        assert ran == []
+        assert next(items) == 0 and ran == [(0, threading.get_ident())]
+        assert next(items) == 1 and len(ran) == 2
+        assert list(items) == [2, 3, 4]
+        assert started == []
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_stalled_item_lets_at_most_2n_start(self, n):
+        release, lock, begun = threading.Event(), threading.Lock(), []
+
+        def fn(k):
+            with lock:
+                begun.append(k)
+            if k == 0:
+                release.wait(timeout=60)
+            return k
+        items = in_order(fn, 40, n)
+        waiter = threading.Thread(target=lambda: next(items))
+        waiter.start()
+        deadline = time.monotonic() + 60
+        while len(begun) < 2 * n and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)   # time enough for an unbounded map to start more
+        during_stall = len(begun)
+        release.set()
+        waiter.join(timeout=60)
+        assert list(items) == list(range(1, 40))
+        assert during_stall == 2 * n
+
+    def test_error_stops_starts_and_is_raised_after_running_items_end(self):
+        # item 1 fails while item 2 runs: items past 2 never start, and the
+        # error comes only once item 2 has ended
+        two_started, one_failed, lock = threading.Event(), threading.Event(), threading.Lock()
+        begun, ended = [], []
+
+        def fn(k):
+            with lock:
+                begun.append(k)
+            if k == 1:
+                two_started.wait(timeout=60)
+                one_failed.set()
+                raise KeyError("item 1")
+            if k == 2:
+                two_started.set()
+                one_failed.wait(timeout=60)
+                time.sleep(0.2)
+                ended.append(k)
+            return k
+        before, yielded = threading.active_count(), []
+        with pytest.raises(KeyError, match="item 1"):
+            for item in in_order(fn, 20, 2):
+                yielded.append(item)
+        assert ended == [2]
+        assert yielded == [0] and sorted(begun) == [0, 1, 2]
+        assert threading.active_count() == before
+
+    def test_closing_early_cancels_the_items_not_started(self):
+        # items 1 and 2 hold both threads until after the close: item 3 never starts
+        gate, begun, lock = threading.Event(), [], threading.Lock()
+
+        def fn(k):
+            with lock:
+                begun.append(k)
+            if k:
+                gate.wait(timeout=60)
+            return k
+        before = threading.active_count()
+        items = in_order(fn, 100, 2)
+        assert next(items) == 0
+        opener = threading.Timer(0.2, gate.set)
+        opener.start()
+        items.close()
+        opener.join()
+        assert set(begun) <= {0, 1, 2} and threading.active_count() == before
+
+
+def test_only_native_starts_or_syncs_threads():
+    # thread code stays in one module: elsewhere only a `threading.local` is allowed
+    banned = {"Condition", "Lock", "RLock", "Thread", "Event", "Semaphore", "Barrier"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(native.__file__), "*.py"))):
+        if os.path.basename(path) == "native.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            found += [f"{os.path.basename(path)}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "concurrent"
+                      or (name.startswith("threading.") and name.split(".")[1] in banned)]
+    assert found == []
 
 
 class TestUsableCores:

@@ -287,14 +287,15 @@ class TestTypedWrappers:
         assert back.units == "standard_deviations"
         assert np.array_equal(back.values, dmap.values)
 
-    def test_metric_map_legacy_decibels_tag_reads_as_log10_ratio(self, tmp_path):
-        # log-ratio maps were once tagged "decibels", though they hold log10 ratios
+    def test_metric_map_legacy_decibels_tag_refused_naming_the_file(self, tmp_path):
+        # log-ratio maps were once tagged "decibels"; such a map is made again, not read
         values = np.full((1, 1, 4, 4), 0.5, dtype=np.float32)
         path = str(tmp_path / "legacy.rts")
         write_array(path, values, ["metric"], ("metric",), extra={"units": "decibels"})
-        back = read_metric_map(path)
-        assert back.units == "log10_ratio"
-        assert np.array_equal(back.values, values[0, 0])
+        with pytest.raises(ValidationError) as refused:
+            read_metric_map(path)
+        assert str(refused.value).startswith(f"{path}: unknown units 'decibels'")
+        assert "\n" not in str(refused.value)
 
     def test_metric_map_missing_units_rejected(self, tmp_path):
         values = np.zeros((1, 1, 4, 4), dtype="<f4")
